@@ -8,24 +8,39 @@ lowest residual minima per wavelength, simplex refinement, a thickness
 sweep with the kappa deconvolution identity, smoothness-based rejection
 of the spurious solution branch, and a dispersion-relation closure that
 rebuilds n from the retained kappa curve.
+
+The grid search screens every (wavelength, thickness) map from Fresnel
+factors computed once per call.  The screened map differs from the
+reference map (``_residual_map``) only by rounding, so it settles the two
+lowest minima wherever they clear that rounding by SCREEN_MARGIN; close
+calls are settled on the reference map, and the seeds are the ones the
+reference map alone would give.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import optimize
 
 from .constants import vacuum_wavelength_m_to_ev
 from .numerics import kramers_kronig_real
 
 NOISE_ALLOWANCE = 0.02
 FLAT_LANDSCAPE_SPAN = 1e-15
+# Bound on |screened map - reference map|, with headroom: the largest
+# difference over the 303 maps of the packaged fixture is 2.2e-15.
+SCREEN_MARGIN = 1e-12
+# Rows of the grid screened at once, so that a block's temporaries stay
+# in a core's L2 cache (32 rows of 641 kappa values: 330 kB per array).
+_SCREEN_ROWS = 32
 
 
 class NoMinimumFound(Exception):
@@ -52,12 +67,14 @@ class FilmStack:
     ambient_index: float = 1.0
 
     def __post_init__(self):
-        if self.thickness <= 0.0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
+        if not 0.0 < self.thickness < math.inf:
+            raise ValueError(f"thickness must be finite and > 0, got {self.thickness}")
+        if not cmath.isfinite(complex(self.film_index)):
+            raise ValueError(f"film index must be finite, got {self.film_index}")
         if complex(self.film_index).imag < 0.0:
             raise ValueError("film index must have a non-negative imaginary part")
-        if self.substrate_index < 1.0 or self.ambient_index < 1.0:
-            raise ValueError("ambient and substrate indices must be >= 1")
+        if not (1.0 <= self.substrate_index < math.inf and 1.0 <= self.ambient_index < math.inf):
+            raise ValueError("ambient and substrate indices must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,8 +86,8 @@ class RTMeasurement:
     transmittance: float
 
     def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
         for label, value in (
             ("reflectance", self.reflectance),
             ("transmittance", self.transmittance),
@@ -159,42 +176,58 @@ class IndexCurve:
     kappa: np.ndarray
 
 
-def _amplitudes(index_film, stack: FilmStack, wavelength):
-    """Airy reflection and transmission amplitudes, vectorized in index."""
-    n0, ns = stack.ambient_index, stack.substrate_index
-    nf = np.asarray(index_film, dtype=complex)
+def _interfaces(index_film, ambient_index, substrate_index):
+    """Fresnel amplitudes r1, r2 and t1*t2 of the two film interfaces."""
+    n0, ns, nf = ambient_index, substrate_index, index_film
     r1 = (n0 - nf) / (n0 + nf)
     r2 = (nf - ns) / (nf + ns)
     t1 = 2.0 * n0 / (n0 + nf)
     t2 = 2.0 * nf / (nf + ns)
+    return r1, r2, t1 * t2
+
+
+def _amplitudes(index_film, stack: FilmStack, wavelength):
+    """Airy reflection and transmission amplitudes, vectorized in index."""
+    nf = np.asarray(index_film, dtype=complex)
+    r1, r2, t12 = _interfaces(nf, stack.ambient_index, stack.substrate_index)
     phase = np.exp(2j * np.pi * nf * stack.thickness / wavelength)
     denom = 1.0 + r1 * r2 * phase**2
-    return (r1 + r2 * phase**2) / denom, t1 * t2 * phase / denom
+    return (r1 + r2 * phase**2) / denom, t12 * phase / denom
+
+
+def _rt(index_film, stack: FilmStack, wavelength):
+    """Scalar R and T of the stack with the given film index."""
+    r_amp, t_amp = _amplitudes(index_film, stack, wavelength)
+    flux_ratio = stack.substrate_index / stack.ambient_index
+    return float(np.abs(r_amp) ** 2), float(flux_ratio * np.abs(t_amp) ** 2)
 
 
 def rt_theoretical(stack: FilmStack, wavelength: float) -> TheoreticalRT:
     """Normal-incidence R and T of the film between two half-spaces."""
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be > 0, got {wavelength}")
-    r_amp, t_amp = _amplitudes(stack.film_index, stack, wavelength)
-    flux_ratio = stack.substrate_index / stack.ambient_index
-    return TheoreticalRT(
-        reflectance=float(np.abs(r_amp) ** 2),
-        transmittance=float(flux_ratio * np.abs(t_amp) ** 2),
-    )
+    reflectance, transmittance = _rt(stack.film_index, stack, wavelength)
+    return TheoreticalRT(reflectance=reflectance, transmittance=transmittance)
 
 
 def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasurement) -> float:
-    """Sum of absolute R and T misfits for a trial (n, kappa)."""
-    trial = dataclasses.replace(stack, film_index=complex(n, kappa))
-    rt = rt_theoretical(trial, measurement.wavelength)
-    return abs(rt.transmittance - measurement.transmittance) + abs(
-        rt.reflectance - measurement.reflectance
+    """Sum of absolute R and T misfits for a trial (n, kappa).
+
+    Only the film index of ``stack`` is replaced by the trial value.
+    """
+    if kappa < 0.0:
+        raise ValueError("film index must have a non-negative imaginary part")
+    reflectance, transmittance = _rt(complex(n, kappa), stack, measurement.wavelength)
+    return abs(transmittance - measurement.transmittance) + abs(
+        reflectance - measurement.reflectance
     )
 
 
 def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
-    """Residual over the full (n, kappa) grid in one vectorized sweep."""
+    """Residual over the full (n, kappa) grid in one vectorized sweep.
+
+    The reference for the screened map: extract_nk settles close calls on it.
+    """
     n_vals = grid.n_values
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
@@ -210,16 +243,102 @@ def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
     )
 
 
+def _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index):
+    """Grid factors of the Airy sum that depend on neither wavelength nor
+    thickness: r1, r2, r1*r2 and the flux-weighted |t1*t2|^2."""
+    nf = n_vals[:, None] + 1j * k_vals[None, :]
+    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index)
+    transfer = (substrate_index / ambient_index) * (t12.real**2 + t12.imag**2)
+    return r1, r2, r1 * r2, transfer
+
+
+def _screen_map(factors, n_vals, k_vals, thickness, measurement: RTMeasurement):
+    """The residual map of _residual_map, rebuilt from _fresnel_factors.
+
+    With P = exp(2i k0 d nf) = exp(2i k0 d n) * exp(-2 k0 d kappa), a
+    row factor times a column factor:
+    R = |r1 + r2 P|^2 / |1 + r1 r2 P|^2 and
+    T = flux |t1 t2|^2 exp(-2 k0 d kappa) / |1 + r1 r2 P|^2.
+    The reassociated arithmetic differs from the reference by rounding
+    only, well inside SCREEN_MARGIN.
+    """
+    r1, r2, r12, transfer = factors
+    k0d = 2.0 * np.pi * thickness / measurement.wavelength
+    row_phase = np.exp(2j * k0d * n_vals)[:, None]
+    decay = np.exp(-2.0 * k0d * k_vals)
+    surface = np.empty(r1.shape)
+    for lo in range(0, surface.shape[0], _SCREEN_ROWS):
+        rows = slice(lo, lo + _SCREEN_ROWS)
+        p = row_phase[rows] * decay
+        num = r2[rows] * p
+        num += r1[rows]
+        den = np.multiply(r12[rows], p, out=p)
+        den += 1.0
+        den_sq = den.real**2 + den.imag**2
+        refl = num.real**2 + num.imag**2
+        refl /= den_sq
+        refl -= measurement.reflectance
+        trans = transfer[rows] * decay
+        trans /= den_sq
+        trans -= measurement.transmittance
+        np.add(np.abs(trans), np.abs(refl), out=surface[rows])
+    return surface
+
+
+def _window_min(surface: np.ndarray) -> np.ndarray:
+    """Minimum over each point's 3x3 window, edges replicated.
+
+    Equal to ``scipy.ndimage.minimum_filter(surface, size=3,
+    mode="nearest")``; a point is an 8-neighbour local minimum exactly
+    where it equals its window minimum.
+    """
+    across = surface.copy()
+    np.minimum(across[:, 1:], surface[:, :-1], out=across[:, 1:])
+    np.minimum(across[:, :-1], surface[:, 1:], out=across[:, :-1])
+    window = across.copy()
+    np.minimum(window[1:], across[:-1], out=window[1:])
+    np.minimum(window[:-1], across[1:], out=window[:-1])
+    return window
+
+
 def _two_lowest_minima(surface: np.ndarray):
     """Indices of the two lowest local minima (8-neighbor) of a surface."""
     if np.ptp(surface) < FLAT_LANDSCAPE_SPAN:
         raise NoMinimumFound("residual landscape is flat")
-    local = surface <= ndimage.minimum_filter(surface, size=3, mode="nearest")
+    local = surface <= _window_min(surface)
     rows, cols = np.nonzero(local)
     if rows.size == 0:
         raise NoMinimumFound("no local minimum on the search grid")
     order = np.argsort(surface[rows, cols], kind="stable")[:2]
     return [(int(rows[i]), int(cols[i])) for i in order]
+
+
+def _screened_minima(surface: np.ndarray):
+    """_two_lowest_minima of the reference map, read off a screened map.
+
+    ``surface`` is within SCREEN_MARGIN of the reference map, so every
+    reference minimum lies within 2*SCREEN_MARGIN of its window minimum
+    here.  The two lowest such points are the reference's answer when each
+    is lower than all its neighbours by more than 2*SCREEN_MARGIN and the
+    three lowest are more than 2*SCREEN_MARGIN apart.  Returns None when
+    the screened map cannot decide.
+    """
+    band = 2.0 * SCREEN_MARGIN
+    if not np.ptp(surface) > FLAT_LANDSCAPE_SPAN + band:
+        return None
+    rows, cols = np.nonzero(surface <= _window_min(surface) + band)
+    values = surface[rows, cols]
+    order = np.argsort(values, kind="stable")[:3]
+    if np.any(np.diff(values[order]) <= band):
+        return None
+    seeds = [(int(rows[i]), int(cols[i])) for i in order[:2]]
+    for row, col in seeds:
+        r0, c0 = max(row - 1, 0), max(col - 1, 0)
+        neighbours = surface[r0 : row + 2, c0 : col + 2].copy()
+        neighbours[row - r0, col - c0] = np.inf
+        if not surface[row, col] < neighbours.min() - band:
+            return None
+    return seeds
 
 
 def _refine(seed_n, seed_k, grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
@@ -247,6 +366,12 @@ def extract_nk(
     Scans the residual over the grid, keeps the two lowest local minima,
     and refines each by simplex descent.  Candidates come back labelled
     Unresolved; select_physical_branch settles which root is physical.
+
+    Every map is first screened from Fresnel factors computed once for the
+    grid (_screen_map).  Where two minima are too close to call on the
+    screened map, the seeds come from the reference map (_residual_map),
+    computed after the factors are freed, so the seeds are always those of
+    the reference map.
     """
     measurements = list(measurements)
     if not measurements:
@@ -261,29 +386,44 @@ def extract_nk(
         if t_low == t_high
         else np.linspace(t_low, t_high, max(2, n_thickness))
     )
+    maps = [
+        (
+            FilmStack(
+                thickness=float(thickness),
+                film_index=1.5 + 0.0j,
+                substrate_index=substrate_index,
+                ambient_index=ambient_index,
+            ),
+            meas,
+        )
+        for thickness in thicknesses
+        for meas in measurements
+    ]
+
+    n_vals, k_vals = grid.n_values, grid.kappa_values
+    factors = _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index)
+    seeds = [
+        _screened_minima(_screen_map(factors, n_vals, k_vals, stack.thickness, meas))
+        for stack, meas in maps
+    ]
+    del factors  # before any reference map, which needs the memory
 
     candidates: list[NkCandidate] = []
-    for thickness in thicknesses:
-        stack = FilmStack(
-            thickness=float(thickness),
-            film_index=1.5 + 0.0j,
-            substrate_index=substrate_index,
-            ambient_index=ambient_index,
-        )
-        for meas in measurements:
-            surface, n_vals, k_vals = _residual_map(grid, stack, meas)
-            for row, col in _two_lowest_minima(surface):
-                n_fit, k_fit, res = _refine(n_vals[row], k_vals[col], grid, stack, meas)
-                candidates.append(
-                    NkCandidate(
-                        wavelength=meas.wavelength,
-                        n=n_fit,
-                        kappa=k_fit,
-                        residual=res,
-                        branch=Branch.UNRESOLVED,
-                        thickness_used=float(thickness),
-                    )
+    for (stack, meas), found in zip(maps, seeds):
+        if found is None:
+            found = _two_lowest_minima(_residual_map(grid, stack, meas)[0])
+        for row, col in found:
+            n_fit, k_fit, res = _refine(n_vals[row], k_vals[col], grid, stack, meas)
+            candidates.append(
+                NkCandidate(
+                    wavelength=meas.wavelength,
+                    n=n_fit,
+                    kappa=k_fit,
+                    residual=res,
+                    branch=Branch.UNRESOLVED,
+                    thickness_used=stack.thickness,
                 )
+            )
     return candidates
 
 
@@ -304,8 +444,9 @@ def select_physical_branch(
     which keeps each curve on its own branch even where the branches
     cross in kappa alone.  The curve with the smaller total variation of
     kappa is kept as physical (smaller mean kappa preferred on a tie).
-    Wavelengths with no candidates are filled by linear interpolation of
-    the physical curve and flagged.
+    Only wavelengths that have candidates appear in the result, and
+    ``interpolated_wavelengths`` is always empty; fill_gaps fills missing
+    wavelengths by interpolation and flags them.
     """
     pool = [c for c in candidates]
     if not pool:

@@ -68,6 +68,19 @@ class TestConfigErrors:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    def test_non_finite_wavelength_leaves_no_output(self, tmp_path, capsys):
+        rt_path = tmp_path / "rt.csv"
+        rt_path.write_text("wavelength_nm,R,T\n550,0.1,0.8\nnan,0.1,0.8\n600,0.1,0.8\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", input=str(rt_path))
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "wavelength" in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         write_ini(ini, "extract-nk", input=str(tmp_path / "absent.csv"))

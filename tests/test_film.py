@@ -1,11 +1,21 @@
 """Film R/T forward model against a transfer-matrix oracle, inversion
 round trips, branch selection, and the dispersion-integral closure."""
 
+import csv
+from importlib.resources import files
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
+from lsepkit import film
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
 from lsepkit.film import (
+    SCREEN_MARGIN,
     Branch,
     BranchAmbiguous,
     BranchSelection,
@@ -14,7 +24,12 @@ from lsepkit.film import (
     NkGrid,
     NoMinimumFound,
     RTMeasurement,
+    _fresnel_factors,
+    _residual_map,
+    _screen_map,
+    _screened_minima,
     _two_lowest_minima,
+    _window_min,
     close_with_kk,
     extract_nk,
     fill_gaps,
@@ -117,6 +132,28 @@ class TestValidation:
             RTMeasurement(600e-9, 0.6, 0.6)
         RTMeasurement(600e-9, 0.51, 0.50)  # inside the noise allowance
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_measurement_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            RTMeasurement(bad, 0.1, 0.8)
+        with pytest.raises(ValueError):
+            RTMeasurement(600e-9, bad, 0.8)
+        with pytest.raises(ValueError):
+            RTMeasurement(600e-9, 0.1, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_stack_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            FilmStack(thickness=bad, film_index=1.5 + 0j)
+        with pytest.raises(ValueError):
+            FilmStack(thickness=70e-9, film_index=complex(bad, 0.1))
+        with pytest.raises(ValueError):
+            FilmStack(thickness=70e-9, film_index=complex(1.5, bad))
+        with pytest.raises(ValueError):
+            FilmStack(thickness=70e-9, film_index=1.5 + 0j, substrate_index=bad)
+        with pytest.raises(ValueError):
+            FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=bad)
+
     def test_candidate_rejects_negative_residual(self):
         with pytest.raises(ValueError):
             NkCandidate(600e-9, 1.5, 0.1, -1e-3, Branch.UNRESOLVED, 70e-9)
@@ -141,6 +178,98 @@ class TestResidual:
     def test_flat_landscape_raises(self):
         with pytest.raises(NoMinimumFound):
             _two_lowest_minima(np.full((11, 11), 0.25))
+
+    def test_rejects_gain_trial(self):
+        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j)
+        with pytest.raises(ValueError):
+            residual(1.5, -0.1, stack, RTMeasurement(600e-9, 0.1, 0.8))
+
+
+_SIDE = st.integers(2, 16)
+_SHAPES = st.one_of(
+    st.tuples(_SIDE, _SIDE),
+    st.tuples(st.just(1), st.integers(1, 16)),
+    st.tuples(st.integers(1, 16), st.just(1)),
+)
+_SURFACES = st.one_of(
+    arrays(np.float64, _SHAPES, elements=st.floats(-1e3, 1e3)),
+    # few distinct levels: plateaus and ties between neighbours
+    arrays(np.float64, _SHAPES, elements=st.sampled_from([0.0, 0.25, 0.5])),
+)
+
+
+@given(_SURFACES)
+def test_window_min_equals_minimum_filter(surface):
+    reference = ndimage.minimum_filter(surface, size=3, mode="nearest")
+    window = _window_min(surface)
+    assert np.array_equal(window, reference)
+    assert np.array_equal(surface <= window, surface <= reference)
+
+
+class TestScreen:
+    """The screened grid search against the reference map, on the packaged
+    fixture at the CLI's lowest default thickness.  At 472.5-480 nm two
+    local minima on the kappa = 0 edge nearly tie, and the screened map
+    alone would pick the other seed there."""
+
+    THICKNESS = 63 * 1e-9
+    CLOSE_CALLS_NM = (472.5, 475.0, 477.5, 480.0)
+    ORDINARY_NM = (450.0, 575.0, 700.0)
+    REFERENCE = (
+        Path(__file__).resolve().parents[1]
+        / "perfbench" / "reference" / "nk-fixture" / "branches.csv"
+    )
+
+    @staticmethod
+    def fixture(wavelengths_nm):
+        rows = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
+        picked = [m for m in rows if round(m.wavelength * 1e9, 6) in wavelengths_nm]
+        assert len(picked) == len(wavelengths_nm)
+        return picked
+
+    def test_screened_map_and_seeds_match_reference(self):
+        grid = NkGrid()
+        stack = FilmStack(thickness=self.THICKNESS, film_index=1.5 + 0j)
+        n_vals, k_vals = grid.n_values, grid.kappa_values
+        factors = _fresnel_factors(n_vals, k_vals, stack.ambient_index, stack.substrate_index)
+        for meas in self.fixture(self.CLOSE_CALLS_NM + self.ORDINARY_NM):
+            screened = _screen_map(factors, n_vals, k_vals, self.THICKNESS, meas)
+            reference = _residual_map(grid, stack, meas)[0]
+            assert np.max(np.abs(screened - reference)) <= SCREEN_MARGIN / 40
+            seeds = _screened_minima(screened)
+            if round(meas.wavelength * 1e9, 6) in self.CLOSE_CALLS_NM:
+                assert seeds is None
+            else:
+                assert seeds == _two_lowest_minima(reference)
+
+    def test_close_calls_reproduce_reference_branches(self, monkeypatch):
+        reference_maps = []
+        original = film._residual_map
+
+        def spy(grid, stack, meas):
+            reference_maps.append(round(meas.wavelength * 1e9, 6))
+            return original(grid, stack, meas)
+
+        monkeypatch.setattr(film, "_residual_map", spy)
+        wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM[:1]
+        cands = extract_nk(
+            self.fixture(wanted), thickness_range=(self.THICKNESS, self.THICKNESS)
+        )
+        assert reference_maps == list(self.CLOSE_CALLS_NM)
+
+        with self.REFERENCE.open(newline="") as handle:
+            pinned = [
+                r for r in csv.DictReader(handle)
+                if abs(float(r["thickness_nm"]) - 63.0) < 1e-9
+                and round(float(r["wavelength_nm"]), 6) in wanted
+            ]
+        assert len(pinned) == len(cands) == 2 * len(wanted)
+        cands.sort(key=lambda c: (c.wavelength, c.kappa))
+        for cand, row in zip(cands, pinned):
+            assert round(cand.wavelength * 1e9, 6) == round(float(row["wavelength_nm"]), 6)
+            assert abs(cand.n - float(row["n"])) < 1e-8
+            assert abs(cand.kappa - float(row["kappa"])) < 1e-8
+            assert abs(cand.residual - float(row["residual"])) < 1e-8
 
 
 class TestExtraction:
