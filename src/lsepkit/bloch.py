@@ -15,17 +15,18 @@ The rotating-wave generator is a 4x4 complex matrix acting on the state
 vector; its eigen-decomposition propagates the envelope exactly at any
 sample time.  The lab-frame equations keep the full cosine drive
 (counter-rotating term included) and are integrated with the adaptive
-Runge-Kutta driver, the four complex components riding as eight reals.
+8th-order Dormand-Prince pair (:func:`lsepkit.numerics.integrate`), the
+four complex components riding as eight reals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
-from .numerics import OdeMethod, eig, integrate, solve_linear
+from .numerics import eig, integrate, solve_linear
 
 ENVELOPES = ("continuous", "step")
 
@@ -142,7 +143,7 @@ class DensityMatrix:
         return cls(*(complex(c) for c in np.asarray(v).ravel()))
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.rho00, self.rho01, self.rho10, self.rho11])
+        return np.array([self.rho00, self.rho01, self.rho10, self.rho11], dtype=complex)
 
     @property
     def trace_error(self) -> float:
@@ -262,6 +263,15 @@ def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> 
     return 0.5j * params.dipole_si / HBAR / (params.total_dephasing_rate + 1j * delta)
 
 
+def _checked_times(sample_times) -> np.ndarray:
+    times = np.asarray(sample_times, dtype=float)
+    if times.size == 0:
+        raise ValueError("sample_times must not be empty")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+        raise ValueError("sample_times must be finite, strictly increasing and >= 0")
+    return times
+
+
 def _propagate_eig(gen, v0, dts):
     """exp(gen * dt) @ v0 for each dt via eigen-decomposition."""
     values, vectors = eig(gen)
@@ -282,12 +292,7 @@ def evolve_rwa(
     no step-size control enters.  Coherence entries of the result are
     rotating-frame envelopes.
     """
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0:
-        raise ValueError("sample_times must not be empty")
-    if np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("sample_times must be strictly increasing and >= 0")
-
+    times = _checked_times(sample_times)
     v0 = rho0.as_vector()
     t_on = drive.turn_on if drive.envelope == "step" else 0.0
     gen_on = liouvillian_rwa(params, drive)
@@ -311,22 +316,20 @@ def evolve_lab(
     drive: DriveField,
     rho0: DensityMatrix,
     sample_times,
-    method: OdeMethod | None = None,
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
 ) -> BlochTrajectory:
     """Lab-frame evolution with the full cosine drive (no rotating-wave
-    approximation), integrated adaptively.
+    approximation), integrated adaptively to the relative and absolute
+    local-error tolerances ``rtol`` and ``atol``.
 
     Coherences in the result are lab-frame values; use
-    :func:`rotating_frame` to compare against :func:`evolve_rwa`.
+    :func:`rotating_frame` to compare against :func:`evolve_rwa`.  An
+    integration that cannot reach the last sample raises the integrator's
+    StepUnderflow or MaxStepsExceeded; no partial trajectory is returned.
     """
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0:
-        raise ValueError("sample_times must not be empty")
-    if np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("sample_times must be strictly increasing and >= 0")
-    if method is None:
-        method = OdeMethod.high_order(abs_tol=1e-12, rel_tol=1e-10)
-
+    times = _checked_times(sample_times)
     gamma = params.decay_rate
     gtot = params.total_dephasing_rate
     w1 = params.transition_rate
@@ -347,17 +350,11 @@ def evolve_lab(
             ]
         )
 
-    t1 = float(times[-1])
-    if t1 == 0.0:
-        states = rho0.as_vector()[None, :]
-        return BlochTrajectory(times=times, states=states, frame="lab", drive=drive)
-    if times[0] == 0.0:
-        inner = times
-    else:
-        inner = np.concatenate([[0.0], times])
-    traj = integrate(rhs, rho0.as_vector(), 0.0, t1, method, sample_times=inner)
-    states = traj.states[-times.size:]
-    return BlochTrajectory(times=times, states=states, frame="lab", drive=drive)
+    v0 = rho0.as_vector()
+    if times[-1] == 0.0:
+        return BlochTrajectory(times=times, states=v0[None, :], frame="lab", drive=drive)
+    traj = integrate(rhs, v0, 0.0, times[-1], times, rtol=rtol, atol=atol)
+    return BlochTrajectory(times=times, states=traj.states, frame="lab", drive=drive)
 
 
 def rotating_frame(traj: BlochTrajectory) -> BlochTrajectory:
@@ -376,20 +373,21 @@ def cycle_average(times: np.ndarray, values: np.ndarray, period: float) -> np.nd
     """Boxcar average of a sampled signal over one period around each time.
 
     Intended for stripping the counter-rotating ripple (period pi/w) off
-    demodulated lab-frame coherences; end windows are clipped.
+    demodulated lab-frame coherences; end windows are clipped.  A window
+    holding a single sample returns that sample.
     """
-    out = np.empty_like(values)
     half = 0.5 * period
     # pad the window edge by a fraction of the sample spacing so boundary
     # samples are kept despite float rounding; exact-period cancellation
     # of a sampled ripple needs both endpoint samples included
     diffs = np.diff(times)
     pad = 0.25 * diffs.min() if diffs.size else 0.0
-    for i, t in enumerate(times):
-        mask = (times >= t - half - pad) & (times <= t + half + pad)
-        if np.count_nonzero(mask) > 1:
-            tw = times[mask]
-            out[i] = np.trapezoid(values[mask], tw) / (tw[-1] - tw[0])
-        else:
-            out[i] = values[i]
+    first = np.searchsorted(times, times - half - pad, side="left")
+    last = np.searchsorted(times, times + half + pad, side="right") - 1
+    # running trapezoid integral: each window's integral is a difference
+    area = np.concatenate([[0.0], np.cumsum(0.5 * diffs * (values[1:] + values[:-1]))])
+    out = values.copy()
+    wide = last > first
+    first, last = first[wide], last[wide]
+    out[wide] = (area[last] - area[first]) / (times[last] - times[first])
     return out

@@ -154,6 +154,8 @@ class RunConfig:
             value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {raw.strip()!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
@@ -173,9 +175,12 @@ class RunConfig:
     def real_list(self, key: str) -> list[float]:
         raw = self._fetch(key)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"{key}: not a comma-separated number list: {raw!r}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"{key}: every entry must be finite, got {raw.strip()!r}")
+        return values
 
 
 def load_config(command: str, config_path, out_dir, overrides=None) -> RunConfig:
@@ -378,6 +383,8 @@ def _nearfield_scene(cfg: RunConfig) -> SphereScene:
             eps = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"epsilon_override: {override!r} is not numeric") from exc
+        if not np.isfinite(eps):
+            raise ConfigError(f"epsilon_override: must be finite, got {override!r}")
     else:
         spectrum = medium.epsilon_steady(_material(cfg), np.array([energy]))
         raw = spectrum.epsilon[0]

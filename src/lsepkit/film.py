@@ -553,21 +553,26 @@ def read_rt_csv(path) -> list[RTMeasurement]:
     """Measurements from a CSV with header wavelength_nm,R,T."""
     path = Path(path)
     with path.open(newline="") as handle:
-        rows = [r for r in csv.reader(handle) if r and not r[0].lstrip().startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != ["wavelength_nm", "R", "T"]:
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, r) for r in reader
+                if r and not r[0].lstrip().startswith("#")]
+    if not rows or [c.strip() for c in rows[0][1]] != ["wavelength_nm", "R", "T"]:
         raise ValueError(f"{path}: expected header wavelength_nm,R,T")
     out = []
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         if len(row) != 3:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        wl_nm, r_val, t_val = (float(c) for c in row)
-        out.append(
-            RTMeasurement(
-                wavelength=wl_nm * 1e-9,
-                reflectance=r_val,
-                transmittance=t_val,
+            raise ValueError(f"{path}, line {line}: malformed row {row!r}")
+        try:
+            wl_nm, r_val, t_val = (float(c) for c in row)
+            out.append(
+                RTMeasurement(
+                    wavelength=wl_nm * 1e-9,
+                    reflectance=r_val,
+                    transmittance=t_val,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from exc
     return out
 
 

@@ -1,16 +1,9 @@
-"""Self-contained numerical kernels: linear algebra on small complex systems,
-adaptive embedded Runge-Kutta integration, and a principal-value
-Kramers-Kronig transform."""
+"""Self-contained numerical kernels: linear algebra on small complex
+systems, adaptive integration with the 8th-order Dormand-Prince pair,
+and a principal-value Kramers-Kronig transform."""
 
 from .linalg import SingularMatrix, NotConverged, DefectiveMatrix, solve_linear, eig
-from .ode import (
-    OdeMethod,
-    StepStats,
-    Trajectory,
-    StepUnderflow,
-    MaxStepsExceeded,
-    integrate,
-)
+from .ode import StepStats, Trajectory, StepUnderflow, MaxStepsExceeded, integrate
 from .kk import GridTooCoarse, kramers_kronig_real
 
 __all__ = [
@@ -19,7 +12,6 @@ __all__ = [
     "DefectiveMatrix",
     "solve_linear",
     "eig",
-    "OdeMethod",
     "StepStats",
     "Trajectory",
     "StepUnderflow",

@@ -1,12 +1,10 @@
-"""Adaptive embedded Runge-Kutta integration.
+"""Adaptive integration with the 8th-order Dormand-Prince pair (DOP853).
 
-Two explicit embedded pairs sit behind one driver: the classic Fehlberg
-4(5) and the 8th-order Dormand-Prince-style pair with a combined 5th/3rd
-order error estimate (Hairer, Norsett & Wanner).  Step size follows a PI
-controller (safety 0.9, growth clamp x5, shrink clamp x0.2).  Requested
-sample times are honored exactly: the controller lands each one by step
-clipping, so sampled states carry the full order of the pair rather than
-the lower order of an interpolant.
+The pair's combined 5th/3rd-order error estimate (Hairer, Norsett &
+Wanner) drives a PI step controller (safety 0.9, growth clamp x5, shrink
+clamp x0.2).  Requested sample times are honored exactly: the controller
+lands each one by step clipping, so sampled states carry the full order
+of the pair rather than the lower order of an interpolant.
 
 The kernel is real-valued; complex systems are integrated as twice as
 many reals and repacked transparently.
@@ -26,11 +24,14 @@ from . import _dop853_tableau as _hi
 #: abort the integration instead of producing noise.
 STEP_FLOOR = 1e-21
 
+#: Accepted-step budget of one integration.
+MAX_STEPS = 1_000_000
+
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
 _MAX_SHRINK = 0.2
-
-METHOD_NAMES = ("FehlbergRK45", "HighOrderEmbedded")
+# 1 / (order of the error estimate + 1), the estimate being 7th order
+_EXPONENT = 0.125
 
 
 class StepUnderflow(Exception):
@@ -40,47 +41,6 @@ class StepUnderflow(Exception):
 
 class MaxStepsExceeded(Exception):
     """Accepted-step budget exhausted before reaching the end time."""
-
-
-@dataclass(frozen=True)
-class OdeMethod:
-    """Selection and tuning of an embedded pair.
-
-    ``order_main`` is the order of the propagated solution,
-    ``order_embedded`` the order of the error-estimating companion.
-    """
-
-    name: str
-    order_main: int
-    order_embedded: int
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    initial_step: float | None = None
-    max_step: float = math.inf
-
-    def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.name!r}, expected one of {METHOD_NAMES}")
-        if not self.order_main > self.order_embedded:
-            raise ValueError("order_main must exceed order_embedded")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
-        if self.max_step <= 0.0:
-            raise ValueError("max_step must be positive")
-
-    @classmethod
-    def fehlberg45(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                   initial_step: float | None = None,
-                   max_step: float = math.inf) -> "OdeMethod":
-        return cls("FehlbergRK45", 5, 4, abs_tol, rel_tol, initial_step, max_step)
-
-    @classmethod
-    def high_order(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                   initial_step: float | None = None,
-                   max_step: float = math.inf) -> "OdeMethod":
-        return cls("HighOrderEmbedded", 8, 5, abs_tol, rel_tol, initial_step, max_step)
 
 
 @dataclass
@@ -98,60 +58,21 @@ class Trajectory:
     step_stats: StepStats = field(default_factory=StepStats)
 
 
-class _Fehlberg45:
-    name = "FehlbergRK45"
-    n_stages = 6
-    fsal = False
-    error_exponent = 0.2  # 1 / (order_embedded + 1)
-
-    C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-    A = np.zeros((6, 6))
-    A[1, 0] = 1 / 4
-    A[2, :2] = [3 / 32, 9 / 32]
-    A[3, :3] = [1932 / 2197, -7200 / 2197, 7296 / 2197]
-    A[4, :4] = [439 / 216, -8.0, 3680 / 513, -845 / 4104]
-    A[5, :5] = [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]
-    # 5th-order propagating weights and (5th - 4th) error weights
-    B = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-    E = B - np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-
-    @classmethod
-    def error_norm(cls, k, h, scale):
-        err = h * (k[: cls.n_stages].T @ cls.E) / scale
-        return float(np.sqrt(np.mean(err * err)))
+def _error_norm(k, h, scale):
+    # Combined 5th/3rd-order estimate over the 12 stages plus the
+    # step-end derivative; stabilizes step control near rough spots.
+    err5 = (k.T @ _hi.E5) / scale
+    err3 = (k.T @ _hi.E3) / scale
+    err5_sq = float(np.dot(err5, err5))
+    err3_sq = float(np.dot(err3, err3))
+    if err5_sq == 0.0 and err3_sq == 0.0:
+        return 0.0
+    denom = err5_sq + 0.01 * err3_sq
+    return abs(h) * err5_sq / math.sqrt(denom * scale.size)
 
 
-class _HighOrder:
-    name = "HighOrderEmbedded"
-    n_stages = _hi.N_STAGES
-    fsal = True
-    error_exponent = 0.125
-
-    C = _hi.C
-    A = _hi.A
-    B = _hi.B
-    E3 = _hi.E3
-    E5 = _hi.E5
-
-    @classmethod
-    def error_norm(cls, k, h, scale):
-        # Combined 5th/3rd-order estimate over the 12 stages plus the
-        # step-end derivative; stabilizes step control near rough spots.
-        err5 = (k.T @ cls.E5) / scale
-        err3 = (k.T @ cls.E3) / scale
-        err5_sq = float(np.dot(err5, err5))
-        err3_sq = float(np.dot(err3, err3))
-        if err5_sq == 0.0 and err3_sq == 0.0:
-            return 0.0
-        denom = err5_sq + 0.01 * err3_sq
-        return abs(h) * err5_sq / math.sqrt(denom * scale.size)
-
-
-_TABLEAUS = {"FehlbergRK45": _Fehlberg45, "HighOrderEmbedded": _HighOrder}
-
-
-def _initial_step(f, t0, y0, f0, t1, tableau, abs_tol, rel_tol, max_step):
-    scale = abs_tol + rel_tol * np.abs(y0)
+def _initial_step(f, t0, y0, f0, t1, rtol, atol):
+    scale = atol + rtol * np.abs(y0)
     d0 = math.sqrt(np.mean((y0 / scale) ** 2))
     d1 = math.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -162,8 +83,8 @@ def _initial_step(f, t0, y0, f0, t1, tableau, abs_tol, rel_tol, max_step):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** tableau.error_exponent
-    return min(100 * h0, h1, t1 - t0, max_step)
+        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
+    return min(100 * h0, h1, t1 - t0)
 
 
 def integrate(
@@ -171,11 +92,13 @@ def integrate(
     y0,
     t0: float,
     t1: float,
-    method: OdeMethod,
-    sample_times: Sequence[float] | None = None,
-    max_steps: int = 1_000_000,
+    sample_times: Sequence[float],
+    *,
+    rtol: float,
+    atol: float,
 ) -> Trajectory:
-    """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1``.
+    """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1`` and record the
+    state at each of ``sample_times``.
 
     Parameters
     ----------
@@ -183,20 +106,27 @@ def integrate(
         Right-hand side ``f(t, y) -> dy/dt``; may be real or complex.
     y0 : array_like
         Initial state; complex input is supported.
-    sample_times : sequence of float, optional
-        Strictly increasing times within ``[t0, t1]`` at which to record
-        the state.  Defaults to recording every accepted step.
+    sample_times : sequence of float
+        Strictly increasing times within ``[t0, t1]``.
+    rtol, atol : float
+        Relative and absolute tolerance of the local error per step.
 
     Raises
     ------
     StepUnderflow
         When the controller drives the step below ``STEP_FLOOR``.
     MaxStepsExceeded
-        When more than ``max_steps`` accepted steps would be needed.
+        When more than ``MAX_STEPS`` accepted steps would be needed.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    tableau = _TABLEAUS[method.name]
+    if not (rtol > 0.0 and atol > 0.0):
+        raise ValueError("tolerances must be positive")
+    samples = np.asarray(sample_times, dtype=float)
+    if samples.size and (np.any(np.diff(samples) <= 0.0)):
+        raise ValueError("sample_times must be strictly increasing")
+    if samples.size and (samples[0] < t0 or samples[-1] > t1):
+        raise ValueError("sample_times must lie within [t0, t1]")
 
     y0 = np.atleast_1d(np.asarray(y0))
     is_complex = np.iscomplexobj(y0)
@@ -213,15 +143,6 @@ def integrate(
         def rhs(t, yr):
             return np.asarray(f(t, yr), dtype=float)
 
-    if sample_times is None:
-        samples = None
-    else:
-        samples = np.asarray(sample_times, dtype=float)
-        if samples.size and (np.any(np.diff(samples) <= 0.0)):
-            raise ValueError("sample_times must be strictly increasing")
-        if samples.size and (samples[0] < t0 or samples[-1] > t1):
-            raise ValueError("sample_times must lie within [t0, t1]")
-
     rec_times: list[float] = []
     rec_states: list[np.ndarray] = []
     stats = StepStats()
@@ -231,25 +152,19 @@ def integrate(
         rec_states.append(state.copy())
 
     si = 0
-    if samples is not None:
-        while si < samples.size and samples[si] == t0:
-            record(t0, y)
-            si += 1
-    else:
+    while si < samples.size and samples[si] == t0:
         record(t0, y)
+        si += 1
 
     t = t0
     f_cur = rhs(t0, y)
-    h = method.initial_step
-    if h is None:
-        h = _initial_step(rhs, t0, y, f_cur, t1, tableau,
-                          method.abs_tol, method.rel_tol, method.max_step)
-    h = min(h, method.max_step, t1 - t0)
+    h = _initial_step(rhs, t0, y, f_cur, t1, rtol, atol)
 
     err_prev = 1.0
-    n_stages = tableau.n_stages
-    n_rows = n_stages + (1 if tableau.fsal else 0)
-    k = np.empty((n_rows, y.size))
+    n_stages = _hi.N_STAGES
+    # one row per stage plus the step-end derivative, which is the next
+    # step's first stage (first same as last)
+    k = np.empty((n_stages + 1, y.size))
 
     # Below the floor, or below the resolution of the time variable
     # itself, a step can no longer advance the solution honestly.
@@ -257,60 +172,55 @@ def integrate(
         return max(STEP_FLOOR, 4.0 * np.finfo(float).eps * abs(t))
 
     while t < t1:
-        if h < step_floor(t):
+        # written to catch a NaN step too (from a NaN derivative), which
+        # would otherwise be rejected forever without shrinking
+        if not h >= step_floor(t):
             raise StepUnderflow(f"step {h:.3e} below floor {step_floor(t):.3e} at t={t:.6e}")
-        if stats.accepted >= max_steps:
-            raise MaxStepsExceeded(f"exceeded {max_steps} accepted steps at t={t:.6e}")
+        if stats.accepted >= MAX_STEPS:
+            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} accepted steps at t={t:.6e}")
 
         # Clip to the end time and to the next requested sample.
         target = None
         if t + h >= t1:
             h, target = t1 - t, t1
-        if samples is not None and si < samples.size and t + h >= samples[si]:
+        if si < samples.size and t + h >= samples[si]:
             h, target = samples[si] - t, samples[si]
         if h < step_floor(t) and target is None:
             raise StepUnderflow(f"step {h:.3e} below floor {step_floor(t):.3e} at t={t:.6e}")
 
         k[0] = f_cur
         for i in range(1, n_stages):
-            dy = h * (k[:i].T @ tableau.A[i, :i])
-            k[i] = rhs(t + tableau.C[i] * h, y + dy)
-        y_new = y + h * (k[:n_stages].T @ tableau.B)
+            dy = h * (k[:i].T @ _hi.A[i, :i])
+            k[i] = rhs(t + _hi.C[i] * h, y + dy)
+        y_new = y + h * (k[:n_stages].T @ _hi.B)
         t_new = target if target is not None else t + h
-        if tableau.fsal:
-            k[n_stages] = rhs(t_new, y_new)
+        k[n_stages] = rhs(t_new, y_new)
 
-        scale = method.abs_tol + method.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = tableau.error_norm(k, h, scale)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _error_norm(k, h, scale)
 
         if err <= 1.0:
             stats.accepted += 1
             t, y = t_new, y_new
-            f_cur = k[n_stages] if tableau.fsal else rhs(t, y)
-            if samples is not None:
-                while si < samples.size and samples[si] == t:
-                    record(t, y)
-                    si += 1
-            else:
+            f_cur = k[n_stages]
+            while si < samples.size and samples[si] == t:
                 record(t, y)
+                si += 1
             if err == 0.0:
                 factor = _MAX_GROWTH
             else:
-                factor = _SAFETY * err ** (-0.7 * tableau.error_exponent) \
-                    * err_prev ** (0.4 * tableau.error_exponent)
+                factor = _SAFETY * err ** (-0.7 * _EXPONENT) * err_prev ** (0.4 * _EXPONENT)
                 factor = min(_MAX_GROWTH, max(_MAX_SHRINK, factor))
             err_prev = max(err, 1e-10)
-            h = min(h * factor, method.max_step, max(t1 - t, STEP_FLOOR))
+            h = min(h * factor, max(t1 - t, STEP_FLOOR))
         else:
             stats.rejected += 1
-            factor = _SAFETY * err ** (-tableau.error_exponent)
+            factor = _SAFETY * err ** (-_EXPONENT)
             h *= min(1.0, max(_MAX_SHRINK, factor))
 
-    times = np.asarray(rec_times)
     states_real = np.asarray(rec_states)
     if is_complex:
-        n = y0.size
         states = states_real[:, :n] + 1j * states_real[:, n:]
     else:
         states = states_real
-    return Trajectory(times=times, states=states, step_stats=stats)
+    return Trajectory(times=np.asarray(rec_times), states=states, step_stats=stats)

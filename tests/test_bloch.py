@@ -7,6 +7,9 @@ Material numbers used throughout: a molecular-exciton transition at
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsepkit.bloch import (
     BlochTrajectory,
@@ -25,7 +28,7 @@ from lsepkit.bloch import (
     steady_state,
 )
 from lsepkit.constants import EV_TO_RADS, HBAR, power_to_field
-from lsepkit.numerics import OdeMethod
+from lsepkit.numerics import StepUnderflow
 
 PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
                         pure_dephasing=0.017, dipole=32.0)
@@ -193,7 +196,7 @@ class TestEvolveLab:
         drive = DriveField(amplitude=e0, photon_energy=2.11)
         times = np.linspace(0.0, 500e-15, 251)
         traj = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
-                          OdeMethod.high_order(abs_tol=1e-10, rel_tol=1e-8))
+                          rtol=1e-8, atol=1e-10)
         pop = traj.rho11.real
         ss = steady_state(PARAMS, drive).rho11.real
         # transient overshoot above the saturated value, then return:
@@ -213,7 +216,7 @@ class TestEvolveLab:
         cycle = 2.0 * np.pi / w
         times = np.arange(0.0, 500e-15, cycle / 24.0)
         lab = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
-                         OdeMethod.high_order(abs_tol=1e-13, rel_tol=1e-11))
+                         rtol=1e-11, atol=1e-13)
         demod = rotating_frame(lab)
         smooth = cycle_average(times, demod.rho01, np.pi / w)
         rwa = evolve_rwa(PARAMS, drive, DensityMatrix.ground(), times)
@@ -236,7 +239,7 @@ class TestEvolveLab:
         cycle = 2.0 * np.pi / w
         times = np.arange(0.0, 500e-15, cycle / 24.0)
         lab = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
-                         OdeMethod.high_order(abs_tol=1e-13, rel_tol=1e-11))
+                         rtol=1e-11, atol=1e-13)
         smooth = cycle_average(times, rotating_frame(lab).rho01, np.pi / w)
         rwa = evolve_rwa(PARAMS, drive, DensityMatrix.ground(), times)
         scale = np.abs(rwa.rho01).max()
@@ -248,12 +251,99 @@ class TestEvolveLab:
         drive = DriveField(amplitude=1e5, photon_energy=2.11)
         times = np.linspace(0.0, 100e-15, 26)
         traj = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
-                          OdeMethod.high_order(abs_tol=1e-13, rel_tol=1e-11))
+                          rtol=1e-11, atol=1e-13)
         for i in range(len(times)):
             dm = traj.density_matrix(i)
             assert dm.trace_error <= 1e-9
             assert dm.hermiticity_error <= 1e-9
             assert dm.positivity_margin >= -1e-9
+
+    def test_real_valued_initial_state_keeps_imaginary_parts(self):
+        drive = DriveField(amplitude=1e5, photon_energy=2.11)
+        times = np.linspace(0.0, 10e-15, 6)
+        real = DensityMatrix(1.0, 0.0, 0.0, 0.0)
+        got = evolve_lab(PARAMS, drive, real, times).states
+        want = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times).states
+        assert np.abs(want[1:, 1].imag).min() > 0.0
+        np.testing.assert_array_equal(got, want)
+
+    def test_step_turn_on_holds_ground_then_follows_rwa(self):
+        # the right-hand side jumps at the turn-on: before it the solver
+        # must keep the undriven ground state exactly, after it the
+        # envelope must follow the rotating-frame solution; windows that
+        # touch either end of the record or the turn-on are excluded
+        drive = DriveField(amplitude=1e5, photon_energy=2.11,
+                           envelope="step", turn_on=50e-15)
+        w = drive.angular_frequency
+        cycle = 2.0 * np.pi / w
+        times = np.arange(0.0, 300e-15, cycle / 24.0)
+        lab = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
+                         rtol=1e-11, atol=1e-13)
+        assert np.all(lab.rho01[times < drive.turn_on] == 0.0)
+        smooth = cycle_average(times, rotating_frame(lab).rho01, np.pi / w)
+        rwa = evolve_rwa(PARAMS, drive, DensityMatrix.ground(), times)
+        scale = np.abs(rwa.rho01).max()
+        clear = ((times >= 0.5 * cycle) & (times <= times[-1] - 0.5 * cycle)
+                 & (np.abs(times - drive.turn_on) > 0.5 * cycle))
+        env_err = np.abs(np.abs(smooth) - np.abs(rwa.rho01))[clear] / scale
+        assert env_err.max() < 1e-3
+
+    @pytest.mark.parametrize(
+        "times",
+        [[], [0.0, 2e-15, 2e-15], [0.0, 3e-15, 1e-15], [-1e-15, 1e-15],
+         [0.0, float("nan")], [0.0, float("inf")]],
+        ids=["empty", "repeated", "decreasing", "negative", "nan", "inf"],
+    )
+    def test_rejects_bad_sample_times(self, times):
+        drive = DriveField(amplitude=1e5, photon_energy=2.11)
+        with pytest.raises(ValueError):
+            evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
+
+    def test_failed_integration_raises_instead_of_partial_result(self):
+        # tolerances no step can meet drive the step below the floor
+        drive = DriveField(amplitude=1e5, photon_energy=2.11)
+        times = np.linspace(0.0, 10e-15, 5)
+        with pytest.raises(StepUnderflow):
+            evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
+                       rtol=1e-20, atol=1e-30)
+
+
+def _windowed_trapezoid(times, values, period):
+    """Reference for cycle_average: one trapezoid per window, the direct
+    way (same padded, inclusive window edges)."""
+    half = 0.5 * period
+    diffs = np.diff(times)
+    pad = 0.25 * diffs.min() if diffs.size else 0.0
+    out = np.empty_like(values)
+    for i, t in enumerate(times):
+        inside = (times >= t - half - pad) & (times <= t + half + pad)
+        tw = times[inside]
+        out[i] = np.trapezoid(values[inside], tw) / (tw[-1] - tw[0]) if tw.size > 1 else values[i]
+    return out
+
+
+@st.composite
+def _sampled_signals(draw):
+    n = draw(st.integers(1, 120))
+    steps = draw(arrays(float, n - 1, elements=st.floats(0.2, 2.0)))
+    times = draw(st.floats(0.0, 10.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    re, im = draw(arrays(float, (2, n), elements=st.floats(-1e3, 1e3)))
+    # log-uniform from a twentieth of the smallest spacing to twice the
+    # longest possible span
+    period = 10.0 ** draw(st.floats(-2.0, 2.7))
+    return times, re + 1j * im, period
+
+
+class TestCycleAverage:
+    # integer times with half + pad = 1: both window edges land exactly
+    # on the neighbouring samples, which must be kept
+    @example((np.arange(11.0), np.arange(11.0) ** 2 + 0j, 1.5))
+    @given(_sampled_signals())
+    def test_matches_per_window_trapezoid(self, signal):
+        times, values, period = signal
+        got = cycle_average(times, values, period)
+        want = _windowed_trapezoid(times, values, period)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max()
 
 
 class TestLinearity:

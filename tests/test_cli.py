@@ -79,6 +79,40 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "wavelength" in err
+        assert f"{rt_path}, line 3:" in err
+        assert not out.exists()
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, capsys):
+        rt_path = tmp_path / "rt.csv"
+        rt_path.write_text("wavelength_nm,R,T\n# comment\n550,0.1,0.8\n600,high,0.8\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", input=str(rt_path))
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{rt_path}, line 4:" in err
+        assert "'high'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("transient", "detunings_ev", "0, inf"),
+            ("lorentz", "lorentz_resonance_ev", "nan"),
+            ("nearfield", "epsilon_override", "nan,0.1"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, key, value):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **{key: value})
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
@@ -262,7 +296,7 @@ class TestExtractNk:
         film.write_rt_csv(path, meas)
         return path, wl, n_true, k_true
 
-    def config(self, tmp_path, rt_path):
+    def config(self, tmp_path, rt_path, **extra):
         ini = tmp_path / "cfg.ini"
         write_ini(
             ini,
@@ -278,6 +312,7 @@ class TestExtractNk:
             kappa_min="0.0",
             kappa_max="1.0",
             kappa_step="0.02",
+            **extra,
         )
         return ini
 
@@ -308,6 +343,17 @@ class TestExtractNk:
         bheader, brows = read_csv_columns(out / "branches.csv")
         assert bheader[-1] == "thickness_nm"
         assert len(brows) == 2 * wl.size
+
+    def test_non_finite_kk_asymptote_is_config_error(self, tmp_path, capsys):
+        rt_path, *_ = self.synthetic(tmp_path)
+        ini = self.config(tmp_path, rt_path, kk_asymptote="nan")
+        out = tmp_path / "nk"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "kk_asymptote" in err
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         rt_path, *_ = self.synthetic(tmp_path)
