@@ -21,6 +21,7 @@ four complex components riding as eight reals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,12 +55,14 @@ class TwoLevelParams:
     dipole: float
 
     def __post_init__(self):
-        if self.transition_energy <= 0.0:
-            raise ValueError("transition_energy must be positive")
-        if self.decay_rate < 0.0 or self.pure_dephasing < 0.0:
-            raise ValueError("rates must be non-negative")
-        if self.dipole < 0.0:
-            raise ValueError("dipole must be non-negative")
+        if not 0.0 < self.transition_energy < math.inf:
+            raise ValueError(
+                f"transition_energy must be finite and > 0, got {self.transition_energy}"
+            )
+        if not (0.0 <= self.decay_rate < math.inf and 0.0 <= self.pure_dephasing < math.inf):
+            raise ValueError("rates must be finite and non-negative")
+        if not 0.0 <= self.dipole < math.inf:
+            raise ValueError(f"dipole must be finite and non-negative, got {self.dipole}")
 
     @property
     def transition_rate(self) -> float:
@@ -96,10 +99,12 @@ class DriveField:
     turn_on: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
-        if self.photon_energy <= 0.0:
-            raise ValueError("photon_energy must be positive")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
+        if not 0.0 < self.photon_energy < math.inf:
+            raise ValueError(f"photon_energy must be finite and > 0, got {self.photon_energy}")
+        if not math.isfinite(self.turn_on):
+            raise ValueError(f"turn_on must be finite, got {self.turn_on}")
         if self.envelope not in ENVELOPES:
             raise ValueError(f"envelope must be one of {ENVELOPES}")
 

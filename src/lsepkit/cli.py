@@ -26,6 +26,7 @@ import numpy as np
 from . import bloch, film, medium
 from .constants import ev_to_vacuum_wavelength_m, power_to_field
 from .mie import (
+    RecurrenceUnstable,
     Termination,
     mie_coefficients,
     near_field_grid,
@@ -621,6 +622,7 @@ NUMERICAL_FAILURES = (
     medium.FitDiverged,
     film.NoMinimumFound,
     film.BranchAmbiguous,
+    RecurrenceUnstable,
     ArithmeticError,
 )
 

@@ -15,6 +15,11 @@ reference map (``_residual_map``) only by rounding, so it settles the two
 lowest minima wherever they clear that rounding by SCREEN_MARGIN; close
 calls are settled on the reference map, and the seeds are the ones the
 reference map alone would give.
+
+The refinement polishes all roots at once: one bounded Nelder-Mead
+(Lagarias et al., SIAM J. Optim. 9, 112 (1998)) run in lockstep, in which
+each root takes exactly the steps of
+scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ import cmath
 import csv
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .constants import vacuum_wavelength_m_to_ev
 from .numerics import kramers_kronig_real
@@ -176,18 +181,19 @@ class IndexCurve:
     kappa: np.ndarray
 
 
-def _interfaces(index_film, ambient_index, substrate_index):
+def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mul):
     """Fresnel amplitudes r1, r2 and t1*t2 of the two film interfaces."""
     n0, ns, nf = ambient_index, substrate_index, index_film
     r1 = (n0 - nf) / (n0 + nf)
     r2 = (nf - ns) / (nf + ns)
     t1 = 2.0 * n0 / (n0 + nf)
     t2 = 2.0 * nf / (nf + ns)
-    return r1, r2, t1 * t2
+    return r1, r2, multiply(t1, t2)
 
 
 def _amplitudes(index_film, stack: FilmStack, wavelength):
-    """Airy reflection and transmission amplitudes, vectorized in index."""
+    """Airy reflection and transmission amplitudes over a grid of film
+    indices, rounded as numpy's array loops round (see _rt)."""
     nf = np.asarray(index_film, dtype=complex)
     r1, r2, t12 = _interfaces(nf, stack.ambient_index, stack.substrate_index)
     phase = np.exp(2j * np.pi * nf * stack.thickness / wavelength)
@@ -195,19 +201,59 @@ def _amplitudes(index_film, stack: FilmStack, wavelength):
     return (r1 + r2 * phase**2) / denom, t12 * phase / denom
 
 
-def _rt(index_film, stack: FilmStack, wavelength):
-    """Scalar R and T of the stack with the given film index."""
-    r_amp, t_amp = _amplitudes(index_film, stack, wavelength)
-    flux_ratio = stack.substrate_index / stack.ambient_index
-    return float(np.abs(r_amp) ** 2), float(flux_ratio * np.abs(t_amp) ** 2)
+# Every bit of a residual steers the simplex: rounded as numpy's array
+# loops round, 89 of the 606 refined roots of the packaged fixture move,
+# by up to 6.7e-8.  So _rt rounds as numpy's scalar arithmetic does, the
+# one-root-at-a-time form of the model.  A complex scalar product is
+# (ar*br - ai*bi, ar*bi + ai*br) without fused multiply-adds, which the
+# array loop may use, and a float64 scalar squares through libm pow, which
+# is not x*x in the last bit.  Complex division, abs, exp, and adding or
+# subtracting a float round alike in both.
+_libm_square = np.frompyfunc(lambda x: math.pow(x, 2.0), 1, 1)
+
+
+def _cmul(a, b):
+    """Complex product a*b, rounded as numpy's complex scalars round it."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _rt(index_film, thickness, wavelength, ambient_index, substrate_index):
+    """R and T, elementwise over arrays of film index, thickness and
+    wavelength: the forward model of rt_theoretical, residual and the
+    refinement, each value as if computed alone."""
+    nf = np.asarray(index_film, dtype=complex)
+    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index, multiply=_cmul)
+    phase = np.exp(2j * np.pi * nf * thickness / wavelength)
+    phase_sq = _cmul(phase, phase)
+    denom = 1.0 + _cmul(_cmul(r1, r2), phase_sq)
+    r_amp = (r1 + _cmul(r2, phase_sq)) / denom
+    t_amp = _cmul(t12, phase) / denom
+    flux_ratio = substrate_index / ambient_index
+    reflectance = _libm_square(np.abs(r_amp)).astype(float)
+    return reflectance, flux_ratio * _libm_square(np.abs(t_amp)).astype(float)
+
+
+def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
+             ambient_index, substrate_index):
+    """|T - T_measured| + |R - R_measured|, elementwise as in _rt."""
+    r_t, t_t = _rt(index_film, thickness, wavelength, ambient_index, substrate_index)
+    return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
 def rt_theoretical(stack: FilmStack, wavelength: float) -> TheoreticalRT:
     """Normal-incidence R and T of the film between two half-spaces."""
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be > 0, got {wavelength}")
-    reflectance, transmittance = _rt(stack.film_index, stack, wavelength)
-    return TheoreticalRT(reflectance=reflectance, transmittance=transmittance)
+    reflectance, transmittance = _rt(
+        [stack.film_index], stack.thickness, wavelength,
+        stack.ambient_index, stack.substrate_index,
+    )
+    return TheoreticalRT(
+        reflectance=float(reflectance[0]), transmittance=float(transmittance[0])
+    )
 
 
 def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasurement) -> float:
@@ -217,10 +263,12 @@ def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasuremen
     """
     if kappa < 0.0:
         raise ValueError("film index must have a non-negative imaginary part")
-    reflectance, transmittance = _rt(complex(n, kappa), stack, measurement.wavelength)
-    return abs(transmittance - measurement.transmittance) + abs(
-        reflectance - measurement.reflectance
+    misfit = _misfits(
+        [complex(n, kappa)], stack.thickness, measurement.wavelength,
+        measurement.reflectance, measurement.transmittance,
+        stack.ambient_index, stack.substrate_index,
     )
+    return float(misfit[0])
 
 
 def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
@@ -341,16 +389,94 @@ def _screened_minima(surface: np.ndarray):
     return seeds
 
 
-def _refine(seed_n, seed_k, grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
-    """Polish one grid minimum with a bounded simplex descent."""
-    result = optimize.minimize(
-        lambda x: residual(x[0], x[1], stack, measurement),
-        x0=[seed_n, seed_k],
-        method="Nelder-Mead",
-        bounds=[(grid.n_min, grid.n_max), (max(grid.kappa_min, 0.0), grid.kappa_max)],
-        options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 600},
+# Weights of (centroid, worst vertex) in the expansion, outside-contraction
+# and inside-contraction points: reflection rho = 1, expansion chi = 2,
+# contraction psi = 0.5, as in scipy's non-adaptive Nelder-Mead.
+_TRIAL_WEIGHTS = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+
+
+def _sort_simplices(sim, fsim):
+    """Each simplex's vertices in ascending order of value; ties fall as in
+    scipy, whose 1-D argsort is the same sort as a row of this one."""
+    order = np.argsort(fsim, axis=1)
+    return (
+        np.take_along_axis(sim, order[:, :, None], axis=1),
+        np.take_along_axis(fsim, order, axis=1),
     )
-    return float(result.x[0]), float(result.x[1]), float(result.fun)
+
+
+def _nelder_mead(objective, x0, lower, upper, maxiter=600):
+    """Bounded Nelder-Mead from every row of x0 at once.
+
+    Each row takes the steps, and gets the result, of
+    scipy.optimize.minimize(method="Nelder-Mead", bounds=..., options=
+    {"xatol": 1e-9, "fatol": 1e-14, "maxiter": maxiter}) started from it:
+    the same initial simplex, branches, clipping, convergence test and
+    vertex order, in the same floating-point operations.
+    ``objective(points, rows)`` evaluates row ``rows[i]``'s function at
+    ``points[i]``; each iteration makes at most three calls for all rows.
+    Returns x, fun, nfev and nit per row.
+    """
+    count, dim = x0.shape
+    x0 = np.clip(x0, lower, upper)
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        coord = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(coord != 0, (1 + 0.05) * coord, 0.00025)
+    # a vertex pushed past the upper bound is reflected into the interior
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    everyone = np.arange(count)
+    fsim = objective(sim.reshape(-1, dim), everyone.repeat(dim + 1)).reshape(count, dim + 1)
+    nfev = np.full(count, dim + 1)
+    nit = np.ones(count, dtype=int)
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # scipy sorts twice
+
+    live = everyone[nit < maxiter]
+    while live.size:
+        s, fs = sim[live], fsim[live]
+        converged = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= 1e-9) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= 1e-14
+        )
+        live, s, fs = live[~converged], s[~converged], fs[~converged]
+        if not live.size:
+            break
+        centroid = np.add.reduce(s[:, :-1], axis=1) / dim
+        worst = s[:, -1]
+        x_r = np.clip(2 * centroid - worst, lower, upper)
+        f_r = objective(x_r, live)
+        nfev[live] += 1
+
+        # 0 expand, 1 contract outside, 2 contract inside, 3 accept x_r
+        branch = np.select(
+            [f_r < fs[:, 0], f_r < fs[:, -2], f_r < fs[:, -1]], [0, 3, 1], default=2
+        )
+        tried = np.flatnonzero(branch < 3)
+        weights = _TRIAL_WEIGHTS[branch[tried]]
+        x_t = np.clip(
+            weights[:, :1] * centroid[tried] + weights[:, 1:] * worst[tried], lower, upper
+        )
+        f_t = objective(x_t, live[tried])
+        nfev[live[tried]] += 1
+        kind, f_rt, f_worst = branch[tried], f_r[tried], fs[tried, -1]
+        take = np.where(kind == 0, f_t < f_rt, np.where(kind == 1, f_t <= f_rt, f_t < f_worst))
+
+        x_r[tried[take]], f_r[tried[take]] = x_t[take], f_t[take]
+        shrink = np.zeros(live.size, dtype=bool)
+        shrink[tried] = (kind > 0) & ~take
+        s[~shrink, -1], fs[~shrink, -1] = x_r[~shrink], f_r[~shrink]
+        if shrink.any():
+            best = s[shrink, :1]
+            moved = np.clip(best + 0.5 * (s[shrink, 1:] - best), lower, upper)
+            s[shrink, 1:] = moved
+            fs[shrink, 1:] = objective(
+                moved.reshape(-1, dim), live[shrink].repeat(dim)
+            ).reshape(-1, dim)
+            nfev[live[shrink]] += dim
+
+        nit[live] += 1
+        sim[live], fsim[live] = _sort_simplices(s, fs)
+        live = live[nit[live] < maxiter]
+    return sim[:, 0], fsim.min(axis=1), nfev, nit
 
 
 def extract_nk(
@@ -372,6 +498,10 @@ def extract_nk(
     screened map, the seeds come from the reference map (_residual_map),
     computed after the factors are freed, so the seeds are always those of
     the reference map.
+
+    All roots are refined together by _nelder_mead, one lockstep
+    Nelder-Mead whose every root ends where scipy's Nelder-Mead from the
+    same seed ends, with the same residual.
     """
     measurements = list(measurements)
     if not measurements:
@@ -408,23 +538,39 @@ def extract_nk(
     ]
     del factors  # before any reference map, which needs the memory
 
-    candidates: list[NkCandidate] = []
+    roots = []
     for (stack, meas), found in zip(maps, seeds):
         if found is None:
             found = _two_lowest_minima(_residual_map(grid, stack, meas)[0])
-        for row, col in found:
-            n_fit, k_fit, res = _refine(n_vals[row], k_vals[col], grid, stack, meas)
-            candidates.append(
-                NkCandidate(
-                    wavelength=meas.wavelength,
-                    n=n_fit,
-                    kappa=k_fit,
-                    residual=res,
-                    branch=Branch.UNRESOLVED,
-                    thickness_used=stack.thickness,
-                )
-            )
-    return candidates
+        roots += [(stack, meas, (n_vals[row], k_vals[col])) for row, col in found]
+    thickness, wavelength, reflectance, transmittance = np.array(
+        [(stack.thickness, meas.wavelength, meas.reflectance, meas.transmittance)
+         for stack, meas, _ in roots]
+    ).T
+
+    def misfits(points, rows):
+        return _misfits(
+            points[:, 0] + 1j * points[:, 1], thickness[rows], wavelength[rows],
+            reflectance[rows], transmittance[rows], ambient_index, substrate_index,
+        )
+
+    fitted, fun, _, _ = _nelder_mead(
+        misfits,
+        np.array([seed for _, _, seed in roots]),
+        lower=np.array([grid.n_min, max(grid.kappa_min, 0.0)]),
+        upper=np.array([grid.n_max, grid.kappa_max]),
+    )
+    return [
+        NkCandidate(
+            wavelength=meas.wavelength,
+            n=float(n_fit),
+            kappa=float(k_fit),
+            residual=float(res),
+            branch=Branch.UNRESOLVED,
+            thickness_used=stack.thickness,
+        )
+        for (stack, meas, _), (n_fit, k_fit), res in zip(roots, fitted, fun)
+    ]
 
 
 def thickness_rescale(kappa: float, thickness_used: float, thickness_reference: float):

@@ -20,8 +20,9 @@ DOMAIN_RADIUS_FACTOR = 10.0
 ORIGIN_FLOOR = 1e-15
 
 
-class EvaluationTooFarOut(Exception):
-    """Point beyond the validated near-zone domain (10 sphere radii)."""
+class EvaluationTooFarOut(ValueError):
+    """Point beyond the validated near-zone domain (10 sphere radii): an
+    input error."""
 
 
 class ZeroPoyntingVector(Exception):

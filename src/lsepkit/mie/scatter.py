@@ -19,8 +19,8 @@ from ..constants import ev_to_vacuum_wavelength_m
 from ..medium import PermittivitySpectrum
 
 
-class SizeParameterOutOfRange(Exception):
-    """Size parameter outside the supported (0, 100] window."""
+class SizeParameterOutOfRange(ValueError):
+    """Size parameter outside the supported (0, 100] window: an input error."""
 
 
 class RecurrenceUnstable(Exception):

@@ -62,6 +62,24 @@ class TestParams:
         with pytest.raises(ValueError):
             DriveField(amplitude=1.0, photon_energy=2.0, envelope="ramp")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["amplitude", "photon_energy", "turn_on"])
+    def test_drive_rejects_non_finite(self, field, bad):
+        # NaN used to pass the sign checks and fail later inside a solver
+        values = {"amplitude": 462.0, "photon_energy": 2.11, "envelope": "step", "turn_on": 0.0}
+        with pytest.raises(ValueError, match=field):
+            DriveField(**{**values, field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["transition_energy", "decay_rate", "pure_dephasing", "dipole"]
+    )
+    def test_params_reject_non_finite(self, field, bad):
+        values = {"transition_energy": 2.11, "decay_rate": 1.15e12,
+                  "pure_dephasing": 0.017, "dipole": 32.0}
+        with pytest.raises(ValueError):
+            TwoLevelParams(**{**values, field: bad})
+
 
 class TestLiouvillian:
     def test_trace_conservation_left_null_vector(self):

@@ -14,6 +14,7 @@ import pytest
 
 from lsepkit import cli, film
 from lsepkit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from lsepkit.mie import RecurrenceUnstable
 
 
 def write_ini(path, section, **values):
@@ -113,6 +114,39 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, text",
+        [
+            # size parameter 193, past the supported 100
+            ("qabs-spectrum", "radius_nm", "20000", "size parameter"),
+            # the grid corners lie past 10 sphere radii
+            ("nearfield", "grid_half_nm", "400", "radii"),
+        ],
+    )
+    def test_mie_domain_error_is_config_error(self, tmp_path, capsys, command, key, value, text):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **{key: value})
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert text in err
+        assert not out.exists()
+
+    def test_unstable_recurrence_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise RecurrenceUnstable("forced for the exit-code contract")
+
+        monkeypatch.setattr(cli, "qabs_spectrum", unstable)
+        out = tmp_path / "o"
+        rc = main(["qabs-spectrum", "--model", "lorentz", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "RecurrenceUnstable" in err
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):

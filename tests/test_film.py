@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import ndimage
+from scipy import ndimage, optimize
 
 from lsepkit import film
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
@@ -270,6 +270,134 @@ class TestScreen:
             assert abs(cand.n - float(row["n"])) < 1e-8
             assert abs(cand.kappa - float(row["kappa"])) < 1e-8
             assert abs(cand.residual - float(row["residual"])) < 1e-8
+
+
+FIXTURE_RT = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
+# the CLI's default thickness sweep
+FIXTURE_THICKNESSES = tuple(float(t) for t in np.linspace(63.0 * 1e-9, 77.0 * 1e-9, 3))
+
+
+def scalar_residual(n, kappa, stack, meas):
+    """The residual one root at a time in numpy scalar arithmetic: the
+    model's former scalar path, whose every bit the refinement keeps."""
+    r_amp, t_amp = film._amplitudes(complex(n, kappa), stack, meas.wavelength)
+    flux_ratio = stack.substrate_index / stack.ambient_index
+    refl, trans = float(np.abs(r_amp) ** 2), float(flux_ratio * np.abs(t_amp) ** 2)
+    return abs(trans - meas.transmittance) + abs(refl - meas.reflectance)
+
+
+def _misfit_of(roots):
+    """The objective _nelder_mead takes, for (stack, measurement) roots."""
+    thickness = np.array([stack.thickness for stack, _ in roots])
+    wavelength = np.array([meas.wavelength for _, meas in roots])
+    refl = np.array([meas.reflectance for _, meas in roots])
+    trans = np.array([meas.transmittance for _, meas in roots])
+
+    def objective(points, rows):
+        return film._misfits(
+            points[:, 0] + 1j * points[:, 1], thickness[rows], wavelength[rows],
+            refl[rows], trans[rows], 1.0, 1.52,
+        )
+
+    return objective
+
+
+def _fixture_at(wavelength_nm):
+    return next(m for m in FIXTURE_RT if round(m.wavelength * 1e9, 6) == wavelength_nm)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.1, 3.5),
+            st.one_of(st.just(0.0), st.floats(0.0, 3.2)),
+            st.sampled_from(FIXTURE_THICKNESSES),
+            st.sampled_from(FIXTURE_RT),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+# where R or T squared as x*x instead of through libm pow differs
+@example([(1.95, 1.4, FIXTURE_THICKNESSES[2], _fixture_at(487.5))])
+@example([(0.684, 0.352, FIXTURE_THICKNESSES[0], _fixture_at(550.0))])
+def test_batched_residual_equals_scalar_residual(trials):
+    roots = [(FilmStack(thickness=t, film_index=1.5 + 0j), meas) for _, _, t, meas in trials]
+    points = np.array([(n, kappa) for n, kappa, _, _ in trials])
+    batch = _misfit_of(roots)(points, np.arange(len(trials)))
+    for (n, kappa), (stack, meas), value in zip(points, roots, batch):
+        expected = scalar_residual(n, kappa, stack, meas)
+        assert value == expected
+        assert residual(n, kappa, stack, meas) == expected
+
+
+class TestLockstepRefine:
+    """_nelder_mead against scipy's Nelder-Mead, root by root, on fixture
+    roots at 63 nm: the 475 nm close call seeds one root on the kappa = 0
+    edge, a 512.5 nm root meets an outside contraction exactly as good as
+    its reflection, the 475 and 590 nm roots take shrink steps, and two
+    extra seeds at n_max start from a simplex reflected back inside the
+    bound."""
+
+    THICKNESS = 63 * 1e-9
+    WAVELENGTHS_NM = (475.0, 512.5, 590.0)
+    GRID = NkGrid()
+
+    def roots_and_seeds(self):
+        stack = FilmStack(thickness=self.THICKNESS, film_index=1.5 + 0j)
+        n_vals, k_vals = self.GRID.n_values, self.GRID.kappa_values
+        roots, seeds = [], []
+        for meas in TestScreen.fixture(self.WAVELENGTHS_NM):
+            for row, col in _two_lowest_minima(_residual_map(self.GRID, stack, meas)[0]):
+                roots.append((stack, meas))
+                seeds.append((n_vals[row], k_vals[col]))
+        for kappa in (0.0, 0.5):  # on the last (590 nm) map
+            roots.append(roots[-1])
+            seeds.append((self.GRID.n_max, kappa))
+        return roots, np.array(seeds)
+
+    def scipy_refine(self, seed, stack, meas, maxiter):
+        """scipy's result for one root, and whether it took a shrink step
+        (the only step that evaluates four points)."""
+        calls, marks = [0], []
+
+        def objective(x):
+            calls[0] += 1
+            return scalar_residual(x[0], x[1], stack, meas)
+
+        result = optimize.minimize(
+            objective,
+            x0=seed,
+            method="Nelder-Mead",
+            bounds=[(self.GRID.n_min, self.GRID.n_max), (self.GRID.kappa_min, self.GRID.kappa_max)],
+            options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": maxiter},
+            callback=lambda xk: marks.append(calls[0]),
+        )
+        # the initial simplex takes 3 evaluations, then each step its own
+        return result, 4 in np.diff([3] + marks)
+
+    @pytest.mark.parametrize("maxiter", [600, 20])
+    def test_matches_scipy_bit_for_bit(self, maxiter):
+        roots, seeds = self.roots_and_seeds()
+        x, fun, nfev, nit = film._nelder_mead(
+            _misfit_of(roots),
+            seeds,
+            lower=np.array([self.GRID.n_min, self.GRID.kappa_min]),
+            upper=np.array([self.GRID.n_max, self.GRID.kappa_max]),
+            maxiter=maxiter,
+        )
+        shrunk = []
+        for i, (seed, (stack, meas)) in enumerate(zip(seeds, roots)):
+            expected, took_shrink = self.scipy_refine(seed, stack, meas, maxiter)
+            shrunk.append(took_shrink)
+            assert x[i].tolist() == expected.x.tolist()
+            assert fun[i] == expected.fun
+            assert (nfev[i], nit[i]) == (expected.nfev, expected.nit)
+        assert 0.0 in seeds[:, 1] and self.GRID.n_max in seeds[:, 0]
+        if maxiter == 600:
+            assert any(shrunk) and nit.max() < maxiter
+        else:
+            assert np.all(nit == maxiter)
 
 
 class TestExtraction:
