@@ -9,12 +9,18 @@ sweep with the kappa deconvolution identity, smoothness-based rejection
 of the spurious solution branch, and a dispersion-relation closure that
 rebuilds n from the retained kappa curve.
 
-The grid search screens every (wavelength, thickness) map from Fresnel
-factors computed once per call.  The screened map differs from the
-reference map (``_residual_map``) only by rounding, so it settles the two
-lowest minima wherever they clear that rounding by SCREEN_MARGIN; close
-calls are settled on the reference map, and the seeds are the ones the
-reference map alone would give.
+The grid search evaluates each (wavelength, thickness) map only on the
+tiles of the (n, kappa) grid that can hold a seed.  Circular complex
+arithmetic bounds the residual from below on every tile (Gargantini &
+Henrici, Numer. Math. 18, 305 (1972); Moore, Interval Analysis (1966)),
+and tiles are evaluated best first until every tile left is bounded
+above the map's threshold, so that no skipped point can change a seed.
+The evaluated points are screened from Fresnel factors computed once per
+call.  The screened values differ from the reference map
+(``_residual_map``) only by rounding, so they settle the two lowest
+minima wherever these clear that rounding by SCREEN_MARGIN; close calls
+are settled in the reference arithmetic on the tiles of that map, and
+the seeds are the ones the full reference map would give.
 
 The refinement polishes all roots at once: one bounded Nelder-Mead
 (Lagarias et al., SIAM J. Optim. 9, 112 (1998)) run in lockstep, in which
@@ -32,6 +38,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +50,18 @@ FLAT_LANDSCAPE_SPAN = 1e-15
 # Bound on |screened map - reference map|, with headroom: the largest
 # difference over the 303 maps of the packaged fixture is 2.2e-15.
 SCREEN_MARGIN = 1e-12
-# Rows of the grid screened at once, so that a block's temporaries stay
-# in a core's L2 cache (32 rows of 641 kappa values: 330 kB per array).
-_SCREEN_ROWS = 32
+# The grid search works on tiles of the (n, kappa) grid.  It bounds the
+# residual from below on coarse tiles of every map, splits the coarse
+# tiles it cannot rule out into fine tiles, and evaluates fine tiles only.
+_FINE = 8
+_COARSE = 4 * _FINE
+# Outward slack of every tile bound, far above the rounding of the bound
+# and of the maps it bounds (about 1e-15).
+_BOUND_SLACK = 1e-9
+# Values per vectorized call (bounds or map points), so that
+# temporaries stay small.
+_VALUES_PER_CALL = 1 << 15
+_HALO = np.arange(-1, _FINE + 1)
 
 
 class NoMinimumFound(Exception):
@@ -145,6 +161,13 @@ class NkGrid:
     kappa_step: float = 0.005
 
     def __post_init__(self):
+        values = (self.n_max, self.n_step, self.kappa_min, self.kappa_max, self.kappa_step)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"grid bounds and steps must be finite, got {values}")
+        # the Fresnel poles nf = -n0 and nf = -ns stay off the grid (and off
+        # the tile discs of the grid search)
+        if not 0.0 < self.n_min < math.inf:
+            raise ValueError(f"n_min must be finite and > 0, got {self.n_min}")
         if self.n_min >= self.n_max or self.kappa_min >= self.kappa_max:
             raise ValueError("grid bounds must be ordered")
         if self.n_step <= 0.0 or self.kappa_step <= 0.0:
@@ -198,7 +221,12 @@ def _amplitudes(index_film, stack: FilmStack, wavelength):
     r1, r2, t12 = _interfaces(nf, stack.ambient_index, stack.substrate_index)
     phase = np.exp(2j * np.pi * nf * stack.thickness / wavelength)
     denom = 1.0 + r1 * r2 * phase**2
-    return (r1 + r2 * phase**2) / denom, t12 * phase / denom
+    # phase**2 * r2, not r2 * phase**2: an array loop's complex product
+    # rounds differently with its operands swapped, and numpy swaps them
+    # itself when it reuses the phase**2 temporary in place, which it does
+    # for arrays of 256 KiB and more.  In this order a value does not
+    # depend on the size of the array it is computed in.
+    return (r1 + phase**2 * r2) / denom, t12 * phase / denom
 
 
 # Every bit of a residual steers the simplex: rounded as numpy's array
@@ -245,8 +273,8 @@ def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
 
 def rt_theoretical(stack: FilmStack, wavelength: float) -> TheoreticalRT:
     """Normal-incidence R and T of the film between two half-spaces."""
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     reflectance, transmittance = _rt(
         [stack.film_index], stack.thickness, wavelength,
         stack.ambient_index, stack.substrate_index,
@@ -261,8 +289,10 @@ def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasuremen
 
     Only the film index of ``stack`` is replaced by the trial value.
     """
-    if kappa < 0.0:
-        raise ValueError("film index must have a non-negative imaginary part")
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"n must be finite and > 0, got {n}")
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     misfit = _misfits(
         [complex(n, kappa)], stack.thickness, measurement.wavelength,
         measurement.reflectance, measurement.transmittance,
@@ -271,37 +301,46 @@ def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasuremen
     return float(misfit[0])
 
 
+def _reference_surface(index_film, stack: FilmStack, measurement: RTMeasurement):
+    """|T - T_measured| + |R - R_measured| over an array of film indices,
+    rounded as the reference map rounds it (_amplitudes)."""
+    r_amp, t_amp = _amplitudes(index_film, stack, measurement.wavelength)
+    flux_ratio = stack.substrate_index / stack.ambient_index
+    r_t = np.abs(r_amp) ** 2
+    t_t = flux_ratio * np.abs(t_amp) ** 2
+    return np.abs(t_t - measurement.transmittance) + np.abs(r_t - measurement.reflectance)
+
+
 def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
     """Residual over the full (n, kappa) grid in one vectorized sweep.
 
-    The reference for the screened map: extract_nk settles close calls on it.
+    The reference map: its two lowest minima (_two_lowest_minima) are the
+    seeds that extract_nk finds while evaluating only part of the grid.
     """
     n_vals = grid.n_values
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
-    r_amp, t_amp = _amplitudes(nf, stack, measurement.wavelength)
-    flux_ratio = stack.substrate_index / stack.ambient_index
-    r_t = np.abs(r_amp) ** 2
-    t_t = flux_ratio * np.abs(t_amp) ** 2
-    return (
-        np.abs(t_t - measurement.transmittance)
-        + np.abs(r_t - measurement.reflectance),
-        n_vals,
-        k_vals,
-    )
+    return _reference_surface(nf, stack, measurement), n_vals, k_vals
 
 
 def _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index):
     """Grid factors of the Airy sum that depend on neither wavelength nor
-    thickness: r1, r2, r1*r2 and the flux-weighted |t1*t2|^2."""
-    nf = n_vals[:, None] + 1j * k_vals[None, :]
-    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index)
-    transfer = (substrate_index / ambient_index) * (t12.real**2 + t12.imag**2)
-    return r1, r2, r1 * r2, transfer
+    thickness: r1, r2 and the flux-weighted |t1*t2|^2, built a block of
+    rows at a time so that no temporary spans the grid."""
+    r1, r2 = (np.empty((n_vals.size, k_vals.size), dtype=complex) for _ in range(2))
+    transfer = np.empty(r1.shape)
+    step = max(1, _VALUES_PER_CALL // k_vals.size)
+    for lo in range(0, n_vals.size, step):
+        rows = slice(lo, lo + step)
+        nf = n_vals[rows, None] + 1j * k_vals[None, :]
+        r1[rows], r2[rows], t12 = _interfaces(nf, ambient_index, substrate_index)
+        transfer[rows] = (substrate_index / ambient_index) * (t12.real**2 + t12.imag**2)
+    return r1, r2, transfer
 
 
-def _screen_map(factors, n_vals, k_vals, thickness, measurement: RTMeasurement):
-    """The residual map of _residual_map, rebuilt from _fresnel_factors.
+def _screen_values(factors, n_vals, k_vals, k0d, reflectance, transmittance, rows, cols):
+    """Screened residual of patch p at rows[p, :, None], cols[p, None, :],
+    from _fresnel_factors and the patch's k0*d, R and T.
 
     With P = exp(2i k0 d nf) = exp(2i k0 d n) * exp(-2 k0 d kappa), a
     row factor times a column factor:
@@ -310,27 +349,34 @@ def _screen_map(factors, n_vals, k_vals, thickness, measurement: RTMeasurement):
     The reassociated arithmetic differs from the reference by rounding
     only, well inside SCREEN_MARGIN.
     """
-    r1, r2, r12, transfer = factors
-    k0d = 2.0 * np.pi * thickness / measurement.wavelength
-    row_phase = np.exp(2j * k0d * n_vals)[:, None]
-    decay = np.exp(-2.0 * k0d * k_vals)
-    surface = np.empty(r1.shape)
-    for lo in range(0, surface.shape[0], _SCREEN_ROWS):
-        rows = slice(lo, lo + _SCREEN_ROWS)
-        p = row_phase[rows] * decay
-        num = r2[rows] * p
-        num += r1[rows]
-        den = np.multiply(r12[rows], p, out=p)
-        den += 1.0
-        den_sq = den.real**2 + den.imag**2
-        refl = num.real**2 + num.imag**2
-        refl /= den_sq
-        refl -= measurement.reflectance
-        trans = transfer[rows] * decay
-        trans /= den_sq
-        trans -= measurement.transmittance
-        np.add(np.abs(trans), np.abs(refl), out=surface[rows])
-    return surface
+    at = rows[:, :, None] * k_vals.size + cols[:, None, :]  # flat indices: take is fast
+    r1, r2, trans = (factor.take(at) for factor in factors)
+    k0d = k0d[:, None]
+    decay = np.exp(-2.0 * k0d * k_vals[cols])[:, None, :]
+    p = np.exp(2j * k0d * n_vals[rows])[:, :, None] * decay
+    num = r2 * p
+    num += r1
+    den = np.multiply(np.multiply(r1, r2, out=r1), p, out=p)
+    den += 1.0
+    den_sq = den.real**2 + den.imag**2
+    refl = num.real**2 + num.imag**2
+    refl /= den_sq
+    refl -= reflectance[:, None, None]
+    trans *= decay
+    trans /= den_sq
+    trans -= transmittance[:, None, None]
+    return np.add(np.abs(trans, out=trans), np.abs(refl, out=refl), out=trans)
+
+
+def _screen_map(factors, n_vals, k_vals, thickness, measurement: RTMeasurement):
+    """The screened map over the whole grid (extract_nk evaluates it on
+    fine tiles only)."""
+    return _screen_values(
+        factors, n_vals, k_vals,
+        np.array([2.0 * np.pi * thickness / measurement.wavelength]),
+        np.array([measurement.reflectance]), np.array([measurement.transmittance]),
+        np.arange(n_vals.size)[None], np.arange(k_vals.size)[None],
+    )[0]
 
 
 def _window_min(surface: np.ndarray) -> np.ndarray:
@@ -350,7 +396,10 @@ def _window_min(surface: np.ndarray) -> np.ndarray:
 
 
 def _two_lowest_minima(surface: np.ndarray):
-    """Indices of the two lowest local minima (8-neighbor) of a surface."""
+    """Indices of the two lowest local minima (8-neighbor) of a surface.
+
+    The full-grid rule that the tile search reproduces (_lowest_minima).
+    """
     if np.ptp(surface) < FLAT_LANDSCAPE_SPAN:
         raise NoMinimumFound("residual landscape is flat")
     local = surface <= _window_min(surface)
@@ -361,31 +410,398 @@ def _two_lowest_minima(surface: np.ndarray):
     return [(int(rows[i]), int(cols[i])) for i in order]
 
 
-def _screened_minima(surface: np.ndarray):
-    """_two_lowest_minima of the reference map, read off a screened map.
+class _Discs(NamedTuple):
+    """Per tile: the disc around its film indices, and discs (centre,
+    radius) that hold the Fresnel factors over it.
 
-    ``surface`` is within SCREEN_MARGIN of the reference map, so every
-    reference minimum lies within 2*SCREEN_MARGIN of its window minimum
-    here.  The two lowest such points are the reference's answer when each
-    is lower than all its neighbours by more than 2*SCREEN_MARGIN and the
-    three lowest are more than 2*SCREEN_MARGIN apart.  Returns None when
-    the screened map cannot decide.
+    Circular complex arithmetic (Gargantini & Henrici, Numer. Math. 18,
+    305 (1972)): r1, r2, t1 = 1 + r1 and t2 = 1 + r2 are Moebius maps of
+    the film index, so each maps the index disc onto a disc; a sum or a
+    product of discs lies in the disc of the sum or product formula.
+    """
+
+    n_mid: np.ndarray
+    k_mid: np.ndarray
+    radius: np.ndarray
+    k_lo: np.ndarray
+    k_hi: np.ndarray
+    r1: np.ndarray
+    r1_rad: np.ndarray
+    r2: np.ndarray
+    r2_rad: np.ndarray
+    r12: np.ndarray
+    r12_rad: np.ndarray
+    r12_max: np.ndarray  # largest |r1| |r2| on the disc, < 1
+    t_lo: np.ndarray  # flux |t1 t2|^2 on the disc, from below
+    t_hi: np.ndarray  # and from above
+    sound: np.ndarray  # the disc lies in Re(nf) > 0
+
+    def take(self, tiles):
+        return _Discs(*(field[tiles] for field in self))
+
+
+def _disc_product(a, a_rad, b, b_rad):
+    return a * b, np.abs(a) * b_rad + np.abs(b) * a_rad + a_rad * b_rad
+
+
+def _tile_discs(n_lo, n_hi, k_lo, k_hi, ambient_index, substrate_index) -> _Discs:
+    n_mid, k_mid = 0.5 * (n_lo + n_hi), 0.5 * (k_lo + k_hi)
+    radius = np.hypot(0.5 * (n_hi - n_lo), 0.5 * (k_hi - k_lo))
+    # Inside Re(nf) > 0 the poles -n0 and -ns of the Fresnel factors lie
+    # outside the disc, and |r1|, |r2| < 1.  A tile whose disc reaches
+    # further is never ruled out.
+    sound = n_mid > radius
+    centre = n_mid + 1j * k_mid
+
+    def inverse(pole):
+        # 1/(nf + pole) maps the disc onto a disc
+        shifted = centre + pole
+        scale = np.where(sound, shifted.real**2 + shifted.imag**2 - radius**2, 1.0)
+        return shifted.conjugate() / scale, radius / scale
+
+    inv1, inv1_rad = inverse(ambient_index)
+    inv2, inv2_rad = inverse(substrate_index)
+    # r1 = 2 n0/(n0 + nf) - 1, r2 = 1 - 2 ns/(nf + ns)
+    r1, r1_rad = 2.0 * ambient_index * inv1 - 1.0, 2.0 * ambient_index * inv1_rad
+    r2, r2_rad = 1.0 - 2.0 * substrate_index * inv2, 2.0 * substrate_index * inv2_rad
+    r12, r12_rad = _disc_product(r1, r1_rad, r2, r2_rad)
+    t12, t12_rad = _disc_product(1.0 + r1, r1_rad, 1.0 + r2, r2_rad)
+    t12_abs = np.abs(t12)
+    flux = substrate_index / ambient_index
+    return _Discs(
+        n_mid, k_mid, radius, k_lo, k_hi, r1, r1_rad, r2, r2_rad, r12, r12_rad,
+        np.where(sound, (np.abs(r1) + r1_rad) * (np.abs(r2) + r2_rad), 0.0),
+        flux * np.maximum(t12_abs - t12_rad, 0.0) ** 2,
+        flux * (t12_abs + t12_rad) ** 2,
+        sound,
+    )
+
+
+def _lower_bounds(discs: _Discs, k0d, reflectance, transmittance):
+    """A lower bound on |R - R_measured| + |T - T_measured| over each
+    tile, for maps of the given k0*d (2 pi d / lambda), R and T.
+
+    The phase P = exp(2i k0 d nf) lies in a disc of radius
+    |P_c| (exp(2 k0 d rho) - 1) around its value P_c at the disc centre,
+    as |exp(z) - 1| <= exp(|z|) - 1; |P| = exp(-2 k0 d kappa) is bounded
+    by the tile's kappa range; and |1 + r1 r2 P| >= 1 - |r1||r2||P| > 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-2.0 * k0d * discs.k_mid)
+        phase = np.exp(2j * k0d * discs.n_mid) * decay
+        phase_rad = decay * np.expm1(2.0 * k0d * discs.radius)
+        reach = decay + phase_rad
+        num = np.abs(discs.r1 + discs.r2 * phase)
+        num_rad = discs.r1_rad + np.abs(discs.r2) * phase_rad + discs.r2_rad * reach
+        den = np.abs(1.0 + discs.r12 * phase)
+        den_rad = np.abs(discs.r12) * phase_rad + discs.r12_rad * reach
+        p_max = np.exp(-2.0 * k0d * discs.k_lo)
+        p_min = np.exp(-2.0 * k0d * discs.k_hi)
+        floor = 1.0 - discs.r12_max * p_max
+        den_lo = np.maximum(den - den_rad, floor)
+        den_hi = np.minimum(den + den_rad, 2.0 - floor)
+        r_lo = (np.maximum(num - num_rad, 0.0) / den_hi) ** 2
+        r_hi = ((num + num_rad) / den_lo) ** 2
+        t_lo = discs.t_lo * p_min / den_hi**2
+        t_hi = discs.t_hi * p_max / den_lo**2
+        gap = np.maximum(np.maximum(r_lo - reflectance, reflectance - r_hi), 0.0)
+        gap += np.maximum(np.maximum(t_lo - transmittance, transmittance - t_hi), 0.0)
+    # gap >= 0 fails only for a NaN from an overflowing phase radius
+    return np.where(discs.sound & (gap >= 0.0), gap - _BOUND_SLACK, -np.inf)
+
+
+def _tile_origins(shape, size):
+    """First row and column of each size x size tile, row-major."""
+    rows, cols = np.meshgrid(
+        np.arange(0, shape[0], size), np.arange(0, shape[1], size), indexing="ij"
+    )
+    return rows.ravel(), cols.ravel()
+
+
+class _Tiling(NamedTuple):
+    """The grid, cut into fine tiles of _FINE x _FINE points and coarse
+    tiles of _COARSE x _COARSE points, each row-major."""
+
+    n_vals: np.ndarray
+    k_vals: np.ndarray
+    coarse: _Discs
+    fine: _Discs
+    origins: tuple  # first row and column of each fine tile
+    children: np.ndarray  # fine tiles of each coarse tile, -1 past the grid
+
+
+def _tiling(n_vals, k_vals, ambient_index, substrate_index) -> _Tiling:
+    shape = (n_vals.size, k_vals.size)
+
+    def discs(size):
+        rows, cols = _tile_origins(shape, size)
+        return _tile_discs(
+            n_vals[rows], n_vals[np.minimum(rows + size, shape[0]) - 1],
+            k_vals[cols], k_vals[np.minimum(cols + size, shape[1]) - 1],
+            ambient_index, substrate_index,
+        )
+
+    rows, cols = _tile_origins(shape, _FINE)
+    side = _COARSE // _FINE
+    parent = rows // _COARSE * -(-shape[1] // _COARSE) + cols // _COARSE
+    children = np.full((parent[-1] + 1, side * side), -1)
+    children[parent, rows % _COARSE // _FINE * side + cols % _COARSE // _FINE] = np.arange(
+        rows.size
+    )
+    return _Tiling(n_vals, k_vals, discs(_COARSE), discs(_FINE), (rows, cols), children)
+
+
+def _tile_points(evaluate, owner, rows, cols, shape, band):
+    """Evaluates fine tiles with a one-point halo and keeps the core
+    points that are at most ``band`` above each of their in-grid
+    8-neighbours: exactly the near-minima of the full map.
+
+    ``evaluate(owner, r, c)`` returns the values at r[p, :, None],
+    c[p, None, :].  Returns the tile, value, flat index and smallest
+    neighbour of each kept point, and the largest value of each tile.
+    """
+    rows = rows[:, None] + _HALO
+    cols = cols[:, None] + _HALO
+    row_in = (rows >= 0) & (rows < shape[0])
+    col_in = (cols >= 0) & (cols < shape[1])
+    values = evaluate(owner, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1))
+    values[~(row_in[:, :, None] & col_in[:, None, :])] = np.inf
+    beside = np.minimum(values[:, :, :-2], values[:, :, 2:])
+    across = np.minimum(beside, values[:, :, 1:-1])
+    neighbours = np.minimum(np.minimum(across[:, :-2], across[:, 2:]), beside[:, 1:-1])
+    core = values[:, 1:-1, 1:-1]
+    inside = row_in[:, 1:-1, None] & col_in[:, None, 1:-1]
+    tile, i, j = np.nonzero(inside & (core <= neighbours + band))
+    index = rows[tile, i + 1] * shape[1] + cols[tile, j + 1]
+    top = np.where(inside, core, -np.inf).max(axis=(1, 2))
+    return tile, core[tile, i, j], index, neighbours[tile, i, j], top
+
+
+def _rank_by_map(maps, *keys):
+    """Order of entries by map, then by ``keys`` (the last one first), and
+    each entry's rank within its map in that order."""
+    order = np.lexsort(keys + (maps,))
+    first = np.searchsorted(maps[order], maps[order])
+    return order, np.arange(order.size) - first
+
+
+def _kth_lowest(maps, values, k, count):
+    """Per map of ``count``, the k-th lowest of its values (k may vary by
+    map), or inf if it has fewer."""
+    order, rank = _rank_by_map(maps, values)
+    hit = rank == np.broadcast_to(k, count)[maps[order]] - 1
+    kth = np.full(count, np.inf)
+    kth[maps[order][hit]] = values[order][hit]
+    return kth
+
+
+def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
+    """The lowest near-minima of each of ``count`` maps, evaluating only
+    the fine tiles that can hold one.
+
+    ``bounds(maps, discs)`` bounds maps from below on tiles (_Discs),
+    and ``evaluate`` computes map values as _tile_points asks.  A point is
+    a near-minimum when it is at most ``band`` above each of its
+    neighbours.  A map's
+    threshold is max(v_keep + band, v_1 + FLAT_LANDSCAPE_SPAN), with v_k
+    its k-th lowest near-minimum found so far.  Each round splits the
+    coarse tiles and evaluates the fine tiles whose bound is at or below
+    the threshold.  While a map has fewer than ``keep`` near-minima it
+    goes best first instead: it takes its tiles up to the reach-th best
+    coarse or queued fine bound, starting from the number of fine tiles
+    in a coarse tile, and doubles its reach each round.
+
+    Why a skipped tile cannot matter: every near-minimum found is one of
+    the full map, as _tile_points reads its neighbours from the halo, so
+    v_k found so far is at least the full map's v_k, and thresholds only
+    fall.  The rounds stop when no map has a tile left at or below its
+    threshold (a map short of near-minima stops with every tile
+    evaluated).  Then every skipped point exceeds the threshold, so it can
+    be neither one of the ``keep`` lowest near-minima nor tie with one,
+    nor be a neighbour lower than one of them; and it lies more than
+    FLAT_LANDSCAPE_SPAN above the lowest point, so a map with a skipped
+    point is not flat.  Decisions on these near-minima (_screened_seeds,
+    _lowest_minima) are those on the full map.
+
+    Returns, per map, the value, flat index and smallest neighbour of
+    its ``keep`` lowest near-minima in ascending (value, index) order,
+    and the map's spread (max - min) if every tile was evaluated, else inf.
+    """
+    shape = (tiling.n_vals.size, tiling.k_vals.size)
+    width = tiling.children.shape[0]
+    step = max(1, _VALUES_PER_CALL // width)
+    coarse_bounds = np.concatenate(
+        [bounds(np.arange(lo, min(lo + step, count))[:, None], tiling.coarse)
+         for lo in range(0, count, step)]
+    )
+    ranked = np.sort(coarse_bounds, axis=1)
+    ranked = np.concatenate((ranked, np.full((count, 1), np.inf)), axis=1)
+    reach = np.full(count, (_COARSE // _FINE) ** 2)  # a coarse tile's worth
+    threshold = np.full(count, np.inf)
+    closed = np.ones(coarse_bounds.shape, dtype=bool)  # coarse tiles not yet split
+    queue = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)  # map, tile, bound
+    found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    top = np.full(count, -np.inf)  # largest value evaluated
+    while True:
+        level = threshold.copy()
+        short = np.isinf(threshold)
+        if short.any():
+            waiting = short[queue[0]]
+            level[short] = np.minimum(
+                ranked[short, np.minimum(reach[short], width + 1) - 1],
+                _kth_lowest(queue[0][waiting], queue[2][waiting], reach, count)[short],
+            )
+            reach[short] *= 2
+        owner, coarse = np.nonzero(closed & (coarse_bounds <= level[:, None]))
+        closed[owner, coarse] = False
+        tiles = tiling.children[coarse]
+        owner = np.broadcast_to(owner[:, None], tiles.shape)[tiles >= 0]
+        tiles = tiles[tiles >= 0]
+        fresh = [
+            bounds(owner[part], tiling.fine.take(tiles[part]))
+            for part in (
+                slice(lo, lo + _VALUES_PER_CALL) for lo in range(0, tiles.size, _VALUES_PER_CALL)
+            )
+        ]
+        queue = (
+            np.concatenate((queue[0], owner)),
+            np.concatenate((queue[1], tiles)),
+            np.concatenate([queue[2], *fresh]),
+        )
+        take = queue[2] <= level[queue[0]]
+        if not take.any() and not coarse.size:
+            if (level[short] == np.inf).all():
+                break
+            continue
+        owner, tiles = queue[0][take], queue[1][take]
+        queue = tuple(column[~take] for column in queue)
+        batches = [found]
+        per_call = _VALUES_PER_CALL // _HALO.size**2
+        for lo in range(0, tiles.size, per_call):
+            part = owner[lo : lo + per_call]
+            picked = tiles[lo : lo + per_call]
+            tile, value, index, neighbours, tile_top = _tile_points(
+                evaluate, part, tiling.origins[0][picked], tiling.origins[1][picked],
+                shape, band,
+            )
+            batches.append((part[tile], value, index, neighbours))
+            np.maximum.at(top, part, tile_top)
+        found = tuple(np.concatenate(column) for column in zip(*batches))
+        order, rank = _rank_by_map(found[0], found[2], found[1])
+        found = tuple(column[order[rank < keep]] for column in found)
+        threshold = np.maximum(
+            _kth_lowest(found[0], found[1], keep, count) + band,
+            _kth_lowest(found[0], found[1], 1, count) + FLAT_LANDSCAPE_SPAN,
+        )
+
+    maps, value, index, neighbours = found
+    edges = np.searchsorted(maps, np.arange(count + 1))
+    complete = ~closed.any(axis=1) & (np.bincount(queue[0], minlength=count) == 0)
+    return [
+        (
+            value[lo:hi], index[lo:hi], neighbours[lo:hi],
+            top[m] - value[lo] if complete[m] else np.inf,
+        )
+        for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+    ]
+
+
+def _screened_seeds(value, index, neighbours, spread, columns):
+    """The seeds of the reference map, read off the near-minima of a
+    screened map (in ascending order), or None if it cannot decide.
+
+    The screened map is within SCREEN_MARGIN of the reference map, so
+    every reference minimum lies within 2*SCREEN_MARGIN of its
+    neighbours here.  The two lowest such points are the reference's
+    answer when each is lower than all its neighbours by more than
+    2*SCREEN_MARGIN and the three lowest are more than 2*SCREEN_MARGIN
+    apart.
     """
     band = 2.0 * SCREEN_MARGIN
-    if not np.ptp(surface) > FLAT_LANDSCAPE_SPAN + band:
+    if not spread > FLAT_LANDSCAPE_SPAN + band:
         return None
-    rows, cols = np.nonzero(surface <= _window_min(surface) + band)
-    values = surface[rows, cols]
-    order = np.argsort(values, kind="stable")[:3]
-    if np.any(np.diff(values[order]) <= band):
+    if np.any(np.diff(value[:3]) <= band) or not np.all(value[:2] < neighbours[:2] - band):
         return None
-    seeds = [(int(rows[i]), int(cols[i])) for i in order[:2]]
-    for row, col in seeds:
-        r0, c0 = max(row - 1, 0), max(col - 1, 0)
-        neighbours = surface[r0 : row + 2, c0 : col + 2].copy()
-        neighbours[row - r0, col - c0] = np.inf
-        if not surface[row, col] < neighbours.min() - band:
-            return None
+    return [divmod(int(i), columns) for i in index[:2]]
+
+
+def _lowest_minima(value, index, spread, columns):
+    """_two_lowest_minima from the local minima of a map (in ascending
+    order) and its spread."""
+    if spread < FLAT_LANDSCAPE_SPAN:
+        raise NoMinimumFound("residual landscape is flat")
+    if not value.size:
+        raise NoMinimumFound("no local minimum on the search grid")
+    return [divmod(int(i), columns) for i in index[:2]]
+
+
+def _screened_minima(surface: np.ndarray):
+    """_two_lowest_minima of the reference map, read off a whole screened
+    map by the rule extract_nk applies to the tiles it evaluates
+    (_screened_seeds).  Returns None when the screened map cannot decide."""
+    tile, value, index, neighbours, _ = _tile_points(
+        lambda _, rows, cols: surface[rows[:, :, None], cols[:, None, :]], None,
+        *_tile_origins(surface.shape, _FINE), surface.shape, 2.0 * SCREEN_MARGIN,
+    )
+    order = np.lexsort((index, value))
+    return _screened_seeds(
+        value[order], index[order], neighbours[order], np.ptp(surface), surface.shape[1]
+    )
+
+
+def _map_parameters(maps):
+    """k0*d (2 pi d / lambda), R and T of each (stack, measurement)."""
+    return np.array(
+        [(2.0 * np.pi * stack.thickness / meas.wavelength, meas.reflectance, meas.transmittance)
+         for stack, meas in maps]
+    ).T
+
+
+def _reference_seeds(tiling: _Tiling, stack: FilmStack, measurement: RTMeasurement):
+    """_two_lowest_minima(_residual_map(...)) of one map, evaluated in
+    the reference arithmetic on the tiles its bounds cannot rule out."""
+    k0d, refl, trans = _map_parameters([(stack, measurement)])
+
+    def bounds(owner, discs):
+        return _lower_bounds(discs, k0d[owner], refl[owner], trans[owner])
+
+    def evaluate(_, rows, cols):
+        nf = tiling.n_vals[rows][:, :, None] + 1j * tiling.k_vals[cols][:, None, :]
+        return _reference_surface(nf, stack, measurement)
+
+    [(value, index, _, spread)] = _tile_search(tiling, 1, bounds, evaluate, band=0.0, keep=2)
+    return _lowest_minima(value, index, spread, tiling.k_vals.size)
+
+
+def _grid_seeds(grid: NkGrid, maps, ambient_index, substrate_index):
+    """_two_lowest_minima(_residual_map(grid, stack, meas)) for every
+    (stack, meas) of ``maps``, from the tiles that can hold a seed.
+
+    Every map is screened from Fresnel factors computed once for the grid
+    (_screen_values); where two minima are too close to call on the
+    screened map, its seeds come from the reference arithmetic on its
+    tiles (_reference_seeds).
+    """
+    n_vals, k_vals = grid.n_values, grid.kappa_values
+    tiling = _tiling(n_vals, k_vals, ambient_index, substrate_index)
+    k0d, refl, trans = _map_parameters(maps)
+    factors = _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index)
+
+    def bounds(owner, discs):
+        return _lower_bounds(discs, k0d[owner], refl[owner], trans[owner])
+
+    def screen(owner, rows, cols):
+        return _screen_values(
+            factors, n_vals, k_vals, k0d[owner], refl[owner], trans[owner], rows, cols
+        )
+
+    screened = _tile_search(
+        tiling, len(maps), bounds, screen, band=2.0 * SCREEN_MARGIN, keep=3
+    )
+    seeds = []
+    for (stack, meas), near in zip(maps, screened):
+        found = _screened_seeds(*near, k_vals.size)
+        seeds.append(_reference_seeds(tiling, stack, meas) if found is None else found)
     return seeds
 
 
@@ -493,11 +909,12 @@ def extract_nk(
     and refines each by simplex descent.  Candidates come back labelled
     Unresolved; select_physical_branch settles which root is physical.
 
-    Every map is first screened from Fresnel factors computed once for the
-    grid (_screen_map).  Where two minima are too close to call on the
-    screened map, the seeds come from the reference map (_residual_map),
-    computed after the factors are freed, so the seeds are always those of
-    the reference map.
+    The grid is searched tile by tile (_grid_seeds): a certified lower
+    bound on the residual rules out the tiles of each map that cannot hold
+    a seed, the rest are screened from Fresnel factors computed once for
+    the grid, and where two minima are too close to call on the screened
+    values the reference arithmetic decides on the same tiles.  The seeds
+    are always those of the full reference map (_residual_map).
 
     All roots are refined together by _nelder_mead, one lockstep
     Nelder-Mead whose every root ends where scipy's Nelder-Mead from the
@@ -531,18 +948,13 @@ def extract_nk(
     ]
 
     n_vals, k_vals = grid.n_values, grid.kappa_values
-    factors = _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index)
-    seeds = [
-        _screened_minima(_screen_map(factors, n_vals, k_vals, stack.thickness, meas))
-        for stack, meas in maps
+    roots = [
+        (stack, meas, (n_vals[row], k_vals[col]))
+        for (stack, meas), found in zip(
+            maps, _grid_seeds(grid, maps, ambient_index, substrate_index)
+        )
+        for row, col in found
     ]
-    del factors  # before any reference map, which needs the memory
-
-    roots = []
-    for (stack, meas), found in zip(maps, seeds):
-        if found is None:
-            found = _two_lowest_minima(_residual_map(grid, stack, meas)[0])
-        roots += [(stack, meas, (n_vals[row], k_vals[col])) for row, col in found]
     thickness, wavelength, reflectance, transmittance = np.array(
         [(stack.thickness, meas.wavelength, meas.reflectance, meas.transmittance)
          for stack, meas, _ in roots]

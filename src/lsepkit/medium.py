@@ -79,6 +79,8 @@ class PermittivitySpectrum:
             raise ValueError("energies and epsilon must be matching 1-d arrays")
         if energies.size == 0:
             raise ValueError("empty spectrum")
+        if not (np.isfinite(energies).all() and np.isfinite(epsilon).all()):
+            raise ValueError("energies and epsilon must be finite")
         if np.any(np.diff(energies) < 0.0):
             raise ValueError("energies must be non-decreasing")
         if self.time is not None:
@@ -86,6 +88,8 @@ class PermittivitySpectrum:
             object.__setattr__(self, "time", time)
             if time.shape != energies.shape:
                 raise ValueError("time must match the sample count")
+            if not np.isfinite(time).all():
+                raise ValueError("time must be finite")
 
 
 @dataclass(frozen=True)
@@ -251,19 +255,28 @@ def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> Non
 def read_spectrum_csv(path) -> PermittivitySpectrum:
     """Read a spectrum written by write_spectrum_csv (comments allowed)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [(number, ln.strip()) for number, ln in enumerate(fh, start=1)]
+    rows = [(number, ln) for number, ln in lines if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError(f"no data in {path}")
-    header = [c.strip() for c in rows[0].split(",")]
+    header = [c.strip() for c in rows[0][1].split(",")]
     expected = ["energy_eV", "eps_real", "eps_imag"]
     if header[:3] != expected or len(header) > 4 or (
         len(header) == 4 and header[3] != "time_fs"
     ):
         raise ValueError(f"unexpected columns {header} in {path}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"ragged rows in {path}")
+    data = []
+    for number, ln in rows[1:]:
+        try:
+            values = [float(v) for v in ln.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
+        if len(values) != len(header):
+            raise ValueError(f"{path}, line {number}: ragged row {ln!r}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}, line {number}: values must be finite, got {ln!r}")
+        data.append(values)
+    data = np.array(data).reshape(-1, len(header))
     time = data[:, 3] * 1e-15 if len(header) == 4 else None
     return PermittivitySpectrum(
         energies=data[:, 0], epsilon=data[:, 1] + 1j * data[:, 2], time=time

@@ -8,6 +8,7 @@ second per command.
 import configparser
 import csv
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -95,6 +96,36 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert f"{rt_path}, line 4:" in err
         assert "'high'" in err
+        assert not out.exists()
+
+    def test_nan_spectrum_cell_names_file_and_line(self, tmp_path, capsys):
+        lines = (files("lsepkit") / "data" / "epsilon_extracted.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line[:1].isdigit()) + 3
+        energy, _, imag = lines[row].split(",")
+        lines[row] = f"{energy},nan,{imag}"
+        eps_path = tmp_path / "eps.csv"
+        eps_path.write_text("\n".join(lines) + "\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "qabs-spectrum", model="data", input=str(eps_path))
+        out = tmp_path / "o"
+        rc = main(["qabs-spectrum", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{eps_path}, line {row + 1}:" in err
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_min", ["-1.0", "0"])
+    def test_non_positive_n_min_is_config_error(self, tmp_path, capsys, n_min):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", n_min=n_min)
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "n_min" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -115,6 +115,11 @@ class TestForwardModel:
         with pytest.raises(ValueError):
             rt_theoretical(FilmStack(thickness=70e-9, film_index=1.5 + 0j), -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_wavelength_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            rt_theoretical(FilmStack(thickness=70e-9, film_index=1.5 + 0j), bad)
+
 
 class TestValidation:
     def test_stack_rejects_gain_film(self):
@@ -164,6 +169,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             NkGrid(kappa_min=-0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["n_min", "n_max", "n_step", "kappa_min", "kappa_max", "kappa_step"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_grid_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NkGrid(**{field: bad})
+
+    @pytest.mark.parametrize("n_min", [0.0, -1.0])
+    def test_grid_rejects_non_positive_n_min(self, n_min):
+        # n_min = -1 would put the pole nf = -n0 of r1 on the grid
+        with pytest.raises(ValueError, match="n_min"):
+            NkGrid(n_min=n_min)
+
 
 class TestResidual:
     def test_zero_at_truth_and_positive_nearby(self):
@@ -183,6 +202,15 @@ class TestResidual:
         stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j)
         with pytest.raises(ValueError):
             residual(1.5, -0.1, stack, RTMeasurement(600e-9, 0.1, 0.8))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_trial(self, bad):
+        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j)
+        meas = RTMeasurement(600e-9, 0.1, 0.8)
+        with pytest.raises(ValueError, match="n must be finite"):
+            residual(bad, 0.1, stack, meas)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            residual(1.5, bad, stack, meas)
 
 
 _SIDE = st.integers(2, 16)
@@ -244,13 +272,13 @@ class TestScreen:
 
     def test_close_calls_reproduce_reference_branches(self, monkeypatch):
         reference_maps = []
-        original = film._residual_map
+        original = film._reference_seeds
 
-        def spy(grid, stack, meas):
+        def spy(tiling, stack, meas):
             reference_maps.append(round(meas.wavelength * 1e9, 6))
-            return original(grid, stack, meas)
+            return original(tiling, stack, meas)
 
-        monkeypatch.setattr(film, "_residual_map", spy)
+        monkeypatch.setattr(film, "_reference_seeds", spy)
         wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM[:1]
         cands = extract_nk(
             self.fixture(wanted), thickness_range=(self.THICKNESS, self.THICKNESS)
@@ -270,6 +298,124 @@ class TestScreen:
             assert abs(cand.n - float(row["n"])) < 1e-8
             assert abs(cand.kappa - float(row["kappa"])) < 1e-8
             assert abs(cand.residual - float(row["residual"])) < 1e-8
+
+
+def _window(n_min, n_count, n_step, k_min, k_count, k_step):
+    """A grid of n_count x k_count points (steps far below n_min make
+    repeated rows, so equal values)."""
+
+    def span(count, step):
+        return step * (count - 1) if count > 1 else step / 4
+
+    try:
+        return NkGrid(n_min, n_min + span(n_count, n_step), n_step,
+                      k_min, k_min + span(k_count, k_step), k_step)
+    except ValueError:  # the span rounded away
+        return None
+
+
+_STEPS = st.sampled_from([1e-16, 1e-13, 1e-3, 0.005, 0.02, 0.1, 0.4])
+_GRIDS = st.builds(
+    _window,
+    st.floats(0.02, 3.5), st.integers(1, 44), _STEPS,
+    st.one_of(st.just(0.0), st.floats(0.0, 3.2)), st.integers(1, 44), _STEPS,
+).filter(lambda grid: grid is not None)
+_MAPS = st.tuples(
+    st.floats(300e-9, 900e-9),  # wavelength
+    st.floats(5e-9, 999e-9),  # thickness
+    st.floats(0.0, 1.0),  # R
+    st.floats(0.0, 1.0),  # T as a fraction of 1 - R
+    st.sampled_from([(1.0, 1.52), (1.0, 1.0), (1.33, 2.4)]),  # ambient, substrate
+)
+
+
+def _stack_and_measurement(wavelength, thickness, refl, trans, indices):
+    ambient, substrate = indices
+    stack = FilmStack(thickness, 1.5 + 0j, substrate_index=substrate, ambient_index=ambient)
+    return stack, RTMeasurement(wavelength, refl, trans * (1.0 - refl))
+
+
+def _seeds_or_flat(find):
+    try:
+        return find()
+    except NoMinimumFound:
+        return "no minimum"
+
+
+class TestTileSearch:
+    """The pruned grid search against the full reference map on random
+    maps and small grid windows, with tiles cut at every grid edge."""
+
+    @given(_GRIDS, _MAPS)
+    # one point, where the bound meets the map but for rounding: fails
+    # without the bound's slack
+    @example(
+        _window(2.5, 1, 1e-13, 0.0, 1, 1e-16),
+        (3.896898120853722e-07, 4.4182005066443355e-07, 0.0, 0.0, (1.0, 1.52)),
+    )
+    # a 1 x 10 window whose bound is nearly tight: fails with the tile
+    # discs shrunk by 10%
+    @example(
+        _window(1.5, 1, 1e-13, 0.0, 10, 0.1),
+        (5.104455015188793e-07, 3e-07, 0.0, 1.0, (1.0, 1.52)),
+    )
+    def test_no_tile_bound_exceeds_the_map_inside_the_tile(self, grid, params):
+        stack, meas = _stack_and_measurement(*params)
+        surface, n_vals, k_vals = _residual_map(grid, stack, meas)
+        tiling = film._tiling(n_vals, k_vals, stack.ambient_index, stack.substrate_index)
+        k0d = 2.0 * np.pi * stack.thickness / meas.wavelength
+        for size, discs in ((film._FINE, tiling.fine), (film._COARSE, tiling.coarse)):
+            bounds = film._lower_bounds(discs, k0d, meas.reflectance, meas.transmittance)
+            origins = film._tile_origins(surface.shape, size)
+            for bound, row, col in zip(bounds, *origins):
+                assert bound <= surface[row : row + size, col : col + size].min()
+
+    @given(_GRIDS, _MAPS)
+    # a map with one local minimum, whose first tiles have no bound
+    @example(
+        _window(1.0, 9, 0.1, 0.0, 40, 0.4),
+        (4.772963985846437e-07, 5e-09, 0.0, 0.0, (1.0, 1.52)),
+    )
+    # repeated rows: the two lowest minima tie exactly, in row-major order
+    @example(_window(2.0, 4, 1e-16, 0.5, 12, 0.1), (550e-9, 70e-9, 0.2, 0.5, (1.0, 1.52)))
+    def test_pruned_seeds_equal_the_reference_seeds(self, grid, params):
+        stack, meas = _stack_and_measurement(*params)
+        expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, stack, meas)[0]))
+        tiling = film._tiling(
+            grid.n_values, grid.kappa_values, stack.ambient_index, stack.substrate_index
+        )
+        # the screen with its fallback, and the fallback alone
+        maps = [(stack, meas)]
+        assert _seeds_or_flat(
+            lambda: film._grid_seeds(grid, maps, stack.ambient_index, stack.substrate_index)[0]
+        ) == expected
+        assert _seeds_or_flat(
+            lambda: film._reference_seeds(tiling, stack, meas)
+        ) == expected
+
+    @pytest.mark.parametrize("per_call", [1, 37, film._VALUES_PER_CALL // film._HALO.size**2])
+    def test_reference_arithmetic_on_tiles_equals_reference_map(self, per_call):
+        # bit for bit, in arrays of any size (numpy rounds a complex
+        # product by the order of its operands, which it swaps itself when
+        # it reuses a temporary of 256 KiB or more)
+        grid = NkGrid()
+        stack = FilmStack(thickness=TestScreen.THICKNESS, film_index=1.5 + 0j)
+        n_vals, k_vals = grid.n_values, grid.kappa_values
+        rows, cols = (
+            np.clip(start[:, None] + film._HALO, 0, size - 1)
+            for start, size in zip(
+                film._tile_origins((n_vals.size, k_vals.size), film._FINE),
+                (n_vals.size, k_vals.size),
+            )
+        )
+        nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
+        for meas in TestScreen.fixture(TestScreen.CLOSE_CALLS_NM):
+            reference = _residual_map(grid, stack, meas)[0]
+            for lo in range(0, rows.shape[0], per_call):
+                part = slice(lo, lo + per_call)
+                tiles = film._reference_surface(nf[part], stack, meas)
+                at = rows[part][:, :, None], cols[part][:, None, :]
+                assert np.array_equal(tiles, reference[at])
 
 
 FIXTURE_RT = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")

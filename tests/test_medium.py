@@ -160,6 +160,17 @@ class TestTransient:
         assert spec.time is not None and len(spec.time) == 5
 
 
+class TestSpectrumValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PermittivitySpectrum([1.0, bad], [4.0 + 0j, 4.0 + 0j])
+        with pytest.raises(ValueError, match="finite"):
+            PermittivitySpectrum([1.0, 2.0], [4.0 + 0j, complex(4.0, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            PermittivitySpectrum([1.0, 2.0], [4.0 + 0j, 4.0 + 0j], time=[0.0, bad])
+
+
 class TestRefractiveIndex:
     def test_simple_values(self):
         spec = PermittivitySpectrum([1.0, 2.0], [4.0 + 0j, -1.0 + 0j])
@@ -224,6 +235,19 @@ class TestCsv:
         back = read_spectrum_csv(path)
         np.testing.assert_array_equal(back.epsilon, spec.epsilon)
         np.testing.assert_allclose(back.time, spec.time, rtol=1e-15)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_rejects_non_finite_cell_with_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "eps.csv"
+        path.write_text(f"# note\nenergy_eV,eps_real,eps_imag\n2.0,3.5,0.1\n2.1,{cell},0.1\n")
+        with pytest.raises(ValueError, match=f"{path}, line 4: values must be finite"):
+            read_spectrum_csv(path)
+
+    def test_rejects_ragged_row_with_file_and_line(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        path.write_text("energy_eV,eps_real,eps_imag\n2.0,3.5,0.1\n2.1,3.4\n")
+        with pytest.raises(ValueError, match=f"{path}, line 3: ragged row"):
+            read_spectrum_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
