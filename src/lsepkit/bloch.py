@@ -262,7 +262,8 @@ def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> 
 
     With the population pinned to the ground state the stationary
     envelope is i (d/2 hbar) / (dephasing + i detuning); the ratio to the
-    field amplitude is what the linear permittivity needs.
+    field amplitude is what the linear permittivity needs.  Works
+    elementwise on an array of photon energies.
     """
     delta = (params.transition_energy - photon_energy) * EV_TO_RADS
     return 0.5j * params.dipole_si / HBAR / (params.total_dephasing_rate + 1j * delta)

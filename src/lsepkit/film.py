@@ -22,9 +22,9 @@ minima wherever these clear that rounding by SCREEN_MARGIN; close calls
 are settled in the reference arithmetic on the tiles of that map, and
 the seeds are the ones the full reference map would give.
 
-The refinement polishes all roots at once: one bounded Nelder-Mead
-(Lagarias et al., SIAM J. Optim. 9, 112 (1998)) run in lockstep, in which
-each root takes exactly the steps of
+The refinement polishes all roots at once with the package's one
+simplex search, numerics.simplex.nelder_mead: a bounded Nelder-Mead run
+in lockstep, in which each root takes exactly the steps of
 scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 """
 
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import vacuum_wavelength_m_to_ev
-from .numerics import kramers_kronig_real
+from .numerics import kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
 FLAT_LANDSCAPE_SPAN = 1e-15
@@ -805,96 +805,6 @@ def _grid_seeds(grid: NkGrid, maps, ambient_index, substrate_index):
     return seeds
 
 
-# Weights of (centroid, worst vertex) in the expansion, outside-contraction
-# and inside-contraction points: reflection rho = 1, expansion chi = 2,
-# contraction psi = 0.5, as in scipy's non-adaptive Nelder-Mead.
-_TRIAL_WEIGHTS = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
-
-
-def _sort_simplices(sim, fsim):
-    """Each simplex's vertices in ascending order of value; ties fall as in
-    scipy, whose 1-D argsort is the same sort as a row of this one."""
-    order = np.argsort(fsim, axis=1)
-    return (
-        np.take_along_axis(sim, order[:, :, None], axis=1),
-        np.take_along_axis(fsim, order, axis=1),
-    )
-
-
-def _nelder_mead(objective, x0, lower, upper, maxiter=600):
-    """Bounded Nelder-Mead from every row of x0 at once.
-
-    Each row takes the steps, and gets the result, of
-    scipy.optimize.minimize(method="Nelder-Mead", bounds=..., options=
-    {"xatol": 1e-9, "fatol": 1e-14, "maxiter": maxiter}) started from it:
-    the same initial simplex, branches, clipping, convergence test and
-    vertex order, in the same floating-point operations.
-    ``objective(points, rows)`` evaluates row ``rows[i]``'s function at
-    ``points[i]``; each iteration makes at most three calls for all rows.
-    Returns x, fun, nfev and nit per row.
-    """
-    count, dim = x0.shape
-    x0 = np.clip(x0, lower, upper)
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for k in range(dim):
-        coord = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(coord != 0, (1 + 0.05) * coord, 0.00025)
-    # a vertex pushed past the upper bound is reflected into the interior
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    everyone = np.arange(count)
-    fsim = objective(sim.reshape(-1, dim), everyone.repeat(dim + 1)).reshape(count, dim + 1)
-    nfev = np.full(count, dim + 1)
-    nit = np.ones(count, dtype=int)
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # scipy sorts twice
-
-    live = everyone[nit < maxiter]
-    while live.size:
-        s, fs = sim[live], fsim[live]
-        converged = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= 1e-9) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= 1e-14
-        )
-        live, s, fs = live[~converged], s[~converged], fs[~converged]
-        if not live.size:
-            break
-        centroid = np.add.reduce(s[:, :-1], axis=1) / dim
-        worst = s[:, -1]
-        x_r = np.clip(2 * centroid - worst, lower, upper)
-        f_r = objective(x_r, live)
-        nfev[live] += 1
-
-        # 0 expand, 1 contract outside, 2 contract inside, 3 accept x_r
-        branch = np.select(
-            [f_r < fs[:, 0], f_r < fs[:, -2], f_r < fs[:, -1]], [0, 3, 1], default=2
-        )
-        tried = np.flatnonzero(branch < 3)
-        weights = _TRIAL_WEIGHTS[branch[tried]]
-        x_t = np.clip(
-            weights[:, :1] * centroid[tried] + weights[:, 1:] * worst[tried], lower, upper
-        )
-        f_t = objective(x_t, live[tried])
-        nfev[live[tried]] += 1
-        kind, f_rt, f_worst = branch[tried], f_r[tried], fs[tried, -1]
-        take = np.where(kind == 0, f_t < f_rt, np.where(kind == 1, f_t <= f_rt, f_t < f_worst))
-
-        x_r[tried[take]], f_r[tried[take]] = x_t[take], f_t[take]
-        shrink = np.zeros(live.size, dtype=bool)
-        shrink[tried] = (kind > 0) & ~take
-        s[~shrink, -1], fs[~shrink, -1] = x_r[~shrink], f_r[~shrink]
-        if shrink.any():
-            best = s[shrink, :1]
-            moved = np.clip(best + 0.5 * (s[shrink, 1:] - best), lower, upper)
-            s[shrink, 1:] = moved
-            fs[shrink, 1:] = objective(
-                moved.reshape(-1, dim), live[shrink].repeat(dim)
-            ).reshape(-1, dim)
-            nfev[live[shrink]] += dim
-
-        nit[live] += 1
-        sim[live], fsim[live] = _sort_simplices(s, fs)
-        live = live[nit[live] < maxiter]
-    return sim[:, 0], fsim.min(axis=1), nfev, nit
-
-
 def extract_nk(
     measurements,
     thickness_range=(63e-9, 77e-9),
@@ -916,9 +826,9 @@ def extract_nk(
     values the reference arithmetic decides on the same tiles.  The seeds
     are always those of the full reference map (_residual_map).
 
-    All roots are refined together by _nelder_mead, one lockstep
-    Nelder-Mead whose every root ends where scipy's Nelder-Mead from the
-    same seed ends, with the same residual.
+    All roots are refined together by numerics.simplex.nelder_mead, the
+    shared lockstep Nelder-Mead, whose every root ends where scipy's
+    Nelder-Mead from the same seed ends, with the same residual.
     """
     measurements = list(measurements)
     if not measurements:
@@ -966,11 +876,14 @@ def extract_nk(
             reflectance[rows], transmittance[rows], ambient_index, substrate_index,
         )
 
-    fitted, fun, _, _ = _nelder_mead(
+    refined = nelder_mead(
         misfits,
         np.array([seed for _, _, seed in roots]),
         lower=np.array([grid.n_min, max(grid.kappa_min, 0.0)]),
         upper=np.array([grid.n_max, grid.kappa_max]),
+        xatol=1e-9,
+        fatol=1e-14,
+        maxiter=600,
     )
     return [
         NkCandidate(
@@ -981,7 +894,7 @@ def extract_nk(
             branch=Branch.UNRESOLVED,
             thickness_used=stack.thickness,
         )
-        for (stack, meas, _), (n_fit, k_fit), res in zip(roots, fitted, fun)
+        for (stack, meas, _), (n_fit, k_fit), res in zip(roots, refined.x, refined.fun)
     ]
 
 

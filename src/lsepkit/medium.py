@@ -11,10 +11,10 @@ measured spectra round out the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import (
     DensityMatrix,
@@ -24,6 +24,11 @@ from .bloch import (
     linear_coherence_per_field,
 )
 from .constants import EPS0, EV_TO_RADS, HBAR
+from .numerics import nelder_mead
+
+# Iteration cap of the fit's simplex search; reaching it means the search
+# did not converge.
+FIT_MAXITER = 4000
 
 
 class FitDiverged(Exception):
@@ -43,11 +48,14 @@ class MaterialParams:
     two_level: TwoLevelParams
 
     def __post_init__(self):
-        if self.number_density <= 0.0:
-            raise ValueError(f"number_density must be > 0, got {self.number_density}")
-        if self.background_permittivity < 1.0:
+        if not 0.0 < self.number_density < math.inf:
             raise ValueError(
-                f"background_permittivity must be >= 1, got {self.background_permittivity}"
+                f"number_density must be finite and > 0, got {self.number_density}"
+            )
+        if not 1.0 <= self.background_permittivity < math.inf:
+            raise ValueError(
+                "background_permittivity must be finite and >= 1, "
+                f"got {self.background_permittivity}"
             )
 
     @property
@@ -103,8 +111,8 @@ class LorentzParams:
 
     def __post_init__(self):
         for name in ("eps_background", "oscillator_strength", "resonance", "damping"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def epsilon_steady(material: MaterialParams, energies) -> PermittivitySpectrum:
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     p = material.two_level
-    ratio = np.array([linear_coherence_per_field(p, e) for e in energies])
+    ratio = linear_coherence_per_field(p, energies)
     eps = material.background_permittivity + (
         2.0 * material.number_density * p.dipole_si / EPS0
     ) * ratio
@@ -192,17 +200,19 @@ def fit_material(
     Holds density, background, transition energy and decay fixed (taken
     from `fixed`) and adjusts the effective dipole moment and the pure
     dephasing rate to minimize the summed squared permittivity misfit on
-    the target grid.  Derivative-free bounded simplex search.
+    the target grid.  Derivative-free bounded simplex search
+    (numerics.simplex.nelder_mead, from the one starting point).
 
-    Raises FitDiverged when the search cannot improve on its start.  A
-    target with no resonant feature drives the dipole toward zero; the
-    report flags that case as degenerate rather than failing.
+    Raises FitDiverged when the search reaches FIT_MAXITER iterations or
+    cannot improve on its start.  A target with no resonant feature drives
+    the dipole toward zero; the report flags that case as degenerate
+    rather than failing.
     """
     p0 = fixed.two_level
     d0 = p0.dipole if dipole_init is None else float(dipole_init)
     g0 = p0.pure_dephasing if dephasing_init is None else float(dephasing_init)
-    if d0 <= 0.0 or g0 < 0.0:
-        raise ValueError("initial dipole must be > 0 and dephasing >= 0")
+    if not (0.0 < d0 < math.inf and 0.0 <= g0 < math.inf):
+        raise ValueError("initial dipole must be finite and > 0, dephasing finite and >= 0")
 
     def build(dipole: float, dephasing: float) -> MaterialParams:
         return replace(fixed, two_level=replace(p0, dipole=dipole, pure_dephasing=dephasing))
@@ -216,23 +226,29 @@ def fit_material(
     start = np.array([np.log(d0), g0])
     initial = cost(start)
     scale = max(initial, np.sum(np.abs(target.epsilon) ** 2), 1e-30)
-    result = minimize(
-        cost,
-        start,
-        method="Nelder-Mead",
-        bounds=[(np.log(1e-6), np.log(1e6)), (0.0, 10.0)],
-        options={"xatol": 1e-9, "fatol": 1e-8 * scale, "maxiter": 4000},
+    result = nelder_mead(
+        lambda points, rows: np.array([cost(x) for x in points]),
+        start[None, :],
+        lower=np.array([np.log(1e-6), 0.0]),
+        upper=np.array([np.log(1e6), 10.0]),
+        xatol=1e-9,
+        fatol=1e-8 * scale,
+        maxiter=FIT_MAXITER,
     )
-    if not result.success or result.fun > initial * (1.0 + 1e-12):
-        raise FitDiverged(f"simplex search stalled: {result.message}")
-    dipole, dephasing = float(np.exp(result.x[0])), float(result.x[1])
+    x, fun, nfev, nit, converged = (field[0] for field in result)
+    if not converged or fun > initial * (1.0 + 1e-12):
+        raise FitDiverged(
+            f"simplex search stalled after {nit} iterations at residual {fun:.6g} "
+            f"(start {initial:.6g})"
+        )
+    dipole, dephasing = float(np.exp(x[0])), float(x[1])
     # a flat target pushes the dipole to its floor; flag, do not fail
     degenerate = dipole <= 1e-3 * d0
     return FitReport(
         params=build(dipole, dephasing),
-        residual=float(result.fun),
+        residual=float(fun),
         initial_residual=initial,
-        n_evaluations=int(result.nfev),
+        n_evaluations=int(nfev),
         degenerate=degenerate,
     )
 

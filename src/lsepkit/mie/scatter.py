@@ -11,6 +11,8 @@ fraction; the external (real-argument) functions go upward.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +42,14 @@ class SphereScene:
     wavelength_vacuum: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.wavelength_vacuum <= 0.0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength_vacuum}")
-        if self.host_epsilon < 1.0:
-            raise ValueError(f"host_epsilon must be >= 1, got {self.host_epsilon}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
+        if not 0.0 < self.wavelength_vacuum < math.inf:
+            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength_vacuum}")
+        if not 1.0 <= self.host_epsilon < math.inf:
+            raise ValueError(f"host_epsilon must be finite and >= 1, got {self.host_epsilon}")
+        if not cmath.isfinite(complex(self.sphere_epsilon)):
+            raise ValueError(f"sphere_epsilon must be finite, got {self.sphere_epsilon}")
         if complex(self.sphere_epsilon).imag < 0.0:
             raise ValueError("sphere_epsilon must have Im >= 0 (absorbing convention)")
 

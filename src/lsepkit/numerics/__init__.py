@@ -1,10 +1,12 @@
 """Self-contained numerical kernels: linear algebra on small complex
 systems, adaptive integration with the 8th-order Dormand-Prince pair,
-and a principal-value Kramers-Kronig transform."""
+a principal-value Kramers-Kronig transform, and a bounded Nelder-Mead
+simplex search run from many starts in lockstep."""
 
 from .linalg import SingularMatrix, NotConverged, DefectiveMatrix, solve_linear, eig
 from .ode import StepStats, Trajectory, StepUnderflow, MaxStepsExceeded, integrate
 from .kk import GridTooCoarse, kramers_kronig_real
+from .simplex import nelder_mead
 
 __all__ = [
     "SingularMatrix",
@@ -19,4 +21,5 @@ __all__ = [
     "integrate",
     "GridTooCoarse",
     "kramers_kronig_real",
+    "nelder_mead",
 ]

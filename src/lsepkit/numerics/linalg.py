@@ -2,7 +2,8 @@
 two-level dynamics (4x4 generators, their steady states and spectra).
 
 Matrices and vectors are plain numpy arrays of complex dtype.  The solver
-is an LU factorization with partial pivoting; the eigen-decomposition is
+is LAPACK's LU factorization with partial pivoting, guarded by the
+matrix's reciprocal condition number; the eigen-decomposition is
 delegated to LAPACK and then verified against an explicit residual bound,
 so callers always get either a certified decomposition or an exception.
 """
@@ -10,11 +11,10 @@ so callers always get either a certified decomposition or an exception.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 
 class SingularMatrix(Exception):
-    """Pivot magnitude underflowed the singularity threshold."""
+    """Reciprocal condition number underflowed the singularity threshold."""
 
 
 class NotConverged(Exception):
@@ -25,8 +25,9 @@ class DefectiveMatrix(Exception):
     """Eigenvector basis is numerically rank deficient."""
 
 
-# Relative pivot threshold below which a system is treated as singular.
-PIVOT_RTOL = 1e-12
+# Reciprocal 2-norm condition number below which a system is treated as
+# singular.
+RCOND_MIN = 1e-12
 
 # Residual certificate for eig: ||A v - w v|| <= EIG_RTOL * ||A|| per pair.
 EIG_RTOL = 1e-9
@@ -43,9 +44,8 @@ def solve_linear(a, b):
     Raises
     ------
     SingularMatrix
-        If any U pivot of the LU factorization falls below
-        ``PIVOT_RTOL * max|a|`` (or the factorization produces non-finite
-        entries), i.e. the system has no trustworthy solution.
+        If the smallest singular value of ``a`` falls below ``RCOND_MIN``
+        times the largest, i.e. the system has no trustworthy solution.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -53,17 +53,17 @@ def solve_linear(a, b):
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
 
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals[0] == 0.0:
         raise SingularMatrix("zero matrix")
-    lu, piv = lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(pivots)) or np.min(pivots) < PIVOT_RTOL * scale:
+    if svals[-1] < RCOND_MIN * svals[0]:
         raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold {PIVOT_RTOL * scale:.3e}"
+            f"reciprocal condition {svals[-1] / svals[0]:.3e} below {RCOND_MIN:.0e}"
         )
-    return lu_solve((lu, piv), b)
+    return np.linalg.solve(a, b)
 
 
 def eig(a):

@@ -134,6 +134,11 @@ class TestConfigErrors:
             ("transient", "detunings_ev", "0, inf"),
             ("lorentz", "lorentz_resonance_ev", "nan"),
             ("nearfield", "epsilon_override", "nan,0.1"),
+            # the values MaterialParams, LorentzParams and SphereScene take
+            ("fit-permittivity", "number_density_per_m3", "nan"),
+            ("qabs-spectrum", "background_permittivity", "inf"),
+            ("qabs-spectrum", "host_epsilon", "inf"),
+            ("nearfield", "radius_nm", "nan"),
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, key, value):

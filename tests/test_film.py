@@ -2,6 +2,7 @@
 round trips, branch selection, and the dispersion-integral closure."""
 
 import csv
+import dataclasses
 from importlib.resources import files
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, optimize
 
-from lsepkit import film
+from lsepkit import cli, film, medium
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
 from lsepkit.film import (
     SCREEN_MARGIN,
@@ -40,6 +41,7 @@ from lsepkit.film import (
     thickness_rescale,
     write_rt_csv,
 )
+from lsepkit.numerics import nelder_mead
 
 
 def transfer_matrix_rt(film_index, thickness, wavelength, ambient=1.0, substrate=1.52):
@@ -433,7 +435,7 @@ def scalar_residual(n, kappa, stack, meas):
 
 
 def _misfit_of(roots):
-    """The objective _nelder_mead takes, for (stack, measurement) roots."""
+    """The objective nelder_mead takes, for (stack, measurement) roots."""
     thickness = np.array([stack.thickness for stack, _ in roots])
     wavelength = np.array([meas.wavelength for _, meas in roots])
     refl = np.array([meas.reflectance for _, meas in roots])
@@ -478,12 +480,14 @@ def test_batched_residual_equals_scalar_residual(trials):
 
 
 class TestLockstepRefine:
-    """_nelder_mead against scipy's Nelder-Mead, root by root, on fixture
-    roots at 63 nm: the 475 nm close call seeds one root on the kappa = 0
-    edge, a 512.5 nm root meets an outside contraction exactly as good as
-    its reflection, the 475 and 590 nm roots take shrink steps, and two
-    extra seeds at n_max start from a simplex reflected back inside the
-    bound."""
+    """nelder_mead against scipy's Nelder-Mead with the options of both
+    callers.  extract_nk's options run root by root on fixture roots at
+    63 nm: the 475 nm close call seeds one root on the kappa = 0 edge, a
+    512.5 nm root meets an outside contraction exactly as good as its
+    reflection, the 475 and 590 nm roots take shrink steps, and two extra
+    seeds at n_max start from a simplex reflected back inside the bound.
+    fit_material's options run on the packaged target spectrum from the
+    fit-permittivity defaults."""
 
     THICKNESS = 63 * 1e-9
     WAVELENGTHS_NM = (475.0, 512.5, 590.0)
@@ -525,11 +529,13 @@ class TestLockstepRefine:
     @pytest.mark.parametrize("maxiter", [600, 20])
     def test_matches_scipy_bit_for_bit(self, maxiter):
         roots, seeds = self.roots_and_seeds()
-        x, fun, nfev, nit = film._nelder_mead(
+        x, fun, nfev, nit, success = nelder_mead(
             _misfit_of(roots),
             seeds,
             lower=np.array([self.GRID.n_min, self.GRID.kappa_min]),
             upper=np.array([self.GRID.n_max, self.GRID.kappa_max]),
+            xatol=1e-9,
+            fatol=1e-14,
             maxiter=maxiter,
         )
         shrunk = []
@@ -539,11 +545,63 @@ class TestLockstepRefine:
             assert x[i].tolist() == expected.x.tolist()
             assert fun[i] == expected.fun
             assert (nfev[i], nit[i]) == (expected.nfev, expected.nit)
+            assert success[i] == expected.success
         assert 0.0 in seeds[:, 1] and self.GRID.n_max in seeds[:, 0]
         if maxiter == 600:
             assert any(shrunk) and nit.max() < maxiter
         else:
             assert np.all(nit == maxiter)
+
+    # the fit's options, capped at 20 iterations, and with a loose xatol
+    # under which fatol decides convergence
+    @pytest.mark.parametrize(
+        "xatol, maxiter", [(1e-9, medium.FIT_MAXITER), (1e-9, 20), (1e-3, medium.FIT_MAXITER)]
+    )
+    def test_fit_options_match_scipy_bit_for_bit(self, xatol, maxiter):
+        defaults = cli.load_config("fit-permittivity", None, ".")
+        fixed = cli._material(defaults)
+        target = medium.read_spectrum_csv(cli._packaged("epsilon_extracted.csv"))
+        two_level = fixed.two_level
+
+        def cost(x):
+            material = dataclasses.replace(fixed, two_level=dataclasses.replace(
+                two_level, dipole=np.exp(x[0]), pure_dephasing=x[1]))
+            model = medium.epsilon_steady(material, target.energies)
+            return float(np.sum(np.abs(model.epsilon - target.epsilon) ** 2))
+
+        start = np.array([
+            np.log(defaults.real("initial_dipole_debye")),
+            defaults.real("initial_pure_dephasing_ev"),
+        ])
+        scale = max(cost(start), np.sum(np.abs(target.epsilon) ** 2), 1e-30)
+        bounds = [(np.log(1e-6), np.log(1e6)), (0.0, 10.0)]
+        x, fun, nfev, nit, success = nelder_mead(
+            lambda points, rows: np.array([cost(p) for p in points]),
+            start[None, :],
+            lower=np.array([lo for lo, _ in bounds]),
+            upper=np.array([hi for _, hi in bounds]),
+            xatol=xatol,
+            fatol=1e-8 * scale,
+            maxiter=maxiter,
+        )
+        expected = optimize.minimize(
+            cost, start, method="Nelder-Mead", bounds=bounds,
+            options={"xatol": xatol, "fatol": 1e-8 * scale, "maxiter": maxiter},
+        )
+        assert x[0].tolist() == expected.x.tolist()
+        assert fun[0] == expected.fun
+        assert (nfev[0], nit[0], success[0]) == (expected.nfev, expected.nit, expected.success)
+        assert expected.success == (maxiter == medium.FIT_MAXITER)
+        if expected.success and xatol == 1e-9:
+            report = medium.fit_material(
+                target,
+                fixed,
+                dipole_init=defaults.real("initial_dipole_debye"),
+                dephasing_init=defaults.real("initial_pure_dephasing_ev"),
+            )
+            assert report.params.two_level.dipole == float(np.exp(expected.x[0]))
+            assert report.params.two_level.pure_dephasing == float(expected.x[1])
+            assert (report.residual, report.n_evaluations) == (expected.fun, expected.nfev)
 
 
 class TestExtraction:

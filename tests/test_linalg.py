@@ -40,14 +40,12 @@ class TestSolveLinear:
             x = solve_linear(a, a @ x_true)
             assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_raises(self):
         a = np.zeros((4, 4), dtype=complex)
         a[0, 0] = 1.0
         with pytest.raises(SingularMatrix):
             solve_linear(a, np.ones(4, dtype=complex))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_rank_deficient_raises(self):
         a = np.ones((4, 4), dtype=complex)
         with pytest.raises(SingularMatrix):

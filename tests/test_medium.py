@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsepkit import medium
 from lsepkit.bloch import DriveField, TwoLevelParams
 from lsepkit.constants import EV_TO_RADS
 from lsepkit.medium import (
@@ -83,6 +84,15 @@ class TestEpsilonSteady:
         with pytest.raises(ValueError):
             MaterialParams(1e25, 0.9, BULK.two_level)
 
+    @pytest.mark.parametrize(
+        "density, background",
+        [(float("nan"), EPS_HOST), (float("inf"), EPS_HOST),
+         (1e25, float("nan")), (1e25, float("inf"))],
+    )
+    def test_rejects_non_finite_values(self, density, background):
+        with pytest.raises(ValueError, match="finite"):
+            MaterialParams(density, background, BULK.two_level)
+
 
 class TestLorentz:
     PAPERISH = LorentzParams(EPS_HOST, 0.3, 2.11, 0.0461)
@@ -118,6 +128,14 @@ class TestLorentz:
     def test_validation(self):
         with pytest.raises(ValueError):
             LorentzParams(EPS_HOST, -0.1, 2.11, 0.046)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, bad):
+        values = [EPS_HOST, 0.3, 2.11, 0.0461]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LorentzParams(*values)
 
 
 class TestTransient:
@@ -215,6 +233,21 @@ class TestFit:
         target = epsilon_steady(BULK, grid)
         with pytest.raises(ValueError):
             fit_material(target, BULK, dipole_init=-5.0)
+        with pytest.raises(ValueError):
+            fit_material(target, BULK, dipole_init=float("nan"))
+        with pytest.raises(ValueError):
+            fit_material(target, BULK, dephasing_init=float("inf"))
+
+    def test_iteration_cap_raises_fit_diverged(self, monkeypatch):
+        grid = np.linspace(1.9, 2.35, 120)
+        target = epsilon_steady(PLANAR, grid)
+        start = MaterialParams(
+            PLANAR.number_density, EPS_HOST,
+            TwoLevelParams(2.11, 1.15e12, 0.025, 40.0),
+        )
+        monkeypatch.setattr(medium, "FIT_MAXITER", 5)
+        with pytest.raises(FitDiverged, match="after 5 iterations"):
+            fit_material(target, start)
 
 
 class TestCsv:

@@ -176,6 +176,23 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             SphereScene(50e-9, 2.0 + 0j, 0.5, 600e-9)
 
+    @pytest.mark.parametrize(
+        "radius, eps, host, wavelength",
+        [
+            (float("nan"), 2.0 + 0j, 1.0, 600e-9),
+            (float("inf"), 2.0 + 0j, 1.0, 600e-9),
+            (50e-9, 2.0 + 0j, float("inf"), 600e-9),
+            (50e-9, 2.0 + 0j, float("nan"), 600e-9),
+            (50e-9, complex(float("nan"), 0.1), 1.0, 600e-9),
+            (50e-9, complex(2.0, float("nan")), 1.0, 600e-9),
+            (50e-9, complex(2.0, float("inf")), 1.0, 600e-9),
+            (50e-9, 2.0 + 0j, 1.0, float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_values(self, radius, eps, host, wavelength):
+        with pytest.raises(ValueError, match="finite"):
+            SphereScene(radius, eps, host, wavelength)
+
 
 class TestNearField:
     def test_boundary_conditions_at_resonance(self):
