@@ -126,6 +126,15 @@ class FitReport:
     degenerate: bool
 
 
+def _finite_prefactor(material: MaterialParams, prefactor: float) -> float:
+    """The polarization prefactor 2 N d / eps0 [/ E0], rejected if it overflowed."""
+    if not math.isfinite(prefactor):
+        raise ValueError(
+            f"number_density {material.number_density:g} overflows the permittivity prefactor"
+        )
+    return prefactor
+
+
 def epsilon_steady(material: MaterialParams, energies) -> PermittivitySpectrum:
     """Weak-field stationary permittivity over a photon-energy grid.
 
@@ -136,9 +145,8 @@ def epsilon_steady(material: MaterialParams, energies) -> PermittivitySpectrum:
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     p = material.two_level
     ratio = linear_coherence_per_field(p, energies)
-    eps = material.background_permittivity + (
-        2.0 * material.number_density * p.dipole_si / EPS0
-    ) * ratio
+    prefactor = _finite_prefactor(material, 2.0 * material.number_density * p.dipole_si / EPS0)
+    eps = material.background_permittivity + prefactor * ratio
     return PermittivitySpectrum(energies=energies, epsilon=eps)
 
 
@@ -161,10 +169,11 @@ def epsilon_transient(
         eps = np.full(times.shape, complex(material.background_permittivity))
         energies = np.full(times.shape, drive.photon_energy)
         return PermittivitySpectrum(energies=energies, epsilon=eps, time=times)
+    prefactor = _finite_prefactor(
+        material, 2.0 * material.number_density * p.dipole_si / (EPS0 * drive.amplitude)
+    )
     traj = evolve_rwa(p, drive, DensityMatrix.ground(), times)
-    eps = material.background_permittivity + (
-        2.0 * material.number_density * p.dipole_si / (EPS0 * drive.amplitude)
-    ) * traj.rho01
+    eps = material.background_permittivity + prefactor * traj.rho01
     energies = np.full(times.shape, drive.photon_energy)
     return PermittivitySpectrum(energies=energies, epsilon=eps, time=times)
 

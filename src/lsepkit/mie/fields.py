@@ -14,7 +14,13 @@ from enum import Enum
 import numpy as np
 
 from ..constants import C0, EPS0
-from .scatter import MieCoefficients, SphereScene, mie_coefficients
+from .scatter import (
+    MieCoefficients,
+    SphereScene,
+    _log_derivatives,
+    _riccati_chi,
+    mie_coefficients,
+)
 
 DOMAIN_RADIUS_FACTOR = 10.0
 ORIGIN_FLOOR = 1e-15
@@ -70,47 +76,22 @@ class Streamline:
     terminated: Termination
 
 
-def _spherical_jn_ratios(z: np.ndarray, n_max: int) -> np.ndarray:
-    """Ratios j_n/j_{n-1} for n = 1..n_max, by downward recurrence."""
-    n_start = max(n_max, int(np.ceil(np.max(np.abs(z))))) + 20
-    rho = np.zeros_like(z)
-    ratios = np.empty((n_max + 1,) + z.shape, dtype=z.dtype)
-    for n in range(n_start, 0, -1):
-        rho = 1.0 / ((2.0 * n + 1.0) / z - rho)
-        if n <= n_max:
-            ratios[n] = rho
-    return ratios
-
-
 def _spherical_jn(z: np.ndarray, n_max: int) -> np.ndarray:
     """j_0..j_n_max for an array of (possibly complex) arguments.
 
     Anchored on j_0 = sin(z)/z away from the zeros of sin and on j_1
-    otherwise, with downward ratios carrying the order dependence.
+    otherwise; the ratios j_n/j_{n-1} = 1/(D_n + n/z) of the shared
+    downward recurrence carry the order dependence.
     """
-    z = np.asarray(z)
-    ratios = _spherical_jn_ratios(z, n_max)
+    ratios = 1.0 / (_log_derivatives(z, n_max) + np.arange(n_max + 1)[:, None] / z)
     j0 = np.sin(z) / z
     j1 = np.sin(z) / z**2 - np.cos(z) / z
     use_j0 = np.abs(np.sin(z)) >= 0.1
     out = np.empty((n_max + 1,) + z.shape, dtype=np.result_type(z, 1.0))
     out[0] = np.where(use_j0, j0, j1 / ratios[1])
-    for n in range(1, n_max + 1):
-        anchored = out[n - 1] * ratios[n]
-        if n == 1:
-            anchored = np.where(use_j0, anchored, j1)
-        out[n] = anchored
-    return out
-
-
-def _spherical_yn(x: np.ndarray, n_max: int) -> np.ndarray:
-    """y_0..y_n_max for real positive arguments, upward recurrence."""
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = -np.cos(x) / x
-    if n_max >= 1:
-        out[1] = -np.cos(x) / x**2 - np.sin(x) / x
+    out[1] = np.where(use_j0, out[0] * ratios[1], j1)
     for n in range(2, n_max + 1):
-        out[n] = (2.0 * n - 1.0) / x * out[n - 1] - out[n - 2]
+        out[n] = out[n - 1] * ratios[n]
     return out
 
 
@@ -170,14 +151,15 @@ def near_field_grid(
     e_cart = np.zeros((pts.shape[0], 3), dtype=complex)
     h_cart = np.zeros((pts.shape[0], 3), dtype=complex)
 
-    def accumulate(mask, radial, dradial, coeff_pairs, h_factor):
+    def accumulate(mask, rho, radial, coeff_pairs, h_factor):
         """Sum the two partial-wave families over orders for one region."""
         (ce, cn), (ch, chn) = coeff_pairs
         w_e = en[:, None] * np.ones(mask.sum())[None, :]
         pi_m, tau_m = pi_n[1:, mask], tau_n[1:, mask]
         sin_m = sin_theta[mask]
-        rad, drad = radial[1:], dradial
-        rad_over = radial[1:] / radial_arg[None, mask]
+        rad = radial[1:]
+        drad = radial[:-1] - ns[:, None] * radial[1:] / rho[None, :]
+        rad_over = radial[1:] / rho[None, :]
         nn1 = (ns * (ns + 1.0))[:, None]
         er = np.sum(w_e * cn[:, None] * nn1 * sin_m[None, :] * pi_m * rad_over, axis=0)
         et = np.sum(w_e * (cn[:, None] * tau_m * drad + ce[:, None] * pi_m * rad), axis=0)
@@ -193,35 +175,17 @@ def near_field_grid(
         h_sph[mask, 2] = h_factor * cos_phi[mask] * hp
 
     if np.any(~inside):
-        mask = ~inside
-        radial_arg = scene.host_wavenumber * r
-        rho = radial_arg[mask]
-        jn = _spherical_jn(rho, n_max)
-        yn = _spherical_yn(rho, n_max)
-        hn = jn + 1j * yn
-        dhn = hn[:-1] - ns[:, None] * hn[1:] / rho[None, :]
-        accumulate(
-            mask,
-            hn,
-            dhn,
-            ((-coeffs.b, 1j * coeffs.a), (-coeffs.a, 1j * coeffs.b)),
-            admittance,
-        )
+        rho = scene.host_wavenumber * r[~inside]
+        # h_n = j_n + i y_n with y_n = -chi_n / rho
+        hn = _spherical_jn(rho, n_max) - 1j * _riccati_chi(rho, n_max) / rho
+        pairs = ((-coeffs.b, 1j * coeffs.a), (-coeffs.a, 1j * coeffs.b))
+        accumulate(~inside, rho, hn, pairs, admittance)
 
     if np.any(inside):
-        mask = inside
         m_rel = scene.relative_index
-        radial_arg = m_rel * scene.host_wavenumber * r
-        rho = radial_arg[mask]
-        jn = _spherical_jn(rho, n_max)
-        djn = jn[:-1] - ns[:, None] * jn[1:] / rho[None, :]
-        accumulate(
-            mask,
-            jn,
-            djn,
-            ((coeffs.c, -1j * coeffs.d), (-coeffs.d, 1j * coeffs.c)),
-            -m_rel * admittance,
-        )
+        rho = m_rel * scene.host_wavenumber * r[inside]
+        pairs = ((coeffs.c, -1j * coeffs.d), (-coeffs.d, 1j * coeffs.c))
+        accumulate(inside, rho, _spherical_jn(rho, n_max), pairs, -m_rel * admittance)
 
     # spherical to Cartesian basis, then the analytic incident wave outside
     st, ct = sin_theta, mu

@@ -8,6 +8,7 @@ second per command.
 import configparser
 import csv
 import json
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -21,6 +22,14 @@ from lsepkit.mie import RecurrenceUnstable
 def write_ini(path, section, **values):
     lines = [f"[{section}]"] + [f"{key} = {value}" for key, value in values.items()]
     path.write_text("\n".join(lines) + "\n")
+
+
+def main_without_warnings(argv):
+    """main() with numpy RuntimeWarnings raised: outside the tests such a
+    warning prints extra stderr lines ahead of the one-line error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
 
 
 def read_csv_columns(path):
@@ -114,6 +123,34 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert f"{eps_path}, line {row + 1}:" in err
         assert "finite" in err
+        assert not out.exists()
+
+    def test_zero_energy_row_is_named(self, tmp_path, capsys):
+        lines = (files("lsepkit") / "data" / "epsilon_extracted.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+        lines[row] = "0.0," + lines[row].split(",", 1)[1]
+        eps_path = tmp_path / "eps.csv"
+        eps_path.write_text("\n".join(lines) + "\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "qabs-spectrum", model="data", input=str(eps_path))
+        out = tmp_path / "o"
+        rc = main_without_warnings(["qabs-spectrum", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "photon energy must be > 0, got 0.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qabs-spectrum", "transient"])
+    def test_overflowing_number_density_is_named(self, tmp_path, capsys, command):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, number_density_per_m3="1e308")
+        out = tmp_path / "o"
+        rc = main_without_warnings([command, "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "number_density 1e+308 overflows" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_min", ["-1.0", "0"])

@@ -4,10 +4,18 @@ boundary conditions, energy bookkeeping, and streamline behavior."""
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lsepkit.bloch import TwoLevelParams
-from lsepkit.constants import C0, EPS0, ev_to_vacuum_wavelength_m
-from lsepkit.medium import MaterialParams, epsilon_steady
+from lsepkit.bloch import DriveField, TwoLevelParams
+from lsepkit.constants import C0, EPS0, ev_to_vacuum_wavelength_m, power_to_field
+from lsepkit.medium import (
+    MaterialParams,
+    PermittivitySpectrum,
+    epsilon_steady,
+    epsilon_transient,
+)
 from lsepkit.mie import (
     EvaluationTooFarOut,
     SizeParameterOutOfRange,
@@ -21,6 +29,7 @@ from lsepkit.mie import (
     poynting,
     poynting_streamlines,
     qabs_spectrum,
+    qabs_transient,
     quasistatic_polarizability,
 )
 
@@ -94,7 +103,15 @@ def scene_for(x: float, m: complex, host: float = 1.0) -> SphereScene:
 class TestCoefficients:
     @pytest.mark.parametrize(
         "x,m",
-        [(1.0, 1.5 + 0.1j), (5.0, 1.4 + 0.5j), (0.3, 2.0 + 1.5j)],
+        [
+            (1.0, 1.5 + 0.1j),
+            (5.0, 1.4 + 0.5j),
+            (0.3, 2.0 + 1.5j),
+            # psi_0 = sin x is mostly roundoff at nonzero multiples of pi
+            (np.pi, 1.5 + 0.1j),
+            (2.0 * np.pi, 1.33 + 0.01j),
+            (3.0 * np.pi, 1.5 + 0.1j),
+        ],
     )
     def test_against_high_precision_oracle(self, x, m):
         scene = scene_for(x, m)
@@ -318,6 +335,76 @@ class TestSpectra:
         assert abs(energies[i_k] - 2.12) <= 0.01
         assert result.q_abs[i_q] > 1.0
         assert abs(result.kappa_normalized[i_k] - 1.0) < 1e-12
+
+
+def per_sample_efficiencies(spectrum, radius, host):
+    """(Q_ext, Q_sca, Q_abs) rows from one SphereScene per clipped sample."""
+    rows = []
+    for energy, eps in zip(spectrum.energies, spectrum.epsilon):
+        scene = SphereScene(
+            radius=radius,
+            sphere_epsilon=complex(eps.real, max(eps.imag, 0.0)),
+            host_epsilon=host,
+            wavelength_vacuum=ev_to_vacuum_wavelength_m(energy),
+        )
+        e = efficiencies(scene)
+        rows.append((e.q_ext, e.q_sca, e.q_abs))
+    return np.array(rows)
+
+
+def assert_matches_per_sample(result, spectrum, radius, host):
+    q_ext, q_sca, q_abs = per_sample_efficiencies(spectrum, radius, host).T
+    assert np.all(np.abs(result.q_ext - q_ext) <= 1e-12 * np.abs(q_ext))
+    assert np.all(np.abs(result.q_sca - q_sca) <= 1e-12 * q_sca)
+    # Q_abs is a difference that may vanish; bound its error by Q_ext
+    assert np.all(np.abs(result.q_abs - q_abs) <= 1e-12 * np.abs(q_ext))
+
+
+@st.composite
+def _sphere_spectra(draw):
+    """Random radius, host and energy grid, with permittivities that may dip
+    below Im = 0 (a transient's momentary gain).
+
+    Radii up to 2 um over 0.5-3 eV put size parameters up to about 50, so a
+    grid spans several multipole cutoffs.  A clipped eps near 0 (a vanishing
+    index, where every Mie solve fails) is moved to 1.
+    """
+    n = draw(st.integers(1, 40))
+    energies = np.sort(draw(arrays(float, n, elements=st.floats(0.5, 3.0))))
+    eps_real = draw(arrays(float, n, elements=st.floats(-6.0, 10.0)))
+    eps_imag = draw(arrays(float, n, elements=st.floats(-0.5, 3.0)))
+    eps_real[np.abs(eps_real + 1j * np.maximum(eps_imag, 0.0)) < 0.1] = 1.0
+    spectrum = PermittivitySpectrum(
+        energies=energies, epsilon=eps_real + 1j * eps_imag, time=np.arange(n) * 1e-15
+    )
+    radius = draw(st.floats(5e-9, 2e-6))
+    host = draw(st.floats(1.0, 2.5))
+    return spectrum, radius, host
+
+
+class TestBatchedEfficiencies:
+    @given(_sphere_spectra())
+    def test_matches_one_scene_per_sample(self, case):
+        spectrum, radius, host = case
+        result = qabs_spectrum(spectrum, radius=radius, host_epsilon=host)
+        assert_matches_per_sample(result, spectrum, radius, host)
+
+    def test_transient_clips_negative_imaginary_slices(self):
+        drive = DriveField(amplitude=power_to_field(1e-3, 1.5e-3), photon_energy=2.11 + 0.09)
+        times = np.arange(0.0, 400.5e-15, 1e-15)
+        spectrum = epsilon_transient(BULK, drive, times)
+        assert (spectrum.epsilon.imag < 0.0).sum() == 16
+        assert spectrum.epsilon.imag.min() < -0.59
+        result = qabs_spectrum(spectrum, radius=50e-9, host_epsilon=1.0)
+        assert_matches_per_sample(result, spectrum, 50e-9, 1.0)
+        assert np.array_equal(result.time, times)
+        via_transient = qabs_transient(spectrum, radius=50e-9, host_epsilon=1.0)
+        assert np.array_equal(via_transient.q_abs, result.q_abs)
+        steady = PermittivitySpectrum(energies=spectrum.energies, epsilon=spectrum.epsilon)
+        with pytest.raises(ValueError, match="negative Im"):
+            qabs_spectrum(steady, radius=50e-9, host_epsilon=1.0)
+        with pytest.raises(ValueError, match="time axis"):
+            qabs_transient(steady, radius=50e-9, host_epsilon=1.0)
 
 
 class TestStreamlines:
