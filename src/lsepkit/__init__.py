@@ -8,3 +8,8 @@ data with a Kramers-Kronig consistency closure.
 """
 
 __version__ = "0.1.0"
+
+
+class NumericalFailure(Exception):
+    """A computation on valid input failed (exit code 3 at the command
+    line).  Input errors are ValueError (exit code 2)."""

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ModeOutOfRange(Exception):
+class ModeOutOfRange(ValueError):
     """Requested exciton mode index outside 1..n."""
 
 
-class BadDimension(Exception):
+class BadDimension(ValueError):
     """Orientational average defined for dimensionality 2 or 3 only."""
 
 

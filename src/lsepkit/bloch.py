@@ -26,13 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import NumericalFailure
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
 from .numerics import eig, integrate, solve_linear
 
 ENVELOPES = ("continuous", "step")
 
 
-class NoUniqueSteadyState(Exception):
+class NoUniqueSteadyState(NumericalFailure):
     """Without decay the driven system keeps a conserved component and
     the stationary state is not unique."""
 

@@ -7,7 +7,9 @@ switch-on transient, invert film R/T data, and evaluate the classical
 single-oscillator comparison.  Configuration is an INI file; every
 default can be printed with --dump-defaults so runs are reproducible.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or input error (ValueError), 3
+numerical failure (NumericalFailure, or a numpy overflow, invalid value or
+division by zero).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bloch, film, medium
+from . import NumericalFailure, bloch, film, medium
 from .constants import ev_to_vacuum_wavelength_m, power_to_field
 from .mie import (
-    RecurrenceUnstable,
     Termination,
     mie_coefficients,
     near_field_grid,
@@ -41,7 +42,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or missing configuration value; message names the field."""
 
 
@@ -210,32 +211,26 @@ def dump_defaults(command: str) -> str:
 
 
 def _material(cfg: RunConfig) -> medium.MaterialParams:
-    try:
-        two_level = bloch.TwoLevelParams(
-            transition_energy=cfg.real("transition_energy_ev", minimum=1e-6),
-            decay_rate=cfg.real("decay_rate_per_s", minimum=0.0),
-            pure_dephasing=cfg.real("pure_dephasing_ev", minimum=0.0),
-            dipole=cfg.real("dipole_debye", minimum=1e-9),
-        )
-        return medium.MaterialParams(
-            number_density=cfg.real("number_density_per_m3", minimum=0.0),
-            background_permittivity=cfg.real("background_permittivity", minimum=1.0),
-            two_level=two_level,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    two_level = bloch.TwoLevelParams(
+        transition_energy=cfg.real("transition_energy_ev", minimum=1e-6),
+        decay_rate=cfg.real("decay_rate_per_s", minimum=0.0),
+        pure_dephasing=cfg.real("pure_dephasing_ev", minimum=0.0),
+        dipole=cfg.real("dipole_debye", minimum=1e-9),
+    )
+    return medium.MaterialParams(
+        number_density=cfg.real("number_density_per_m3", minimum=0.0),
+        background_permittivity=cfg.real("background_permittivity", minimum=1.0),
+        two_level=two_level,
+    )
 
 
 def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
-    try:
-        return medium.LorentzParams(
-            eps_background=cfg.real("lorentz_background", minimum=1.0),
-            oscillator_strength=cfg.real("lorentz_strength", minimum=0.0),
-            resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6),
-            damping=cfg.real("lorentz_damping_ev", minimum=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return medium.LorentzParams(
+        eps_background=cfg.real("lorentz_background", minimum=1.0),
+        oscillator_strength=cfg.real("lorentz_strength", minimum=0.0),
+        resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6),
+        damping=cfg.real("lorentz_damping_ev", minimum=0.0),
+    )
 
 
 def _energy_grid(cfg: RunConfig) -> np.ndarray:
@@ -390,15 +385,12 @@ def _nearfield_scene(cfg: RunConfig) -> SphereScene:
         spectrum = medium.epsilon_steady(_material(cfg), np.array([energy]))
         raw = spectrum.epsilon[0]
         eps = complex(raw.real, max(raw.imag, 0.0))
-    try:
-        return SphereScene(
-            radius=cfg.real("radius_nm", minimum=1e-3) * 1e-9,
-            sphere_epsilon=eps,
-            host_epsilon=cfg.real("host_epsilon", minimum=1.0),
-            wavelength_vacuum=ev_to_vacuum_wavelength_m(energy),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SphereScene(
+        radius=cfg.real("radius_nm", minimum=1e-3) * 1e-9,
+        sphere_epsilon=eps,
+        host_epsilon=cfg.real("host_epsilon", minimum=1.0),
+        wavelength_vacuum=ev_to_vacuum_wavelength_m(energy),
+    )
 
 
 def cmd_nearfield(cfg: RunConfig) -> _OutputSet:
@@ -497,17 +489,14 @@ def cmd_extract_nk(cfg: RunConfig) -> _OutputSet:
     t_lo = cfg.real("thickness_min_nm", minimum=1.0) * 1e-9
     t_hi = cfg.real("thickness_max_nm", minimum=1.0) * 1e-9
     t_ref = cfg.real("reference_thickness_nm", minimum=1.0) * 1e-9
-    try:
-        grid = film.NkGrid(
-            n_min=cfg.real("n_min"),
-            n_max=cfg.real("n_max"),
-            n_step=cfg.real("n_step"),
-            kappa_min=cfg.real("kappa_min"),
-            kappa_max=cfg.real("kappa_max"),
-            kappa_step=cfg.real("kappa_step"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = film.NkGrid(
+        n_min=cfg.real("n_min"),
+        n_max=cfg.real("n_max"),
+        n_step=cfg.real("n_step"),
+        kappa_min=cfg.real("kappa_min"),
+        kappa_max=cfg.real("kappa_max"),
+        kappa_step=cfg.real("kappa_step"),
+    )
     candidates = film.extract_nk(
         measurements,
         thickness_range=(t_lo, t_hi),
@@ -618,15 +607,6 @@ COMMANDS = {
     "lorentz": cmd_lorentz,
 }
 
-NUMERICAL_FAILURES = (
-    medium.FitDiverged,
-    film.NoMinimumFound,
-    film.BranchAmbiguous,
-    RecurrenceUnstable,
-    ArithmeticError,
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsepkit",
@@ -662,17 +642,17 @@ def main(argv=None) -> int:
     if getattr(args, "model", None) is not None:
         overrides["model"] = args.model
     try:
-        cfg = load_config(args.command, args.config, args.out, overrides)
-        output = COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERICAL_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        # a numpy overflow, invalid value or division by zero is a
+        # numerical failure, not a warning ahead of invalid output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.command, args.config, args.out, overrides)
+            output = COMMANDS[args.command](cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NumericalFailure, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     for path in output.commit():
         print(path)
     return EXIT_OK

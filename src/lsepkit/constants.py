@@ -42,11 +42,6 @@ def vacuum_wavelength_m_to_ev(wavelength_m):
     return rads_to_ev(2.0 * math.pi * C0 / wavelength_m)
 
 
-def debye_to_cm(dipole_debye):
-    """Dipole moment in debye -> C m."""
-    return dipole_debye * DEBYE
-
-
 def power_to_field(power_w, spot_diameter_m):
     """Field amplitude (V/m) of a beam of given power over a circular spot.
 

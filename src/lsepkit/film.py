@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import vacuum_wavelength_m_to_ev
+from . import NumericalFailure
 from .numerics import kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
@@ -64,11 +64,11 @@ _VALUES_PER_CALL = 1 << 15
 _HALO = np.arange(-1, _FINE + 1)
 
 
-class NoMinimumFound(Exception):
+class NoMinimumFound(NumericalFailure):
     """Residual landscape has no interior minimum to refine."""
 
 
-class BranchAmbiguous(Exception):
+class BranchAmbiguous(NumericalFailure):
     """Smoothness criterion cannot separate the two solution branches."""
 
 
@@ -625,7 +625,8 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
 
     Returns, per map, the value, flat index and smallest neighbour of
     its ``keep`` lowest near-minima in ascending (value, index) order,
-    and the map's spread (max - min) if every tile was evaluated, else inf.
+    and the map's spread (max - min) if every tile was evaluated and it
+    has a near-minimum, else inf.
     """
     shape = (tiling.n_vals.size, tiling.k_vals.size)
     width = tiling.children.shape[0]
@@ -700,7 +701,7 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
     return [
         (
             value[lo:hi], index[lo:hi], neighbours[lo:hi],
-            top[m] - value[lo] if complete[m] else np.inf,
+            top[m] - value[lo] if complete[m] and hi > lo else np.inf,
         )
         for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
     ]
@@ -718,7 +719,7 @@ def _screened_seeds(value, index, neighbours, spread, columns):
     apart.
     """
     band = 2.0 * SCREEN_MARGIN
-    if not spread > FLAT_LANDSCAPE_SPAN + band:
+    if not value.size or not spread > FLAT_LANDSCAPE_SPAN + band:
         return None
     if np.any(np.diff(value[:3]) <= band) or not np.all(value[:2] < neighbours[:2] - band):
         return None
@@ -1061,21 +1062,3 @@ def write_rt_csv(path, measurements) -> None:
                 ]
             )
 
-
-def write_nk_csv(path, candidates) -> None:
-    """Candidate table: wavelength_nm,energy_eV,n,kappa,branch,residual."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual"])
-        for c in sorted(candidates, key=lambda c: c.wavelength):
-            writer.writerow(
-                [
-                    f"{c.wavelength * 1e9:.17g}",
-                    f"{vacuum_wavelength_m_to_ev(c.wavelength):.17g}",
-                    f"{c.n:.17g}",
-                    f"{c.kappa:.17g}",
-                    c.branch.value,
-                    f"{c.residual:.17g}",
-                ]
-            )

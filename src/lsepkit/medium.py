@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import NumericalFailure
 from .bloch import (
     DensityMatrix,
     DriveField,
@@ -31,7 +32,7 @@ from .numerics import nelder_mead
 FIT_MAXITER = 4000
 
 
-class FitDiverged(Exception):
+class FitDiverged(NumericalFailure):
     """Least-squares search failed to improve on its starting point."""
 
 

@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .. import NumericalFailure
 from ..constants import C0, EPS0
 from .scatter import (
     MieCoefficients,
@@ -31,7 +32,7 @@ class EvaluationTooFarOut(ValueError):
     input error."""
 
 
-class ZeroPoyntingVector(Exception):
+class ZeroPoyntingVector(NumericalFailure):
     """Energy flow vanished at a streamline sample outside the sphere."""
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import NumericalFailure
 from ..constants import ev_to_vacuum_wavelength_m
 from ..medium import PermittivitySpectrum, refractive_index
 
@@ -32,7 +33,7 @@ class SizeParameterOutOfRange(ValueError):
     """Size parameter outside the supported (0, 100] window: an input error."""
 
 
-class RecurrenceUnstable(Exception):
+class RecurrenceUnstable(NumericalFailure):
     """Bessel recurrences produced non-finite or degenerate values."""
 
 

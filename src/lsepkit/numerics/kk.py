@@ -19,7 +19,7 @@ import numpy as np
 MIN_POINTS = 16
 
 
-class GridTooCoarse(Exception):
+class GridTooCoarse(ValueError):
     """Fewer grid points than the quadrature can support."""
 
 

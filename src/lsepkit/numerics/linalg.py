@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import NumericalFailure
 
-class SingularMatrix(Exception):
+
+class SingularMatrix(NumericalFailure):
     """Reciprocal condition number underflowed the singularity threshold."""
 
 
-class NotConverged(Exception):
+class NotConverged(NumericalFailure):
     """Eigen-decomposition failed or missed the residual bound."""
 
 
-class DefectiveMatrix(Exception):
+class DefectiveMatrix(NumericalFailure):
     """Eigenvector basis is numerically rank deficient."""
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .. import NumericalFailure
 from . import _dop853_tableau as _hi
 
 #: Adaptive steps below this (seconds, or whatever the time axis unit is)
@@ -34,12 +35,12 @@ _MAX_SHRINK = 0.2
 _EXPONENT = 0.125
 
 
-class StepUnderflow(Exception):
+class StepUnderflow(NumericalFailure):
     """Adaptive step fell below the step floor; the problem is too stiff
     or too discontinuous for the requested tolerances."""
 
 
-class MaxStepsExceeded(Exception):
+class MaxStepsExceeded(NumericalFailure):
     """Accepted-step budget exhausted before reaching the end time."""
 
 

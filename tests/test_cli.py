@@ -6,15 +6,25 @@ second per command.
 """
 
 import configparser
+import contextlib
 import csv
+import importlib
+import inspect
+import io
 import json
+import pkgutil
+import tempfile
 import warnings
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lsepkit import cli, film
+import lsepkit
+from lsepkit import NumericalFailure, cli, film
 from lsepkit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from lsepkit.mie import RecurrenceUnstable
 
@@ -475,3 +485,136 @@ class TestExtractNk:
         assert rc == EXIT_NUMERICAL
         assert "BranchAmbiguous" in capsys.readouterr().err
         assert not out.exists()
+
+
+BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "abc"]
+# the packaged input each command reads, and the config that selects it
+CSV_INPUTS = {
+    "fit-permittivity": ("epsilon_extracted.csv", {}),
+    "qabs-spectrum": ("epsilon_extracted.csv", {"model": "data"}),
+    "extract-nk": ("film_rt.csv", {}),
+}
+# a coarse grid keeps each extract-nk run near 0.1 s
+EXTRACT_NK_GRID = {"n_step": "0.02", "kappa_step": "0.02"}
+
+
+def data_rows(name):
+    lines = (files("lsepkit") / "data" / name).read_text().splitlines()
+    return lines, [i for i, line in enumerate(lines) if line[:1].isdigit()]
+
+
+def config_perturbations():
+    sites = [
+        (command, key)
+        for command, block in cli.DEFAULTS.items()
+        for key in block
+        if key not in ("input", "model", "scheme")
+    ]
+    return st.tuples(st.just("config"), st.sampled_from(sites), st.sampled_from(BAD_VALUES))
+
+
+def cell_perturbations():
+    def cells(command):
+        rows = len(data_rows(CSV_INPUTS[command][0])[1])
+        return st.tuples(st.just(command), st.integers(0, rows - 1), st.integers(0, 2))
+
+    return st.tuples(
+        st.just("cell"),
+        st.sampled_from(sorted(CSV_INPUTS)).flatmap(cells),
+        st.sampled_from(BAD_VALUES),
+    )
+
+
+def run_main(argv):
+    """main() in process: its exit code and the lines it prints on stderr,
+    where a Python warning counts as one line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    return rc, [str(w.message) for w in caught] + err.getvalue().splitlines()
+
+
+class TestErrorContract:
+    """Any bad value ends with exit code 0, 2 or 3; a failure prints one
+    stderr line and writes no output directory."""
+
+    @given(st.one_of(config_perturbations(), cell_perturbations()))
+    @settings(max_examples=100, deadline=None)
+    # an eigensolver failure (NotConverged), and residual maps without a
+    # finite value
+    @example(("config", ("transient", "pure_dephasing_ev"), "1e308"))
+    @example(("config", ("transient", "detunings_ev"), "1e308"))
+    @example(("config", ("extract-nk", "ambient_index"), "1e308"))
+    # numpy overflows that leave finite but invalid output
+    @example(("config", ("lorentz", "lorentz_damping_ev"), "1e308"))
+    @example(("config", ("extract-nk", "substrate_index"), "1e308"))
+    # numpy overflows and divisions by zero ahead of an input check
+    @example(("config", ("lorentz", "lorentz_damping_ev"), "0"))
+    @example(("cell", ("qabs-spectrum", 250, 0), "1e308"))
+    def test_one_bad_value_ends_cleanly(self, perturbation):
+        kind, site, value = perturbation
+        command = site[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            values = dict(EXTRACT_NK_GRID) if command == "extract-nk" else {}
+            if kind == "config":
+                values[site[1]] = value
+            else:
+                _, row, col = site
+                name, selector = CSV_INPUTS[command]
+                lines, rows = data_rows(name)
+                cells = lines[rows[row]].split(",")
+                cells[col] = value
+                lines[rows[row]] = ",".join(cells)
+                (tmp / name).write_text("\n".join(lines) + "\n")
+                values.update(selector, input=str(tmp / name))
+            ini = tmp / "cfg.ini"
+            write_ini(ini, command, **values)
+            out = tmp / "out"
+            rc, err = run_main([command, "--config", str(ini), "--out", str(out)])
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+            if rc == EXIT_OK:
+                assert err == []
+            else:
+                assert len(err) == 1
+                assert not out.exists()
+
+    def test_too_few_wavelengths_for_the_dispersion_closure(self, tmp_path, capsys):
+        lines, rows = data_rows("film_rt.csv")
+        rt_path = tmp_path / "rt.csv"
+        rt_path.write_text("\n".join(lines[: rows[12]]) + "\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", input=str(rt_path), **EXTRACT_NK_GRID)
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: need at least 16 points, got 12\n"
+        assert not out.exists()
+
+    def test_eigensolver_failure_is_numerical_failure(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "transient", pure_dephasing_ev="1e308")
+        out = tmp_path / "o"
+        rc = main(["transient", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: NotConverged: ")
+        assert not out.exists()
+
+    def test_every_exception_declares_its_exit_code(self):
+        # ValueError exits with code 2 and NumericalFailure with code 3;
+        # a class that is neither, or both, would break the contract
+        defined = {
+            cls
+            for info in pkgutil.walk_packages(lsepkit.__path__, "lsepkit.")
+            for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+            if issubclass(cls, Exception)
+            and cls.__module__.startswith("lsepkit.")
+            and cls is not NumericalFailure
+        }
+        assert len(defined) >= 17
+        for cls in defined:
+            assert issubclass(cls, ValueError) != issubclass(cls, NumericalFailure), cls

@@ -395,6 +395,20 @@ class TestTileSearch:
             lambda: film._reference_seeds(tiling, stack, meas)
         ) == expected
 
+    def test_map_without_near_minimum_raises_no_minimum_found(self):
+        # an ambient index of 1e308 makes every residual NaN: no map has a
+        # near-minimum, and the answer is that of the full reference map
+        measurements = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")[:20]
+        grid = NkGrid(n_step=0.05, kappa_step=0.05)
+        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoMinimumFound):
+                _two_lowest_minima(_residual_map(grid, stack, measurements[0])[0])
+            with pytest.raises(NoMinimumFound):
+                extract_nk(measurements, grid=grid, ambient_index=1e308)
+        empty = np.empty(0), np.empty(0, dtype=int), np.empty(0)
+        assert film._screened_seeds(*empty, np.inf, grid.kappa_values.size) is None
+
     @pytest.mark.parametrize("per_call", [1, 37, film._VALUES_PER_CALL // film._HALO.size**2])
     def test_reference_arithmetic_on_tiles_equals_reference_map(self, per_call):
         # bit for bit, in arrays of any size (numpy rounds a complex
