@@ -40,6 +40,9 @@ from .mie import SphereScene
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# Longest energy or time axis a config may ask for: 2e4 times the
+# default energy grid.
+MAX_SAMPLES = 10**7
 
 
 class ConfigError(ValueError):
@@ -229,7 +232,7 @@ def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
         eps_background=cfg.real("lorentz_background", minimum=1.0),
         oscillator_strength=cfg.real("lorentz_strength", minimum=0.0),
         resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6),
-        damping=cfg.real("lorentz_damping_ev", minimum=0.0),
+        damping=cfg.real("lorentz_damping_ev", minimum=1e-9),
     )
 
 
@@ -239,8 +242,17 @@ def _energy_grid(cfg: RunConfig) -> np.ndarray:
     step = cfg.real("energy_step_ev", minimum=1e-9)
     if hi <= lo:
         raise ConfigError(f"energy_max_ev: must exceed energy_min_ev, got {hi} <= {lo}")
+    _check_samples((hi - lo) / step + 1.0, "energy_step_ev", "energy_min_ev..energy_max_ev")
     count = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(count)
+
+
+def _check_samples(count: float, key: str, span: str) -> None:
+    """Rejects an axis of more than MAX_SAMPLES samples before it is built."""
+    if not count <= MAX_SAMPLES:
+        raise ConfigError(
+            f"{key}: asks for {count:.3g} samples over {span}, more than {MAX_SAMPLES:.0e}"
+        )
 
 
 def _packaged(name: str) -> Path:
@@ -461,6 +473,7 @@ def cmd_transient(cfg: RunConfig) -> _OutputSet:
     host = cfg.real("host_epsilon", minimum=1.0)
     t_max = cfg.real("time_max_fs", minimum=1.0) * 1e-15
     t_step = cfg.real("time_step_fs", minimum=1e-3) * 1e-15
+    _check_samples(t_max / t_step + 1.0, "time_step_fs", "0..time_max_fs")
     times = np.arange(0.0, t_max + 0.5 * t_step, t_step)
     detunings = cfg.real_list("detunings_ev")
     if not detunings:

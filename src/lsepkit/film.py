@@ -15,12 +15,9 @@ arithmetic bounds the residual from below on every tile (Gargantini &
 Henrici, Numer. Math. 18, 305 (1972); Moore, Interval Analysis (1966)),
 and tiles are evaluated best first until every tile left is bounded
 above the map's threshold, so that no skipped point can change a seed.
-The evaluated points are screened from Fresnel factors computed once per
-call.  The screened values differ from the reference map
-(``_residual_map``) only by rounding, so they settle the two lowest
-minima wherever these clear that rounding by SCREEN_MARGIN; close calls
-are settled in the reference arithmetic on the tiles of that map, and
-the seeds are the ones the full reference map would give.
+The evaluated points are computed in the arithmetic of the full
+reference map (``_residual_map``), so the seeds are the ones that map
+would give.
 
 The refinement polishes all roots at once with the package's one
 simplex search, numerics.simplex.nelder_mead: a bounded Nelder-Mead run
@@ -47,9 +44,9 @@ from .numerics import kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
 FLAT_LANDSCAPE_SPAN = 1e-15
-# Bound on |screened map - reference map|, with headroom: the largest
-# difference over the 303 maps of the packaged fixture is 2.2e-15.
-SCREEN_MARGIN = 1e-12
+# Largest (n, kappa) grid an NkGrid may ask for, about 230 times the
+# default 681 x 641: a tiny step would ask for more than fits in memory.
+MAX_GRID_POINTS = 10**8
 # The grid search works on tiles of the (n, kappa) grid.  It bounds the
 # residual from below on coarse tiles of every map, splits the coarse
 # tiles it cannot rule out into fine tiles, and evaluates fine tiles only.
@@ -172,6 +169,14 @@ class NkGrid:
             raise ValueError("grid bounds must be ordered")
         if self.n_step <= 0.0 or self.kappa_step <= 0.0:
             raise ValueError("grid steps must be > 0")
+        points = ((self.n_max - self.n_min) / self.n_step + 1.0) * (
+            (self.kappa_max - self.kappa_min) / self.kappa_step + 1.0
+        )
+        if not points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"n_step = {self.n_step:g} and kappa_step = {self.kappa_step:g} ask for "
+                f"{points:.3g} grid points, more than {MAX_GRID_POINTS:.0e}"
+            )
         if self.kappa_min < 0.0:
             raise ValueError("kappa grid must be non-negative")
 
@@ -214,12 +219,13 @@ def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mu
     return r1, r2, multiply(t1, t2)
 
 
-def _amplitudes(index_film, stack: FilmStack, wavelength):
-    """Airy reflection and transmission amplitudes over a grid of film
-    indices, rounded as numpy's array loops round (see _rt)."""
+def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
+    """Airy reflection and transmission amplitudes, elementwise over arrays
+    of film index, thickness and wavelength, rounded as numpy's array loops
+    round (see _rt)."""
     nf = np.asarray(index_film, dtype=complex)
-    r1, r2, t12 = _interfaces(nf, stack.ambient_index, stack.substrate_index)
-    phase = np.exp(2j * np.pi * nf * stack.thickness / wavelength)
+    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index)
+    phase = np.exp(2j * np.pi * nf * thickness / wavelength)
     denom = 1.0 + r1 * r2 * phase**2
     # phase**2 * r2, not r2 * phase**2: an array loop's complex product
     # rounds differently with its operands swapped, and numpy swaps them
@@ -235,9 +241,9 @@ def _amplitudes(index_film, stack: FilmStack, wavelength):
 # one-root-at-a-time form of the model.  A complex scalar product is
 # (ar*br - ai*bi, ar*bi + ai*br) without fused multiply-adds, which the
 # array loop may use, and a float64 scalar squares through libm pow, which
-# is not x*x in the last bit.  Complex division, abs, exp, and adding or
-# subtracting a float round alike in both.
-_libm_square = np.frompyfunc(lambda x: math.pow(x, 2.0), 1, 1)
+# is not x*x in the last bit: np.float_power(x, 2.0) rounds as libm pow
+# does, where np.power with an array exponent and x*x do not.  Complex
+# division, abs, exp, and adding or subtracting a float round alike in both.
 
 
 def _cmul(a, b):
@@ -260,8 +266,8 @@ def _rt(index_film, thickness, wavelength, ambient_index, substrate_index):
     r_amp = (r1 + _cmul(r2, phase_sq)) / denom
     t_amp = _cmul(t12, phase) / denom
     flux_ratio = substrate_index / ambient_index
-    reflectance = _libm_square(np.abs(r_amp)).astype(float)
-    return reflectance, flux_ratio * _libm_square(np.abs(t_amp)).astype(float)
+    reflectance = np.float_power(np.abs(r_amp), 2.0)
+    return reflectance, flux_ratio * np.float_power(np.abs(t_amp), 2.0)
 
 
 def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
@@ -301,14 +307,16 @@ def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasuremen
     return float(misfit[0])
 
 
-def _reference_surface(index_film, stack: FilmStack, measurement: RTMeasurement):
-    """|T - T_measured| + |R - R_measured| over an array of film indices,
-    rounded as the reference map rounds it (_amplitudes)."""
-    r_amp, t_amp = _amplitudes(index_film, stack, measurement.wavelength)
-    flux_ratio = stack.substrate_index / stack.ambient_index
+def _reference_surface(index_film, thickness, wavelength, reflectance, transmittance,
+                       ambient_index, substrate_index):
+    """|T - T_measured| + |R - R_measured|, elementwise over arrays of film
+    index, thickness, wavelength, R and T, rounded as the reference map
+    rounds it (_amplitudes)."""
+    r_amp, t_amp = _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index)
+    flux_ratio = substrate_index / ambient_index
     r_t = np.abs(r_amp) ** 2
     t_t = flux_ratio * np.abs(t_amp) ** 2
-    return np.abs(t_t - measurement.transmittance) + np.abs(r_t - measurement.reflectance)
+    return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
 def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
@@ -320,63 +328,11 @@ def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
     n_vals = grid.n_values
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
-    return _reference_surface(nf, stack, measurement), n_vals, k_vals
-
-
-def _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index):
-    """Grid factors of the Airy sum that depend on neither wavelength nor
-    thickness: r1, r2 and the flux-weighted |t1*t2|^2, built a block of
-    rows at a time so that no temporary spans the grid."""
-    r1, r2 = (np.empty((n_vals.size, k_vals.size), dtype=complex) for _ in range(2))
-    transfer = np.empty(r1.shape)
-    step = max(1, _VALUES_PER_CALL // k_vals.size)
-    for lo in range(0, n_vals.size, step):
-        rows = slice(lo, lo + step)
-        nf = n_vals[rows, None] + 1j * k_vals[None, :]
-        r1[rows], r2[rows], t12 = _interfaces(nf, ambient_index, substrate_index)
-        transfer[rows] = (substrate_index / ambient_index) * (t12.real**2 + t12.imag**2)
-    return r1, r2, transfer
-
-
-def _screen_values(factors, n_vals, k_vals, k0d, reflectance, transmittance, rows, cols):
-    """Screened residual of patch p at rows[p, :, None], cols[p, None, :],
-    from _fresnel_factors and the patch's k0*d, R and T.
-
-    With P = exp(2i k0 d nf) = exp(2i k0 d n) * exp(-2 k0 d kappa), a
-    row factor times a column factor:
-    R = |r1 + r2 P|^2 / |1 + r1 r2 P|^2 and
-    T = flux |t1 t2|^2 exp(-2 k0 d kappa) / |1 + r1 r2 P|^2.
-    The reassociated arithmetic differs from the reference by rounding
-    only, well inside SCREEN_MARGIN.
-    """
-    at = rows[:, :, None] * k_vals.size + cols[:, None, :]  # flat indices: take is fast
-    r1, r2, trans = (factor.take(at) for factor in factors)
-    k0d = k0d[:, None]
-    decay = np.exp(-2.0 * k0d * k_vals[cols])[:, None, :]
-    p = np.exp(2j * k0d * n_vals[rows])[:, :, None] * decay
-    num = r2 * p
-    num += r1
-    den = np.multiply(np.multiply(r1, r2, out=r1), p, out=p)
-    den += 1.0
-    den_sq = den.real**2 + den.imag**2
-    refl = num.real**2 + num.imag**2
-    refl /= den_sq
-    refl -= reflectance[:, None, None]
-    trans *= decay
-    trans /= den_sq
-    trans -= transmittance[:, None, None]
-    return np.add(np.abs(trans, out=trans), np.abs(refl, out=refl), out=trans)
-
-
-def _screen_map(factors, n_vals, k_vals, thickness, measurement: RTMeasurement):
-    """The screened map over the whole grid (extract_nk evaluates it on
-    fine tiles only)."""
-    return _screen_values(
-        factors, n_vals, k_vals,
-        np.array([2.0 * np.pi * thickness / measurement.wavelength]),
-        np.array([measurement.reflectance]), np.array([measurement.transmittance]),
-        np.arange(n_vals.size)[None], np.arange(k_vals.size)[None],
-    )[0]
+    surface = _reference_surface(
+        nf, stack.thickness, measurement.wavelength, measurement.reflectance,
+        measurement.transmittance, stack.ambient_index, stack.substrate_index,
+    )
+    return surface, n_vals, k_vals
 
 
 def _window_min(surface: np.ndarray) -> np.ndarray:
@@ -551,14 +507,14 @@ def _tiling(n_vals, k_vals, ambient_index, substrate_index) -> _Tiling:
     return _Tiling(n_vals, k_vals, discs(_COARSE), discs(_FINE), (rows, cols), children)
 
 
-def _tile_points(evaluate, owner, rows, cols, shape, band):
+def _tile_points(evaluate, owner, rows, cols, shape):
     """Evaluates fine tiles with a one-point halo and keeps the core
-    points that are at most ``band`` above each of their in-grid
-    8-neighbours: exactly the near-minima of the full map.
+    points that are at most each of their in-grid 8-neighbours: exactly
+    the local minima of the full map.
 
     ``evaluate(owner, r, c)`` returns the values at r[p, :, None],
-    c[p, None, :].  Returns the tile, value, flat index and smallest
-    neighbour of each kept point, and the largest value of each tile.
+    c[p, None, :].  Returns the tile, value and flat index of each kept
+    point, and the largest value of each tile.
     """
     rows = rows[:, None] + _HALO
     cols = cols[:, None] + _HALO
@@ -571,10 +527,10 @@ def _tile_points(evaluate, owner, rows, cols, shape, band):
     neighbours = np.minimum(np.minimum(across[:, :-2], across[:, 2:]), beside[:, 1:-1])
     core = values[:, 1:-1, 1:-1]
     inside = row_in[:, 1:-1, None] & col_in[:, None, 1:-1]
-    tile, i, j = np.nonzero(inside & (core <= neighbours + band))
+    tile, i, j = np.nonzero(inside & (core <= neighbours))
     index = rows[tile, i + 1] * shape[1] + cols[tile, j + 1]
     top = np.where(inside, core, -np.inf).max(axis=(1, 2))
-    return tile, core[tile, i, j], index, neighbours[tile, i, j], top
+    return tile, core[tile, i, j], index, top
 
 
 def _rank_by_map(maps, *keys):
@@ -595,38 +551,35 @@ def _kth_lowest(maps, values, k, count):
     return kth
 
 
-def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
-    """The lowest near-minima of each of ``count`` maps, evaluating only
-    the fine tiles that can hold one.
+def _tile_search(tiling: _Tiling, count, bounds, evaluate):
+    """The two lowest local minima of each of ``count`` maps, evaluating
+    only the fine tiles that can hold one.
 
     ``bounds(maps, discs)`` bounds maps from below on tiles (_Discs),
-    and ``evaluate`` computes map values as _tile_points asks.  A point is
-    a near-minimum when it is at most ``band`` above each of its
-    neighbours.  A map's
-    threshold is max(v_keep + band, v_1 + FLAT_LANDSCAPE_SPAN), with v_k
-    its k-th lowest near-minimum found so far.  Each round splits the
-    coarse tiles and evaluates the fine tiles whose bound is at or below
-    the threshold.  While a map has fewer than ``keep`` near-minima it
-    goes best first instead: it takes its tiles up to the reach-th best
-    coarse or queued fine bound, starting from the number of fine tiles
-    in a coarse tile, and doubles its reach each round.
+    and ``evaluate`` computes map values as _tile_points asks.  A map's
+    threshold is max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), with v_k its k-th
+    lowest local minimum found so far.  Each round splits the coarse
+    tiles and evaluates the fine tiles whose bound is at or below the
+    threshold.  While a map has fewer than two local minima it goes best
+    first instead: it takes its tiles up to the reach-th best coarse or
+    queued fine bound, starting from the number of fine tiles in a coarse
+    tile, and doubles its reach each round.
 
-    Why a skipped tile cannot matter: every near-minimum found is one of
+    Why a skipped tile cannot matter: every local minimum found is one of
     the full map, as _tile_points reads its neighbours from the halo, so
     v_k found so far is at least the full map's v_k, and thresholds only
     fall.  The rounds stop when no map has a tile left at or below its
-    threshold (a map short of near-minima stops with every tile
-    evaluated).  Then every skipped point exceeds the threshold, so it can
-    be neither one of the ``keep`` lowest near-minima nor tie with one,
-    nor be a neighbour lower than one of them; and it lies more than
-    FLAT_LANDSCAPE_SPAN above the lowest point, so a map with a skipped
-    point is not flat.  Decisions on these near-minima (_screened_seeds,
-    _lowest_minima) are those on the full map.
+    threshold (a map short of minima stops with every tile evaluated).
+    Then every skipped point exceeds the threshold, so it can be neither
+    one of the two lowest local minima nor tie with one; and it lies more
+    than FLAT_LANDSCAPE_SPAN above the lowest point, so a map with a
+    skipped point is not flat.  So _lowest_minima decides on these minima
+    as _two_lowest_minima decides on the full map.
 
-    Returns, per map, the value, flat index and smallest neighbour of
-    its ``keep`` lowest near-minima in ascending (value, index) order,
-    and the map's spread (max - min) if every tile was evaluated and it
-    has a near-minimum, else inf.
+    Returns, per map, the value and flat index of its two lowest local
+    minima in ascending (value, index) order, and the map's spread
+    (max - min) if every tile was evaluated and it has a local minimum,
+    else inf.
     """
     shape = (tiling.n_vals.size, tiling.k_vals.size)
     width = tiling.children.shape[0]
@@ -641,7 +594,7 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
     threshold = np.full(count, np.inf)
     closed = np.ones(coarse_bounds.shape, dtype=bool)  # coarse tiles not yet split
     queue = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)  # map, tile, bound
-    found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)  # map, value, index
     top = np.full(count, -np.inf)  # largest value evaluated
     while True:
         level = threshold.copy()
@@ -681,49 +634,26 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate, band, keep):
         for lo in range(0, tiles.size, per_call):
             part = owner[lo : lo + per_call]
             picked = tiles[lo : lo + per_call]
-            tile, value, index, neighbours, tile_top = _tile_points(
-                evaluate, part, tiling.origins[0][picked], tiling.origins[1][picked],
-                shape, band,
+            tile, value, index, tile_top = _tile_points(
+                evaluate, part, tiling.origins[0][picked], tiling.origins[1][picked], shape
             )
-            batches.append((part[tile], value, index, neighbours))
+            batches.append((part[tile], value, index))
             np.maximum.at(top, part, tile_top)
         found = tuple(np.concatenate(column) for column in zip(*batches))
         order, rank = _rank_by_map(found[0], found[2], found[1])
-        found = tuple(column[order[rank < keep]] for column in found)
+        found = tuple(column[order[rank < 2]] for column in found)
         threshold = np.maximum(
-            _kth_lowest(found[0], found[1], keep, count) + band,
+            _kth_lowest(found[0], found[1], 2, count),
             _kth_lowest(found[0], found[1], 1, count) + FLAT_LANDSCAPE_SPAN,
         )
 
-    maps, value, index, neighbours = found
+    maps, value, index = found
     edges = np.searchsorted(maps, np.arange(count + 1))
     complete = ~closed.any(axis=1) & (np.bincount(queue[0], minlength=count) == 0)
     return [
-        (
-            value[lo:hi], index[lo:hi], neighbours[lo:hi],
-            top[m] - value[lo] if complete[m] and hi > lo else np.inf,
-        )
+        (value[lo:hi], index[lo:hi], top[m] - value[lo] if complete[m] and hi > lo else np.inf)
         for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
     ]
-
-
-def _screened_seeds(value, index, neighbours, spread, columns):
-    """The seeds of the reference map, read off the near-minima of a
-    screened map (in ascending order), or None if it cannot decide.
-
-    The screened map is within SCREEN_MARGIN of the reference map, so
-    every reference minimum lies within 2*SCREEN_MARGIN of its
-    neighbours here.  The two lowest such points are the reference's
-    answer when each is lower than all its neighbours by more than
-    2*SCREEN_MARGIN and the three lowest are more than 2*SCREEN_MARGIN
-    apart.
-    """
-    band = 2.0 * SCREEN_MARGIN
-    if not value.size or not spread > FLAT_LANDSCAPE_SPAN + band:
-        return None
-    if np.any(np.diff(value[:3]) <= band) or not np.all(value[:2] < neighbours[:2] - band):
-        return None
-    return [divmod(int(i), columns) for i in index[:2]]
 
 
 def _lowest_minima(value, index, spread, columns):
@@ -736,74 +666,30 @@ def _lowest_minima(value, index, spread, columns):
     return [divmod(int(i), columns) for i in index[:2]]
 
 
-def _screened_minima(surface: np.ndarray):
-    """_two_lowest_minima of the reference map, read off a whole screened
-    map by the rule extract_nk applies to the tiles it evaluates
-    (_screened_seeds).  Returns None when the screened map cannot decide."""
-    tile, value, index, neighbours, _ = _tile_points(
-        lambda _, rows, cols: surface[rows[:, :, None], cols[:, None, :]], None,
-        *_tile_origins(surface.shape, _FINE), surface.shape, 2.0 * SCREEN_MARGIN,
-    )
-    order = np.lexsort((index, value))
-    return _screened_seeds(
-        value[order], index[order], neighbours[order], np.ptp(surface), surface.shape[1]
-    )
-
-
-def _map_parameters(maps):
-    """k0*d (2 pi d / lambda), R and T of each (stack, measurement)."""
-    return np.array(
-        [(2.0 * np.pi * stack.thickness / meas.wavelength, meas.reflectance, meas.transmittance)
-         for stack, meas in maps]
-    ).T
-
-
-def _reference_seeds(tiling: _Tiling, stack: FilmStack, measurement: RTMeasurement):
-    """_two_lowest_minima(_residual_map(...)) of one map, evaluated in
-    the reference arithmetic on the tiles its bounds cannot rule out."""
-    k0d, refl, trans = _map_parameters([(stack, measurement)])
-
-    def bounds(owner, discs):
-        return _lower_bounds(discs, k0d[owner], refl[owner], trans[owner])
-
-    def evaluate(_, rows, cols):
-        nf = tiling.n_vals[rows][:, :, None] + 1j * tiling.k_vals[cols][:, None, :]
-        return _reference_surface(nf, stack, measurement)
-
-    [(value, index, _, spread)] = _tile_search(tiling, 1, bounds, evaluate, band=0.0, keep=2)
-    return _lowest_minima(value, index, spread, tiling.k_vals.size)
-
-
-def _grid_seeds(grid: NkGrid, maps, ambient_index, substrate_index):
-    """_two_lowest_minima(_residual_map(grid, stack, meas)) for every
-    (stack, meas) of ``maps``, from the tiles that can hold a seed.
-
-    Every map is screened from Fresnel factors computed once for the grid
-    (_screen_values); where two minima are too close to call on the
-    screened map, its seeds come from the reference arithmetic on its
-    tiles (_reference_seeds).
-    """
+def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
+                ambient_index, substrate_index):
+    """_two_lowest_minima(_residual_map(...)) of every map, given by the
+    arrays of its thickness, wavelength, R and T, from the tiles that can
+    hold a seed."""
     n_vals, k_vals = grid.n_values, grid.kappa_values
     tiling = _tiling(n_vals, k_vals, ambient_index, substrate_index)
-    k0d, refl, trans = _map_parameters(maps)
-    factors = _fresnel_factors(n_vals, k_vals, ambient_index, substrate_index)
+    k0d = 2.0 * np.pi * thickness / wavelength
 
     def bounds(owner, discs):
-        return _lower_bounds(discs, k0d[owner], refl[owner], trans[owner])
+        return _lower_bounds(discs, k0d[owner], reflectance[owner], transmittance[owner])
 
-    def screen(owner, rows, cols):
-        return _screen_values(
-            factors, n_vals, k_vals, k0d[owner], refl[owner], trans[owner], rows, cols
+    def evaluate(owner, rows, cols):
+        nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
+        at = owner[:, None, None]
+        return _reference_surface(
+            nf, thickness[at], wavelength[at], reflectance[at], transmittance[at],
+            ambient_index, substrate_index,
         )
 
-    screened = _tile_search(
-        tiling, len(maps), bounds, screen, band=2.0 * SCREEN_MARGIN, keep=3
-    )
-    seeds = []
-    for (stack, meas), near in zip(maps, screened):
-        found = _screened_seeds(*near, k_vals.size)
-        seeds.append(_reference_seeds(tiling, stack, meas) if found is None else found)
-    return seeds
+    return [
+        _lowest_minima(value, index, spread, k_vals.size)
+        for value, index, spread in _tile_search(tiling, thickness.size, bounds, evaluate)
+    ]
 
 
 def extract_nk(
@@ -822,10 +708,8 @@ def extract_nk(
 
     The grid is searched tile by tile (_grid_seeds): a certified lower
     bound on the residual rules out the tiles of each map that cannot hold
-    a seed, the rest are screened from Fresnel factors computed once for
-    the grid, and where two minima are too close to call on the screened
-    values the reference arithmetic decides on the same tiles.  The seeds
-    are always those of the full reference map (_residual_map).
+    a seed, and the rest are evaluated in the reference arithmetic.  The
+    seeds are always those of the full reference map (_residual_map).
 
     All roots are refined together by numerics.simplex.nelder_mead, the
     shared lockstep Nelder-Mead, whose every root ends where scipy's
@@ -858,18 +742,17 @@ def extract_nk(
         for meas in measurements
     ]
 
+    per_map = np.array(
+        [(stack.thickness, meas.wavelength, meas.reflectance, meas.transmittance)
+         for stack, meas in maps]
+    )
     n_vals, k_vals = grid.n_values, grid.kappa_values
     roots = [
-        (stack, meas, (n_vals[row], k_vals[col]))
-        for (stack, meas), found in zip(
-            maps, _grid_seeds(grid, maps, ambient_index, substrate_index)
-        )
+        (m, (n_vals[row], k_vals[col]))
+        for m, found in enumerate(_grid_seeds(grid, *per_map.T, ambient_index, substrate_index))
         for row, col in found
     ]
-    thickness, wavelength, reflectance, transmittance = np.array(
-        [(stack.thickness, meas.wavelength, meas.reflectance, meas.transmittance)
-         for stack, meas, _ in roots]
-    ).T
+    thickness, wavelength, reflectance, transmittance = per_map[[m for m, _ in roots]].T
 
     def misfits(points, rows):
         return _misfits(
@@ -879,7 +762,7 @@ def extract_nk(
 
     refined = nelder_mead(
         misfits,
-        np.array([seed for _, _, seed in roots]),
+        np.array([seed for _, seed in roots]),
         lower=np.array([grid.n_min, max(grid.kappa_min, 0.0)]),
         upper=np.array([grid.n_max, grid.kappa_max]),
         xatol=1e-9,
@@ -888,14 +771,14 @@ def extract_nk(
     )
     return [
         NkCandidate(
-            wavelength=meas.wavelength,
+            wavelength=float(wl),
             n=float(n_fit),
             kappa=float(k_fit),
             residual=float(res),
             branch=Branch.UNRESOLVED,
-            thickness_used=stack.thickness,
+            thickness_used=float(d),
         )
-        for (stack, meas, _), (n_fit, k_fit), res in zip(roots, refined.x, refined.fun)
+        for d, wl, (n_fit, k_fit), res in zip(thickness, wavelength, refined.x, refined.fun)
     ]
 
 

@@ -111,9 +111,12 @@ class LorentzParams:
     damping: float
 
     def __post_init__(self):
-        for name in ("eps_background", "oscillator_strength", "resonance", "damping"):
+        for name in ("eps_background", "oscillator_strength", "resonance"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        # zero damping puts the pole on the real energy axis
+        if not 0.0 < self.damping < math.inf:
+            raise ValueError(f"damping must be finite and > 0, got {self.damping}")
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,25 @@ class TestConfigErrors:
         ],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, key, value):
+        self.assert_named_config_error(tmp_path, capsys, command, key, value)
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            # zero damping puts the Lorentz pole on the real energy axis
+            ("lorentz", "lorentz_damping_ev", "0"),
+            # axes of more than 1e7 samples and grids of more than 1e8 points
+            ("lorentz", "energy_step_ev", "1e-9"),
+            ("transient", "time_max_fs", "1e12"),
+            ("extract-nk", "n_step", "1e-9"),
+            ("extract-nk", "kappa_step", "1e-9"),
+        ],
+    )
+    def test_out_of_range_value_is_named(self, tmp_path, capsys, command, key, value):
+        self.assert_named_config_error(tmp_path, capsys, command, key, value)
+
+    @staticmethod
+    def assert_named_config_error(tmp_path, capsys, command, key, value):
         ini = tmp_path / "cfg.ini"
         write_ini(ini, command, **{key: value})
         out = tmp_path / "o"
@@ -487,7 +506,7 @@ class TestExtractNk:
         assert not out.exists()
 
 
-BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "abc"]
+BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "1e-9", "", "abc"]
 # the packaged input each command reads, and the config that selects it
 CSV_INPUTS = {
     "fit-permittivity": ("epsilon_extracted.csv", {}),
@@ -550,9 +569,13 @@ class TestErrorContract:
     # numpy overflows that leave finite but invalid output
     @example(("config", ("lorentz", "lorentz_damping_ev"), "1e308"))
     @example(("config", ("extract-nk", "substrate_index"), "1e308"))
-    # numpy overflows and divisions by zero ahead of an input check
-    @example(("config", ("lorentz", "lorentz_damping_ev"), "0"))
+    # numpy overflows ahead of an input check
     @example(("cell", ("qabs-spectrum", 250, 0), "1e308"))
+    # a pole on the real energy axis, and tiny steps that ask for more
+    # samples or grid points than fit in memory
+    @example(("config", ("lorentz", "lorentz_damping_ev"), "0"))
+    @example(("config", ("qabs-spectrum", "energy_step_ev"), "1e-9"))
+    @example(("config", ("extract-nk", "kappa_step"), "1e-9"))
     def test_one_bad_value_ends_cleanly(self, perturbation):
         kind, site, value = perturbation
         command = site[0]

@@ -16,7 +16,6 @@ from scipy import ndimage, optimize
 from lsepkit import cli, film, medium
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
 from lsepkit.film import (
-    SCREEN_MARGIN,
     Branch,
     BranchAmbiguous,
     BranchSelection,
@@ -25,10 +24,7 @@ from lsepkit.film import (
     NkGrid,
     NoMinimumFound,
     RTMeasurement,
-    _fresnel_factors,
     _residual_map,
-    _screen_map,
-    _screened_minima,
     _two_lowest_minima,
     _window_min,
     close_with_kk,
@@ -236,15 +232,14 @@ def test_window_min_equals_minimum_filter(surface):
     assert np.array_equal(surface <= window, surface <= reference)
 
 
-class TestScreen:
-    """The screened grid search against the reference map, on the packaged
-    fixture at the CLI's lowest default thickness.  At 472.5-480 nm two
-    local minima on the kappa = 0 edge nearly tie, and the screened map
-    alone would pick the other seed there."""
+class TestCloseCalls:
+    """The grid search on the packaged fixture at the CLI's lowest default
+    thickness.  At 472.5-480 nm two local minima on the kappa = 0 edge
+    nearly tie, so the seeds there turn on the last bits of the map."""
 
     THICKNESS = 63 * 1e-9
     CLOSE_CALLS_NM = (472.5, 475.0, 477.5, 480.0)
-    ORDINARY_NM = (450.0, 575.0, 700.0)
+    ORDINARY_NM = (450.0,)
     REFERENCE = (
         Path(__file__).resolve().parents[1]
         / "perfbench" / "reference" / "nk-fixture" / "branches.csv"
@@ -257,35 +252,11 @@ class TestScreen:
         assert len(picked) == len(wavelengths_nm)
         return picked
 
-    def test_screened_map_and_seeds_match_reference(self):
-        grid = NkGrid()
-        stack = FilmStack(thickness=self.THICKNESS, film_index=1.5 + 0j)
-        n_vals, k_vals = grid.n_values, grid.kappa_values
-        factors = _fresnel_factors(n_vals, k_vals, stack.ambient_index, stack.substrate_index)
-        for meas in self.fixture(self.CLOSE_CALLS_NM + self.ORDINARY_NM):
-            screened = _screen_map(factors, n_vals, k_vals, self.THICKNESS, meas)
-            reference = _residual_map(grid, stack, meas)[0]
-            assert np.max(np.abs(screened - reference)) <= SCREEN_MARGIN / 40
-            seeds = _screened_minima(screened)
-            if round(meas.wavelength * 1e9, 6) in self.CLOSE_CALLS_NM:
-                assert seeds is None
-            else:
-                assert seeds == _two_lowest_minima(reference)
-
-    def test_close_calls_reproduce_reference_branches(self, monkeypatch):
-        reference_maps = []
-        original = film._reference_seeds
-
-        def spy(tiling, stack, meas):
-            reference_maps.append(round(meas.wavelength * 1e9, 6))
-            return original(tiling, stack, meas)
-
-        monkeypatch.setattr(film, "_reference_seeds", spy)
-        wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM[:1]
+    def test_close_calls_reproduce_reference_branches(self):
+        wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM
         cands = extract_nk(
             self.fixture(wanted), thickness_range=(self.THICKNESS, self.THICKNESS)
         )
-        assert reference_maps == list(self.CLOSE_CALLS_NM)
 
         with self.REFERENCE.open(newline="") as handle:
             pinned = [
@@ -383,21 +354,16 @@ class TestTileSearch:
     def test_pruned_seeds_equal_the_reference_seeds(self, grid, params):
         stack, meas = _stack_and_measurement(*params)
         expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, stack, meas)[0]))
-        tiling = film._tiling(
-            grid.n_values, grid.kappa_values, stack.ambient_index, stack.substrate_index
+        per_map = np.array(
+            [[stack.thickness], [meas.wavelength], [meas.reflectance], [meas.transmittance]]
         )
-        # the screen with its fallback, and the fallback alone
-        maps = [(stack, meas)]
         assert _seeds_or_flat(
-            lambda: film._grid_seeds(grid, maps, stack.ambient_index, stack.substrate_index)[0]
-        ) == expected
-        assert _seeds_or_flat(
-            lambda: film._reference_seeds(tiling, stack, meas)
+            lambda: film._grid_seeds(grid, *per_map, stack.ambient_index, stack.substrate_index)[0]
         ) == expected
 
     def test_map_without_near_minimum_raises_no_minimum_found(self):
         # an ambient index of 1e308 makes every residual NaN: no map has a
-        # near-minimum, and the answer is that of the full reference map
+        # local minimum, and the answer is that of the full reference map
         measurements = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")[:20]
         grid = NkGrid(n_step=0.05, kappa_step=0.05)
         stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=1e308)
@@ -406,16 +372,14 @@ class TestTileSearch:
                 _two_lowest_minima(_residual_map(grid, stack, measurements[0])[0])
             with pytest.raises(NoMinimumFound):
                 extract_nk(measurements, grid=grid, ambient_index=1e308)
-        empty = np.empty(0), np.empty(0, dtype=int), np.empty(0)
-        assert film._screened_seeds(*empty, np.inf, grid.kappa_values.size) is None
 
     @pytest.mark.parametrize("per_call", [1, 37, film._VALUES_PER_CALL // film._HALO.size**2])
     def test_reference_arithmetic_on_tiles_equals_reference_map(self, per_call):
         # bit for bit, in arrays of any size (numpy rounds a complex
         # product by the order of its operands, which it swaps itself when
-        # it reuses a temporary of 256 KiB or more)
+        # it reuses a temporary of 256 KiB or more), and in calls whose
+        # tiles come from maps of different thickness and wavelength
         grid = NkGrid()
-        stack = FilmStack(thickness=TestScreen.THICKNESS, film_index=1.5 + 0j)
         n_vals, k_vals = grid.n_values, grid.kappa_values
         rows, cols = (
             np.clip(start[:, None] + film._HALO, 0, size - 1)
@@ -425,13 +389,24 @@ class TestTileSearch:
             )
         )
         nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
-        for meas in TestScreen.fixture(TestScreen.CLOSE_CALLS_NM):
-            reference = _residual_map(grid, stack, meas)[0]
-            for lo in range(0, rows.shape[0], per_call):
-                part = slice(lo, lo + per_call)
-                tiles = film._reference_surface(nf[part], stack, meas)
-                at = rows[part][:, :, None], cols[part][:, None, :]
-                assert np.array_equal(tiles, reference[at])
+        close_calls = TestCloseCalls.fixture(TestCloseCalls.CLOSE_CALLS_NM)
+        maps = [(TestCloseCalls.THICKNESS, meas) for meas in close_calls] + [
+            (FIXTURE_THICKNESSES[1], close_calls[1]), (FIXTURE_THICKNESSES[2], close_calls[3])
+        ]
+        params = np.array([(d, m.wavelength, m.reflectance, m.transmittance) for d, m in maps])
+        reference = np.stack([
+            _residual_map(grid, FilmStack(thickness=d, film_index=1.5 + 0j), m)[0]
+            for d, m in maps
+        ])
+        # every tile of every map, the maps taking turns so that a call mixes them
+        tile, owner = np.divmod(np.arange(rows.shape[0] * len(maps)), len(maps))
+        for lo in range(0, tile.size, per_call):
+            part, at = tile[lo : lo + per_call], owner[lo : lo + per_call]
+            tiles = film._reference_surface(
+                nf[part], *params[at].T[:, :, None, None], 1.0, 1.52
+            )
+            expected = reference[at[:, None, None], rows[part][:, :, None], cols[part][:, None, :]]
+            assert np.array_equal(tiles, expected)
 
 
 FIXTURE_RT = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
@@ -442,7 +417,10 @@ FIXTURE_THICKNESSES = tuple(float(t) for t in np.linspace(63.0 * 1e-9, 77.0 * 1e
 def scalar_residual(n, kappa, stack, meas):
     """The residual one root at a time in numpy scalar arithmetic: the
     model's former scalar path, whose every bit the refinement keeps."""
-    r_amp, t_amp = film._amplitudes(complex(n, kappa), stack, meas.wavelength)
+    r_amp, t_amp = film._amplitudes(
+        complex(n, kappa), stack.thickness, meas.wavelength, stack.ambient_index,
+        stack.substrate_index,
+    )
     flux_ratio = stack.substrate_index / stack.ambient_index
     refl, trans = float(np.abs(r_amp) ** 2), float(flux_ratio * np.abs(t_amp) ** 2)
     return abs(trans - meas.transmittance) + abs(refl - meas.reflectance)
@@ -511,7 +489,7 @@ class TestLockstepRefine:
         stack = FilmStack(thickness=self.THICKNESS, film_index=1.5 + 0j)
         n_vals, k_vals = self.GRID.n_values, self.GRID.kappa_values
         roots, seeds = [], []
-        for meas in TestScreen.fixture(self.WAVELENGTHS_NM):
+        for meas in TestCloseCalls.fixture(self.WAVELENGTHS_NM):
             for row, col in _two_lowest_minima(_residual_map(self.GRID, stack, meas)[0]):
                 roots.append((stack, meas))
                 seeds.append((n_vals[row], k_vals[col]))
