@@ -14,9 +14,10 @@ Conventions, fixed project-wide:
 The rotating-wave generator is a 4x4 complex matrix acting on the state
 vector; its eigen-decomposition propagates the envelope exactly at any
 sample time.  The lab-frame equations keep the full cosine drive
-(counter-rotating term included) and are integrated with the adaptive
-8th-order Dormand-Prince pair (:func:`lsepkit.numerics.integrate`), the
-four complex components riding as eight reals.
+(counter-rotating term included).  They are linear, dv/dt = (G0 +
+Omega cos(w t) G1) v, and are integrated with the adaptive 8th-order
+Dormand-Prince pair for linear systems (:func:`lsepkit.numerics.integrate`),
+the error test running over the eight real components.
 """
 
 from __future__ import annotations
@@ -331,37 +332,36 @@ def evolve_lab(
     approximation), integrated adaptively to the relative and absolute
     local-error tolerances ``rtol`` and ``atol``.
 
-    Coherences in the result are lab-frame values; use
-    :func:`rotating_frame` to compare against :func:`evolve_rwa`.  An
-    integration that cannot reach the last sample raises the integrator's
-    StepUnderflow or MaxStepsExceeded; no partial trajectory is returned.
+    The equations are linear, dv/dt = (G0 + Omega cos(w t) G1) v, and go to
+    :func:`lsepkit.numerics.integrate` as two precomputed generators and a
+    coupling.  A step turn-on splits the integration (undriven before it),
+    so no step straddles the jump.  Coherences in the result are lab-frame
+    values; use :func:`rotating_frame` to compare against
+    :func:`evolve_rwa`.  An integration that cannot reach the last sample
+    raises the integrator's StepUnderflow or MaxStepsExceeded; no partial
+    trajectory is returned.
     """
     times = _checked_times(sample_times)
-    gamma = params.decay_rate
-    gtot = params.total_dephasing_rate
-    w1 = params.transition_rate
-    w = drive.angular_frequency
+    gamma, gtot, w1 = params.decay_rate, params.total_dephasing_rate, params.transition_rate
+    # G0 decays the population and rotates and damps the coherences; G1,
+    # per unit Rabi frequency, exchanges populations and coherences
+    g0 = np.array([[0, 0, 0, gamma], [0, -(1j * w1 + gtot), 0, 0],
+                   [0, 0, 1j * w1 - gtot, 0], [0, 0, 0, -gamma]])
+    g1 = 1j * np.array([[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]])
     rabi = params.dipole_si * drive.amplitude / HBAR
-    t_on = drive.turn_on if drive.envelope == "step" else -np.inf
-
-    def rhs(t, y):
-        omega_t = rabi * np.cos(w * t) if t >= t_on else 0.0
-        pop_flow = 1j * omega_t * (y[2] - y[1])
-        inversion = y[3] - y[0]
-        return np.array(
-            [
-                -pop_flow + gamma * y[3],
-                -(1j * w1 + gtot) * y[1] - 1j * omega_t * inversion,
-                (1j * w1 - gtot) * y[2] + 1j * omega_t * inversion,
-                pop_flow - gamma * y[3],
-            ]
-        )
-
-    v0 = rho0.as_vector()
-    if times[-1] == 0.0:
-        return BlochTrajectory(times=times, states=v0[None, :], frame="lab", drive=drive)
-    traj = integrate(rhs, v0, 0.0, times[-1], times, rtol=rtol, atol=atol)
-    return BlochTrajectory(times=times, states=traj.states, frame="lab", drive=drive)
+    w = drive.angular_frequency
+    t_on = drive.turn_on if drive.envelope == "step" else 0.0
+    late = times >= t_on
+    v, states = rho0.as_vector(), []
+    if t_on > 0.0:
+        ends = np.append(times[~late], t_on) if late.any() else times
+        head = integrate(g0, g1, np.zeros_like, v, 0.0, ends, rtol=rtol, atol=atol).states
+        states.append(head[: np.count_nonzero(~late)])
+        v = head[-1]
+    if late.any():
+        states.append(integrate(g0, g1, lambda t: rabi * np.cos(w * t), v, max(t_on, 0.0),
+                                times[late], rtol=rtol, atol=atol).states)
+    return BlochTrajectory(times=times, states=np.concatenate(states), frame="lab", drive=drive)
 
 
 def rotating_frame(traj: BlochTrajectory) -> BlochTrajectory:

@@ -7,9 +7,9 @@ switch-on transient, invert film R/T data, and evaluate the classical
 single-oscillator comparison.  Configuration is an INI file; every
 default can be printed with --dump-defaults so runs are reproducible.
 
-Exit codes: 0 success, 2 configuration or input error (ValueError), 3
-numerical failure (NumericalFailure, or a numpy overflow, invalid value or
-division by zero).
+Exit codes: 0 success, 2 configuration or input error (ValueError) or an
+unwritable output directory, 3 numerical failure (NumericalFailure, or a
+numpy overflow, invalid value or division by zero).
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ EXIT_NUMERICAL = 3
 # Longest energy or time axis a config may ask for: 2e4 times the
 # default energy grid.
 MAX_SAMPLES = 10**7
+# Largest level, photon or linewidth energy a config may name: 100 eV is
+# extreme ultraviolet, far above the optical range the models describe.
+MAX_ENERGY_EV = 100.0
 
 
 class ConfigError(ValueError):
@@ -215,7 +218,7 @@ def dump_defaults(command: str) -> str:
 
 def _material(cfg: RunConfig) -> medium.MaterialParams:
     two_level = bloch.TwoLevelParams(
-        transition_energy=cfg.real("transition_energy_ev", minimum=1e-6),
+        transition_energy=cfg.real("transition_energy_ev", minimum=1e-6, maximum=MAX_ENERGY_EV),
         decay_rate=cfg.real("decay_rate_per_s", minimum=0.0),
         pure_dephasing=cfg.real("pure_dephasing_ev", minimum=0.0),
         dipole=cfg.real("dipole_debye", minimum=1e-9),
@@ -231,14 +234,14 @@ def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
     return medium.LorentzParams(
         eps_background=cfg.real("lorentz_background", minimum=1.0),
         oscillator_strength=cfg.real("lorentz_strength", minimum=0.0),
-        resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6),
-        damping=cfg.real("lorentz_damping_ev", minimum=1e-9),
+        resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6, maximum=MAX_ENERGY_EV),
+        damping=cfg.real("lorentz_damping_ev", minimum=1e-9, maximum=MAX_ENERGY_EV),
     )
 
 
 def _energy_grid(cfg: RunConfig) -> np.ndarray:
-    lo = cfg.real("energy_min_ev", minimum=1e-6)
-    hi = cfg.real("energy_max_ev")
+    lo = cfg.real("energy_min_ev", minimum=1e-6, maximum=MAX_ENERGY_EV)
+    hi = cfg.real("energy_max_ev", maximum=MAX_ENERGY_EV)
     step = cfg.real("energy_step_ev", minimum=1e-9)
     if hi <= lo:
         raise ConfigError(f"energy_max_ev: must exceed energy_min_ev, got {hi} <= {lo}")
@@ -318,7 +321,7 @@ def cmd_fit_permittivity(cfg: RunConfig) -> _OutputSet:
         target,
         start,
         dipole_init=cfg.real("initial_dipole_debye", minimum=1e-6),
-        dephasing_init=cfg.real("initial_pure_dephasing_ev", minimum=0.0),
+        dephasing_init=cfg.real("initial_pure_dephasing_ev", minimum=0.0, maximum=MAX_ENERGY_EV),
     )
     fitted = report.params
     model = medium.epsilon_steady(fitted, target.energies)
@@ -381,7 +384,7 @@ def cmd_qabs_spectrum(cfg: RunConfig) -> _OutputSet:
 
 
 def _nearfield_scene(cfg: RunConfig) -> SphereScene:
-    energy = cfg.real("photon_energy_ev", minimum=1e-6)
+    energy = cfg.real("photon_energy_ev", minimum=1e-6, maximum=MAX_ENERGY_EV)
     override = cfg.text("epsilon_override")
     if override:
         parts = override.split(",")
@@ -411,6 +414,7 @@ def cmd_nearfield(cfg: RunConfig) -> _OutputSet:
 
     half = cfg.real("grid_half_nm", minimum=1.0)
     step = cfg.real("grid_step_nm", minimum=0.1)
+    _check_samples((2.0 * half / step + 1.0) ** 2, "grid_half_nm", "the grid_step_nm map")
     axis = np.arange(-half, half + 0.5 * step, step) * 1e-9
     yy, zz = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
@@ -483,8 +487,10 @@ def cmd_transient(cfg: RunConfig) -> _OutputSet:
     rows = []
     for detuning in detunings:
         photon = transition + detuning
-        if photon <= 0.0:
-            raise ConfigError(f"detunings_ev: drive energy {photon} eV is not positive")
+        if not 0.0 < photon <= MAX_ENERGY_EV:
+            raise ConfigError(
+                f"detunings_ev: drive energy {photon} eV is not in (0, {MAX_ENERGY_EV}]"
+            )
         drive = bloch.DriveField(amplitude=amplitude, photon_energy=photon)
         spectrum = medium.epsilon_transient(material, drive, times)
         result = qabs_transient(spectrum, radius=radius, host_epsilon=host)
@@ -666,7 +672,12 @@ def main(argv=None) -> int:
     except (NumericalFailure, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for path in output.commit():
+    try:
+        written = output.commit()
+    except OSError as exc:
+        print(f"error: cannot write to {cfg.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    for path in written:
         print(path)
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Self-contained numerical kernels: linear algebra on small complex
-systems, adaptive integration with the 8th-order Dormand-Prince pair,
-a principal-value Kramers-Kronig transform, and a bounded Nelder-Mead
+systems, adaptive integration of linear systems dy/dt = (G0 + c(t) G1) y
+with the 8th-order Dormand-Prince pair, batched as step matrices, a
+principal-value Kramers-Kronig transform, and a bounded Nelder-Mead
 simplex search run from many starts in lockstep."""
 
 from .linalg import SingularMatrix, NotConverged, DefectiveMatrix, solve_linear, eig

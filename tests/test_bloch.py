@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lsepkit import bloch
 from lsepkit.bloch import (
     BlochTrajectory,
     DensityMatrix,
@@ -28,7 +29,7 @@ from lsepkit.bloch import (
     steady_state,
 )
 from lsepkit.constants import EV_TO_RADS, HBAR, power_to_field
-from lsepkit.numerics import StepUnderflow
+from lsepkit.numerics import StepUnderflow, integrate
 
 PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
                         pure_dephasing=0.017, dipole=32.0)
@@ -207,6 +208,25 @@ class TestEvolveLab:
         )
         np.testing.assert_allclose(traj.rho01, 0.0, atol=1e-12)
 
+    def test_zero_field_matches_eigen_propagation(self):
+        # undriven, the lab-frame generator is constant; its eigenvectors
+        # propagate every component exactly
+        p = PARAMS
+        w1, gtot = p.transition_rate, p.total_dephasing_rate
+        gen = np.array([
+            [0.0, 0.0, 0.0, p.decay_rate],
+            [0.0, -(1j * w1 + gtot), 0.0, 0.0],
+            [0.0, 0.0, 1j * w1 - gtot, 0.0],
+            [0.0, 0.0, 0.0, -p.decay_rate],
+        ])
+        start = DensityMatrix(0.3 + 0.0j, 0.0j, 0.0j, 0.7 + 0.0j)
+        times = np.linspace(0.0, 2e-12, 9)
+        values, vectors = np.linalg.eig(gen)
+        coeffs = np.linalg.solve(vectors, start.as_vector())
+        want = (vectors @ (np.exp(np.outer(values, times)) * coeffs[:, None])).T
+        got = evolve_lab(p, DriveField(amplitude=0.0, photon_energy=2.11), start, times)
+        np.testing.assert_allclose(got.states, want, rtol=1e-10, atol=0.0)
+
     def test_strong_field_rabi_oscillation(self):
         # 10 MW over a 1.5 mm spot: drive fast enough to beat dephasing
         e0 = power_to_field(10e6, 1.5e-3)
@@ -247,6 +267,23 @@ class TestEvolveLab:
         late = (times > 200e-15) & (times <= times[-1] - 0.5 * cycle)
         cplx_err = np.abs(smooth - rwa.rho01)[late] / scale
         assert cplx_err.max() < 1e-3
+
+    def test_full_wave_grid_takes_one_step_per_sample_interval(self, monkeypatch):
+        # at the default tolerances every interval of the criterion-8
+        # grid (1/24 of an optical cycle) passes the error test whole
+        stats = []
+
+        def spy(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            stats.append((traj.step_stats.accepted, traj.step_stats.rejected))
+            return traj
+
+        monkeypatch.setattr(bloch, "integrate", spy)
+        drive = DriveField(amplitude=1e5, photon_energy=2.11)
+        times = np.arange(0.0, 500e-15, 2.0 * np.pi / drive.angular_frequency / 24.0)
+        evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
+        assert times.size == 6123
+        assert stats == [(6122, 0)]
 
     def test_detuned_complex_envelope_after_transient(self):
         # off resonance the demodulated coherence rotates at the detuning

@@ -201,10 +201,40 @@ class TestConfigErrors:
             ("transient", "time_max_fs", "1e12"),
             ("extract-nk", "n_step", "1e-9"),
             ("extract-nk", "kappa_step", "1e-9"),
+            # a 400,001 x 400,001 map
+            ("nearfield", "grid_half_nm", "1e6"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, command, key, value):
         self.assert_named_config_error(tmp_path, capsys, command, key, value)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("transient", "transition_energy_ev"),
+            ("fit-permittivity", "transition_energy_ev"),
+            ("fit-permittivity", "initial_pure_dephasing_ev"),
+            ("nearfield", "photon_energy_ev"),
+            ("lorentz", "lorentz_resonance_ev"),
+            ("lorentz", "lorentz_damping_ev"),
+            ("qabs-spectrum", "energy_max_ev"),
+            ("transient", "detunings_ev"),
+        ],
+    )
+    def test_energy_above_its_maximum_is_named(self, tmp_path, capsys, command, key):
+        # each of these overflowed past its input checks and exited 3
+        # with a FloatingPointError or NotConverged that named no key
+        self.assert_named_config_error(tmp_path, capsys, command, key, "1e308")
+
+    def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        rc = main(["lorentz", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(out) in err[0]
 
     @staticmethod
     def assert_named_config_error(tmp_path, capsys, command, key, value):
