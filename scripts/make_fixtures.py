@@ -57,14 +57,15 @@ def film_rt_fixture() -> None:
         rt = rt_theoretical(stack, wl)
         rows.append(RTMeasurement(wl, rt.reflectance, rt.transmittance))
     path = DATA_DIR / "film_rt.csv"
-    write_rt_csv(path, rows)
-    text = path.read_text()
-    header = (
-        "# synthetic normal-incidence R/T of a 70 nm dye-doped polymer film\n"
-        "# on glass (substrate index 1.52), generated by scripts/make_fixtures.py\n"
-        "# from the packaged material model (planar parameter set)\n"
+    write_rt_csv(
+        path,
+        rows,
+        comments=[
+            "synthetic normal-incidence R/T of a 70 nm dye-doped polymer film",
+            "on glass (substrate index 1.52), generated by scripts/make_fixtures.py",
+            "from the packaged material model (planar parameter set)",
+        ],
     )
-    path.write_text(header + text)
     print(f"wrote {path} ({wavelengths.size} rows)")
 
 

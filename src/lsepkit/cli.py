@@ -7,9 +7,17 @@ switch-on transient, invert film R/T data, and evaluate the classical
 single-oscillator comparison.  Configuration is an INI file; every
 default can be printed with --dump-defaults so runs are reproducible.
 
-Exit codes: 0 success, 2 configuration or input error (ValueError) or an
-unwritable output directory, 3 numerical failure (NumericalFailure, or a
-numpy overflow, invalid value or division by zero).
+DEFAULTS declares each command's keys once, each with its default, kind
+and range.  load_config checks the whole block when it loads it, keys
+the command will not use included, and the commands read typed values
+(``cfg["radius_nm"]``).  Commands return their files' text, rendered
+through lsepkit.table, and write_outputs stages them inside the output
+directory before moving them into place.
+
+Exit codes: 0 success, 2 configuration or input error (ValueError, a
+malformed or unreadable INI file) or an unwritable output directory,
+3 numerical failure (NumericalFailure, or a numpy overflow, invalid
+value or division by zero).
 """
 
 from __future__ import annotations
@@ -18,14 +26,18 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
+import shutil
 import sys
 import tempfile
+from itertools import takewhile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import NumericalFailure, bloch, film, medium
+from . import NumericalFailure, bloch, film, medium, table
 from .constants import ev_to_vacuum_wavelength_m, power_to_field
 from .mie import (
     Termination,
@@ -46,203 +58,210 @@ MAX_SAMPLES = 10**7
 # Largest level, photon or linewidth energy a config may name: 100 eV is
 # extreme ultraviolet, far above the optical range the models describe.
 MAX_ENERGY_EV = 100.0
+# Largest background or Lorentz-strength permittivity a config may name,
+# and the largest refractive index: far above any dielectric host.
+MAX_PERMITTIVITY = 1e4
+MAX_INDEX = 100.0
+# Largest streamline length a config may name, 1 mm: far outside the
+# near-zone domain of any sphere the Mie layer supports.
+MAX_LENGTH_NM = 1e6
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration value; message names the field."""
 
 
-MATERIAL_DEFAULTS = {
-    "transition_energy_ev": "2.11",
-    "decay_rate_per_s": "1.15e12",
-    "pure_dephasing_ev": "0.017",
-    "dipole_debye": "32.0",
-    "number_density_per_m3": "3.29e25",
-    "background_permittivity": "2.3104",
+class Key(NamedTuple):
+    """One config key: its default text, its kind (float, int, list of
+    floats, str, or a tuple of the allowed words) and its closed range."""
+
+    default: str
+    kind: type | tuple[str, ...] = float
+    minimum: float = -math.inf
+    maximum: float = math.inf
+
+
+MATERIAL_KEYS = {
+    "transition_energy_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
+    "decay_rate_per_s": Key("1.15e12", float, 0.0),
+    "pure_dephasing_ev": Key("0.017", float, 0.0),
+    "dipole_debye": Key("32.0", float, 1e-9, medium.MAX_DIPOLE_DEBYE),
+    "number_density_per_m3": Key("3.29e25", float, 0.0),
+    "background_permittivity": Key("2.3104", float, 1.0, MAX_PERMITTIVITY),
 }
 
-SPHERE_DEFAULTS = {
-    "radius_nm": "50",
-    "host_epsilon": "1.0",
+SPHERE_KEYS = {
+    "radius_nm": Key("50", float, 1e-3),
+    "host_epsilon": Key("1.0", float, 1.0),
 }
 
-DEFAULTS: dict[str, dict[str, str]] = {
+ENERGY_GRID_KEYS = {
+    "energy_min_ev": Key("1.9", float, 1e-6, MAX_ENERGY_EV),
+    "energy_max_ev": Key("2.4", float, maximum=MAX_ENERGY_EV),
+    "energy_step_ev": Key("0.001", float, 1e-9),
+}
+
+LORENTZ_KEYS = {
+    "lorentz_background": Key("2.3104", float, 1.0),
+    "lorentz_strength": Key("0.2505", float, 0.0, MAX_PERMITTIVITY),
+    "lorentz_resonance_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
+    "lorentz_damping_ev": Key("7.569e-4", float, 1e-9, MAX_ENERGY_EV),
+}
+
+DEFAULTS: dict[str, dict[str, Key]] = {
     "fit-permittivity": {
-        **MATERIAL_DEFAULTS,
+        **MATERIAL_KEYS,
         # the packaged target is a planar-layer spectrum; pair it with the
         # areal number density so the fitted dipole is the planar value
-        "number_density_per_m3": "1.47e25",
-        "input": "",  # empty -> packaged target spectrum
-        "initial_dipole_debye": "30.0",
-        "initial_pure_dephasing_ev": "0.010",
+        "number_density_per_m3": MATERIAL_KEYS["number_density_per_m3"]._replace(
+            default="1.47e25"
+        ),
+        "input": Key("", str),  # empty -> packaged target spectrum
+        "initial_dipole_debye": Key("30.0", float, 1e-6, medium.MAX_DIPOLE_DEBYE),
+        "initial_pure_dephasing_ev": Key("0.010", float, 0.0, MAX_ENERGY_EV),
     },
     "qabs-spectrum": {
-        **MATERIAL_DEFAULTS,
-        **SPHERE_DEFAULTS,
-        "model": "quantum",
-        "input": "",
-        "energy_min_ev": "1.9",
-        "energy_max_ev": "2.4",
-        "energy_step_ev": "0.001",
-        "lorentz_background": "2.3104",
-        "lorentz_strength": "0.2505",
-        "lorentz_resonance_ev": "2.11",
-        "lorentz_damping_ev": "7.569e-4",
+        **MATERIAL_KEYS,
+        **SPHERE_KEYS,
+        "model": Key("quantum", ("quantum", "lorentz", "data")),
+        "input": Key("", str),
+        **ENERGY_GRID_KEYS,
+        **LORENTZ_KEYS,
     },
     "nearfield": {
-        **MATERIAL_DEFAULTS,
-        **SPHERE_DEFAULTS,
-        "photon_energy_ev": "2.16",
-        "epsilon_override": "",
-        "grid_half_nm": "300",
-        "grid_step_nm": "5",
-        "seed_z_nm": "-200",
-        "seed_y_max_nm": "200",
-        "seed_spacing_nm": "10",
-        "step_nm": "10",
-        "max_steps": "600",
-        "scheme": "euler",
+        **MATERIAL_KEYS,
+        **SPHERE_KEYS,
+        "photon_energy_ev": Key("2.16", float, 1e-6, MAX_ENERGY_EV),
+        "epsilon_override": Key("", list),  # empty, or "re, im"
+        "grid_half_nm": Key("300", float, 1.0),
+        "grid_step_nm": Key("5", float, 0.1),
+        "seed_z_nm": Key("-200", float, -MAX_LENGTH_NM, MAX_LENGTH_NM),
+        "seed_y_max_nm": Key("200", float, 0.0),
+        "seed_spacing_nm": Key("10", float, 0.1),
+        "step_nm": Key("10", float, 0.1, MAX_LENGTH_NM),
+        "max_steps": Key("600", int, 1),
+        "scheme": Key("euler", ("euler", "midpoint")),
     },
     "transient": {
-        **MATERIAL_DEFAULTS,
-        **SPHERE_DEFAULTS,
-        "power_mw": "1.0",
-        "spot_diameter_mm": "1.5",
-        "detunings_ev": "0, 0.03, 0.06, 0.09, 0.091",
-        "time_max_fs": "400",
-        "time_step_fs": "1",
+        **MATERIAL_KEYS,
+        **SPHERE_KEYS,
+        "power_mw": Key("1.0", float, 0.0),
+        # a spot wider than a metre is no longer a focused beam
+        "spot_diameter_mm": Key("1.5", float, 1e-6, 1e3),
+        "detunings_ev": Key("0, 0.03, 0.06, 0.09, 0.091", list),
+        "time_max_fs": Key("400", float, 1.0),
+        "time_step_fs": Key("1", float, 1e-3),
     },
     "extract-nk": {
-        "input": "",  # empty -> packaged film fixture
-        "substrate_index": "1.52",
-        "ambient_index": "1.0",
-        "thickness_min_nm": "63",
-        "thickness_max_nm": "77",
-        "thickness_samples": "3",
-        "reference_thickness_nm": "70",
-        "n_min": "0.1",
-        "n_max": "3.5",
-        "n_step": "0.005",
-        "kappa_min": "0.0",
-        "kappa_max": "3.2",
-        "kappa_step": "0.005",
-        "kk_asymptote": "1.52",
+        "input": Key("", str),  # empty -> packaged film fixture
+        "substrate_index": Key("1.52", float, 1.0, MAX_INDEX),
+        "ambient_index": Key("1.0", float, 1.0, MAX_INDEX),
+        "thickness_min_nm": Key("63", float, 1.0),
+        "thickness_max_nm": Key("77", float, 1.0),
+        "thickness_samples": Key("3", int, 1),
+        "reference_thickness_nm": Key("70", float, 1.0),
+        "n_min": Key("0.1"),
+        "n_max": Key("3.5"),
+        "n_step": Key("0.005"),
+        "kappa_min": Key("0.0"),
+        "kappa_max": Key("3.2"),
+        "kappa_step": Key("0.005"),
+        "kk_asymptote": Key("1.52", float, 0.0),
     },
-    "lorentz": {
-        "lorentz_background": "2.3104",
-        "lorentz_strength": "0.2505",
-        "lorentz_resonance_ev": "2.11",
-        "lorentz_damping_ev": "7.569e-4",
-        "energy_min_ev": "1.9",
-        "energy_max_ev": "2.4",
-        "energy_step_ev": "0.001",
-    },
+    "lorentz": {**LORENTZ_KEYS, **ENERGY_GRID_KEYS},
 }
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """One command's resolved key-value block plus the output directory."""
+class RunConfig(dict):
+    """One command's checked, typed key values, and where it writes."""
 
-    command: str
-    values: dict[str, str]
-    out_dir: Path
+    def __init__(self, values: dict[str, object], out_dir):
+        super().__init__(values)
+        self.out_dir = Path(out_dir)
 
-    def _fetch(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"unknown configuration key lookup: {key}")
-        return self.values[key]
 
-    def text(self, key: str) -> str:
-        return self._fetch(key).strip()
-
-    def real(self, key: str, minimum=None, maximum=None) -> float:
-        raw = self._fetch(key)
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {raw!r}") from exc
-        if not np.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {raw.strip()!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{key}: must be <= {maximum}, got {value}")
-        return value
-
-    def integer(self, key: str, minimum=None) -> int:
-        raw = self._fetch(key)
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-        return value
-
-    def real_list(self, key: str) -> list[float]:
-        raw = self._fetch(key)
-        try:
-            values = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a comma-separated number list: {raw!r}") from exc
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"{key}: every entry must be finite, got {raw.strip()!r}")
-        return values
+def _parse(key: str, spec: Key, raw: str):
+    """The typed value of one key, checked against its kind and range."""
+    text = raw.strip()
+    if spec.kind is str:
+        return text
+    if isinstance(spec.kind, tuple):
+        if text not in spec.kind:
+            raise ConfigError(f"{key}: must be one of {', '.join(spec.kind)}, got {text!r}")
+        return text
+    tokens = [tok for tok in text.split(",") if tok.strip()] if spec.kind is list else [text]
+    try:
+        values = [(int if spec.kind is int else float)(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {text!r}")
+        if value < spec.minimum:
+            raise ConfigError(f"{key}: must be >= {spec.minimum}, got {value}")
+        if value > spec.maximum:
+            raise ConfigError(f"{key}: must be <= {spec.maximum}, got {value}")
+    return values if spec.kind is list else values[0]
 
 
 def load_config(command: str, config_path, out_dir, overrides=None) -> RunConfig:
-    values = dict(DEFAULTS[command])
+    """Defaults, then the INI section, then overrides; every key checked."""
+    keys = DEFAULTS[command]
+    raw = {key: spec.default for key, spec in keys.items()}
     if config_path:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
-        parser.read(path)
-        if parser.has_section(command):
-            for key, value in parser.items(command):
-                if key not in values:
-                    raise ConfigError(f"[{command}] has unknown key {key!r}")
-                values[key] = value
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-    return RunConfig(command=command, values=values, out_dir=Path(out_dir))
+        # no interpolation: a % in a value, such as an input path, is literal
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with path.open(encoding="utf-8") as handle:
+                parser.read_file(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        except (configparser.Error, UnicodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}")
+        for key, value in parser.items(command) if parser.has_section(command) else ():
+            if key not in keys:
+                raise ConfigError(f"[{command}] has unknown key {key!r}")
+            raw[key] = value
+    raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    return RunConfig({key: _parse(key, keys[key], text) for key, text in raw.items()}, out_dir)
 
 
 def dump_defaults(command: str) -> str:
     lines = [f"[{command}]"]
-    lines += [f"{key} = {value}" for key, value in DEFAULTS[command].items()]
+    lines += [f"{key} = {spec.default}" for key, spec in DEFAULTS[command].items()]
     return "\n".join(lines) + "\n"
 
 
 def _material(cfg: RunConfig) -> medium.MaterialParams:
     two_level = bloch.TwoLevelParams(
-        transition_energy=cfg.real("transition_energy_ev", minimum=1e-6, maximum=MAX_ENERGY_EV),
-        decay_rate=cfg.real("decay_rate_per_s", minimum=0.0),
-        pure_dephasing=cfg.real("pure_dephasing_ev", minimum=0.0),
-        dipole=cfg.real("dipole_debye", minimum=1e-9),
+        transition_energy=cfg["transition_energy_ev"],
+        decay_rate=cfg["decay_rate_per_s"],
+        pure_dephasing=cfg["pure_dephasing_ev"],
+        dipole=cfg["dipole_debye"],
     )
     return medium.MaterialParams(
-        number_density=cfg.real("number_density_per_m3", minimum=0.0),
-        background_permittivity=cfg.real("background_permittivity", minimum=1.0),
+        number_density=cfg["number_density_per_m3"],
+        background_permittivity=cfg["background_permittivity"],
         two_level=two_level,
     )
 
 
 def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
     return medium.LorentzParams(
-        eps_background=cfg.real("lorentz_background", minimum=1.0),
-        oscillator_strength=cfg.real("lorentz_strength", minimum=0.0),
-        resonance=cfg.real("lorentz_resonance_ev", minimum=1e-6, maximum=MAX_ENERGY_EV),
-        damping=cfg.real("lorentz_damping_ev", minimum=1e-9, maximum=MAX_ENERGY_EV),
+        eps_background=cfg["lorentz_background"],
+        oscillator_strength=cfg["lorentz_strength"],
+        resonance=cfg["lorentz_resonance_ev"],
+        damping=cfg["lorentz_damping_ev"],
     )
 
 
 def _energy_grid(cfg: RunConfig) -> np.ndarray:
-    lo = cfg.real("energy_min_ev", minimum=1e-6, maximum=MAX_ENERGY_EV)
-    hi = cfg.real("energy_max_ev", maximum=MAX_ENERGY_EV)
-    step = cfg.real("energy_step_ev", minimum=1e-9)
+    lo = cfg["energy_min_ev"]
+    hi = cfg["energy_max_ev"]
+    step = cfg["energy_step_ev"]
     if hi <= lo:
         raise ConfigError(f"energy_max_ev: must exceed energy_min_ev, got {hi} <= {lo}")
     _check_samples((hi - lo) / step + 1.0, "energy_step_ev", "energy_min_ev..energy_max_ev")
@@ -265,63 +284,46 @@ def _packaged(name: str) -> Path:
 
 
 def _input_path(cfg: RunConfig, fallback: str) -> Path:
-    raw = cfg.text("input")
+    raw = cfg["input"]
     path = Path(raw) if raw else _packaged(fallback)
     if not path.is_file():
         raise ConfigError(f"input: file not found: {path}")
     return path
 
 
-class _OutputSet:
-    """Collects rendered file bodies, then writes them all atomically."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.pending: list[tuple[str, str]] = []
-
-    def add(self, name: str, body: str) -> None:
-        self.pending.append((name, body))
-
-    def commit(self) -> list[Path]:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, body in self.pending:
-            target = self.out_dir / name
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=self.out_dir, prefix=f".{name}.", delete=False
-            )
-            try:
-                with handle:
-                    handle.write(body)
-                os.replace(handle.name, target)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
-            written.append(target)
-        return written
-
-
-def _csv_body(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            cell if isinstance(cell, str) else f"{cell:.17g}"
-            for cell in row
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
+    """Writes every body into a stage inside out_dir, then moves the files
+    into place.  On a failure the stage and every directory this call
+    created are removed."""
+    target = out_dir.resolve()
+    created = list(takewhile(lambda d: not d.exists(), (target, *target.parents)))
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(dir=target, prefix=".stage-"))
+        try:
+            for name, body in bodies.items():
+                (stage / name).write_text(body, encoding="utf-8")
+            for name in bodies:
+                os.replace(stage / name, target / name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
+    return [out_dir / name for name in bodies]
 
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_fit_permittivity(cfg: RunConfig) -> _OutputSet:
+def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
     target = medium.read_spectrum_csv(_input_path(cfg, "epsilon_extracted.csv"))
     start = _material(cfg)
     report = medium.fit_material(
         target,
         start,
-        dipole_init=cfg.real("initial_dipole_debye", minimum=1e-6),
-        dephasing_init=cfg.real("initial_pure_dephasing_ev", minimum=0.0, maximum=MAX_ENERGY_EV),
+        dipole_init=cfg["initial_dipole_debye"],
+        dephasing_init=cfg["initial_pure_dephasing_ev"],
     )
     fitted = report.params
     model = medium.epsilon_steady(fitted, target.energies)
@@ -337,39 +339,32 @@ def cmd_fit_permittivity(cfg: RunConfig) -> _OutputSet:
         "n_evaluations": report.n_evaluations,
         "degenerate": report.degenerate,
     }
-    out = _OutputSet(cfg.out_dir)
-    out.add("fitted_params.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    out.add(
-        "epsilon_fit.csv",
-        _csv_body(
+    return {
+        "fitted_params.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "epsilon_fit.csv": table.render(
             ["energy_eV", "eps_real", "eps_imag", "target_real", "target_imag"],
             (
                 (e, m.real, m.imag, t.real, t.imag)
                 for e, m, t in zip(target.energies, model.epsilon, target.epsilon)
             ),
         ),
-    )
-    return out
+    }
 
 
-def cmd_qabs_spectrum(cfg: RunConfig) -> _OutputSet:
-    model = cfg.text("model")
+def cmd_qabs_spectrum(cfg: RunConfig) -> dict[str, str]:
+    model = cfg["model"]
     energies = _energy_grid(cfg)
     if model == "quantum":
         spectrum = medium.epsilon_steady(_material(cfg), energies)
     elif model == "lorentz":
         spectrum = medium.lorentz_epsilon(_lorentz(cfg), energies)
-    elif model == "data":
-        spectrum = medium.read_spectrum_csv(_input_path(cfg, "epsilon_extracted.csv"))
     else:
-        raise ConfigError(f"model: must be quantum, lorentz, or data, got {model!r}")
-    radius = cfg.real("radius_nm", minimum=1e-3) * 1e-9
-    host = cfg.real("host_epsilon", minimum=1.0)
+        spectrum = medium.read_spectrum_csv(_input_path(cfg, "epsilon_extracted.csv"))
+    radius = cfg["radius_nm"] * 1e-9
+    host = cfg["host_epsilon"]
     result = qabs_spectrum(spectrum, radius=radius, host_epsilon=host)
-    out = _OutputSet(cfg.out_dir)
-    out.add(
-        "qabs.csv",
-        _csv_body(
+    return {
+        "qabs.csv": table.render(
             ["energy_eV", "Q_ext", "Q_sca", "Q_abs", "kappa_norm"],
             zip(
                 result.energies,
@@ -379,41 +374,34 @@ def cmd_qabs_spectrum(cfg: RunConfig) -> _OutputSet:
                 result.kappa_normalized,
             ),
         ),
-    )
-    return out
+    }
 
 
 def _nearfield_scene(cfg: RunConfig) -> SphereScene:
-    energy = cfg.real("photon_energy_ev", minimum=1e-6, maximum=MAX_ENERGY_EV)
-    override = cfg.text("epsilon_override")
+    energy = cfg["photon_energy_ev"]
+    override = cfg["epsilon_override"]
     if override:
-        parts = override.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"epsilon_override: expected 're,im', got {override!r}")
-        try:
-            eps = complex(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"epsilon_override: {override!r} is not numeric") from exc
-        if not np.isfinite(eps):
-            raise ConfigError(f"epsilon_override: must be finite, got {override!r}")
+        if len(override) != 2:
+            raise ConfigError(f"epsilon_override: expected 're,im', got {len(override)} numbers")
+        eps = complex(*override)
     else:
         spectrum = medium.epsilon_steady(_material(cfg), np.array([energy]))
         raw = spectrum.epsilon[0]
         eps = complex(raw.real, max(raw.imag, 0.0))
     return SphereScene(
-        radius=cfg.real("radius_nm", minimum=1e-3) * 1e-9,
+        radius=cfg["radius_nm"] * 1e-9,
         sphere_epsilon=eps,
-        host_epsilon=cfg.real("host_epsilon", minimum=1.0),
+        host_epsilon=cfg["host_epsilon"],
         wavelength_vacuum=ev_to_vacuum_wavelength_m(energy),
     )
 
 
-def cmd_nearfield(cfg: RunConfig) -> _OutputSet:
+def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     scene = _nearfield_scene(cfg)
     coeffs = mie_coefficients(scene)
 
-    half = cfg.real("grid_half_nm", minimum=1.0)
-    step = cfg.real("grid_step_nm", minimum=0.1)
+    half = cfg["grid_half_nm"]
+    step = cfg["grid_step_nm"]
     _check_samples((2.0 * half / step + 1.0) ** 2, "grid_half_nm", "the grid_step_nm map")
     axis = np.arange(-half, half + 0.5 * step, step) * 1e-9
     yy, zz = np.meshgrid(axis, axis, indexing="ij")
@@ -424,33 +412,28 @@ def cmd_nearfield(cfg: RunConfig) -> _OutputSet:
     grid = near_field_grid(scene, coeffs, pts)
     enh = grid.enhancement.reshape(yy.shape)
 
-    seed_z = cfg.real("seed_z_nm") * 1e-9
-    seed_max = cfg.real("seed_y_max_nm", minimum=0.0) * 1e-9
-    spacing = cfg.real("seed_spacing_nm", minimum=0.1) * 1e-9
+    seed_z = cfg["seed_z_nm"] * 1e-9
+    seed_max = cfg["seed_y_max_nm"] * 1e-9
+    spacing = cfg["seed_spacing_nm"] * 1e-9
     n_side = int(round(seed_max / spacing))
     seed_y = spacing * np.arange(-n_side, n_side + 1)
     seeds = np.stack(
         [np.zeros_like(seed_y), seed_y, np.full_like(seed_y, seed_z)], axis=1
     )
-    scheme = cfg.text("scheme")
-    if scheme not in ("euler", "midpoint"):
-        raise ConfigError(f"scheme: must be euler or midpoint, got {scheme!r}")
     lines = poynting_streamlines(
         scene,
         coeffs,
         seeds,
-        step=cfg.real("step_nm", minimum=0.1) * 1e-9,
-        max_steps=cfg.integer("max_steps", minimum=1),
-        scheme=scheme,
+        step=cfg["step_nm"] * 1e-9,
+        max_steps=cfg["max_steps"],
+        scheme=cfg["scheme"],
     )
 
-    out = _OutputSet(cfg.out_dir)
     rows = (
         (axis[i] * 1e9, axis[j] * 1e9, enh[i, j])
         for i in range(axis.size)
         for j in range(axis.size)
     )
-    out.add("field_map.csv", _csv_body(["y_nm", "z_nm", "enhancement"], rows))
     payload = [
         {
             "seed_nm": [round(v * 1e9, 9) for v in ln.seed],
@@ -463,23 +446,25 @@ def cmd_nearfield(cfg: RunConfig) -> _OutputSet:
     body = json.dumps(
         {"captured_count": captured, "lines": payload}, indent=1, sort_keys=True
     )
-    out.add("streamlines.json", body + "\n")
-    return out
+    return {
+        "field_map.csv": table.render(["y_nm", "z_nm", "enhancement"], rows),
+        "streamlines.json": body + "\n",
+    }
 
 
-def cmd_transient(cfg: RunConfig) -> _OutputSet:
+def cmd_transient(cfg: RunConfig) -> dict[str, str]:
     material = _material(cfg)
     amplitude = power_to_field(
-        cfg.real("power_mw", minimum=0.0) * 1e-3,
-        cfg.real("spot_diameter_mm", minimum=1e-6) * 1e-3,
+        cfg["power_mw"] * 1e-3,
+        cfg["spot_diameter_mm"] * 1e-3,
     )
-    radius = cfg.real("radius_nm", minimum=1e-3) * 1e-9
-    host = cfg.real("host_epsilon", minimum=1.0)
-    t_max = cfg.real("time_max_fs", minimum=1.0) * 1e-15
-    t_step = cfg.real("time_step_fs", minimum=1e-3) * 1e-15
+    radius = cfg["radius_nm"] * 1e-9
+    host = cfg["host_epsilon"]
+    t_max = cfg["time_max_fs"] * 1e-15
+    t_step = cfg["time_step_fs"] * 1e-15
     _check_samples(t_max / t_step + 1.0, "time_step_fs", "0..time_max_fs")
     times = np.arange(0.0, t_max + 0.5 * t_step, t_step)
-    detunings = cfg.real_list("detunings_ev")
+    detunings = cfg["detunings_ev"]
     if not detunings:
         raise ConfigError("detunings_ev: list is empty")
 
@@ -496,33 +481,31 @@ def cmd_transient(cfg: RunConfig) -> _OutputSet:
         result = qabs_transient(spectrum, radius=radius, host_epsilon=host)
         for t_s, q in zip(times, result.q_abs):
             rows.append((detuning, t_s * 1e15, q))
-    out = _OutputSet(cfg.out_dir)
-    out.add("qabs_t.csv", _csv_body(["detuning_eV", "time_fs", "Q_abs"], rows))
-    return out
+    return {"qabs_t.csv": table.render(["detuning_eV", "time_fs", "Q_abs"], rows)}
 
 
-def cmd_extract_nk(cfg: RunConfig) -> _OutputSet:
+def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
     measurements = film.read_rt_csv(_input_path(cfg, "film_rt.csv"))
     if not measurements:
         raise ConfigError("input: measurement file has no rows")
-    t_lo = cfg.real("thickness_min_nm", minimum=1.0) * 1e-9
-    t_hi = cfg.real("thickness_max_nm", minimum=1.0) * 1e-9
-    t_ref = cfg.real("reference_thickness_nm", minimum=1.0) * 1e-9
+    t_lo = cfg["thickness_min_nm"] * 1e-9
+    t_hi = cfg["thickness_max_nm"] * 1e-9
+    t_ref = cfg["reference_thickness_nm"] * 1e-9
     grid = film.NkGrid(
-        n_min=cfg.real("n_min"),
-        n_max=cfg.real("n_max"),
-        n_step=cfg.real("n_step"),
-        kappa_min=cfg.real("kappa_min"),
-        kappa_max=cfg.real("kappa_max"),
-        kappa_step=cfg.real("kappa_step"),
+        n_min=cfg["n_min"],
+        n_max=cfg["n_max"],
+        n_step=cfg["n_step"],
+        kappa_min=cfg["kappa_min"],
+        kappa_max=cfg["kappa_max"],
+        kappa_step=cfg["kappa_step"],
     )
     candidates = film.extract_nk(
         measurements,
         thickness_range=(t_lo, t_hi),
         grid=grid,
-        n_thickness=cfg.integer("thickness_samples", minimum=1),
-        substrate_index=cfg.real("substrate_index", minimum=1.0),
-        ambient_index=cfg.real("ambient_index", minimum=1.0),
+        n_thickness=cfg["thickness_samples"],
+        substrate_index=cfg["substrate_index"],
+        ambient_index=cfg["ambient_index"],
     )
 
     # branch selection runs on candidates sharing one thickness; rescale
@@ -547,11 +530,10 @@ def cmd_extract_nk(cfg: RunConfig) -> _OutputSet:
     kappa_vals = np.array([c.kappa for c in selection.physical])
     asc = np.argsort(energy_vals)
     curve = film.close_with_kk(
-        energy_vals[asc], kappa_vals[asc], cfg.real("kk_asymptote", minimum=0.0)
+        energy_vals[asc], kappa_vals[asc], cfg["kk_asymptote"]
     )
     n_by_energy = dict(zip(curve.energies, curve.n))
 
-    out = _OutputSet(cfg.out_dir)
     nk_rows = []
     for cand in sorted(selection.physical, key=lambda c: c.wavelength):
         e_val = vacuum_wavelength_m_to_ev(cand.wavelength)
@@ -565,13 +547,6 @@ def cmd_extract_nk(cfg: RunConfig) -> _OutputSet:
                 cand.residual,
             )
         )
-    out.add(
-        "nk.csv",
-        _csv_body(
-            ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual"],
-            nk_rows,
-        ),
-    )
     branch_rows = (
         (
             c.wavelength * 1e9,
@@ -586,35 +561,21 @@ def cmd_extract_nk(cfg: RunConfig) -> _OutputSet:
             candidates, key=lambda c: (c.thickness_used, c.wavelength, c.kappa)
         )
     )
-    out.add(
-        "branches.csv",
-        _csv_body(
-            [
-                "wavelength_nm",
-                "energy_eV",
-                "n",
-                "kappa",
-                "branch",
-                "residual",
-                "thickness_nm",
-            ],
-            branch_rows,
-        ),
-    )
-    return out
+    header = ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual"]
+    return {
+        "nk.csv": table.render(header, nk_rows),
+        "branches.csv": table.render(header + ["thickness_nm"], branch_rows),
+    }
 
 
-def cmd_lorentz(cfg: RunConfig) -> _OutputSet:
+def cmd_lorentz(cfg: RunConfig) -> dict[str, str]:
     spectrum = medium.lorentz_epsilon(_lorentz(cfg), _energy_grid(cfg))
-    out = _OutputSet(cfg.out_dir)
-    out.add(
-        "epsilon_lorentz.csv",
-        _csv_body(
+    return {
+        "epsilon_lorentz.csv": table.render(
             ["energy_eV", "eps_real", "eps_imag"],
             ((e, v.real, v.imag) for e, v in zip(spectrum.energies, spectrum.epsilon)),
         ),
-    )
-    return out
+    }
 
 
 COMMANDS = {
@@ -657,15 +618,14 @@ def main(argv=None) -> int:
     if args.dump_defaults:
         sys.stdout.write(dump_defaults(args.command))
         return EXIT_OK
-    overrides = {}
-    if getattr(args, "model", None) is not None:
-        overrides["model"] = args.model
     try:
         # a numpy overflow, invalid value or division by zero is a
         # numerical failure, not a warning ahead of invalid output
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = load_config(args.command, args.config, args.out, overrides)
-            output = COMMANDS[args.command](cfg)
+            cfg = load_config(
+                args.command, args.config, args.out, {"model": getattr(args, "model", None)}
+            )
+            bodies = COMMANDS[args.command](cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -673,7 +633,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:
-        written = output.commit()
+        written = write_outputs(cfg.out_dir, bodies)
     except OSError as exc:
         print(f"error: cannot write to {cfg.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,7 +7,8 @@ two-interface Fresnel amplitudes).  Inversion: grid search for the two
 lowest residual minima per wavelength, simplex refinement, a thickness
 sweep with the kappa deconvolution identity, smoothness-based rejection
 of the spurious solution branch, and a dispersion-relation closure that
-rebuilds n from the retained kappa curve.
+rebuilds n from the retained kappa curve.  R/T measurements are read
+and written as lsepkit.table tables.
 
 The grid search evaluates each (wavelength, thickness) map only on the
 tiles of the (n, kappa) grid that can hold a seed.  Circular complex
@@ -28,18 +29,16 @@ scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 from __future__ import annotations
 
 import cmath
-import csv
 import dataclasses
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import NumericalFailure
+from . import NumericalFailure, table
 from .numerics import kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
@@ -904,44 +903,23 @@ def close_with_kk(energies_ev, kappa, n_asymptote: float) -> IndexCurve:
 
 # ------------------------------------------------------------------ I/O
 
+RT_HEADER = ("wavelength_nm", "R", "T")
+
+
 def read_rt_csv(path) -> list[RTMeasurement]:
     """Measurements from a CSV with header wavelength_nm,R,T."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, r) for r in reader
-                if r and not r[0].lstrip().startswith("#")]
-    if not rows or [c.strip() for c in rows[0][1]] != ["wavelength_nm", "R", "T"]:
-        raise ValueError(f"{path}: expected header wavelength_nm,R,T")
+    data, lines = table.read(path, RT_HEADER)
     out = []
-    for line, row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"{path}, line {line}: malformed row {row!r}")
+    for line, (wl_nm, r_val, t_val) in zip(lines, data.tolist()):
         try:
-            wl_nm, r_val, t_val = (float(c) for c in row)
-            out.append(
-                RTMeasurement(
-                    wavelength=wl_nm * 1e-9,
-                    reflectance=r_val,
-                    transmittance=t_val,
-                )
-            )
+            out.append(RTMeasurement(wl_nm * 1e-9, r_val, t_val))
         except ValueError as exc:
             raise ValueError(f"{path}, line {line}: {exc}") from exc
     return out
 
 
-def write_rt_csv(path, measurements) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["wavelength_nm", "R", "T"])
-        for m in measurements:
-            writer.writerow(
-                [
-                    f"{m.wavelength * 1e9:.17g}",
-                    f"{m.reflectance:.17g}",
-                    f"{m.transmittance:.17g}",
-                ]
-            )
-
+def write_rt_csv(path, measurements, comments=()) -> None:
+    """Write wavelength_nm, R, T rows at full precision."""
+    rows = ((m.wavelength * 1e9, m.reflectance, m.transmittance) for m in measurements)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(table.render(RT_HEADER, rows, comments))

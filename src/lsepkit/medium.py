@@ -6,7 +6,8 @@ permittivity: eps = eps_b + (2 N d / (eps0 E0)) rho01~.  Steady state
 uses the analytic linear coherence; transients reuse the rotating-frame
 propagator so the spectrum can be sampled on femtosecond slices.  A
 single-oscillator Lorentz model and a two-parameter fit against
-measured spectra round out the module.
+measured spectra round out the module.  Spectra are read and written as
+lsepkit.table tables.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NumericalFailure
+from . import NumericalFailure, table
 from .bloch import (
     DensityMatrix,
     DriveField,
@@ -30,6 +31,8 @@ from .numerics import nelder_mead
 # Iteration cap of the fit's simplex search; reaching it means the search
 # did not converge.
 FIT_MAXITER = 4000
+# Largest dipole (Debye) the fit searches.
+MAX_DIPOLE_DEBYE = 1e6
 
 
 class FitDiverged(NumericalFailure):
@@ -243,7 +246,7 @@ def fit_material(
         lambda points, rows: np.array([cost(x) for x in points]),
         start[None, :],
         lower=np.array([np.log(1e-6), 0.0]),
-        upper=np.array([np.log(1e6), 10.0]),
+        upper=np.array([np.log(MAX_DIPOLE_DEBYE), 10.0]),
         xatol=1e-9,
         fatol=1e-8 * scale,
         maxiter=FIT_MAXITER,
@@ -266,47 +269,24 @@ def fit_material(
     )
 
 
+SPECTRUM_HEADER = ("energy_eV", "eps_real", "eps_imag")
+
+
 def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> None:
     """Write energy_eV, eps_real, eps_imag [, time_fs] rows at full precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        if spectrum.time is None:
-            fh.write("energy_eV,eps_real,eps_imag\n")
-            for e, eps in zip(spectrum.energies, spectrum.epsilon):
-                fh.write(f"{e:.17g},{eps.real:.17g},{eps.imag:.17g}\n")
-        else:
-            fh.write("energy_eV,eps_real,eps_imag,time_fs\n")
-            for e, eps, t in zip(spectrum.energies, spectrum.epsilon, spectrum.time):
-                fh.write(f"{e:.17g},{eps.real:.17g},{eps.imag:.17g},{t * 1e15:.17g}\n")
+    columns = [spectrum.energies, spectrum.epsilon.real, spectrum.epsilon.imag]
+    header = SPECTRUM_HEADER
+    if spectrum.time is not None:
+        columns.append(spectrum.time * 1e15)
+        header += ("time_fs",)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(table.render(header, zip(*columns), comments))
 
 
 def read_spectrum_csv(path) -> PermittivitySpectrum:
     """Read a spectrum written by write_spectrum_csv (comments allowed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(number, ln.strip()) for number, ln in enumerate(fh, start=1)]
-    rows = [(number, ln) for number, ln in lines if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError(f"no data in {path}")
-    header = [c.strip() for c in rows[0][1].split(",")]
-    expected = ["energy_eV", "eps_real", "eps_imag"]
-    if header[:3] != expected or len(header) > 4 or (
-        len(header) == 4 and header[3] != "time_fs"
-    ):
-        raise ValueError(f"unexpected columns {header} in {path}")
-    data = []
-    for number, ln in rows[1:]:
-        try:
-            values = [float(v) for v in ln.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {number}: {exc}") from exc
-        if len(values) != len(header):
-            raise ValueError(f"{path}, line {number}: ragged row {ln!r}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}, line {number}: values must be finite, got {ln!r}")
-        data.append(values)
-    data = np.array(data).reshape(-1, len(header))
-    time = data[:, 3] * 1e-15 if len(header) == 4 else None
+    data, _ = table.read(path, SPECTRUM_HEADER, SPECTRUM_HEADER + ("time_fs",))
+    time = data[:, 3] * 1e-15 if data.shape[1] == 4 else None
     return PermittivitySpectrum(
         energies=data[:, 0], epsilon=data[:, 1] + 1j * data[:, 2], time=time
     )

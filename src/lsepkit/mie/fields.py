@@ -245,10 +245,14 @@ def poynting_streamlines(
     stagnation_floor = 1e-30 * s_incident
     domain = DOMAIN_RADIUS_FACTOR * scene.radius
 
-    paths = [[seed_arr[i].copy()] for i in range(n_seed)]
-    status: list[Termination | None] = [None] * n_seed
+    points = seed_arr.copy()
+    # positions after each step, one row per seed; a line's points are the
+    # first count[i] rows of its column, since an ended line stops moving
+    trail = [points.copy()]
+    count = np.ones(n_seed, dtype=int)
+    status = np.full(n_seed, Termination.MAX_STEPS, dtype=object)
     prev_dir = np.zeros((n_seed, 3))
-    active = np.ones(n_seed, dtype=bool)
+    active = np.arange(n_seed)
 
     def flow_direction(pts):
         # dodge the (undefined) exact center; the field is smooth there
@@ -262,38 +266,28 @@ def poynting_streamlines(
         return s, np.linalg.norm(s, axis=1)
 
     for _ in range(max_steps):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        pts = np.array([paths[i][-1] for i in idx])
+        pts = points[active]
         radii = np.linalg.norm(pts, axis=1)
         left = radii > domain
-        for i in idx[left]:
-            status[i] = Termination.LEFT_DOMAIN
-            active[i] = False
-        if not (~left).any():
-            continue
-        idx = idx[~left]
-        pts = pts[~left]
-        radii = radii[~left]
+        status[active[left]] = Termination.LEFT_DOMAIN
+        active, pts, radii = active[~left], pts[~left], radii[~left]
+        if active.size == 0:
+            break
 
         s_vec, s_mag = flow_direction(pts)
         inside = radii < scene.radius
-        reversed_flow = np.einsum("ij,ij->i", s_vec, prev_dir[idx]) < 0.0
+        reversed_flow = np.einsum("ij,ij->i", s_vec, prev_dir[active]) < 0.0
         absorbed = inside & ((s_mag < absorb_floor) | reversed_flow)
-        for i in idx[absorbed]:
-            status[i] = Termination.ABSORBED
-            active[i] = False
+        status[active[absorbed]] = Termination.ABSORBED
         stagnant = ~inside & (s_mag < stagnation_floor)
         if stagnant.any():
             bad = pts[stagnant][0]
             raise ZeroPoyntingVector(f"vanishing flux at {bad}")
 
         keep = ~absorbed
-        idx = idx[keep]
-        if idx.size == 0:
-            continue
-        pts = pts[keep]
+        active, pts = active[keep], pts[keep]
+        if active.size == 0:
+            break
         direction = s_vec[keep] / s_mag[keep][:, None]
         if scheme == "midpoint":
             probe = pts + 0.5 * step * direction
@@ -303,16 +297,13 @@ def poynting_streamlines(
                 good = m2 > stagnation_floor
                 sel = np.nonzero(probe_ok)[0][good]
                 direction[sel] = s2[good] / m2[good][:, None]
-        new_pts = pts + step * direction
-        prev_dir[idx] = direction
-        for j, i in enumerate(idx):
-            paths[i].append(new_pts[j])
+        points[active] = pts + step * direction
+        prev_dir[active] = direction
+        count[active] += 1
+        trail.append(points.copy())
 
+    trail = np.stack(trail)
     return [
-        Streamline(
-            seed=seed_arr[i],
-            points=np.array(paths[i]),
-            terminated=status[i] if status[i] is not None else Termination.MAX_STEPS,
-        )
+        Streamline(seed=seed_arr[i], points=trail[: count[i], i], terminated=status[i])
         for i in range(n_seed)
     ]

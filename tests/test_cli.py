@@ -73,6 +73,50 @@ class TestConfigErrors:
         assert rc == EXIT_CONFIG
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            # a % is literal, so the value fails as a number
+            ("[lorentz]\nlorentz_strength = 5%\n", "lorentz_strength"),
+            ("lorentz_strength = 0.3\n", "cfg.ini"),
+            ("[lorentz]\nlorentz_strength = 0.3\nlorentz_strength = 0.4\n", "cfg.ini"),
+        ],
+        ids=["percent", "no-section-header", "duplicate-key"],
+    )
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        out = tmp_path / "o"
+        assert main(["lorentz", "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert named in err[0]
+        assert not out.exists()
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, monkeypatch):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "lorentz", lorentz_strength="0.3")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", denied)
+        out = tmp_path / "o"
+        assert main(["lorentz", "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read config file {ini}: Permission denied"]
+        assert not out.exists()
+
+    def test_percent_in_input_path_is_literal(self, tmp_path, capsys):
+        rt_path = tmp_path / "100%.csv"
+        rt_path.write_text((files("lsepkit") / "data" / "film_rt.csv").read_text())
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", input=str(rt_path), **EXTRACT_NK_GRID)
+        out = tmp_path / "o"
+        assert main(["extract-nk", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert (out / "nk.csv").is_file()
+
     def test_unrelated_section_is_ignored(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         write_ini(ini, "extract-nk", thickness_samples="1")
@@ -196,6 +240,8 @@ class TestConfigErrors:
         [
             # zero damping puts the Lorentz pole on the real energy axis
             ("lorentz", "lorentz_damping_ev", "0"),
+            # checked although the default quantum model does not use it
+            ("qabs-spectrum", "lorentz_strength", "-1"),
             # axes of more than 1e7 samples and grids of more than 1e8 points
             ("lorentz", "energy_step_ev", "1e-9"),
             ("transient", "time_max_fs", "1e12"),
@@ -226,6 +272,29 @@ class TestConfigErrors:
         # with a FloatingPointError or NotConverged that named no key
         self.assert_named_config_error(tmp_path, capsys, command, key, "1e308")
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            *(
+                (command, "background_permittivity", "1e308")
+                for command in ("fit-permittivity", "qabs-spectrum", "nearfield", "transient")
+            ),
+            ("qabs-spectrum", "dipole_debye", "1e308"),
+            ("fit-permittivity", "initial_dipole_debye", "1e308"),
+            ("lorentz", "lorentz_strength", "1e308"),
+            ("extract-nk", "substrate_index", "1e308"),
+            ("extract-nk", "ambient_index", "1e308"),
+            ("nearfield", "step_nm", "1e308"),
+            ("nearfield", "seed_z_nm", "1e308"),
+            ("nearfield", "seed_z_nm", "-1e308"),
+            ("transient", "spot_diameter_mm", "1e308"),
+        ],
+    )
+    def test_value_past_its_physical_maximum_is_named(self, tmp_path, capsys, command, key, value):
+        # without a maximum, each of these overflows ahead of any later
+        # check and exits 3 naming no key
+        self.assert_named_config_error(tmp_path, capsys, command, key, value)
+
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -235,6 +304,39 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and str(out) in err[0]
+
+    @pytest.mark.parametrize(
+        "target, existing", [("write_text", False), ("write_text", True), ("replace", False)]
+    )
+    def test_failure_on_the_second_file_leaves_nothing(
+        self, tmp_path, capsys, monkeypatch, target, existing
+    ):
+        # fit-permittivity writes two files; writing the second one, or
+        # moving it into place, fails
+        owner = Path if target == "write_text" else cli.os
+        original = getattr(owner, target)
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return original(*args, **kwargs)
+
+        out = tmp_path / "a" / "b"
+        if existing:
+            out.mkdir(parents=True)
+        monkeypatch.setattr(owner, target, second_fails)
+        rc = main(["fit-permittivity", "--out", str(out)])
+        monkeypatch.undo()
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write to {out}: No space left on device"]
+        assert len(calls) == 2
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def assert_named_config_error(tmp_path, capsys, command, key, value):
@@ -536,7 +638,7 @@ class TestExtractNk:
         assert not out.exists()
 
 
-BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "1e-9", "", "abc"]
+BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "1e-9", "", "abc", "%"]
 # the packaged input each command reads, and the config that selects it
 CSV_INPUTS = {
     "fit-permittivity": ("epsilon_extracted.csv", {}),
@@ -574,6 +676,17 @@ def cell_perturbations():
     )
 
 
+# --out values under the run's directory, in which "file" is a regular
+# file: a new directory, new nested directories, a path under a file, and
+# a name with a space and a percent sign
+OUT_PATHS = ["out", "a/b/out", "file/out", "file/a/out", "100% out/out"]
+
+
+def out_perturbations():
+    commands = st.sampled_from(sorted(cli.COMMANDS)).map(lambda command: (command,))
+    return st.tuples(st.just("out"), commands, st.sampled_from(OUT_PATHS))
+
+
 def run_main(argv):
     """main() in process: its exit code and the lines it prints on stderr,
     where a Python warning counts as one line."""
@@ -589,10 +702,10 @@ class TestErrorContract:
     """Any bad value ends with exit code 0, 2 or 3; a failure prints one
     stderr line and writes no output directory."""
 
-    @given(st.one_of(config_perturbations(), cell_perturbations()))
+    @given(st.one_of(config_perturbations(), cell_perturbations(), out_perturbations()))
     @settings(max_examples=100, deadline=None)
-    # an eigensolver failure (NotConverged), and residual maps without a
-    # finite value
+    # an eigensolver failure (NotConverged), a drive energy past its
+    # maximum, and an ambient index past its maximum
     @example(("config", ("transient", "pure_dephasing_ev"), "1e308"))
     @example(("config", ("transient", "detunings_ev"), "1e308"))
     @example(("config", ("extract-nk", "ambient_index"), "1e308"))
@@ -606,14 +719,20 @@ class TestErrorContract:
     @example(("config", ("lorentz", "lorentz_damping_ev"), "0"))
     @example(("config", ("qabs-spectrum", "energy_step_ev"), "1e-9"))
     @example(("config", ("extract-nk", "kappa_step"), "1e-9"))
+    # an output directory that cannot be made
+    @example(("out", ("fit-permittivity",), "file/out"))
     def test_one_bad_value_ends_cleanly(self, perturbation):
         kind, site, value = perturbation
         command = site[0]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             values = dict(EXTRACT_NK_GRID) if command == "extract-nk" else {}
+            out = tmp / "out"
             if kind == "config":
                 values[site[1]] = value
+            elif kind == "out":
+                (tmp / "file").write_text("")
+                out = tmp / value
             else:
                 _, row, col = site
                 name, selector = CSV_INPUTS[command]
@@ -625,7 +744,6 @@ class TestErrorContract:
                 values.update(selector, input=str(tmp / name))
             ini = tmp / "cfg.ini"
             write_ini(ini, command, **values)
-            out = tmp / "out"
             rc, err = run_main([command, "--config", str(ini), "--out", str(out)])
             assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
             if rc == EXIT_OK:

@@ -562,8 +562,8 @@ class TestLockstepRefine:
             return float(np.sum(np.abs(model.epsilon - target.epsilon) ** 2))
 
         start = np.array([
-            np.log(defaults.real("initial_dipole_debye")),
-            defaults.real("initial_pure_dephasing_ev"),
+            np.log(defaults["initial_dipole_debye"]),
+            defaults["initial_pure_dephasing_ev"],
         ])
         scale = max(cost(start), np.sum(np.abs(target.epsilon) ** 2), 1e-30)
         bounds = [(np.log(1e-6), np.log(1e6)), (0.0, 10.0)]
@@ -588,8 +588,8 @@ class TestLockstepRefine:
             report = medium.fit_material(
                 target,
                 fixed,
-                dipole_init=defaults.real("initial_dipole_debye"),
-                dephasing_init=defaults.real("initial_pure_dephasing_ev"),
+                dipole_init=defaults["initial_dipole_debye"],
+                dephasing_init=defaults["initial_pure_dephasing_ev"],
             )
             assert report.params.two_level.dipole == float(np.exp(expected.x[0]))
             assert report.params.two_level.pure_dephasing == float(expected.x[1])
