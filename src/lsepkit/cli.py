@@ -27,6 +27,7 @@ import configparser
 import dataclasses
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import NumericalFailure, bloch, film, medium, table
-from .constants import ev_to_vacuum_wavelength_m, power_to_field
+from .constants import ev_to_vacuum_wavelength_m, power_to_field, vacuum_wavelength_m_to_ev
 from .mie import (
     Termination,
     mie_coefficients,
@@ -65,6 +66,11 @@ MAX_INDEX = 100.0
 # Largest streamline length a config may name, 1 mm: far outside the
 # near-zone domain of any sphere the Mie layer supports.
 MAX_LENGTH_NM = 1e6
+# Largest excited-state decay rate, 1e16 1/s: a lifetime of 0.1 fs,
+# shorter than one optical cycle.
+MAX_DECAY_RATE = 1e16
+# Largest drive power, 1 kW: far above any continuous-wave probe.
+MAX_POWER_MW = 1e6
 
 
 class ConfigError(ValueError):
@@ -83,7 +89,7 @@ class Key(NamedTuple):
 
 MATERIAL_KEYS = {
     "transition_energy_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
-    "decay_rate_per_s": Key("1.15e12", float, 0.0),
+    "decay_rate_per_s": Key("1.15e12", float, 0.0, MAX_DECAY_RATE),
     "pure_dephasing_ev": Key("0.017", float, 0.0),
     "dipole_debye": Key("32.0", float, 1e-9, medium.MAX_DIPOLE_DEBYE),
     "number_density_per_m3": Key("3.29e25", float, 0.0),
@@ -102,7 +108,7 @@ ENERGY_GRID_KEYS = {
 }
 
 LORENTZ_KEYS = {
-    "lorentz_background": Key("2.3104", float, 1.0),
+    "lorentz_background": Key("2.3104", float, 1.0, MAX_PERMITTIVITY),
     "lorentz_strength": Key("0.2505", float, 0.0, MAX_PERMITTIVITY),
     "lorentz_resonance_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
     "lorentz_damping_ev": Key("7.569e-4", float, 1e-9, MAX_ENERGY_EV),
@@ -136,7 +142,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "grid_half_nm": Key("300", float, 1.0),
         "grid_step_nm": Key("5", float, 0.1),
         "seed_z_nm": Key("-200", float, -MAX_LENGTH_NM, MAX_LENGTH_NM),
-        "seed_y_max_nm": Key("200", float, 0.0),
+        "seed_y_max_nm": Key("200", float, 0.0, MAX_LENGTH_NM),
         "seed_spacing_nm": Key("10", float, 0.1),
         "step_nm": Key("10", float, 0.1, MAX_LENGTH_NM),
         "max_steps": Key("600", int, 1),
@@ -145,7 +151,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
     "transient": {
         **MATERIAL_KEYS,
         **SPHERE_KEYS,
-        "power_mw": Key("1.0", float, 0.0),
+        "power_mw": Key("1.0", float, 0.0, MAX_POWER_MW),
         # a spot wider than a metre is no longer a focused beam
         "spot_diameter_mm": Key("1.5", float, 1e-6, 1e3),
         "detunings_ev": Key("0, 0.03, 0.06, 0.09, 0.091", list),
@@ -166,7 +172,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "kappa_min": Key("0.0"),
         "kappa_max": Key("3.2"),
         "kappa_step": Key("0.005"),
-        "kk_asymptote": Key("1.52", float, 0.0),
+        "kk_asymptote": Key("1.52", float, 0.0, MAX_INDEX),
     },
     "lorentz": {**LORENTZ_KEYS, **ENERGY_GRID_KEYS},
 }
@@ -277,18 +283,24 @@ def _check_samples(count: float, key: str, span: str) -> None:
         )
 
 
-def _packaged(name: str) -> Path:
+def _packaged(name: str):
+    """A packaged data file, as an importlib.resources Traversable."""
     from importlib.resources import files
 
-    return Path(str(files("lsepkit") / "data" / name))
+    return files("lsepkit") / "data" / name
 
 
-def _input_path(cfg: RunConfig, fallback: str) -> Path:
+def _read_input(cfg: RunConfig, fallback: str, read):
+    """``read`` of the input file, or of the packaged ``fallback`` through a
+    real path (a temporary copy when the package is imported from a zip)."""
+    from contextlib import nullcontext
+    from importlib.resources import as_file
+
     raw = cfg["input"]
-    path = Path(raw) if raw else _packaged(fallback)
-    if not path.is_file():
-        raise ConfigError(f"input: file not found: {path}")
-    return path
+    with nullcontext(Path(raw)) if raw else as_file(_packaged(fallback)) as path:
+        if not path.is_file():
+            raise ConfigError(f"input: file not found: {path}")
+        return read(path)
 
 
 def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
@@ -314,10 +326,22 @@ def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
     return [out_dir / name for name in bodies]
 
 
+NK_HEADER = ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual", "thickness_nm"]
+NK_FIELDS = operator.attrgetter(
+    "wavelength", "n", "kappa", "branch.value", "residual", "thickness_used"
+)
+
+
+def _nk_columns(candidates) -> list[np.ndarray]:
+    """The NK_HEADER columns of a sequence of NkCandidates."""
+    wl, n, kappa, branch, residual, thickness = map(np.array, zip(*map(NK_FIELDS, candidates)))
+    return [wl * 1e9, vacuum_wavelength_m_to_ev(wl), n, kappa, branch, residual, thickness * 1e9]
+
+
 # ----------------------------------------------------------- subcommands
 
 def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
-    target = medium.read_spectrum_csv(_input_path(cfg, "epsilon_extracted.csv"))
+    target = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
     start = _material(cfg)
     report = medium.fit_material(
         target,
@@ -326,7 +350,7 @@ def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
         dephasing_init=cfg["initial_pure_dephasing_ev"],
     )
     fitted = report.params
-    model = medium.epsilon_steady(fitted, target.energies)
+    eps = medium.epsilon_steady(fitted, target.energies).epsilon
     payload = {
         "dipole_debye": fitted.two_level.dipole,
         "pure_dephasing_ev": fitted.two_level.pure_dephasing,
@@ -343,10 +367,7 @@ def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
         "fitted_params.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
         "epsilon_fit.csv": table.render(
             ["energy_eV", "eps_real", "eps_imag", "target_real", "target_imag"],
-            (
-                (e, m.real, m.imag, t.real, t.imag)
-                for e, m, t in zip(target.energies, model.epsilon, target.epsilon)
-            ),
+            [target.energies, eps.real, eps.imag, target.epsilon.real, target.epsilon.imag],
         ),
     }
 
@@ -359,20 +380,14 @@ def cmd_qabs_spectrum(cfg: RunConfig) -> dict[str, str]:
     elif model == "lorentz":
         spectrum = medium.lorentz_epsilon(_lorentz(cfg), energies)
     else:
-        spectrum = medium.read_spectrum_csv(_input_path(cfg, "epsilon_extracted.csv"))
+        spectrum = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
     radius = cfg["radius_nm"] * 1e-9
     host = cfg["host_epsilon"]
     result = qabs_spectrum(spectrum, radius=radius, host_epsilon=host)
     return {
         "qabs.csv": table.render(
             ["energy_eV", "Q_ext", "Q_sca", "Q_abs", "kappa_norm"],
-            zip(
-                result.energies,
-                result.q_ext,
-                result.q_sca,
-                result.q_abs,
-                result.kappa_normalized,
-            ),
+            [result.energies, result.q_ext, result.q_sca, result.q_abs, result.kappa_normalized],
         ),
     }
 
@@ -410,11 +425,11 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     centered = np.linalg.norm(pts, axis=1) < 1e-12
     pts[centered] = [0.0, 0.0, 1e-12]
     grid = near_field_grid(scene, coeffs, pts)
-    enh = grid.enhancement.reshape(yy.shape)
 
     seed_z = cfg["seed_z_nm"] * 1e-9
     seed_max = cfg["seed_y_max_nm"] * 1e-9
     spacing = cfg["seed_spacing_nm"] * 1e-9
+    _check_samples(2.0 * seed_max / spacing + 1.0, "seed_y_max_nm", "the seed_spacing_nm seeds")
     n_side = int(round(seed_max / spacing))
     seed_y = spacing * np.arange(-n_side, n_side + 1)
     seeds = np.stack(
@@ -429,16 +444,11 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
         scheme=cfg["scheme"],
     )
 
-    rows = (
-        (axis[i] * 1e9, axis[j] * 1e9, enh[i, j])
-        for i in range(axis.size)
-        for j in range(axis.size)
-    )
     payload = [
         {
-            "seed_nm": [round(v * 1e9, 9) for v in ln.seed],
+            "seed_nm": np.round(ln.seed * 1e9, 9).tolist(),
             "terminated": ln.terminated.value,
-            "points_nm": [[round(v * 1e9, 9) for v in p] for p in ln.points],
+            "points_nm": np.round(ln.points * 1e9, 9).tolist(),
         }
         for ln in lines
     ]
@@ -447,7 +457,9 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
         {"captured_count": captured, "lines": payload}, indent=1, sort_keys=True
     )
     return {
-        "field_map.csv": table.render(["y_nm", "z_nm", "enhancement"], rows),
+        "field_map.csv": table.render(
+            ["y_nm", "z_nm", "enhancement"], [yy.ravel() * 1e9, zz.ravel() * 1e9, grid.enhancement]
+        ),
         "streamlines.json": body + "\n",
     }
 
@@ -469,7 +481,7 @@ def cmd_transient(cfg: RunConfig) -> dict[str, str]:
         raise ConfigError("detunings_ev: list is empty")
 
     transition = material.two_level.transition_energy
-    rows = []
+    q_abs = []
     for detuning in detunings:
         photon = transition + detuning
         if not 0.0 < photon <= MAX_ENERGY_EV:
@@ -478,14 +490,14 @@ def cmd_transient(cfg: RunConfig) -> dict[str, str]:
             )
         drive = bloch.DriveField(amplitude=amplitude, photon_energy=photon)
         spectrum = medium.epsilon_transient(material, drive, times)
-        result = qabs_transient(spectrum, radius=radius, host_epsilon=host)
-        for t_s, q in zip(times, result.q_abs):
-            rows.append((detuning, t_s * 1e15, q))
-    return {"qabs_t.csv": table.render(["detuning_eV", "time_fs", "Q_abs"], rows)}
+        q_abs.append(qabs_transient(spectrum, radius=radius, host_epsilon=host).q_abs)
+    time_fs = np.tile(times * 1e15, len(detunings))
+    columns = [np.repeat(detunings, times.size), time_fs, np.concatenate(q_abs)]
+    return {"qabs_t.csv": table.render(["detuning_eV", "time_fs", "Q_abs"], columns)}
 
 
 def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
-    measurements = film.read_rt_csv(_input_path(cfg, "film_rt.csv"))
+    measurements = _read_input(cfg, "film_rt.csv", film.read_rt_csv)
     if not measurements:
         raise ConfigError("input: measurement file has no rows")
     t_lo = cfg["thickness_min_nm"] * 1e-9
@@ -521,50 +533,14 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
         if c.thickness_used == nearest
     ]
     selection = film.select_physical_branch(reference_pool)
-    # ascending-energy arrays for the dispersion closure
-    from .constants import vacuum_wavelength_m_to_ev
-
-    energy_vals = np.array(
-        [vacuum_wavelength_m_to_ev(c.wavelength) for c in selection.physical]
-    )
-    kappa_vals = np.array([c.kappa for c in selection.physical])
-    asc = np.argsort(energy_vals)
-    curve = film.close_with_kk(
-        energy_vals[asc], kappa_vals[asc], cfg["kk_asymptote"]
-    )
-    n_by_energy = dict(zip(curve.energies, curve.n))
-
-    nk_rows = []
-    for cand in sorted(selection.physical, key=lambda c: c.wavelength):
-        e_val = vacuum_wavelength_m_to_ev(cand.wavelength)
-        nk_rows.append(
-            (
-                cand.wavelength * 1e9,
-                e_val,
-                n_by_energy[e_val],
-                cand.kappa,
-                cand.branch.value,
-                cand.residual,
-            )
-        )
-    branch_rows = (
-        (
-            c.wavelength * 1e9,
-            vacuum_wavelength_m_to_ev(c.wavelength),
-            c.n,
-            c.kappa,
-            c.branch.value,
-            c.residual,
-            c.thickness_used * 1e9,
-        )
-        for c in sorted(
-            candidates, key=lambda c: (c.thickness_used, c.wavelength, c.kappa)
-        )
-    )
-    header = ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual"]
+    nk = _nk_columns(selection.physical)
+    # the physical curve ascends in wavelength, so the dispersion closure
+    # takes its energies (column 1) and kappa (column 3) reversed
+    nk[2] = film.close_with_kk(nk[1][::-1], nk[3][::-1], cfg["kk_asymptote"]).n[::-1]
+    order = operator.attrgetter("thickness_used", "wavelength", "kappa")
     return {
-        "nk.csv": table.render(header, nk_rows),
-        "branches.csv": table.render(header + ["thickness_nm"], branch_rows),
+        "nk.csv": table.render(NK_HEADER[:-1], nk[:-1]),
+        "branches.csv": table.render(NK_HEADER, _nk_columns(sorted(candidates, key=order))),
     }
 
 
@@ -573,7 +549,7 @@ def cmd_lorentz(cfg: RunConfig) -> dict[str, str]:
     return {
         "epsilon_lorentz.csv": table.render(
             ["energy_eV", "eps_real", "eps_imag"],
-            ((e, v.real, v.imag) for e, v in zip(spectrum.energies, spectrum.epsilon)),
+            [spectrum.energies, spectrum.epsilon.real, spectrum.epsilon.imag],
         ),
     }
 

@@ -196,7 +196,6 @@ class BranchSelection:
 
     physical: tuple[NkCandidate, ...]
     spurious: tuple[NkCandidate, ...]
-    interpolated_wavelengths: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -798,9 +797,7 @@ def select_physical_branch(
     which keeps each curve on its own branch even where the branches
     cross in kappa alone.  The curve with the smaller total variation of
     kappa is kept as physical (smaller mean kappa preferred on a tie).
-    Only wavelengths that have candidates appear in the result, and
-    ``interpolated_wavelengths`` is always empty; fill_gaps fills missing
-    wavelengths by interpolation and flags them.
+    Only wavelengths that have candidates appear in the result.
     """
     pool = [c for c in candidates]
     if not pool:
@@ -852,43 +849,7 @@ def select_physical_branch(
         for c in by_wavelength[wl]
         if c is not keep
     ]
-    return BranchSelection(
-        physical=tuple(physical),
-        spurious=tuple(spurious),
-        interpolated_wavelengths=(),
-    )
-
-
-def fill_gaps(selection: BranchSelection, wavelengths) -> BranchSelection:
-    """Fill missing wavelengths in a physical curve by interpolation."""
-    have = {c.wavelength: c for c in selection.physical}
-    missing = [wl for wl in wavelengths if wl not in have]
-    if not missing:
-        return selection
-    known_wl = np.array(sorted(have))
-    if known_wl.size < 2:
-        raise ValueError("need at least two resolved wavelengths to interpolate")
-    known_n = np.array([have[w].n for w in known_wl])
-    known_k = np.array([have[w].kappa for w in known_wl])
-    thickness = selection.physical[0].thickness_used
-    filled = list(selection.physical)
-    for wl in missing:
-        filled.append(
-            NkCandidate(
-                wavelength=wl,
-                n=float(np.interp(wl, known_wl, known_n)),
-                kappa=float(np.interp(wl, known_wl, known_k)),
-                residual=0.0,
-                branch=Branch.PHYSICAL,
-                thickness_used=thickness,
-            )
-        )
-    filled.sort(key=lambda c: c.wavelength)
-    return BranchSelection(
-        physical=tuple(filled),
-        spurious=selection.spurious,
-        interpolated_wavelengths=tuple(sorted(missing)),
-    )
+    return BranchSelection(physical=tuple(physical), spurious=tuple(spurious))
 
 
 def close_with_kk(energies_ev, kappa, n_asymptote: float) -> IndexCurve:
@@ -920,6 +881,6 @@ def read_rt_csv(path) -> list[RTMeasurement]:
 
 def write_rt_csv(path, measurements, comments=()) -> None:
     """Write wavelength_nm, R, T rows at full precision."""
-    rows = ((m.wavelength * 1e9, m.reflectance, m.transmittance) for m in measurements)
+    rows = np.array([(m.wavelength * 1e9, m.reflectance, m.transmittance) for m in measurements])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(table.render(RT_HEADER, rows, comments))
+        handle.write(table.render(RT_HEADER, rows.reshape(-1, 3).T, comments))

@@ -280,7 +280,7 @@ def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> Non
         columns.append(spectrum.time * 1e15)
         header += ("time_fs",)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(table.render(header, zip(*columns), comments))
+        handle.write(table.render(header, columns, comments))
 
 
 def read_spectrum_csv(path) -> PermittivitySpectrum:

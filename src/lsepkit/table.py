@@ -3,7 +3,8 @@
 A table is optional ``#`` comment lines, one header row of column names,
 then one row of cells per line.  Numbers are written with 17 significant
 digits, so that a value read back is the value written, and text cells
-as they are.  Read errors name the file and, for a bad row, its line.
+as they are.  A table is rendered from whole columns and read back as
+one float array.  Read errors name the file and, for a bad row, its line.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def render(header, rows, comments=()) -> str:
-    """The text of a table: ``# `` comment lines, the header, the rows."""
+def render(header, columns, comments=()) -> str:
+    """The text of a table: ``# `` comment lines, the header, then row i
+    of the equal-length ``columns`` on line i.  A column is a float array
+    or a list of text cells."""
+    cells = [np.asarray(column).tolist() for column in columns]
+    row = ",".join("%s" if column and isinstance(column[0], str) else "%.17g" for column in cells)
     lines = [f"# {line}" for line in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join([cell if isinstance(cell, str) else f"{cell:.17g}" for cell in row]))
+    lines += map(row.__mod__, zip(*cells, strict=True))
     return "\n".join(lines) + "\n"
 
 

@@ -12,9 +12,13 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 import warnings
+import zipfile
 from importlib.resources import files
 from pathlib import Path
 
@@ -294,6 +298,34 @@ class TestConfigErrors:
         # without a maximum, each of these overflows ahead of any later
         # check and exits 3 naming no key
         self.assert_named_config_error(tmp_path, capsys, command, key, value)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("transient", "power_mw"),
+            ("nearfield", "seed_y_max_nm"),
+            ("qabs-spectrum", "decay_rate_per_s"),
+            ("transient", "decay_rate_per_s"),
+            ("extract-nk", "kk_asymptote"),
+            ("qabs-spectrum", "lorentz_background"),
+        ],
+    )
+    def test_absurd_value_is_named(self, tmp_path, capsys, command, key):
+        # without a maximum, the first two exit 2 with a message that
+        # names no key and the other four exit 0
+        self.assert_named_config_error(tmp_path, capsys, command, key, "1e308")
+
+    def test_too_many_seeds_are_named(self, tmp_path, capsys):
+        # 2e7 + 1 seeds, checked before the seed array is built
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "nearfield", seed_y_max_nm="1e6", seed_spacing_nm="0.1")
+        out = tmp_path / "o"
+        rc = main(["nearfield", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "seed_y_max_nm: asks for 2e+07 samples" in err
+        assert not out.exists()
 
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -696,6 +728,31 @@ def run_main(argv):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv)
     return rc, [str(w.message) for w in caught] + err.getvalue().splitlines()
+
+
+class TestZippedPackage:
+    def test_packaged_inputs_are_read_from_a_zip(self, tmp_path):
+        # a package imported from a zip has no file path for its data
+        archive = tmp_path / "lsepkit.zip"
+        package = Path(lsepkit.__file__).parent
+        with zipfile.ZipFile(archive, "w") as handle:
+            for path in package.rglob("*"):
+                if "__pycache__" not in path.parts:
+                    handle.write(path, path.relative_to(package.parent))
+        for command in ("extract-nk", "fit-permittivity"):
+            code = (
+                "import sys, lsepkit.cli; assert '.zip' in lsepkit.__file__, lsepkit.__file__; "
+                f"sys.exit(lsepkit.cli.main([{command!r}, '--out', {command!r}]))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(archive)},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert (tmp_path / command).is_dir()
 
 
 class TestErrorContract:

@@ -29,7 +29,6 @@ from lsepkit.film import (
     _window_min,
     close_with_kk,
     extract_nk,
-    fill_gaps,
     read_rt_csv,
     residual,
     rt_theoretical,
@@ -695,20 +694,6 @@ class TestBranchSelection:
             cands.append(self.make(wl, 2.4, 0.9 + drift))
         with pytest.raises(BranchAmbiguous):
             select_physical_branch(cands)
-
-    def test_gap_interpolation_is_flagged(self):
-        meas, _, _ = synthetic_measurements()
-        cands = extract_nk(
-            meas, thickness_range=(70e-9, 70e-9), grid=TestExtraction.GRID
-        )
-        wavelengths = sorted({c.wavelength for c in cands})
-        dropped = wavelengths[7]
-        selection = select_physical_branch([c for c in cands if c.wavelength != dropped])
-        filled = fill_gaps(selection, wavelengths)
-        assert filled.interpolated_wavelengths == (dropped,)
-        kappas = {c.wavelength: c.kappa for c in filled.physical}
-        neighbors = 0.5 * (kappas[wavelengths[6]] + kappas[wavelengths[8]])
-        assert abs(kappas[dropped] - neighbors) < 1e-12
 
 
 class TestKkClosure:

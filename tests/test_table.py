@@ -19,7 +19,7 @@ def test_packaged_fixture_renders_back_byte_for_byte(name, header):
     comments = [line[2:] for line in text.splitlines() if line.startswith("# ")]
     data, lines = table.read(path, header)
     assert lines[0] == len(comments) + 2
-    assert table.render(header, data, comments) == text
+    assert table.render(header, data.T, comments) == text
 
 
 def test_ragged_and_non_finite_rows_name_file_line_and_column(tmp_path):
@@ -31,3 +31,17 @@ def test_ragged_and_non_finite_rows_name_file_line_and_column(tmp_path):
     with pytest.raises(ValueError, match=f"{path}, line 3: values must be finite, got T = inf"):
         table.read(path, RT_HEADER)
 
+
+
+def test_columns_render_one_row_per_index():
+    text = table.render(["x", "label"], [[0.1, -0.0], ["a", "b"]], ["note"])
+    assert text == "# note\nx,label\n0.10000000000000001,a\n-0,b\n"
+
+
+def test_a_table_without_rows_keeps_comments_and_header():
+    assert table.render(["x", "y"], [[], []], ["note"]) == "# note\nx,y\n"
+
+
+def test_columns_of_unequal_length_are_rejected():
+    with pytest.raises(ValueError):
+        table.render(["x", "y"], [[1.0, 2.0], [1.0]])
