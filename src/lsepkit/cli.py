@@ -10,9 +10,11 @@ default can be printed with --dump-defaults so runs are reproducible.
 DEFAULTS declares each command's keys once, each with its default, kind
 and range.  load_config checks the whole block when it loads it, keys
 the command will not use included, and the commands read typed values
-(``cfg["radius_nm"]``).  Commands return their files' text, rendered
-through lsepkit.table, and write_outputs stages them inside the output
-directory before moving them into place.
+(``cfg["radius_nm"]``).  A command without an input file reads the
+packaged one through importlib.resources, so a zipped package works too.
+Commands return their files' text, each table rendered by lsepkit.table
+from the whole columns the command computed, and write_outputs stages
+them inside the output directory before moving them into place.
 
 Exit codes: 0 success, 2 configuration or input error (ValueError, a
 malformed or unreadable INI file) or an unwritable output directory,
@@ -327,14 +329,14 @@ def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
 
 
 NK_HEADER = ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual", "thickness_nm"]
-NK_FIELDS = operator.attrgetter(
-    "wavelength", "n", "kappa", "branch.value", "residual", "thickness_used"
-)
 
 
 def _nk_columns(candidates) -> list[np.ndarray]:
     """The NK_HEADER columns of a sequence of NkCandidates."""
-    wl, n, kappa, branch, residual, thickness = map(np.array, zip(*map(NK_FIELDS, candidates)))
+    fields = operator.attrgetter(
+        "wavelength", "n", "kappa", "branch.value", "residual", "thickness_used"
+    )
+    wl, n, kappa, branch, residual, thickness = map(np.array, zip(*map(fields, candidates)))
     return [wl * 1e9, vacuum_wavelength_m_to_ev(wl), n, kappa, branch, residual, thickness * 1e9]
 
 

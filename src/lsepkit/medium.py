@@ -7,7 +7,8 @@ uses the analytic linear coherence; transients reuse the rotating-frame
 propagator so the spectrum can be sampled on femtosecond slices.  A
 single-oscillator Lorentz model and a two-parameter fit against
 measured spectra round out the module.  Spectra are read and written as
-lsepkit.table tables.
+lsepkit.table tables, written from their energy, permittivity and time
+arrays as whole columns.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 MIN_POINTS = 16
+# Kernel rows built at once: a few (BLOCK_ROWS, n) arrays are alive,
+# never an (n, n) one.
+BLOCK_ROWS = 64
 
 
 class GridTooCoarse(ValueError):
@@ -30,42 +33,28 @@ def _pv_on_uniform(omega, im_part):
     g = omega * im_part  # numerator samples w' * im(w')
     # Slope of im on the grid (central differences, one-sided at ends).
     dim = np.gradient(im_part, h)
-    out = np.empty(n)
+    j = np.arange(n)
+    integral = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
+        k = j[start : start + BLOCK_ROWS, None]
+        # Trapezoid weights of the kept regions [0, k-1] and [k+1, n-1]:
+        # segment ends take half, so a one-point segment weighs zero.
+        weights = 1.0 - 0.5 * sum(j == end for end in (0, k - 1, k + 1, n - 1))
+        pole = j == k
+        kernel = np.divide(g, omega**2 - omega[k] ** 2, where=~pole, out=np.zeros(pole.shape))
+        integral[start : start + BLOCK_ROWS] = h * np.sum(kernel * weights, axis=1)
 
-    for k in range(n):
-        wk = omega[k]
-        lo, hi = k - 1, k + 1  # kept region is [0, lo] and [hi, n-1]
-
-        kernel = np.zeros(n)
-        if lo >= 1:
-            kernel[: lo + 1] = g[: lo + 1] / (omega[: lo + 1] ** 2 - wk**2)
-        elif lo == 0:
-            kernel[0] = g[0] / (omega[0] ** 2 - wk**2)
-        if hi <= n - 1:
-            kernel[hi:] = g[hi:] / (omega[hi:] ** 2 - wk**2)
-
-        integral = 0.0
-        if lo >= 1:
-            seg = kernel[: lo + 1]
-            integral += h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
-        if hi <= n - 2:
-            seg = kernel[hi:]
-            integral += h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
-
-        # Analytic principal value over the excluded window, with
-        # im locally linear: near the pole the integrand is F(u)/u,
-        # F(u) = (wk + u) im(wk + u) / (2 wk + u), and
-        # PV int_{-h}^{h} F(u)/u du = 2 h F'(0) + O(h^3).
-        fprime = 0.25 * im_part[k] / wk + 0.5 * dim[k]
-        if 0 < k < n - 1:
-            correction = 2.0 * h * fprime
-        else:
-            # One-sided half window at a band edge; the log-divergent
-            # piece carries a factor im(edge), negligible for a band
-            # whose absorption vanishes at the edges.
-            correction = h * fprime
-        out[k] = integral + correction
-    return (2.0 / np.pi) * out
+    # Analytic principal value over the excluded window, with im locally
+    # linear: near the pole the integrand is F(u)/u,
+    # F(u) = (wk + u) im(wk + u) / (2 wk + u), and
+    # PV int_{-h}^{h} F(u)/u du = 2 h F'(0) + O(h^3).  A band edge has a
+    # one-sided half window; the log-divergent piece there carries a
+    # factor im(edge), negligible for a band whose absorption vanishes at
+    # the edges.
+    fprime = 0.25 * im_part / omega + 0.5 * dim
+    window = np.full(n, 2.0 * h)
+    window[[0, -1]] = h
+    return (2.0 / np.pi) * (integral + window * fprime)
 
 
 def kramers_kronig_real(omega_grid, imag_part, asymptote: float = 0.0):

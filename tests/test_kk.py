@@ -20,7 +20,35 @@ def lorentz_nk(energies_ev, eps_m=2.3104, f0=0.3, e0=2.11, g0=0.0461):
     return root.real, root.imag
 
 
+def trapezoid_pv(omega, im_part):
+    """The quadrature node by node: trapezoid rule on [0, k-1] and
+    [k+1, n-1], and the analytic window around the pole (a half window at
+    the band edges)."""
+    n, h = omega.size, omega[1] - omega[0]
+    slope = np.gradient(im_part, h)
+    out = np.empty(n)
+    for k in range(n):
+        kept = np.arange(n) != k
+        f = np.zeros(n)
+        f[kept] = omega[kept] * im_part[kept] / (omega[kept] ** 2 - omega[k] ** 2)
+        window = (2.0 if 0 < k < n - 1 else 1.0) * h
+        out[k] = np.trapezoid(f[:k], dx=h) + np.trapezoid(f[k + 1 :], dx=h) + window * (
+            0.25 * im_part[k] / omega[k] + 0.5 * slope[k]
+        )
+    return (2.0 / np.pi) * out
+
+
 class TestKramersKronig:
+    # sizes around the kernel's row blocks and the two one-point segments
+    @pytest.mark.parametrize("n", [16, 17, 63, 64, 65, 129, 300])
+    def test_node_by_node_trapezoid_rule(self, n):
+        omega = np.linspace(1.0, 3.0, n) * 1e15
+        im_part = np.exp(-(((omega - 2.1e15) / 0.3e15) ** 2)) + 0.1
+        got = kramers_kronig_real(omega, im_part, asymptote=1.5) - 1.5
+        expected = trapezoid_pv(omega, im_part)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
+
     def test_zero_imag_gives_asymptote(self):
         omega = np.linspace(1.0, 2.0, 64) * 1e15
         out = kramers_kronig_real(omega, np.zeros(64), asymptote=1.52)
