@@ -14,7 +14,6 @@ that drift below 1e-14.
 """
 
 import sys
-
 from pathlib import Path
 
 import numpy as np

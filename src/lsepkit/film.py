@@ -797,7 +797,8 @@ def select_physical_branch(
     which keeps each curve on its own branch even where the branches
     cross in kappa alone.  The curve with the smaller total variation of
     kappa is kept as physical (smaller mean kappa preferred on a tie).
-    Only wavelengths that have candidates appear in the result.
+    Only wavelengths that have candidates appear in the result, and
+    ``physical`` ascends in wavelength.
     """
     pool = [c for c in candidates]
     if not pool:
