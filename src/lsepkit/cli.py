@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import json
 import math
-import operator
 import os
 import shutil
 import sys
@@ -307,8 +305,9 @@ def _read_input(cfg: RunConfig, fallback: str, read):
 
 def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
     """Writes every body into a stage inside out_dir, then moves the files
-    into place.  On a failure the stage and every directory this call
-    created are removed."""
+    into place, each file it replaces into the stage first.  On a failure
+    every target is left as it was: the replaced files move back, the
+    added files, the stage and every directory this call created go."""
     target = out_dir.resolve()
     created = list(takewhile(lambda d: not d.exists(), (target, *target.parents)))
     try:
@@ -317,8 +316,21 @@ def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
         try:
             for name, body in bodies.items():
                 (stage / name).write_text(body, encoding="utf-8")
-            for name in bodies:
-                os.replace(stage / name, target / name)
+            replaced = Path(tempfile.mkdtemp(dir=stage))
+            moved = []
+            try:
+                for name in bodies:
+                    moved.append(name)
+                    if (target / name).is_file() or (target / name).is_symlink():
+                        os.replace(target / name, replaced / name)
+                    os.replace(stage / name, target / name)
+            except BaseException:
+                for name in moved:
+                    if os.path.lexists(replaced / name):
+                        os.replace(replaced / name, target / name)
+                    elif not os.path.lexists(stage / name):
+                        os.remove(target / name)
+                raise
         finally:
             shutil.rmtree(stage, ignore_errors=True)
     except BaseException:
@@ -331,13 +343,13 @@ def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
 NK_HEADER = ["wavelength_nm", "energy_eV", "n", "kappa", "branch", "residual", "thickness_nm"]
 
 
-def _nk_columns(candidates) -> list[np.ndarray]:
-    """The NK_HEADER columns of a sequence of NkCandidates."""
-    fields = operator.attrgetter(
-        "wavelength", "n", "kappa", "branch.value", "residual", "thickness_used"
-    )
-    wl, n, kappa, branch, residual, thickness = map(np.array, zip(*map(fields, candidates)))
-    return [wl * 1e9, vacuum_wavelength_m_to_ev(wl), n, kappa, branch, residual, thickness * 1e9]
+def _nk_columns(candidates: film.NkCandidates, label: str) -> list:
+    """The NK_HEADER columns of a candidate table, every row labelled."""
+    wl = candidates.wavelength
+    return [
+        wl * 1e9, vacuum_wavelength_m_to_ev(wl), candidates.n, candidates.kappa,
+        [label] * wl.size, candidates.residual, candidates.thickness * 1e9,
+    ]
 
 
 # ----------------------------------------------------------- subcommands
@@ -522,27 +534,23 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
         ambient_index=cfg["ambient_index"],
     )
 
-    # branch selection runs on candidates sharing one thickness; rescale
-    # each sweep member onto the reference thickness first
-    nearest = min(
-        {c.thickness_used for c in candidates}, key=lambda t: abs(t - t_ref)
-    )
-    reference_pool = [
-        dataclasses.replace(
-            c, kappa=film.thickness_rescale(c.kappa, c.thickness_used, t_ref)
-        )
-        for c in candidates
-        if c.thickness_used == nearest
-    ]
-    selection = film.select_physical_branch(reference_pool)
-    nk = _nk_columns(selection.physical)
+    # branch selection runs on candidates sharing one thickness: the swept
+    # thickness nearest the reference (the thinner one on an exact tie, as
+    # the sweep ascends), with kappa rescaled onto the reference thickness
+    swept = candidates.thickness
+    nearest = swept[np.argmin(np.abs(swept - t_ref))]
+    pool = candidates.take(swept == nearest)
+    pool = pool._replace(kappa=film.thickness_rescale(pool.kappa, nearest, t_ref))
+    nk = _nk_columns(pool.take(film.select_physical_branch(pool)), "Physical")
     # the physical curve ascends in wavelength, so the dispersion closure
     # takes its energies (column 1) and kappa (column 3) reversed
     nk[2] = film.close_with_kk(nk[1][::-1], nk[3][::-1], cfg["kk_asymptote"]).n[::-1]
-    order = operator.attrgetter("thickness_used", "wavelength", "kappa")
+    order = np.lexsort((candidates.kappa, candidates.wavelength, swept))
     return {
         "nk.csv": table.render(NK_HEADER[:-1], nk[:-1]),
-        "branches.csv": table.render(NK_HEADER, _nk_columns(sorted(candidates, key=order))),
+        "branches.csv": table.render(
+            NK_HEADER, _nk_columns(candidates.take(order), "Unresolved")
+        ),
     }
 
 

@@ -7,8 +7,10 @@ two-interface Fresnel amplitudes).  Inversion: grid search for the two
 lowest residual minima per wavelength, simplex refinement, a thickness
 sweep with the kappa deconvolution identity, smoothness-based rejection
 of the spurious solution branch, and a dispersion-relation closure that
-rebuilds n from the retained kappa curve.  R/T measurements are read
-and written as lsepkit.table tables.
+rebuilds n from the retained kappa curve.  The candidate roots travel as
+one column table (NkCandidates) from the refinement to the branch
+choice, which returns the rows of the physical curve.  R/T measurements
+are read and written as lsepkit.table tables.
 
 The grid search evaluates each (wavelength, thickness) map only on the
 tiles of the (n, kappa) grid that can hold a seed.  Circular complex
@@ -29,11 +31,9 @@ scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -66,12 +66,6 @@ class NoMinimumFound(NumericalFailure):
 
 class BranchAmbiguous(NumericalFailure):
     """Smoothness criterion cannot separate the two solution branches."""
-
-
-class Branch(Enum):
-    PHYSICAL = "Physical"
-    SPURIOUS = "Spurious"
-    UNRESOLVED = "Unresolved"
 
 
 @dataclass(frozen=True)
@@ -118,20 +112,19 @@ class RTMeasurement:
             )
 
 
-@dataclass(frozen=True)
-class NkCandidate:
-    """One residual minimum: a candidate (n, kappa) at one wavelength."""
+class NkCandidates(NamedTuple):
+    """Candidate roots as columns: row i is one residual minimum, a
+    candidate (n, kappa) at wavelength[i] for a film of thickness[i]."""
 
-    wavelength: float
-    n: float
-    kappa: float
-    residual: float
-    branch: Branch
-    thickness_used: float
+    wavelength: np.ndarray
+    n: np.ndarray
+    kappa: np.ndarray
+    residual: np.ndarray
+    thickness: np.ndarray
 
-    def __post_init__(self):
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
+    def take(self, rows) -> NkCandidates:
+        """The table of the given rows (indices or a mask)."""
+        return NkCandidates(*(column[rows] for column in self))
 
 
 @dataclass(frozen=True)
@@ -188,14 +181,6 @@ class NkGrid:
     def kappa_values(self) -> np.ndarray:
         count = int(round((self.kappa_max - self.kappa_min) / self.kappa_step)) + 1
         return self.kappa_min + self.kappa_step * np.arange(count)
-
-
-@dataclass(frozen=True)
-class BranchSelection:
-    """Per-wavelength physical curve plus the rejected alternatives."""
-
-    physical: tuple[NkCandidate, ...]
-    spurious: tuple[NkCandidate, ...]
 
 
 @dataclass(frozen=True)
@@ -697,12 +682,14 @@ def extract_nk(
     n_thickness: int = 8,
     substrate_index: float = 1.52,
     ambient_index: float = 1.0,
-) -> list[NkCandidate]:
+) -> NkCandidates:
     """Two candidate (n, kappa) roots per wavelength and thickness sample.
 
     Scans the residual over the grid, keeps the two lowest local minima,
-    and refines each by simplex descent.  Candidates come back labelled
-    Unresolved; select_physical_branch settles which root is physical.
+    and refines each by simplex descent; select_physical_branch settles
+    which root is physical.  The rows come by thickness (ascending), then
+    by measurement, then by seed (lower grid minimum first); a map with a
+    single local minimum gives one row.
 
     The grid is searched tile by tile (_grid_seeds): a certified lower
     bound on the residual rules out the tiles of each map that cannot hold
@@ -719,6 +706,7 @@ def extract_nk(
     t_low, t_high = thickness_range
     if not 0.0 < t_low <= t_high or t_high >= 1e-6:
         raise ValueError(f"thickness_range must lie inside (0, 1 um), got {thickness_range}")
+    FilmStack(t_low, 1.5 + 0.0j, substrate_index, ambient_index)  # checks the indices
     if grid is None:
         grid = NkGrid()
     thicknesses = (
@@ -726,31 +714,15 @@ def extract_nk(
         if t_low == t_high
         else np.linspace(t_low, t_high, max(2, n_thickness))
     )
-    maps = [
-        (
-            FilmStack(
-                thickness=float(thickness),
-                film_index=1.5 + 0.0j,
-                substrate_index=substrate_index,
-                ambient_index=ambient_index,
-            ),
-            meas,
-        )
-        for thickness in thicknesses
-        for meas in measurements
-    ]
-
-    per_map = np.array(
-        [(stack.thickness, meas.wavelength, meas.reflectance, meas.transmittance)
-         for stack, meas in maps]
+    measured = np.array([(m.wavelength, m.reflectance, m.transmittance) for m in measurements])
+    # one map per (thickness, measurement): thickness, wavelength, R, T
+    per_map = np.column_stack(
+        (np.repeat(thicknesses, len(measured)), np.tile(measured, (thicknesses.size, 1)))
     )
-    n_vals, k_vals = grid.n_values, grid.kappa_values
-    roots = [
-        (m, (n_vals[row], k_vals[col]))
-        for m, found in enumerate(_grid_seeds(grid, *per_map.T, ambient_index, substrate_index))
-        for row, col in found
-    ]
-    thickness, wavelength, reflectance, transmittance = per_map[[m for m, _ in roots]].T
+    seeds = _grid_seeds(grid, *per_map.T, ambient_index, substrate_index)
+    owner = np.repeat(np.arange(len(seeds)), [len(found) for found in seeds])
+    seed_row, seed_col = np.concatenate(seeds).T
+    thickness, wavelength, reflectance, transmittance = per_map[owner].T
 
     def misfits(points, rows):
         return _misfits(
@@ -760,97 +732,78 @@ def extract_nk(
 
     refined = nelder_mead(
         misfits,
-        np.array([seed for _, seed in roots]),
+        np.column_stack((grid.n_values[seed_row], grid.kappa_values[seed_col])),
         lower=np.array([grid.n_min, max(grid.kappa_min, 0.0)]),
         upper=np.array([grid.n_max, grid.kappa_max]),
         xatol=1e-9,
         fatol=1e-14,
         maxiter=600,
     )
-    return [
-        NkCandidate(
-            wavelength=float(wl),
-            n=float(n_fit),
-            kappa=float(k_fit),
-            residual=float(res),
-            branch=Branch.UNRESOLVED,
-            thickness_used=float(d),
-        )
-        for d, wl, (n_fit, k_fit), res in zip(thickness, wavelength, refined.x, refined.fun)
-    ]
+    return NkCandidates(wavelength, *refined.x.T, refined.fun, thickness)
 
 
-def thickness_rescale(kappa: float, thickness_used: float, thickness_reference: float):
-    """Deconvolution identity: kappa scales with the thickness ratio."""
+def thickness_rescale(kappa, thickness_used: float, thickness_reference: float):
+    """Deconvolution identity: kappa (a float or an array) scales with the
+    thickness ratio."""
     if thickness_used <= 0.0 or thickness_reference <= 0.0:
         raise ValueError("thicknesses must be > 0")
     return kappa * (thickness_used / thickness_reference)
 
 
 def select_physical_branch(
-    candidates, ambiguity_threshold: float = 0.05
-) -> BranchSelection:
-    """Keep, per wavelength, the candidate on the smoother solution curve.
+    candidates: NkCandidates, ambiguity_threshold: float = 0.05
+) -> np.ndarray:
+    """The rows of the smoother solution curve: one row per wavelength,
+    ascending in wavelength.
 
-    The two roots per wavelength are first joined into two continuous
-    curves by nearest-neighbour continuation in the (n, kappa) plane,
-    which keeps each curve on its own branch even where the branches
-    cross in kappa alone.  The curve with the smaller total variation of
-    kappa is kept as physical (smaller mean kappa preferred on a tie).
-    Only wavelengths that have candidates appear in the result, and
-    ``physical`` ascends in wavelength.
+    Per wavelength, the first and last rows in (kappa, residual) order
+    (stable, so ties keep the table's order) are the two roots; a
+    wavelength with one row gives the same row to both.  They are joined
+    into two continuous curves by nearest-neighbour continuation in the
+    (n, kappa) plane, which keeps each curve on its own branch even where
+    the branches cross in kappa alone.  The curve with the smaller total
+    variation of kappa is kept as physical (smaller mean kappa preferred
+    on a tie).
+
+    The continuation compares, at each wavelength, the summed steps from
+    the previous pair to the current one taken straight and crossed.  A
+    crossed sum strictly below the straight one swaps which curve takes
+    the first row, one strictly above keeps the previous assignment, and
+    an exact tie takes the rows as they come.  So a curve's assignment is
+    the parity of the strict crossings since the last tie.
     """
-    pool = [c for c in candidates]
-    if not pool:
+    if not candidates.wavelength.size:
         raise ValueError("no candidates supplied")
-    by_wavelength: dict[float, list[NkCandidate]] = {}
-    for cand in pool:
-        by_wavelength.setdefault(cand.wavelength, []).append(cand)
-    wavelengths = sorted(by_wavelength)
+    n, kappa = candidates.n, candidates.kappa
+    order = np.lexsort((candidates.residual, kappa, candidates.wavelength))
+    sorted_wl = candidates.wavelength[order]
+    starts = np.flatnonzero(np.r_[True, sorted_wl[1:] != sorted_wl[:-1]])
+    first, last = order[starts], order[np.r_[starts[1:], order.size] - 1]
 
-    def dist(prev: NkCandidate, cand: NkCandidate) -> float:
-        return float(np.hypot(cand.n - prev.n, cand.kappa - prev.kappa))
+    def steps(prev, cur):
+        return np.hypot(n[cur] - n[prev], kappa[cur] - kappa[prev])
 
-    track_a: list[NkCandidate] = []
-    track_b: list[NkCandidate] = []
-    for wl in wavelengths:
-        group = sorted(by_wavelength[wl], key=lambda c: (c.kappa, c.residual))
-        first, second = group[0], group[-1]
-        if track_a:
-            straight = dist(track_a[-1], first) + dist(track_b[-1], second)
-            crossed = dist(track_a[-1], second) + dist(track_b[-1], first)
-            if crossed < straight:
-                first, second = second, first
-        track_a.append(first)
-        track_b.append(second)
+    straight = steps(first[:-1], first[1:]) + steps(last[:-1], last[1:])
+    crossed = steps(first[:-1], last[1:]) + steps(last[:-1], first[1:])
+    flip = crossed < straight
+    flips = np.cumsum(np.r_[0, flip])
+    tie = np.r_[True, ~flip & ~(straight < crossed)]
+    since = np.maximum.accumulate(np.where(tie, np.arange(first.size), 0))
+    swapped = (flips - flips[since]) % 2 == 1
+    track_a = np.where(swapped, last, first)
+    track_b = np.where(swapped, first, last)
 
-    def total_variation(curve):
-        kappas = np.array([c.kappa for c in curve])
-        return float(np.sum(np.abs(np.diff(kappas)))) if kappas.size > 1 else 0.0
-
-    tv_a, tv_b = total_variation(track_a), total_variation(track_b)
+    tv_a, tv_b = (float(np.sum(np.abs(np.diff(kappa[t])))) for t in (track_a, track_b))
     scale = max(tv_a, tv_b)
-    distinct = any(u is not l for u, l in zip(track_b, track_a))
+    distinct = bool((track_a != track_b).any())
     if distinct and scale > 0.0 and abs(tv_a - tv_b) < ambiguity_threshold * scale:
         raise BranchAmbiguous(
             f"total variations {tv_a:.4g} and {tv_b:.4g} differ by "
             f"less than {ambiguity_threshold:.0%}"
         )
     if tv_a != tv_b:
-        chosen = track_a if tv_a < tv_b else track_b
-    else:
-        mean_a = float(np.mean([c.kappa for c in track_a]))
-        mean_b = float(np.mean([c.kappa for c in track_b]))
-        chosen = track_a if mean_a <= mean_b else track_b
-
-    physical = [dataclasses.replace(c, branch=Branch.PHYSICAL) for c in chosen]
-    spurious = [
-        dataclasses.replace(c, branch=Branch.SPURIOUS)
-        for wl, keep in zip(wavelengths, chosen)
-        for c in by_wavelength[wl]
-        if c is not keep
-    ]
-    return BranchSelection(physical=tuple(physical), spurious=tuple(spurious))
+        return track_a if tv_a < tv_b else track_b
+    return track_a if np.mean(kappa[track_a]) <= np.mean(kappa[track_b]) else track_b
 
 
 def close_with_kk(energies_ev, kappa, n_asymptote: float) -> IndexCurve:

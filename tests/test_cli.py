@@ -370,6 +370,48 @@ class TestConfigErrors:
         else:
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "present", [(), ("a.csv",), ("a.csv", "b.csv")], ids=["new", "one-old", "two-old"]
+    )
+    def test_failed_move_leaves_every_target_as_it_was(
+        self, tmp_path, monkeypatch, present, fail_at
+    ):
+        # write_outputs moves each file it replaces aside, then the new
+        # file in: 2 + len(present) moves.  The fail_at-th move fails, or
+        # none does when fail_at is past the last one.
+        out = tmp_path / "a" / "b"
+        if present:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("not an output\n")
+            for name in present:
+                (out / name).write_text(f"old {name}\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if present else None
+        original = cli.os.replace
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise OSError(28, "No space left on device")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "replace", fails_once)
+        bodies = {"a.csv": "new a\n", "b.csv": "new b\n"}
+        moves = 2 + len(present)
+        if fail_at > moves:
+            assert cli.write_outputs(out, bodies) == [out / "a.csv", out / "b.csv"]
+            after = {p.name: p.read_text() for p in out.iterdir()}
+            assert after == {**bodies, **({"keep.txt": "not an output\n"} if present else {})}
+            assert len(calls) == moves
+            return
+        with pytest.raises(OSError, match="No space left"):
+            cli.write_outputs(out, bodies)
+        if present:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def assert_named_config_error(tmp_path, capsys, command, key, value):
         ini = tmp_path / "cfg.ini"
@@ -643,6 +685,7 @@ class TestExtractNk:
         bheader, brows = read_csv_columns(out / "branches.csv")
         assert bheader[-1] == "thickness_nm"
         assert len(brows) == 2 * wl.size
+        assert all(row[4] == "Unresolved" for row in brows)
 
     def test_non_finite_kk_asymptote_is_config_error(self, tmp_path, capsys):
         rt_path, *_ = self.synthetic(tmp_path)

@@ -16,11 +16,9 @@ from scipy import ndimage, optimize
 from lsepkit import cli, film, medium
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
 from lsepkit.film import (
-    Branch,
     BranchAmbiguous,
-    BranchSelection,
     FilmStack,
-    NkCandidate,
+    NkCandidates,
     NkGrid,
     NoMinimumFound,
     RTMeasurement,
@@ -156,10 +154,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=bad)
 
-    def test_candidate_rejects_negative_residual(self):
-        with pytest.raises(ValueError):
-            NkCandidate(600e-9, 1.5, 0.1, -1e-3, Branch.UNRESOLVED, 70e-9)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             NkGrid(n_min=2.0, n_max=1.0)
@@ -263,13 +257,15 @@ class TestCloseCalls:
                 if abs(float(r["thickness_nm"]) - 63.0) < 1e-9
                 and round(float(r["wavelength_nm"]), 6) in wanted
             ]
-        assert len(pinned) == len(cands) == 2 * len(wanted)
-        cands.sort(key=lambda c: (c.wavelength, c.kappa))
-        for cand, row in zip(cands, pinned):
-            assert round(cand.wavelength * 1e9, 6) == round(float(row["wavelength_nm"]), 6)
-            assert abs(cand.n - float(row["n"])) < 1e-8
-            assert abs(cand.kappa - float(row["kappa"])) < 1e-8
-            assert abs(cand.residual - float(row["residual"])) < 1e-8
+        assert len(pinned) == cands.wavelength.size == 2 * len(wanted)
+        cands = cands.take(np.lexsort((cands.kappa, cands.wavelength)))
+        for wl, n, kappa, res, row in zip(
+            cands.wavelength, cands.n, cands.kappa, cands.residual, pinned
+        ):
+            assert round(wl * 1e9, 6) == round(float(row["wavelength_nm"]), 6)
+            assert abs(n - float(row["n"])) < 1e-8
+            assert abs(kappa - float(row["kappa"])) < 1e-8
+            assert abs(res - float(row["residual"])) < 1e-8
 
 
 def _window(n_min, n_count, n_step, k_min, k_count, k_step):
@@ -601,18 +597,20 @@ class TestExtraction:
     def test_round_trip_recovers_truth(self):
         meas, n_true, k_true = synthetic_measurements()
         cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
-        assert all(c.branch is Branch.UNRESOLVED for c in cands)
-        assert len(cands) == 2 * len(meas)
-        selection = select_physical_branch(cands)
-        for cand, nv, kv in zip(selection.physical, n_true, k_true):
-            assert abs(cand.n - nv) <= 2.0 * self.GRID.n_step
-            assert abs(cand.kappa - kv) <= 2.0 * self.GRID.kappa_step
-            assert cand.branch is Branch.PHYSICAL
-        # the rejected branch is genuinely distinct in the dispersive band
-        spurious_gap = [
-            abs(s.kappa - p.kappa)
-            for s, p in zip(selection.spurious, selection.physical)
-        ]
+        assert isinstance(cands, NkCandidates)
+        assert all(column.shape == (2 * len(meas),) for column in cands)
+        chosen = select_physical_branch(cands)
+        physical = cands.take(chosen)
+        assert np.all(np.diff(physical.wavelength) > 0.0)
+        assert physical.wavelength.size == len(meas)
+        for n, kappa, nv, kv in zip(physical.n, physical.kappa, n_true, k_true):
+            assert abs(n - nv) <= 2.0 * self.GRID.n_step
+            assert abs(kappa - kv) <= 2.0 * self.GRID.kappa_step
+        # the rejected branch (the rows not chosen) is genuinely distinct in
+        # the dispersive band
+        rejected = cands.take(np.setdiff1d(np.arange(cands.wavelength.size), chosen))
+        assert np.array_equal(rejected.wavelength, physical.wavelength)
+        spurious_gap = np.abs(rejected.kappa - physical.kappa)
         assert max(spurious_gap) > 0.1
 
     def test_zero_absorption_recovered(self):
@@ -622,18 +620,18 @@ class TestExtraction:
             rt = rt_theoretical(FilmStack(thickness=70e-9, film_index=1.8 + 0j), wl)
             meas.append(RTMeasurement(wl, rt.reflectance, rt.transmittance))
         cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
-        best = {c.wavelength: min((d for d in cands if d.wavelength == c.wavelength),
-                                  key=lambda d: d.residual) for c in cands}
-        for cand in best.values():
-            assert cand.kappa <= 2.0 * self.GRID.kappa_step
-            assert abs(cand.n - 1.8) <= 2.0 * self.GRID.n_step
+        for wl in set(cands.wavelength.tolist()):
+            at = np.flatnonzero(cands.wavelength == wl)
+            best = at[np.argmin(cands.residual[at])]
+            assert cands.kappa[best] <= 2.0 * self.GRID.kappa_step
+            assert abs(cands.n[best] - 1.8) <= 2.0 * self.GRID.n_step
 
     def test_thickness_sweep_produces_per_thickness_candidates(self):
         meas, _, _ = synthetic_measurements()
         cands = extract_nk(
             meas[:2], thickness_range=(63e-9, 77e-9), grid=self.GRID, n_thickness=3
         )
-        thicknesses = {round(c.thickness_used * 1e9, 3) for c in cands}
+        thicknesses = {round(d * 1e9, 3) for d in cands.thickness.tolist()}
         assert thicknesses == {63.0, 70.0, 77.0}
 
     def test_input_guards(self):
@@ -644,6 +642,25 @@ class TestExtraction:
             extract_nk(meas, thickness_range=(77e-9, 63e-9))
         with pytest.raises(ValueError):
             extract_nk(meas, thickness_range=(0.5e-6, 2e-6))
+
+
+def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, capsys):
+    # the README's film snippet, exactly as shown, reading the packaged
+    # fixture as rt.csv; it picks the 70 nm sweep member as extract-nk does
+    root = Path(__file__).resolve().parents[1]
+    blocks = (root / "README.md").read_text(encoding="utf-8").split("```python\n")[1:]
+    (snippet,) = [b.split("```")[0] for b in blocks if "film.extract_nk(" in b]
+    (tmp_path / "rt.csv").write_text((files("lsepkit") / "data" / "film_rt.csv").read_text())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    printed = np.array([line.split() for line in capsys.readouterr().out.splitlines()], float)
+    with (root / "perfbench" / "reference" / "nk-fixture" / "nk.csv").open(newline="") as handle:
+        nk = [(float(r["wavelength_nm"]), float(r["kappa"])) for r in csv.DictReader(handle)]
+    assert printed.shape == (len(nk), 4)
+    assert np.array_equal(printed[:, 0] * 1e9, [wl for wl, _ in nk])
+    # the sweep member is 70 nm to the last bit, so extract-nk's rescale
+    # is exact and the curves agree bit for bit
+    assert np.array_equal(printed[:, 2], [k for _, k in nk])
 
 
 class TestThicknessRescale:
@@ -663,37 +680,122 @@ class TestThicknessRescale:
             thickness_rescale(0.5, 0.0, 70e-9)
 
 
+def candidate_table(rows):
+    """An NkCandidates table from (wavelength, n, kappa, residual,
+    thickness) rows."""
+    return NkCandidates(*np.array(rows, dtype=float).reshape(-1, 5).T)
+
+
+def per_wavelength_branch(cands, ambiguity_threshold=0.05):
+    """The rows of the physical curve by a per-wavelength loop: the
+    object-at-a-time form of select_physical_branch, kept as its oracle."""
+    wavelength, n, kappa, res = (column.tolist() for column in cands[:4])
+    if not wavelength:
+        raise ValueError("no candidates supplied")
+    by_wavelength = {}
+    for row, wl in enumerate(wavelength):
+        by_wavelength.setdefault(wl, []).append(row)
+
+    def dist(prev, row):
+        return float(np.hypot(n[row] - n[prev], kappa[row] - kappa[prev]))
+
+    track_a, track_b = [], []
+    for wl in sorted(by_wavelength):
+        group = sorted(by_wavelength[wl], key=lambda row: (kappa[row], res[row]))
+        first, second = group[0], group[-1]
+        if track_a:
+            straight = dist(track_a[-1], first) + dist(track_b[-1], second)
+            crossed = dist(track_a[-1], second) + dist(track_b[-1], first)
+            if crossed < straight:
+                first, second = second, first
+        track_a.append(first)
+        track_b.append(second)
+
+    def total_variation(track):
+        kappas = np.array([kappa[row] for row in track])
+        return float(np.sum(np.abs(np.diff(kappas)))) if kappas.size > 1 else 0.0
+
+    tv_a, tv_b = total_variation(track_a), total_variation(track_b)
+    scale = max(tv_a, tv_b)
+    distinct = any(u != l for u, l in zip(track_b, track_a))
+    if distinct and scale > 0.0 and abs(tv_a - tv_b) < ambiguity_threshold * scale:
+        raise BranchAmbiguous(f"total variations {tv_a:.4g} and {tv_b:.4g}")
+    if tv_a != tv_b:
+        return track_a if tv_a < tv_b else track_b
+    mean_a = float(np.mean([kappa[row] for row in track_a]))
+    mean_b = float(np.mean([kappa[row] for row in track_b]))
+    return track_a if mean_a <= mean_b else track_b
+
+
+# coarse values, so that equal kappa, equal residuals and equal summed
+# steps (exact ties of the continuation) occur often
+_COARSE_VALUE = st.integers(0, 6).map(lambda k: k / 4)
+
+
+@st.composite
+def _candidate_sets(draw):
+    rows = []
+    most = draw(st.integers(1, 3))  # all, some or no wavelengths with one root
+    for i in range(draw(st.integers(1, 10))):
+        for _ in range(draw(st.integers(1, most))):
+            rows.append(
+                (500e-9 + 10e-9 * i, 1.0 + draw(_COARSE_VALUE), draw(_COARSE_VALUE),
+                 draw(st.sampled_from([0.0, 1e-6, 2e-6])), 70e-9)
+            )
+    return candidate_table(draw(st.permutations(rows)))
+
+
+@given(_candidate_sets(), st.sampled_from([0.05, 0.0, 0.5]))
+@example(candidate_table([(5e-7, 1.5, 0.0, 0.0, 7e-8), (5e-7, 1.5, 0.0, 0.0, 7e-8)]), 0.05)
+@example(candidate_table([(5e-7, 1.5, 0.0, 0.0, 7e-8), (5.1e-7, 1.5, 0.5, 0.0, 7e-8)]), 0.05)
+def test_branch_rows_equal_per_wavelength_loop(cands, threshold):
+    try:
+        expected = per_wavelength_branch(cands, threshold)
+    except BranchAmbiguous:
+        with pytest.raises(BranchAmbiguous):
+            select_physical_branch(cands, threshold)
+        return
+    assert select_physical_branch(cands, threshold).tolist() == expected
+
+
 class TestBranchSelection:
     @staticmethod
-    def make(wl, n, k, thickness=70e-9):
-        return NkCandidate(wl, n, k, 1e-6, Branch.UNRESOLVED, thickness)
+    def make(rows, thickness=70e-9):
+        """A table from (wavelength, n, kappa) rows, residual 1e-6."""
+        return candidate_table([(wl, n, k, 1e-6, thickness) for wl, n, k in rows])
 
     def test_single_branch_is_identity(self):
         wavelengths = np.linspace(500e-9, 600e-9, 6)
-        cands = [self.make(wl, 1.6, 0.2) for wl in wavelengths]
-        selection = select_physical_branch(cands)
-        assert len(selection.physical) == 6
-        assert all(c.branch is Branch.PHYSICAL for c in selection.physical)
-        assert selection.spurious == ()
+        cands = self.make([(wl, 1.6, 0.2) for wl in wavelengths])
+        chosen = select_physical_branch(cands)
+        assert len(chosen) == 6
+        assert chosen.tolist() == list(range(6))
+        # every row is physical, so no row is left as spurious
+        assert np.setdiff1d(np.arange(6), chosen).size == 0
 
     def test_smooth_branch_wins_over_jagged(self):
         wavelengths = np.linspace(500e-9, 600e-9, 8)
-        cands = []
+        rows = []
         for i, wl in enumerate(wavelengths):
-            cands.append(self.make(wl, 1.6, 0.2 + 0.01 * i))
-            cands.append(self.make(wl, 2.4, 0.2 if i % 2 == 0 else 1.5))
-        selection = select_physical_branch(cands)
-        assert all(abs(c.kappa - 0.2) < 0.1 for c in selection.physical)
+            rows.append((wl, 1.6, 0.2 + 0.01 * i))
+            rows.append((wl, 2.4, 0.2 if i % 2 == 0 else 1.5))
+        cands = self.make(rows)
+        physical = cands.take(select_physical_branch(cands))
+        assert all(abs(k - 0.2) < 0.1 for k in physical.kappa)
 
     def test_parallel_branches_are_ambiguous(self):
         wavelengths = np.linspace(500e-9, 600e-9, 8)
-        cands = []
+        rows = []
         for i, wl in enumerate(wavelengths):
             drift = 0.05 * i
-            cands.append(self.make(wl, 1.6, 0.2 + drift))
-            cands.append(self.make(wl, 2.4, 0.9 + drift))
+            rows.append((wl, 1.6, 0.2 + drift))
+            rows.append((wl, 2.4, 0.9 + drift))
         with pytest.raises(BranchAmbiguous):
-            select_physical_branch(cands)
+            select_physical_branch(self.make(rows))
+
+    def test_no_candidates(self):
+        with pytest.raises(ValueError, match="no candidates"):
+            select_physical_branch(candidate_table([]))
 
 
 class TestKkClosure:
