@@ -59,8 +59,8 @@ def film_rt_fixture(out_dir: Path) -> Path:
     rows = []
     for wl, nf in zip(wavelengths, indices):
         stack = FilmStack(thickness=70e-9, film_index=complex(nf))
-        rt = rt_theoretical(stack, wl)
-        rows.append(RTMeasurement(wl, rt.reflectance, rt.transmittance))
+        reflectance, transmittance = rt_theoretical(stack, wl)
+        rows.append(RTMeasurement(wl, reflectance, transmittance))
     path = out_dir / "film_rt.csv"
     write_rt_csv(
         path,

@@ -114,6 +114,11 @@ class DriveField:
     def angular_frequency(self) -> float:
         return self.photon_energy * EV_TO_RADS
 
+    @property
+    def acts_from(self) -> float:
+        """Time (s) from which the drive acts on a state given at t = 0."""
+        return max(self.turn_on, 0.0) if self.envelope == "step" else 0.0
+
 
 def detuning_energy(params: TwoLevelParams, drive: DriveField) -> float:
     """delta = transition energy - photon energy (eV)."""
@@ -302,7 +307,7 @@ def evolve_rwa(
     """
     times = _checked_times(sample_times)
     v0 = rho0.as_vector()
-    t_on = drive.turn_on if drive.envelope == "step" else 0.0
+    t_on = drive.acts_from
     gen_on = liouvillian_rwa(params, drive)
 
     states = np.empty((times.size, 4), dtype=complex)
@@ -350,7 +355,7 @@ def evolve_lab(
     g1 = 1j * np.array([[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]])
     rabi = params.dipole_si * drive.amplitude / HBAR
     w = drive.angular_frequency
-    t_on = drive.turn_on if drive.envelope == "step" else 0.0
+    t_on = drive.acts_from
     late = times >= t_on
     v, states = rho0.as_vector(), []
     if t_on > 0.0:
@@ -359,8 +364,8 @@ def evolve_lab(
         states.append(head[: np.count_nonzero(~late)])
         v = head[-1]
     if late.any():
-        states.append(integrate(g0, g1, lambda t: rabi * np.cos(w * t), v, max(t_on, 0.0),
-                                times[late], rtol=rtol, atol=atol).states)
+        states.append(integrate(g0, g1, lambda t: rabi * np.cos(w * t), v, t_on, times[late],
+                                rtol=rtol, atol=atol).states)
     return BlochTrajectory(times=times, states=np.concatenate(states), frame="lab", drive=drive)
 
 

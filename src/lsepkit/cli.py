@@ -544,7 +544,7 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
     nk = _nk_columns(pool.take(film.select_physical_branch(pool)), "Physical")
     # the physical curve ascends in wavelength, so the dispersion closure
     # takes its energies (column 1) and kappa (column 3) reversed
-    nk[2] = film.close_with_kk(nk[1][::-1], nk[3][::-1], cfg["kk_asymptote"]).n[::-1]
+    nk[2] = film.close_with_kk(nk[1][::-1], nk[3][::-1], cfg["kk_asymptote"])[::-1]
     order = np.lexsort((candidates.kappa, candidates.wavelength, swept))
     return {
         "nk.csv": table.render(NK_HEADER[:-1], nk[:-1]),
@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "qabs-spectrum":
             cmd.add_argument(
                 "--model",
-                choices=["quantum", "lorentz", "data"],
+                choices=DEFAULTS[name]["model"].kind,
                 default=None,
                 help="permittivity source for the spectrum",
             )

@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import NumericalFailure, table
+from .constants import EV_TO_RADS
 from .numerics import kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
@@ -128,12 +129,6 @@ class NkCandidates(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TheoreticalRT:
-    reflectance: float
-    transmittance: float
-
-
-@dataclass(frozen=True)
 class NkGrid:
     """Search window and resolution for the residual grid scan.
 
@@ -181,15 +176,6 @@ class NkGrid:
     def kappa_values(self) -> np.ndarray:
         count = int(round((self.kappa_max - self.kappa_min) / self.kappa_step)) + 1
         return self.kappa_min + self.kappa_step * np.arange(count)
-
-
-@dataclass(frozen=True)
-class IndexCurve:
-    """Paired n and kappa on an ascending photon-energy grid (eV)."""
-
-    energies: np.ndarray
-    n: np.ndarray
-    kappa: np.ndarray
 
 
 def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mul):
@@ -260,17 +246,15 @@ def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
     return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
-def rt_theoretical(stack: FilmStack, wavelength: float) -> TheoreticalRT:
-    """Normal-incidence R and T of the film between two half-spaces."""
+def rt_theoretical(stack: FilmStack, wavelength: float) -> tuple[float, float]:
+    """Normal-incidence (R, T) of the film between two half-spaces."""
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     reflectance, transmittance = _rt(
         [stack.film_index], stack.thickness, wavelength,
         stack.ambient_index, stack.substrate_index,
     )
-    return TheoreticalRT(
-        reflectance=float(reflectance[0]), transmittance=float(transmittance[0])
-    )
+    return float(reflectance[0]), float(transmittance[0])
 
 
 def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasurement) -> float:
@@ -806,14 +790,12 @@ def select_physical_branch(
     return track_a if np.mean(kappa[track_a]) <= np.mean(kappa[track_b]) else track_b
 
 
-def close_with_kk(energies_ev, kappa, n_asymptote: float) -> IndexCurve:
-    """Rebuild the dispersive n from kappa via the dispersion integral."""
+def close_with_kk(energies_ev, kappa, n_asymptote: float) -> np.ndarray:
+    """Rebuild the dispersive n from kappa on an ascending photon-energy
+    grid (eV) via the dispersion integral."""
     energies = np.asarray(energies_ev, dtype=float)
     kap = np.asarray(kappa, dtype=float)
-    from .constants import EV_TO_RADS
-
-    n_curve = kramers_kronig_real(energies * EV_TO_RADS, kap, asymptote=n_asymptote)
-    return IndexCurve(energies=energies, n=n_curve, kappa=kap)
+    return kramers_kronig_real(energies * EV_TO_RADS, kap, asymptote=n_asymptote)
 
 
 # ------------------------------------------------------------------ I/O

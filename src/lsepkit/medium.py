@@ -167,8 +167,6 @@ def epsilon_transient(
     drive and converts each rotating-frame sample to eps(t).  Rows share
     the drive photon energy; the time axis tags each slice.
     """
-    if drive.amplitude < 0.0:
-        raise ValueError("transient drive amplitude must be >= 0")
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     p = material.two_level
     if drive.amplitude == 0.0:

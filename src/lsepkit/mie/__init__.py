@@ -6,11 +6,9 @@ from .fields import (
     DOMAIN_RADIUS_FACTOR,
     EvaluationTooFarOut,
     FieldGrid,
-    FieldSample,
     Streamline,
     Termination,
     ZeroPoyntingVector,
-    near_field,
     near_field_grid,
     poynting,
     poynting_streamlines,
@@ -39,7 +37,6 @@ __all__ = [
     "EfficiencySpectrum",
     "EvaluationTooFarOut",
     "FieldGrid",
-    "FieldSample",
     "MieCoefficients",
     "QuasistaticResponse",
     "RecurrenceUnstable",
@@ -51,7 +48,6 @@ __all__ = [
     "efficiencies",
     "mie_coefficients",
     "multipole_cutoff",
-    "near_field",
     "near_field_grid",
     "poynting",
     "poynting_streamlines",

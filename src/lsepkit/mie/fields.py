@@ -1,9 +1,12 @@
 """Near-zone electromagnetic fields and energy-flow streamlines.
 
 Exterior points carry the analytic plane wave plus the outgoing partial
-waves; interior points use the internal expansion.  All evaluators are
-vectorized over point batches so the streamline tracer can advance every
-seed in lockstep.
+waves; interior points use the internal expansion.  E and H share every
+radial and angular function of these vector waves and differ only in
+their coefficients (Bohren & Huffman 1983, sec. 4.4), so each spherical
+component of both fields is one matrix product over orders.  All
+evaluators are vectorized over point batches so the streamline tracer
+can advance every seed in lockstep.
 """
 
 from __future__ import annotations
@@ -37,31 +40,13 @@ class ZeroPoyntingVector(NumericalFailure):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """Complex E (V/m) and H (A/m) at one point, plus |E|/E0."""
-
-    position: np.ndarray
-    E: np.ndarray
-    H: np.ndarray
-    enhancement: float
-
-
-@dataclass(frozen=True)
 class FieldGrid:
-    """Vectorized field samples: arrays indexed by point."""
+    """Complex E (V/m) and H (A/m) and |E|/E0, arrays indexed by point."""
 
     positions: np.ndarray
     E: np.ndarray
     H: np.ndarray
     enhancement: np.ndarray
-
-    def sample(self, i: int) -> FieldSample:
-        return FieldSample(
-            position=self.positions[i],
-            E=self.E[i],
-            H=self.H[i],
-            enhancement=float(self.enhancement[i]),
-        )
 
 
 class Termination(Enum):
@@ -110,21 +95,21 @@ def _angular_functions(mu: np.ndarray, n_max: int):
 
 
 def near_field_grid(
-    scene: SphereScene,
-    coeffs: MieCoefficients | None = None,
-    points=None,
-    e0: float = 1.0,
+    scene: SphereScene, coeffs: MieCoefficients | None, points, e0: float = 1.0
 ) -> FieldGrid:
     """Total E and H at a batch of points for x-polarized +z incidence.
 
-    Points are (P, 3) Cartesian meters centered on the sphere.  Raises
-    EvaluationTooFarOut past 10 radii and ValueError at the origin.
+    Points are (P, 3) Cartesian meters centered on the sphere; ``coeffs``
+    None solves the scene.  Raises EvaluationTooFarOut past 10 radii and
+    ValueError at the origin or at a non-finite point.
     """
     if coeffs is None:
         coeffs = mie_coefficients(scene)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (P, 3), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     r = np.linalg.norm(pts, axis=1)
     if np.any(r < ORIGIN_FLOOR):
         raise ValueError("field evaluation at the sphere center is undefined")
@@ -140,74 +125,56 @@ def near_field_grid(
 
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    mu = np.cos(theta)
-    pi_n, tau_n = _angular_functions(mu, n_max)
-    sin_theta = np.sin(theta)
+    mu, sin_theta = np.cos(theta), np.sin(theta)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    pi_n, tau_n = _angular_functions(mu, n_max)
 
     admittance = np.sqrt(scene.host_epsilon) * EPS0 * C0  # k / (omega mu0)
     inside = r < scene.radius
-    e_sph = np.zeros((pts.shape[0], 3), dtype=complex)
-    h_sph = np.zeros((pts.shape[0], 3), dtype=complex)
-    e_cart = np.zeros((pts.shape[0], 3), dtype=complex)
-    h_cart = np.zeros((pts.shape[0], 3), dtype=complex)
+    # (E, H) by (r, theta, phi) component by point, before the phi factors
+    sph = np.empty((2, 3, pts.shape[0]), dtype=complex)
 
-    def accumulate(mask, rho, radial, coeff_pairs, h_factor):
-        """Sum the two partial-wave families over orders for one region."""
-        (ce, cn), (ch, chn) = coeff_pairs
-        w_e = en[:, None] * np.ones(mask.sum())[None, :]
+    def partial_waves(mask, rho, radial, wave_n, wave_m, h_factor):
+        """Sum one region's N- and M-type waves over orders: rows E and H of
+        wave_n and wave_m are their coefficients, one (2, n_max) block each,
+        and h_factor is the region's H-to-E scale."""
+        amp = en * np.array([[1.0], [h_factor]])
+        nw, mw = amp * wave_n, amp * wave_m
         pi_m, tau_m = pi_n[1:, mask], tau_n[1:, mask]
-        sin_m = sin_theta[mask]
         rad = radial[1:]
-        drad = radial[:-1] - ns[:, None] * radial[1:] / rho[None, :]
-        rad_over = radial[1:] / rho[None, :]
-        nn1 = (ns * (ns + 1.0))[:, None]
-        er = np.sum(w_e * cn[:, None] * nn1 * sin_m[None, :] * pi_m * rad_over, axis=0)
-        et = np.sum(w_e * (cn[:, None] * tau_m * drad + ce[:, None] * pi_m * rad), axis=0)
-        ep = np.sum(w_e * (cn[:, None] * pi_m * drad + ce[:, None] * tau_m * rad), axis=0)
-        hr = np.sum(w_e * chn[:, None] * nn1 * sin_m[None, :] * pi_m * rad_over, axis=0)
-        ht = np.sum(w_e * (chn[:, None] * tau_m * drad + ch[:, None] * pi_m * rad), axis=0)
-        hp = np.sum(w_e * (chn[:, None] * pi_m * drad + ch[:, None] * tau_m * rad), axis=0)
-        e_sph[mask, 0] = cos_phi[mask] * er
-        e_sph[mask, 1] = cos_phi[mask] * et
-        e_sph[mask, 2] = -sin_phi[mask] * ep
-        h_sph[mask, 0] = h_factor * sin_phi[mask] * hr
-        h_sph[mask, 1] = h_factor * sin_phi[mask] * ht
-        h_sph[mask, 2] = h_factor * cos_phi[mask] * hp
+        drad = radial[:-1] - ns[:, None] * rad / rho  # (rho z_n)' / rho
+        sph[:, 0, mask] = (nw * ns * (ns + 1.0)) @ (sin_theta[mask] * pi_m * rad / rho)
+        sph[:, 1, mask] = nw @ (tau_m * drad) + mw @ (pi_m * rad)
+        sph[:, 2, mask] = nw @ (pi_m * drad) + mw @ (tau_m * rad)
 
-    if np.any(~inside):
-        rho = scene.host_wavenumber * r[~inside]
+    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
+    outside = ~inside
+    if np.any(outside):
+        rho = scene.host_wavenumber * r[outside]
         # h_n = j_n + i y_n with y_n = -chi_n / rho
         hn = _spherical_jn(rho, n_max) - 1j * _riccati_chi(rho, n_max) / rho
-        pairs = ((-coeffs.b, 1j * coeffs.a), (-coeffs.a, 1j * coeffs.b))
-        accumulate(~inside, rho, hn, pairs, admittance)
+        partial_waves(outside, rho, hn, [1j * a, 1j * b], [-b, -a], admittance)
 
     if np.any(inside):
         m_rel = scene.relative_index
         rho = m_rel * scene.host_wavenumber * r[inside]
-        pairs = ((coeffs.c, -1j * coeffs.d), (-coeffs.d, 1j * coeffs.c))
-        accumulate(inside, rho, _spherical_jn(rho, n_max), pairs, -m_rel * admittance)
+        partial_waves(inside, rho, _spherical_jn(rho, n_max),
+                      [-1j * d, 1j * c], [c, -d], -m_rel * admittance)
 
-    # spherical to Cartesian basis, then the analytic incident wave outside
-    st, ct = sin_theta, mu
-    cp, sp = cos_phi, sin_phi
-    r_hat = np.stack([st * cp, st * sp, ct], axis=1)
-    t_hat = np.stack([ct * cp, ct * sp, -st], axis=1)
-    p_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-    for i_comp, basis in enumerate((r_hat, t_hat, p_hat)):
-        e_cart += e_sph[:, i_comp : i_comp + 1] * basis
-        h_cart += h_sph[:, i_comp : i_comp + 1] * basis
-    plane = e0 * np.exp(1j * scene.host_wavenumber * pts[:, 2])
-    e_cart[~inside, 0] += plane[~inside]
-    h_cart[~inside, 1] += admittance * plane[~inside]
+    # x-polarized incidence: E goes as (cos, cos, -sin) phi and H as
+    # (sin, sin, cos) phi; then the spherical basis rotates to Cartesian
+    sph *= np.array([[cos_phi, cos_phi, -sin_phi], [sin_phi, sin_phi, cos_phi]])
+    basis = np.array([[sin_theta * cos_phi, sin_theta * sin_phi, mu],
+                      [mu * cos_phi, mu * sin_phi, -sin_theta],
+                      [-sin_phi, cos_phi, np.zeros_like(phi)]])
+    e_cart, h_cart = np.einsum("fcp,cxp->fpx", sph, basis)
+    # the analytic incident wave outside
+    plane = e0 * np.exp(1j * scene.host_wavenumber * pts[outside, 2])
+    e_cart[outside, 0] += plane
+    h_cart[outside, 1] += admittance * plane
 
     enhancement = np.linalg.norm(e_cart, axis=1) / e0
     return FieldGrid(positions=pts, E=e_cart, H=h_cart, enhancement=enhancement)
-
-
-def near_field(scene: SphereScene, coeffs: MieCoefficients | None, point, e0: float = 1.0) -> FieldSample:
-    """Single-point convenience wrapper around near_field_grid."""
-    return near_field_grid(scene, coeffs, np.asarray(point, dtype=float)[None, :], e0).sample(0)
 
 
 def poynting(E: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -217,8 +184,8 @@ def poynting(E: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def poynting_streamlines(
     scene: SphereScene,
-    coeffs: MieCoefficients | None = None,
-    seeds=None,
+    coeffs: MieCoefficients | None,
+    seeds,
     step: float = 10e-9,
     max_steps: int = 600,
     scheme: str = "euler",

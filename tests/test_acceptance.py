@@ -26,7 +26,6 @@ from lsepkit.mie import (
     Termination,
     efficiencies,
     mie_coefficients,
-    near_field,
     near_field_grid,
     poynting,
     poynting_streamlines,
@@ -447,8 +446,8 @@ def test_criterion_9_film_inversion_round_trip():
             substrate_index=1.52,
             ambient_index=1.0,
         )
-        rt = film.rt_theoretical(stack, wl)
-        measurements.append(film.RTMeasurement(wl, rt.reflectance, rt.transmittance))
+        reflectance, transmittance = film.rt_theoretical(stack, wl)
+        measurements.append(film.RTMeasurement(wl, reflectance, transmittance))
     grid = film.NkGrid(
         n_min=1.2, n_max=2.6, n_step=0.02, kappa_min=0.0, kappa_max=1.0, kappa_step=0.02
     )
@@ -469,10 +468,10 @@ def test_criterion_9_film_inversion_round_trip():
     energies = np.linspace(0.25, 5.0, 3000)
     omega, w0, g0 = energies * EV_TO_RADS, w0_ev * EV_TO_RADS, g0_ev * EV_TO_RADS
     index = np.sqrt(eps_m + f0 * w0**2 / (w0**2 - omega**2 - 1j * omega * g0))
-    curve = film.close_with_kk(energies, index.imag, np.sqrt(eps_m))
+    n_kk = film.close_with_kk(energies, index.imag, np.sqrt(eps_m))
     band = (energies > 2.01) & (energies < 2.21)
     kk_err = float(
-        (np.abs(curve.n[band] - index.real[band]) / index.real[band]).max()
+        (np.abs(n_kk[band] - index.real[band]) / index.real[band]).max()
     )
 
     ok = (
@@ -527,8 +526,8 @@ def test_criterion_10_scattering_limit_behavior():
     coeff_max = max(np.abs(coeffs.a).max(), np.abs(coeffs.b).max())
     enh_dev = 0.0
     for point in ([0.0, 0.0, 80e-9], [30e-9, 20e-9, -60e-9], [0.0, 90e-9, 10e-9]):
-        sample = near_field(matched, coeffs, point)
-        enh_dev = max(enh_dev, abs(sample.enhancement - 1.0))
+        sample = near_field_grid(matched, coeffs, [point])
+        enh_dev = max(enh_dev, abs(sample.enhancement[0] - 1.0))
 
     ok = lossless_worst < 1e-10 and ray_err < 0.01 and coeff_max < 1e-12 and enh_dev < 1e-10
     detail = (

@@ -343,6 +343,18 @@ class TestEvolveLab:
         env_err = np.abs(np.abs(smooth) - np.abs(rwa.rho01))[clear] / scale
         assert env_err.max() < 1e-3
 
+    @pytest.mark.parametrize("evolve", [evolve_rwa, evolve_lab], ids=["rwa", "lab"])
+    def test_step_turned_on_before_zero_is_continuous(self, evolve):
+        # the state is given at t = 0, so a drive switched on earlier acts
+        # on it exactly as a continuous one does
+        early = DriveField(amplitude=1e7, photon_energy=2.11, envelope="step", turn_on=-50e-15)
+        continuous = DriveField(amplitude=1e7, photon_energy=2.11)
+        times = np.linspace(0.0, 20e-15, 9)
+        got = evolve(PARAMS, early, DensityMatrix.ground(), times).states
+        want = evolve(PARAMS, continuous, DensityMatrix.ground(), times).states
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got[0], [1, 0, 0, 0], atol=1e-15)
+
     @pytest.mark.parametrize(
         "times",
         [[], [0.0, 2e-15, 2e-15], [0.0, 3e-15, 1e-15], [-1e-15, 1e-15],

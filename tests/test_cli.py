@@ -632,8 +632,8 @@ class TestExtractNk:
                 substrate_index=1.52,
                 ambient_index=1.0,
             )
-            rt = film.rt_theoretical(stack, w)
-            meas.append(film.RTMeasurement(w, rt.reflectance, rt.transmittance))
+            reflectance, transmittance = film.rt_theoretical(stack, w)
+            meas.append(film.RTMeasurement(w, reflectance, transmittance))
         path = tmp_path / "rt.csv"
         film.write_rt_csv(path, meas)
         return path, wl, n_true, k_true

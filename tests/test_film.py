@@ -55,8 +55,8 @@ def synthetic_measurements(thickness=70e-9):
     rows = []
     for wl, nv, kv in zip(wavelengths, n_true, k_true):
         stack = FilmStack(thickness=thickness, film_index=complex(nv, kv))
-        rt = rt_theoretical(stack, wl)
-        rows.append(RTMeasurement(wl, rt.reflectance, rt.transmittance))
+        reflectance, transmittance = rt_theoretical(stack, wl)
+        rows.append(RTMeasurement(wl, reflectance, transmittance))
     return rows, n_true, k_true
 
 
@@ -67,31 +67,32 @@ class TestForwardModel:
             nf = complex(rng.uniform(1.0, 3.5), rng.uniform(0.0, 3.0))
             t = rng.uniform(20e-9, 200e-9)
             lam = rng.uniform(400e-9, 700e-9)
-            rt = rt_theoretical(FilmStack(thickness=t, film_index=nf), lam)
+            reflectance, transmittance = rt_theoretical(FilmStack(thickness=t, film_index=nf), lam)
             r_ref, t_ref = transfer_matrix_rt(nf, t, lam)
-            assert abs(rt.reflectance - r_ref) < 1e-10
-            assert abs(rt.transmittance - t_ref) < 1e-10
+            assert abs(reflectance - r_ref) < 1e-10
+            assert abs(transmittance - t_ref) < 1e-10
 
     def test_uniform_space_is_transparent(self):
         stack = FilmStack(thickness=70e-9, film_index=1.0 + 0j, substrate_index=1.0)
-        rt = rt_theoretical(stack, 600e-9)
-        assert abs(rt.reflectance) < 1e-14
-        assert abs(rt.transmittance - 1.0) < 1e-14
+        reflectance, transmittance = rt_theoretical(stack, 600e-9)
+        assert abs(reflectance) < 1e-14
+        assert abs(transmittance - 1.0) < 1e-14
 
     def test_absentee_half_wave_layer(self):
         lam = 600e-9
         nf = 2.0 + 0j
         stack = FilmStack(thickness=lam / (2.0 * nf.real), film_index=nf)
-        rt = rt_theoretical(stack, lam)
+        reflectance, transmittance = rt_theoretical(stack, lam)
         bare = abs((1.0 - 1.52) / (1.0 + 1.52)) ** 2
-        assert abs(rt.reflectance - bare) < 1e-14
+        assert abs(reflectance - bare) < 1e-14
 
     def test_thick_absorbing_film_shows_front_interface(self):
         nf = 2.0 + 1.0j
-        rt = rt_theoretical(FilmStack(thickness=5e-6, film_index=nf), 600e-9)
+        stack = FilmStack(thickness=5e-6, film_index=nf)
+        reflectance, transmittance = rt_theoretical(stack, 600e-9)
         front = abs((1.0 - nf) / (1.0 + nf)) ** 2
-        assert abs(rt.reflectance - front) < 1e-12
-        assert rt.transmittance < 1e-30
+        assert abs(reflectance - front) < 1e-12
+        assert transmittance < 1e-30
 
     def test_energy_bounds(self):
         rng = np.random.default_rng(9)
@@ -99,8 +100,8 @@ class TestForwardModel:
             kappa = rng.choice([0.0, rng.uniform(0.05, 2.0)])
             nf = complex(rng.uniform(1.0, 3.0), kappa)
             stack = FilmStack(thickness=rng.uniform(30e-9, 150e-9), film_index=nf)
-            rt = rt_theoretical(stack, rng.uniform(400e-9, 700e-9))
-            total = rt.reflectance + rt.transmittance
+            reflectance, transmittance = rt_theoretical(stack, rng.uniform(400e-9, 700e-9))
+            total = reflectance + transmittance
             if kappa == 0.0:
                 assert abs(total - 1.0) < 1e-10
             else:
@@ -179,8 +180,8 @@ class TestResidual:
     def test_zero_at_truth_and_positive_nearby(self):
         stack = FilmStack(thickness=70e-9, film_index=1.0 + 0j)
         truth = FilmStack(thickness=70e-9, film_index=2.1 + 0.7j)
-        rt = rt_theoretical(truth, 574e-9)
-        meas = RTMeasurement(574e-9, rt.reflectance, rt.transmittance)
+        reflectance, transmittance = rt_theoretical(truth, 574e-9)
+        meas = RTMeasurement(574e-9, reflectance, transmittance)
         assert residual(2.1, 0.7, stack, meas) < 1e-12
         assert residual(2.2, 0.7, stack, meas) > 0.0
         assert residual(1.3, 0.2, stack, meas) >= 0.0
@@ -617,8 +618,9 @@ class TestExtraction:
         wavelengths = np.linspace(520e-9, 640e-9, 8)
         meas = []
         for wl in wavelengths:
-            rt = rt_theoretical(FilmStack(thickness=70e-9, film_index=1.8 + 0j), wl)
-            meas.append(RTMeasurement(wl, rt.reflectance, rt.transmittance))
+            stack = FilmStack(thickness=70e-9, film_index=1.8 + 0j)
+            reflectance, transmittance = rt_theoretical(stack, wl)
+            meas.append(RTMeasurement(wl, reflectance, transmittance))
         cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
         for wl in set(cands.wavelength.tolist()):
             at = np.flatnonzero(cands.wavelength == wl)
@@ -801,8 +803,8 @@ class TestBranchSelection:
 class TestKkClosure:
     def test_zero_kappa_returns_asymptote(self):
         energies = np.linspace(1.0, 3.0, 64)
-        curve = close_with_kk(energies, np.zeros_like(energies), 1.52)
-        assert np.allclose(curve.n, 1.52, atol=1e-12)
+        n_kk = close_with_kk(energies, np.zeros_like(energies), 1.52)
+        assert np.allclose(n_kk, 1.52, atol=1e-12)
 
     def test_lorentzian_kappa_rebuilds_dispersive_n(self):
         """Feed the analytic Lorentz kappa in; n must come back out."""
@@ -813,9 +815,9 @@ class TestKkClosure:
         g0 = g0_ev * EV_TO_RADS
         eps = eps_m + f0 * w0**2 / (w0**2 - omega**2 - 1j * omega * g0)
         index = np.sqrt(eps)
-        curve = close_with_kk(energies, index.imag, np.sqrt(eps_m))
+        n_kk = close_with_kk(energies, index.imag, np.sqrt(eps_m))
         band = (energies > 2.01) & (energies < 2.21)
-        rel = np.abs(curve.n[band] - index.real[band]) / index.real[band]
+        rel = np.abs(n_kk[band] - index.real[band]) / index.real[band]
         assert rel.max() < 0.02
 
 

@@ -16,6 +16,7 @@ from lsepkit.medium import (
     epsilon_steady,
     epsilon_transient,
 )
+from lsepkit.mie import fields
 from lsepkit.mie import (
     EvaluationTooFarOut,
     SizeParameterOutOfRange,
@@ -24,7 +25,6 @@ from lsepkit.mie import (
     efficiencies,
     mie_coefficients,
     multipole_cutoff,
-    near_field,
     near_field_grid,
     poynting,
     poynting_streamlines,
@@ -211,7 +211,60 @@ class TestSceneValidation:
             SphereScene(radius, eps, host, wavelength)
 
 
+def order_by_order_fields(scene, co, point):
+    """E and H at one point, each spherical component of each field summed
+    order by order (Bohren & Huffman 1983, sec. 4.4): the reference for
+    the coefficient-block products of near_field_grid."""
+    r = np.linalg.norm(point)
+    theta, phi = np.arccos(point[2] / r), np.arctan2(point[1], point[0])
+    pi_n, tau_n = fields._angular_functions(np.array([np.cos(theta)]), co.n_max)
+    admittance = np.sqrt(scene.host_epsilon) * EPS0 * C0
+    if r < scene.radius:
+        rho = scene.relative_index * scene.host_wavenumber * r
+        z_n = fields._spherical_jn(np.array([rho]), co.n_max)[:, 0]
+        waves = ((co.c, -1j * co.d), (-co.d, 1j * co.c))  # (M, N) of E, then H
+        h_factor = -scene.relative_index * admittance
+    else:
+        rho = scene.host_wavenumber * r
+        z_n = (fields._spherical_jn(np.array([rho]), co.n_max)
+               - 1j * fields._riccati_chi(np.array([rho]), co.n_max) / rho)[:, 0]
+        waves = ((-co.b, 1j * co.a), (-co.a, 1j * co.b))
+        h_factor = admittance
+    sph = np.zeros((2, 3), dtype=complex)
+    for field, (wave_m, wave_n) in enumerate(waves):
+        for n in range(1, co.n_max + 1):
+            en = 1j**n * (2 * n + 1) / (n * (n + 1))
+            cm, cn, pi, tau = wave_m[n - 1], wave_n[n - 1], pi_n[n, 0], tau_n[n, 0]
+            rad, drad = z_n[n], z_n[n - 1] - n * z_n[n] / rho
+            sph[field, 0] += en * cn * n * (n + 1) * np.sin(theta) * pi * rad / rho
+            sph[field, 1] += en * (cn * tau * drad + cm * pi * rad)
+            sph[field, 2] += en * (cn * pi * drad + cm * tau * rad)
+    sph[0] *= [np.cos(phi), np.cos(phi), -np.sin(phi)]
+    sph[1] *= h_factor * np.array([np.sin(phi), np.sin(phi), np.cos(phi)])
+    ct, st_, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    basis = np.array([[st_ * cp, st_ * sp, ct], [ct * cp, ct * sp, -st_], [-sp, cp, 0.0]])
+    e_field, h_field = sph @ basis
+    if r >= scene.radius:
+        plane = np.exp(1j * scene.host_wavenumber * point[2])
+        e_field[0] += plane
+        h_field[1] += admittance * plane
+    return e_field, h_field
+
+
 class TestNearField:
+    @pytest.mark.parametrize("energy_ev", [2.12, 2.16])
+    def test_equals_order_by_order_sum(self, energy_ev):
+        scene = resonant_scene(energy_ev)
+        co = mie_coefficients(scene)
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-3.0, 3.0, (40, 3)) * scene.radius
+        pts = np.vstack([pts, [[0.0, 0.0, 60e-9], [0.0, 0.0, -20e-9], [49e-9, 0.0, 0.0]]])
+        grid = near_field_grid(scene, co, pts)
+        want = np.array([order_by_order_fields(scene, co, p) for p in pts])
+        # a sum of about ten float64 terms per component: 1e-13 of the
+        # largest field is some 500 roundings
+        assert np.abs(grid.E - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
+        assert np.abs(grid.H - want[:, 1]).max() <= 1e-13 * np.abs(want[:, 1]).max()
     def test_boundary_conditions_at_resonance(self):
         """Tangential E and H continuous, normal D continuous."""
         scene = resonant_scene(2.16)
@@ -289,20 +342,22 @@ class TestNearField:
         eps = 4.0 + 0.1j
         scene = SphereScene(3e-9, eps, 1.0, 600e-9)
         co = mie_coefficients(scene)
-        pole = near_field(scene, co, [scene.radius * 1.0000001, 0.0, 0.0])
+        pole = near_field_grid(scene, co, [[scene.radius * 1.0000001, 0.0, 0.0]])
         expected = abs(3.0 * eps / (eps + 2.0))
-        assert abs(pole.enhancement - expected) / expected < 0.1
-        interior = near_field(scene, co, [1e-9, 0.5e-9, -0.4e-9])
+        assert abs(pole.enhancement[0] - expected) / expected < 0.1
+        interior = near_field_grid(scene, co, [[1e-9, 0.5e-9, -0.4e-9]])
         expected_in = abs(3.0 / (eps + 2.0))
-        assert abs(interior.enhancement - expected_in) / expected_in < 0.1
+        assert abs(interior.enhancement[0] - expected_in) / expected_in < 0.1
 
     def test_domain_and_origin_guards(self):
         scene = resonant_scene(2.16)
         co = mie_coefficients(scene)
         with pytest.raises(EvaluationTooFarOut):
-            near_field(scene, co, [0.0, 0.0, 1e-6])
+            near_field_grid(scene, co, [[0.0, 0.0, 1e-6]])
         with pytest.raises(ValueError):
-            near_field(scene, co, [0.0, 0.0, 0.0])
+            near_field_grid(scene, co, [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            near_field_grid(scene, co, [[np.nan, 0.0, 0.0]])
 
 
 class TestQuasistaticResponse:
@@ -504,3 +559,5 @@ class TestStreamlines:
             poynting_streamlines(scene, None, [[0.0, 0.0, -200e-9]], step=-1.0)
         with pytest.raises(ValueError):
             poynting_streamlines(scene, None, [[0.0, 0.0, -200e-9]], scheme="leapfrog")
+        with pytest.raises(ValueError, match="finite"):
+            poynting_streamlines(scene, None, [[np.nan, 0.0, -200e-9]])
