@@ -20,7 +20,7 @@ import numpy as np
 
 from lsepkit.bloch import TwoLevelParams
 from lsepkit.constants import vacuum_wavelength_m_to_ev
-from lsepkit.film import FilmStack, RTMeasurement, rt_theoretical, write_rt_csv
+from lsepkit.film import RTSpectrum, rt_theoretical, write_rt_csv
 from lsepkit.medium import MaterialParams, epsilon_steady, refractive_index, write_spectrum_csv
 
 PLANAR = MaterialParams(
@@ -56,15 +56,11 @@ def film_rt_fixture(out_dir: Path) -> Path:
     energies = vacuum_wavelength_m_to_ev(wavelengths[::-1])
     spectrum = epsilon_steady(PLANAR, energies)
     indices = refractive_index(spectrum)[::-1]
-    rows = []
-    for wl, nf in zip(wavelengths, indices):
-        stack = FilmStack(thickness=70e-9, film_index=complex(nf))
-        reflectance, transmittance = rt_theoretical(stack, wl)
-        rows.append(RTMeasurement(wl, reflectance, transmittance))
+    reflectance, transmittance = rt_theoretical(indices, 70e-9, wavelengths)
     path = out_dir / "film_rt.csv"
     write_rt_csv(
         path,
-        rows,
+        RTSpectrum(wavelengths, reflectance, transmittance),
         comments=[
             "synthetic normal-incidence R/T of a 70 nm dye-doped polymer film",
             "on glass (substrate index 1.52), generated by scripts/make_fixtures.py",

@@ -157,31 +157,32 @@ class DensityMatrix:
     def as_vector(self) -> np.ndarray:
         return np.array([self.rho00, self.rho01, self.rho10, self.rho11], dtype=complex)
 
-    @property
-    def trace_error(self) -> float:
-        return abs(self.rho00 + self.rho11 - 1.0)
-
-    @property
-    def hermiticity_error(self) -> float:
-        return max(
-            abs(self.rho01 - np.conj(self.rho10)),
-            abs(self.rho00.imag),
-            abs(self.rho11.imag),
-        )
-
-    @property
-    def positivity_margin(self) -> float:
-        """Smallest eigenvalue of the matrix (negative means unphysical)."""
-        mat = np.array([[self.rho00, self.rho01], [self.rho10, self.rho11]])
-        return float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-
     def validate(self, tol: float = 1e-9) -> None:
-        if self.trace_error > tol:
-            raise ValueError(f"trace error {self.trace_error:.3e} exceeds {tol:.0e}")
-        if self.hermiticity_error > tol:
-            raise ValueError(f"hermiticity error {self.hermiticity_error:.3e}")
-        if self.positivity_margin < -tol:
-            raise ValueError(f"negative eigenvalue {self.positivity_margin:.3e}")
+        _check_states(self.as_vector(), tol)
+
+
+def state_errors(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per state row (rho00, rho01, rho10, rho11): the trace error, the
+    hermiticity error and the smallest eigenvalue of the Hermitian part
+    (negative means unphysical)."""
+    s = np.atleast_2d(np.asarray(states, dtype=complex))
+    rho = s.reshape(-1, 2, 2)
+    return (
+        np.abs(s[:, 0] + s[:, 3] - 1.0),
+        np.maximum(np.abs(s[:, 1] - np.conj(s[:, 2])), np.abs(s[:, [0, 3]].imag).max(axis=1)),
+        np.linalg.eigvalsh(0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2))))[:, 0],
+    )
+
+
+def _check_states(states, tol: float = 1e-9) -> None:
+    """Raises ValueError unless every state row is a density matrix to tol."""
+    trace, hermiticity, smallest = state_errors(states)
+    if trace.max(initial=0.0) > tol:
+        raise ValueError(f"trace error {trace.max():.3e} exceeds {tol:.0e}")
+    if hermiticity.max(initial=0.0) > tol:
+        raise ValueError(f"hermiticity error {hermiticity.max():.3e}")
+    if smallest.min(initial=0.0) < -tol:
+        raise ValueError(f"negative eigenvalue {smallest.min():.3e}")
 
 
 @dataclass
@@ -197,9 +198,6 @@ class BlochTrajectory:
     states: np.ndarray
     frame: str
     drive: DriveField
-
-    def density_matrix(self, i: int) -> DensityMatrix:
-        return DensityMatrix.from_vector(self.states[i])
 
     @property
     def rho00(self) -> np.ndarray:
@@ -218,8 +216,7 @@ class BlochTrajectory:
         return self.states[:, 3]
 
     def validate(self, tol: float = 1e-9) -> None:
-        for i in range(len(self.times)):
-            self.density_matrix(i).validate(tol)
+        _check_states(self.states, tol)
 
 
 def liouvillian_rwa(params: TwoLevelParams, drive: DriveField) -> np.ndarray:

@@ -435,9 +435,6 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     axis = np.arange(-half, half + 0.5 * step, step) * 1e-9
     yy, zz = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
-    # the exact center is undefined; sample a hair off instead
-    centered = np.linalg.norm(pts, axis=1) < 1e-12
-    pts[centered] = [0.0, 0.0, 1e-12]
     grid = near_field_grid(scene, coeffs, pts)
 
     seed_z = cfg["seed_z_nm"] * 1e-9
@@ -511,8 +508,8 @@ def cmd_transient(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
-    measurements = _read_input(cfg, "film_rt.csv", film.read_rt_csv)
-    if not measurements:
+    spectrum = _read_input(cfg, "film_rt.csv", film.read_rt_csv)
+    if not spectrum.wavelength.size:
         raise ConfigError("input: measurement file has no rows")
     t_lo = cfg["thickness_min_nm"] * 1e-9
     t_hi = cfg["thickness_max_nm"] * 1e-9
@@ -526,7 +523,7 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
         kappa_step=cfg["kappa_step"],
     )
     candidates = film.extract_nk(
-        measurements,
+        spectrum,
         thickness_range=(t_lo, t_hi),
         grid=grid,
         n_thickness=cfg["thickness_samples"],

@@ -3,14 +3,14 @@ transmittance.
 
 Forward model: one coherent absorbing layer between a semi-infinite
 ambient and a semi-infinite transparent substrate (Airy summation of the
-two-interface Fresnel amplitudes).  Inversion: grid search for the two
-lowest residual minima per wavelength, simplex refinement, a thickness
-sweep with the kappa deconvolution identity, smoothness-based rejection
-of the spurious solution branch, and a dispersion-relation closure that
-rebuilds n from the retained kappa curve.  The candidate roots travel as
-one column table (NkCandidates) from the refinement to the branch
-choice, which returns the rows of the physical curve.  R/T measurements
-are read and written as lsepkit.table tables.
+two-interface Fresnel amplitudes), elementwise over arrays.  Inversion:
+grid search for the two lowest residual minima per wavelength, simplex
+refinement, a thickness sweep with the kappa deconvolution identity,
+smoothness-based rejection of the spurious solution branch, and a
+dispersion-relation closure that rebuilds n from the retained kappa
+curve.  Data travel as column tables: the measured spectrum (RTSpectrum)
+into the inversion, the candidate roots (NkCandidates) from the
+refinement to the branch choice, which returns the physical rows.
 
 The grid search evaluates each (wavelength, thickness) map only on the
 tiles of the (n, kappa) grid that can hold a seed.  Circular complex
@@ -30,10 +30,9 @@ scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -70,47 +69,45 @@ class BranchAmbiguous(NumericalFailure):
 
 
 @dataclass(frozen=True)
-class FilmStack:
-    """Single coherent film on a transparent semi-infinite substrate."""
+class RTSpectrum:
+    """Measured normal-incidence R and T as float columns: row i is the
+    sample at wavelength[i] (m)."""
 
-    thickness: float
-    film_index: complex
-    substrate_index: float = 1.52
-    ambient_index: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.thickness < math.inf:
-            raise ValueError(f"thickness must be finite and > 0, got {self.thickness}")
-        if not cmath.isfinite(complex(self.film_index)):
-            raise ValueError(f"film index must be finite, got {self.film_index}")
-        if complex(self.film_index).imag < 0.0:
-            raise ValueError("film index must have a non-negative imaginary part")
-        if not (1.0 <= self.substrate_index < math.inf and 1.0 <= self.ambient_index < math.inf):
-            raise ValueError("ambient and substrate indices must be finite and >= 1")
-
-
-@dataclass(frozen=True)
-class RTMeasurement:
-    """One wavelength sample of measured reflectance and transmittance."""
-
-    wavelength: float
-    reflectance: float
-    transmittance: float
+    wavelength: np.ndarray
+    reflectance: np.ndarray
+    transmittance: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.wavelength < math.inf:
-            raise ValueError(f"wavelength must be finite and > 0, got {self.wavelength}")
-        for label, value in (
-            ("reflectance", self.reflectance),
-            ("transmittance", self.transmittance),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {value}")
-        if self.reflectance + self.transmittance > 1.0 + NOISE_ALLOWANCE:
-            raise ValueError(
-                f"R + T = {self.reflectance + self.transmittance:.4f} exceeds "
-                f"1 + {NOISE_ALLOWANCE} noise allowance"
-            )
+        columns = [np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)]
+        if columns[0].ndim != 1 or len({c.shape for c in columns}) > 1:
+            raise ValueError("the R/T columns must be matching 1-d arrays")
+        for f, column in zip(fields(self), columns):
+            object.__setattr__(self, f.name, column)
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise ValueError("row %d: %s" % fault)
+
+
+def _first_fault(wavelength, reflectance, transmittance):
+    """(row, fault) of the first row that is not a measurement, or None."""
+    total = reflectance + transmittance
+    bad = ~np.stack([_positive(wavelength), (0.0 <= reflectance) & (reflectance <= 1.0),
+                     (0.0 <= transmittance) & (transmittance <= 1.0),
+                     ~(total > 1.0 + NOISE_ALLOWANCE)])
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=0)))
+    w, r, t, s = (float(column[row]) for column in (wavelength, reflectance, transmittance, total))
+    return row, [
+        f"wavelength must be finite and > 0, got {w}",
+        f"reflectance must lie in [0, 1], got {r}",
+        f"transmittance must lie in [0, 1], got {t}",
+        f"R + T = {s:.4f} exceeds 1 + {NOISE_ALLOWANCE} noise allowance",
+    ][int(np.argmax(bad[:, row]))]
+
+
+def _positive(values):
+    return (0.0 < values) & (values < math.inf)
 
 
 class NkCandidates(NamedTuple):
@@ -246,32 +243,43 @@ def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
     return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
-def rt_theoretical(stack: FilmStack, wavelength: float) -> tuple[float, float]:
-    """Normal-incidence (R, T) of the film between two half-spaces."""
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
-    reflectance, transmittance = _rt(
-        [stack.film_index], stack.thickness, wavelength,
-        stack.ambient_index, stack.substrate_index,
+def _check(values, ok, requirement):
+    """Raises ValueError naming the first of ``values`` that is not ``ok``."""
+    values = np.asarray(values)
+    bad = values[~ok(values)]
+    if bad.size:
+        raise ValueError(f"{requirement}, got {bad[0].item()}")
+
+
+def _check_stack(thickness, substrate_index, ambient_index):
+    """The film thicknesses and the two half-space indices."""
+    _check(thickness, _positive, "thickness must be finite and > 0")
+    _check([ambient_index, substrate_index], lambda v: (1.0 <= v) & (v < math.inf),
+           "ambient and substrate indices must be finite and >= 1")
+
+
+def rt_theoretical(film_index, thickness, wavelength, substrate_index=1.52, ambient_index=1.0):
+    """Normal-incidence (R, T) of a film between two half-spaces,
+    elementwise over broadcast arrays of film index, thickness and
+    wavelength; each value is the one computed for it alone."""
+    _check(wavelength, _positive, "wavelength must be finite and > 0")
+    _check(film_index, lambda nf: np.isfinite(nf) & (nf.imag >= 0.0),
+           "film index must be finite with a non-negative imaginary part")
+    _check_stack(thickness, substrate_index, ambient_index)
+    return _rt(film_index, thickness, wavelength, ambient_index, substrate_index)
+
+
+def residual(n, kappa, thickness, spectrum: RTSpectrum, substrate_index=1.52, ambient_index=1.0):
+    """|R - R_measured| + |T - T_measured| of the trial indices n + i kappa,
+    elementwise over broadcast arrays of n, kappa, thickness and the rows
+    of ``spectrum``."""
+    _check(n, _positive, "n must be finite and > 0")
+    _check(kappa, lambda k: (0.0 <= k) & (k < math.inf), "kappa must be finite and >= 0")
+    _check_stack(thickness, substrate_index, ambient_index)
+    return _misfits(
+        np.asarray(n) + 1j * np.asarray(kappa), thickness, spectrum.wavelength,
+        spectrum.reflectance, spectrum.transmittance, ambient_index, substrate_index,
     )
-    return float(reflectance[0]), float(transmittance[0])
-
-
-def residual(n: float, kappa: float, stack: FilmStack, measurement: RTMeasurement) -> float:
-    """Sum of absolute R and T misfits for a trial (n, kappa).
-
-    Only the film index of ``stack`` is replaced by the trial value.
-    """
-    if not 0.0 < n < math.inf:
-        raise ValueError(f"n must be finite and > 0, got {n}")
-    if not 0.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    misfit = _misfits(
-        [complex(n, kappa)], stack.thickness, measurement.wavelength,
-        measurement.reflectance, measurement.transmittance,
-        stack.ambient_index, stack.substrate_index,
-    )
-    return float(misfit[0])
 
 
 def _reference_surface(index_film, thickness, wavelength, reflectance, transmittance,
@@ -286,8 +294,9 @@ def _reference_surface(index_film, thickness, wavelength, reflectance, transmitt
     return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
-def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
-    """Residual over the full (n, kappa) grid in one vectorized sweep.
+def _residual_map(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
+                  ambient_index, substrate_index):
+    """Residual of one map over the full (n, kappa) grid in one sweep.
 
     The reference map: its two lowest minima (_two_lowest_minima) are the
     seeds that extract_nk finds while evaluating only part of the grid.
@@ -296,8 +305,7 @@ def _residual_map(grid: NkGrid, stack: FilmStack, measurement: RTMeasurement):
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
     surface = _reference_surface(
-        nf, stack.thickness, measurement.wavelength, measurement.reflectance,
-        measurement.transmittance, stack.ambient_index, stack.substrate_index,
+        nf, thickness, wavelength, reflectance, transmittance, ambient_index, substrate_index
     )
     return surface, n_vals, k_vals
 
@@ -660,7 +668,7 @@ def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
 
 
 def extract_nk(
-    measurements,
+    spectrum: RTSpectrum,
     thickness_range=(63e-9, 77e-9),
     grid: NkGrid | None = None,
     n_thickness: int = 8,
@@ -684,13 +692,12 @@ def extract_nk(
     shared lockstep Nelder-Mead, whose every root ends where scipy's
     Nelder-Mead from the same seed ends, with the same residual.
     """
-    measurements = list(measurements)
-    if not measurements:
+    if not spectrum.wavelength.size:
         raise ValueError("at least one measurement is required")
     t_low, t_high = thickness_range
     if not 0.0 < t_low <= t_high or t_high >= 1e-6:
         raise ValueError(f"thickness_range must lie inside (0, 1 um), got {thickness_range}")
-    FilmStack(t_low, 1.5 + 0.0j, substrate_index, ambient_index)  # checks the indices
+    _check_stack(t_low, substrate_index, ambient_index)
     if grid is None:
         grid = NkGrid()
     thicknesses = (
@@ -698,7 +705,7 @@ def extract_nk(
         if t_low == t_high
         else np.linspace(t_low, t_high, max(2, n_thickness))
     )
-    measured = np.array([(m.wavelength, m.reflectance, m.transmittance) for m in measurements])
+    measured = np.column_stack((spectrum.wavelength, spectrum.reflectance, spectrum.transmittance))
     # one map per (thickness, measurement): thickness, wavelength, R, T
     per_map = np.column_stack(
         (np.repeat(thicknesses, len(measured)), np.tile(measured, (thicknesses.size, 1)))
@@ -803,20 +810,19 @@ def close_with_kk(energies_ev, kappa, n_asymptote: float) -> np.ndarray:
 RT_HEADER = ("wavelength_nm", "R", "T")
 
 
-def read_rt_csv(path) -> list[RTMeasurement]:
-    """Measurements from a CSV with header wavelength_nm,R,T."""
+def read_rt_csv(path) -> RTSpectrum:
+    """The spectrum in a CSV with header wavelength_nm,R,T; faults name the line."""
     data, lines = table.read(path, RT_HEADER)
-    out = []
-    for line, (wl_nm, r_val, t_val) in zip(lines, data.tolist()):
-        try:
-            out.append(RTMeasurement(wl_nm * 1e-9, r_val, t_val))
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {line}: {exc}") from exc
-    return out
+    columns = (data[:, 0] * 1e-9, data[:, 1], data[:, 2])
+    fault = _first_fault(*columns)
+    if fault is not None:
+        row, message = fault
+        raise ValueError(f"{path}, line {lines[row]}: {message}")
+    return RTSpectrum(*columns)
 
 
-def write_rt_csv(path, measurements, comments=()) -> None:
+def write_rt_csv(path, spectrum: RTSpectrum, comments=()) -> None:
     """Write wavelength_nm, R, T rows at full precision."""
-    rows = np.array([(m.wavelength * 1e9, m.reflectance, m.transmittance) for m in measurements])
+    columns = (spectrum.wavelength * 1e9, spectrum.reflectance, spectrum.transmittance)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(table.render(RT_HEADER, rows.reshape(-1, 3).T, comments))
+        handle.write(table.render(RT_HEADER, columns, comments))

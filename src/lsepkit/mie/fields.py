@@ -4,9 +4,11 @@ Exterior points carry the analytic plane wave plus the outgoing partial
 waves; interior points use the internal expansion.  E and H share every
 radial and angular function of these vector waves and differ only in
 their coefficients (Bohren & Huffman 1983, sec. 4.4), so each spherical
-component of both fields is one matrix product over orders.  All
-evaluators are vectorized over point batches so the streamline tracer
-can advance every seed in lockstep.
+component of both fields is one matrix product over orders, for unit
+incident amplitude.  near_field_grid, the one evaluator, decides the
+undefined exact center for the map and the tracer alike.  It is
+vectorized over point batches so the streamline tracer can advance every
+seed in lockstep.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .scatter import (
 )
 
 DOMAIN_RADIUS_FACTOR = 10.0
-ORIGIN_FLOOR = 1e-15
+CENTER_OFFSET = 1e-12  # m; a point nearer the center is evaluated at (0, 0, CENTER_OFFSET)
 
 
 class EvaluationTooFarOut(ValueError):
@@ -94,14 +96,16 @@ def _angular_functions(mu: np.ndarray, n_max: int):
     return pi, tau
 
 
-def near_field_grid(
-    scene: SphereScene, coeffs: MieCoefficients | None, points, e0: float = 1.0
-) -> FieldGrid:
-    """Total E and H at a batch of points for x-polarized +z incidence.
+def near_field_grid(scene: SphereScene, coeffs: MieCoefficients | None, points) -> FieldGrid:
+    """Total E and H at a batch of points for x-polarized +z incidence of
+    unit amplitude.
 
     Points are (P, 3) Cartesian meters centered on the sphere; ``coeffs``
-    None solves the scene.  Raises EvaluationTooFarOut past 10 radii and
-    ValueError at the origin or at a non-finite point.
+    None solves the scene.  The expansion is undefined at the exact center,
+    where the field is smooth, so a point within CENTER_OFFSET of it is
+    evaluated (and returned in ``positions``) at (0, 0, CENTER_OFFSET).
+    Raises EvaluationTooFarOut past 10 radii and ValueError at a
+    non-finite point.
     """
     if coeffs is None:
         coeffs = mie_coefficients(scene)
@@ -111,8 +115,10 @@ def near_field_grid(
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     r = np.linalg.norm(pts, axis=1)
-    if np.any(r < ORIGIN_FLOOR):
-        raise ValueError("field evaluation at the sphere center is undefined")
+    centered = r < CENTER_OFFSET
+    if centered.any():
+        pts = np.where(centered[:, None], [0.0, 0.0, CENTER_OFFSET], pts)
+        r = np.linalg.norm(pts, axis=1)
     if np.any(r > DOMAIN_RADIUS_FACTOR * scene.radius):
         raise EvaluationTooFarOut(
             f"point at {r.max():.3e} m exceeds {DOMAIN_RADIUS_FACTOR} radii"
@@ -120,8 +126,8 @@ def near_field_grid(
 
     n_max = coeffs.n_max
     ns = np.arange(1, n_max + 1)
-    # partial-wave amplitudes i^n (2n+1)/(n(n+1)) times the field scale
-    en = e0 * (1j**ns) * (2.0 * ns + 1.0) / (ns * (ns + 1.0))
+    # partial-wave amplitudes i^n (2n+1)/(n(n+1))
+    en = (1j**ns) * (2.0 * ns + 1.0) / (ns * (ns + 1.0))
 
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
@@ -169,12 +175,11 @@ def near_field_grid(
                       [-sin_phi, cos_phi, np.zeros_like(phi)]])
     e_cart, h_cart = np.einsum("fcp,cxp->fpx", sph, basis)
     # the analytic incident wave outside
-    plane = e0 * np.exp(1j * scene.host_wavenumber * pts[outside, 2])
+    plane = np.exp(1j * scene.host_wavenumber * pts[outside, 2])
     e_cart[outside, 0] += plane
     h_cart[outside, 1] += admittance * plane
 
-    enhancement = np.linalg.norm(e_cart, axis=1) / e0
-    return FieldGrid(positions=pts, E=e_cart, H=h_cart, enhancement=enhancement)
+    return FieldGrid(positions=pts, E=e_cart, H=h_cart, enhancement=np.linalg.norm(e_cart, axis=1))
 
 
 def poynting(E: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -207,7 +212,7 @@ def poynting_streamlines(
         coeffs = mie_coefficients(scene)
     seed_arr = np.atleast_2d(np.asarray(seeds, dtype=float))
     n_seed = seed_arr.shape[0]
-    s_incident = 0.5 * np.sqrt(scene.host_epsilon) * EPS0 * C0  # for e0 = 1
+    s_incident = 0.5 * np.sqrt(scene.host_epsilon) * EPS0 * C0  # unit incident amplitude
     absorb_floor = 1e-3 * s_incident
     stagnation_floor = 1e-30 * s_incident
     domain = DOMAIN_RADIUS_FACTOR * scene.radius
@@ -222,12 +227,6 @@ def poynting_streamlines(
     active = np.arange(n_seed)
 
     def flow_direction(pts):
-        # dodge the (undefined) exact center; the field is smooth there
-        pts = np.where(
-            np.linalg.norm(pts, axis=1)[:, None] < 1e-12,
-            pts + np.array([0.0, 0.0, 1e-12]),
-            pts,
-        )
         grid = near_field_grid(scene, coeffs, pts)
         s = poynting(grid.E, grid.H)
         return s, np.linalg.norm(s, axis=1)

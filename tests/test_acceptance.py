@@ -412,12 +412,10 @@ def test_criterion_8_lab_and_rotating_frame_solutions_agree():
     env_err = float(
         (np.abs(np.abs(smooth) - np.abs(rwa.rho01))[interior] / scale).max()
     )
-    worst_trace = worst_herm = worst_pos = 0.0
-    for i in range(len(times)):
-        dm = lab.density_matrix(i)
-        worst_trace = max(worst_trace, dm.trace_error)
-        worst_herm = max(worst_herm, dm.hermiticity_error)
-        worst_pos = min(worst_pos, dm.positivity_margin)
+    trace, hermiticity, smallest = bloch.state_errors(lab.states)
+    worst_trace = max(0.0, float(trace.max()))
+    worst_herm = max(0.0, float(hermiticity.max()))
+    worst_pos = min(0.0, float(smallest.min()))
     ok = (
         env_err < 1e-3
         and worst_trace <= 1e-9
@@ -438,22 +436,14 @@ def test_criterion_9_film_inversion_round_trip():
     x = (wavelengths - 570e-9) / 28e-9
     n_true = 2.00 + 0.15 * x
     k_true = 0.60 * np.exp(-(x**2))
-    measurements = []
-    for wl, n, k in zip(wavelengths, n_true, k_true):
-        stack = film.FilmStack(
-            thickness=70e-9,
-            film_index=complex(n, k),
-            substrate_index=1.52,
-            ambient_index=1.0,
-        )
-        reflectance, transmittance = film.rt_theoretical(stack, wl)
-        measurements.append(film.RTMeasurement(wl, reflectance, transmittance))
+    reflectance, transmittance = film.rt_theoretical(
+        n_true + 1j * k_true, 70e-9, wavelengths, substrate_index=1.52, ambient_index=1.0
+    )
+    spectrum = film.RTSpectrum(wavelengths, reflectance, transmittance)
     grid = film.NkGrid(
         n_min=1.2, n_max=2.6, n_step=0.02, kappa_min=0.0, kappa_max=1.0, kappa_step=0.02
     )
-    candidates = film.extract_nk(
-        measurements, thickness_range=(70e-9, 70e-9), grid=grid
-    )
+    candidates = film.extract_nk(spectrum, thickness_range=(70e-9, 70e-9), grid=grid)
     # the physical rows ascend in wavelength
     physical = candidates.take(film.select_physical_branch(candidates))
     n_err = max(abs(n_fit - n) for n_fit, n in zip(physical.n, n_true))

@@ -307,11 +307,11 @@ class TestEvolveLab:
         times = np.linspace(0.0, 100e-15, 26)
         traj = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
                           rtol=1e-11, atol=1e-13)
-        for i in range(len(times)):
-            dm = traj.density_matrix(i)
-            assert dm.trace_error <= 1e-9
-            assert dm.hermiticity_error <= 1e-9
-            assert dm.positivity_margin >= -1e-9
+        trace, hermiticity, smallest = bloch.state_errors(traj.states)
+        assert trace.shape == hermiticity.shape == smallest.shape == times.shape
+        assert np.all(trace <= 1e-9)
+        assert np.all(hermiticity <= 1e-9)
+        assert np.all(smallest >= -1e-9)
 
     def test_real_valued_initial_state_keeps_imaginary_parts(self):
         drive = DriveField(amplitude=1e5, photon_energy=2.11)

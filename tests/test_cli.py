@@ -165,6 +165,23 @@ class TestConfigErrors:
         assert "'high'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, fault",
+        [("600,1.5,0.1", "reflectance must lie in [0, 1], got 1.5"),
+         ("600,0.5,0.6", "R + T = 1.1000 exceeds 1 + 0.02 noise allowance"),
+         ("0,0.1,0.8", "wavelength must be finite and > 0, got 0.0")],
+    )
+    def test_bad_measurement_row_names_file_and_line(self, tmp_path, capsys, row, fault):
+        rt_path = tmp_path / "rt.csv"
+        rt_path.write_text(f"# comment\nwavelength_nm,R,T\n550,0.1,0.8\n\n{row}\n650,2,0\n")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", input=str(rt_path))
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {rt_path}, line 5: {fault}\n"
+        assert not out.exists()
+
     def test_nan_spectrum_cell_names_file_and_line(self, tmp_path, capsys):
         lines = (files("lsepkit") / "data" / "epsilon_extracted.csv").read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line[:1].isdigit()) + 3
@@ -624,18 +641,11 @@ class TestExtractNk:
         x = (wl - 570e-9) / 28e-9
         n_true = 2.00 + 0.15 * x
         k_true = 0.60 * np.exp(-(x**2))
-        meas = []
-        for w, n, k in zip(wl, n_true, k_true):
-            stack = film.FilmStack(
-                thickness=70e-9,
-                film_index=complex(n, k),
-                substrate_index=1.52,
-                ambient_index=1.0,
-            )
-            reflectance, transmittance = film.rt_theoretical(stack, w)
-            meas.append(film.RTMeasurement(w, reflectance, transmittance))
+        reflectance, transmittance = film.rt_theoretical(
+            n_true + 1j * k_true, 70e-9, wl, substrate_index=1.52, ambient_index=1.0
+        )
         path = tmp_path / "rt.csv"
-        film.write_rt_csv(path, meas)
+        film.write_rt_csv(path, film.RTSpectrum(wl, reflectance, transmittance))
         return path, wl, n_true, k_true
 
     def config(self, tmp_path, rt_path, **extra):

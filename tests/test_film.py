@@ -16,12 +16,12 @@ from scipy import ndimage, optimize
 from lsepkit import cli, film, medium
 from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
 from lsepkit.film import (
+    NOISE_ALLOWANCE,
     BranchAmbiguous,
-    FilmStack,
     NkCandidates,
     NkGrid,
     NoMinimumFound,
-    RTMeasurement,
+    RTSpectrum,
     _residual_map,
     _two_lowest_minima,
     _window_min,
@@ -47,113 +47,157 @@ def transfer_matrix_rt(film_index, thickness, wavelength, ambient=1.0, substrate
     return abs(r_amp) ** 2, (substrate / ambient) * abs(t_amp) ** 2
 
 
+def rows_of(spectrum, rows):
+    """The spectrum of the given rows (indices, a slice or a mask)."""
+    return RTSpectrum(
+        spectrum.wavelength[rows], spectrum.reflectance[rows], spectrum.transmittance[rows]
+    )
+
+
 def synthetic_measurements(thickness=70e-9):
     """Smooth dispersive film curve pushed through the forward model."""
     wavelengths = np.linspace(500e-9, 650e-9, 16)
     n_true = 1.6 + 0.25 * np.exp(-(((wavelengths - 580e-9) / 30e-9) ** 2))
     k_true = 0.9 * np.exp(-(((wavelengths - 586e-9) / 25e-9) ** 2))
-    rows = []
-    for wl, nv, kv in zip(wavelengths, n_true, k_true):
-        stack = FilmStack(thickness=thickness, film_index=complex(nv, kv))
-        reflectance, transmittance = rt_theoretical(stack, wl)
-        rows.append(RTMeasurement(wl, reflectance, transmittance))
-    return rows, n_true, k_true
+    reflectance, transmittance = rt_theoretical(n_true + 1j * k_true, thickness, wavelengths)
+    return RTSpectrum(wavelengths, reflectance, transmittance), n_true, k_true
 
 
 class TestForwardModel:
     def test_matches_transfer_matrix_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            nf = complex(rng.uniform(1.0, 3.5), rng.uniform(0.0, 3.0))
-            t = rng.uniform(20e-9, 200e-9)
-            lam = rng.uniform(400e-9, 700e-9)
-            reflectance, transmittance = rt_theoretical(FilmStack(thickness=t, film_index=nf), lam)
-            r_ref, t_ref = transfer_matrix_rt(nf, t, lam)
-            assert abs(reflectance - r_ref) < 1e-10
-            assert abs(transmittance - t_ref) < 1e-10
+        n, kappa, t, lam = rng.uniform(
+            [1.0, 0.0, 20e-9, 400e-9], [3.5, 3.0, 200e-9, 700e-9], size=(100, 4)
+        ).T
+        nf = n + 1j * kappa
+        reflectance, transmittance = rt_theoretical(nf, t, lam)
+        r_ref, t_ref = transfer_matrix_rt(nf, t, lam)
+        assert np.all(np.abs(reflectance - r_ref) < 1e-10)
+        assert np.all(np.abs(transmittance - t_ref) < 1e-10)
 
     def test_uniform_space_is_transparent(self):
-        stack = FilmStack(thickness=70e-9, film_index=1.0 + 0j, substrate_index=1.0)
-        reflectance, transmittance = rt_theoretical(stack, 600e-9)
+        reflectance, transmittance = rt_theoretical(1.0 + 0j, 70e-9, 600e-9, substrate_index=1.0)
         assert abs(reflectance) < 1e-14
         assert abs(transmittance - 1.0) < 1e-14
 
     def test_absentee_half_wave_layer(self):
         lam = 600e-9
         nf = 2.0 + 0j
-        stack = FilmStack(thickness=lam / (2.0 * nf.real), film_index=nf)
-        reflectance, transmittance = rt_theoretical(stack, lam)
+        reflectance, transmittance = rt_theoretical(nf, lam / (2.0 * nf.real), lam)
         bare = abs((1.0 - 1.52) / (1.0 + 1.52)) ** 2
         assert abs(reflectance - bare) < 1e-14
 
     def test_thick_absorbing_film_shows_front_interface(self):
         nf = 2.0 + 1.0j
-        stack = FilmStack(thickness=5e-6, film_index=nf)
-        reflectance, transmittance = rt_theoretical(stack, 600e-9)
+        reflectance, transmittance = rt_theoretical(nf, 5e-6, 600e-9)
         front = abs((1.0 - nf) / (1.0 + nf)) ** 2
         assert abs(reflectance - front) < 1e-12
         assert transmittance < 1e-30
 
     def test_energy_bounds(self):
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            kappa = rng.choice([0.0, rng.uniform(0.05, 2.0)])
-            nf = complex(rng.uniform(1.0, 3.0), kappa)
-            stack = FilmStack(thickness=rng.uniform(30e-9, 150e-9), film_index=nf)
-            reflectance, transmittance = rt_theoretical(stack, rng.uniform(400e-9, 700e-9))
-            total = reflectance + transmittance
-            if kappa == 0.0:
-                assert abs(total - 1.0) < 1e-10
-            else:
-                assert total < 1.0
+        kappa, n, thickness, wavelength = np.array([
+            (rng.choice([0.0, rng.uniform(0.05, 2.0)]), rng.uniform(1.0, 3.0),
+             rng.uniform(30e-9, 150e-9), rng.uniform(400e-9, 700e-9))
+            for _ in range(50)
+        ]).T
+        reflectance, transmittance = rt_theoretical(n + 1j * kappa, thickness, wavelength)
+        total = reflectance + transmittance
+        lossless = kappa == 0.0
+        assert lossless.any() and not lossless.all()
+        assert np.all(np.abs(total[lossless] - 1.0) < 1e-10)
+        assert np.all(total[~lossless] < 1.0)
 
     def test_wavelength_guard(self):
         with pytest.raises(ValueError):
-            rt_theoretical(FilmStack(thickness=70e-9, film_index=1.5 + 0j), -1.0)
+            rt_theoretical(1.5 + 0j, 70e-9, -1.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_wavelength_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="wavelength must be finite"):
-            rt_theoretical(FilmStack(thickness=70e-9, film_index=1.5 + 0j), bad)
+            rt_theoretical(1.5 + 0j, 70e-9, bad)
+        # in an array, the first bad value is named
+        with pytest.raises(ValueError, match=f"wavelength must be finite and > 0, got {bad}"):
+            rt_theoretical(1.5 + 0j, 70e-9, [600e-9, bad, -1.0])
 
 
 class TestValidation:
     def test_stack_rejects_gain_film(self):
         with pytest.raises(ValueError):
-            FilmStack(thickness=70e-9, film_index=1.5 - 0.1j)
+            rt_theoretical(1.5 - 0.1j, 70e-9, 600e-9)
+        with pytest.raises(ValueError, match="non-negative imaginary"):
+            rt_theoretical(np.array([1.5 + 0.1j, 1.5 - 0.1j]), 70e-9, 600e-9)
 
     def test_stack_rejects_nonpositive_thickness(self):
         with pytest.raises(ValueError):
-            FilmStack(thickness=0.0, film_index=1.5 + 0j)
+            rt_theoretical(1.5 + 0j, 0.0, 600e-9)
+        with pytest.raises(ValueError, match="thickness must be finite and > 0, got 0.0"):
+            rt_theoretical(1.5 + 0j, [70e-9, 0.0], 600e-9)
 
     def test_measurement_bounds(self):
         with pytest.raises(ValueError):
-            RTMeasurement(600e-9, 1.2, 0.0)
+            RTSpectrum([600e-9], [1.2], [0.0])
         with pytest.raises(ValueError):
-            RTMeasurement(600e-9, 0.6, 0.6)
-        RTMeasurement(600e-9, 0.51, 0.50)  # inside the noise allowance
+            RTSpectrum([600e-9], [0.6], [0.6])
+        RTSpectrum([600e-9], [0.51], [0.50])  # inside the noise allowance
+        # the allowance itself is accepted
+        assert 0.52 + 0.5 == 1.0 + NOISE_ALLOWANCE
+        RTSpectrum([600e-9], [0.52], [0.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_measurement_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            RTMeasurement(bad, 0.1, 0.8)
+            RTSpectrum([bad], [0.1], [0.8])
         with pytest.raises(ValueError):
-            RTMeasurement(600e-9, bad, 0.8)
+            RTSpectrum([600e-9], [bad], [0.8])
         with pytest.raises(ValueError):
-            RTMeasurement(600e-9, 0.1, bad)
+            RTSpectrum([600e-9], [0.1], [bad])
+
+    @pytest.mark.parametrize(
+        "column, value, fault",
+        [
+            (1, -0.1, "reflectance must lie in [0, 1], got -0.1"),
+            (1, 1.5, "reflectance must lie in [0, 1], got 1.5"),
+            (2, -0.1, "transmittance must lie in [0, 1], got -0.1"),
+            (2, 1.5, "transmittance must lie in [0, 1], got 1.5"),
+            (2, 0.95, "R + T = 1.0500 exceeds 1 + 0.02 noise allowance"),
+            (0, float("nan"), "wavelength must be finite and > 0, got nan"),
+            (0, float("inf"), "wavelength must be finite and > 0, got inf"),
+            (0, 0.0, "wavelength must be finite and > 0, got 0.0"),
+            (1, float("nan"), "reflectance must lie in [0, 1], got nan"),
+            (2, float("inf"), "transmittance must lie in [0, 1], got inf"),
+        ],
+    )
+    def test_spectrum_names_the_first_bad_row(self, column, value, fault):
+        # rows 2 and 4 are bad; row 0 sits on the noise allowance
+        columns = np.array([[500e-9, 550e-9, 600e-9, 650e-9, 700e-9],
+                            [0.52, 0.1, 0.1, 0.1, 0.1],
+                            [0.5, 0.8, 0.8, 0.8, 0.8]])
+        columns[column, [2, 4]] = value
+        with pytest.raises(ValueError) as raised:
+            RTSpectrum(*columns)
+        assert str(raised.value) == f"row 2: {fault}"
+
+    def test_spectrum_columns_must_match(self):
+        with pytest.raises(ValueError, match="matching 1-d"):
+            RTSpectrum([500e-9, 600e-9], [0.1], [0.8])
+        with pytest.raises(ValueError, match="matching 1-d"):
+            RTSpectrum([[500e-9]], [[0.1]], [[0.8]])
+        spectrum = RTSpectrum([], [], [])
+        assert spectrum.wavelength.dtype == float and spectrum.wavelength.size == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_stack_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            FilmStack(thickness=bad, film_index=1.5 + 0j)
+            rt_theoretical(1.5 + 0j, bad, 600e-9)
         with pytest.raises(ValueError):
-            FilmStack(thickness=70e-9, film_index=complex(bad, 0.1))
+            rt_theoretical(complex(bad, 0.1), 70e-9, 600e-9)
         with pytest.raises(ValueError):
-            FilmStack(thickness=70e-9, film_index=complex(1.5, bad))
+            rt_theoretical(complex(1.5, bad), 70e-9, 600e-9)
         with pytest.raises(ValueError):
-            FilmStack(thickness=70e-9, film_index=1.5 + 0j, substrate_index=bad)
+            rt_theoretical(1.5 + 0j, 70e-9, 600e-9, substrate_index=bad)
         with pytest.raises(ValueError):
-            FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=bad)
+            rt_theoretical(1.5 + 0j, 70e-9, 600e-9, ambient_index=bad)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -178,31 +222,29 @@ class TestValidation:
 
 class TestResidual:
     def test_zero_at_truth_and_positive_nearby(self):
-        stack = FilmStack(thickness=70e-9, film_index=1.0 + 0j)
-        truth = FilmStack(thickness=70e-9, film_index=2.1 + 0.7j)
-        reflectance, transmittance = rt_theoretical(truth, 574e-9)
-        meas = RTMeasurement(574e-9, reflectance, transmittance)
-        assert residual(2.1, 0.7, stack, meas) < 1e-12
-        assert residual(2.2, 0.7, stack, meas) > 0.0
-        assert residual(1.3, 0.2, stack, meas) >= 0.0
+        reflectance, transmittance = rt_theoretical(2.1 + 0.7j, 70e-9, 574e-9)
+        meas = RTSpectrum([574e-9], [reflectance], [transmittance])
+        assert residual(2.1, 0.7, 70e-9, meas)[0] < 1e-12
+        assert residual(2.2, 0.7, 70e-9, meas)[0] > 0.0
+        assert residual(1.3, 0.2, 70e-9, meas)[0] >= 0.0
 
     def test_flat_landscape_raises(self):
         with pytest.raises(NoMinimumFound):
             _two_lowest_minima(np.full((11, 11), 0.25))
 
     def test_rejects_gain_trial(self):
-        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j)
         with pytest.raises(ValueError):
-            residual(1.5, -0.1, stack, RTMeasurement(600e-9, 0.1, 0.8))
+            residual(1.5, -0.1, 70e-9, RTSpectrum([600e-9], [0.1], [0.8]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_trial(self, bad):
-        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j)
-        meas = RTMeasurement(600e-9, 0.1, 0.8)
+        meas = RTSpectrum([600e-9], [0.1], [0.8])
         with pytest.raises(ValueError, match="n must be finite"):
-            residual(bad, 0.1, stack, meas)
+            residual(bad, 0.1, 70e-9, meas)
         with pytest.raises(ValueError, match="kappa must be finite"):
-            residual(1.5, bad, stack, meas)
+            residual(1.5, bad, 70e-9, meas)
+        with pytest.raises(ValueError, match="thickness must be finite"):
+            residual(1.5, 0.1, bad, meas)
 
 
 _SIDE = st.integers(2, 16)
@@ -241,10 +283,10 @@ class TestCloseCalls:
 
     @staticmethod
     def fixture(wavelengths_nm):
-        rows = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
-        picked = [m for m in rows if round(m.wavelength * 1e9, 6) in wavelengths_nm]
-        assert len(picked) == len(wavelengths_nm)
-        return picked
+        spectrum = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
+        picked = [round(wl * 1e9, 6) in wavelengths_nm for wl in spectrum.wavelength.tolist()]
+        assert sum(picked) == len(wavelengths_nm)
+        return rows_of(spectrum, np.array(picked))
 
     def test_close_calls_reproduce_reference_branches(self):
         wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM
@@ -298,10 +340,10 @@ _MAPS = st.tuples(
 )
 
 
-def _stack_and_measurement(wavelength, thickness, refl, trans, indices):
+def _map_of(wavelength, thickness, refl, trans, indices):
+    """The map's thickness, wavelength, R, T, ambient and substrate index."""
     ambient, substrate = indices
-    stack = FilmStack(thickness, 1.5 + 0j, substrate_index=substrate, ambient_index=ambient)
-    return stack, RTMeasurement(wavelength, refl, trans * (1.0 - refl))
+    return thickness, wavelength, refl, trans * (1.0 - refl), ambient, substrate
 
 
 def _seeds_or_flat(find):
@@ -329,12 +371,12 @@ class TestTileSearch:
         (5.104455015188793e-07, 3e-07, 0.0, 1.0, (1.0, 1.52)),
     )
     def test_no_tile_bound_exceeds_the_map_inside_the_tile(self, grid, params):
-        stack, meas = _stack_and_measurement(*params)
-        surface, n_vals, k_vals = _residual_map(grid, stack, meas)
-        tiling = film._tiling(n_vals, k_vals, stack.ambient_index, stack.substrate_index)
-        k0d = 2.0 * np.pi * stack.thickness / meas.wavelength
+        thickness, wavelength, refl, trans, ambient, substrate = _map_of(*params)
+        surface, n_vals, k_vals = _residual_map(grid, *_map_of(*params))
+        tiling = film._tiling(n_vals, k_vals, ambient, substrate)
+        k0d = 2.0 * np.pi * thickness / wavelength
         for size, discs in ((film._FINE, tiling.fine), (film._COARSE, tiling.coarse)):
-            bounds = film._lower_bounds(discs, k0d, meas.reflectance, meas.transmittance)
+            bounds = film._lower_bounds(discs, k0d, refl, trans)
             origins = film._tile_origins(surface.shape, size)
             for bound, row, col in zip(bounds, *origins):
                 assert bound <= surface[row : row + size, col : col + size].min()
@@ -348,24 +390,23 @@ class TestTileSearch:
     # repeated rows: the two lowest minima tie exactly, in row-major order
     @example(_window(2.0, 4, 1e-16, 0.5, 12, 0.1), (550e-9, 70e-9, 0.2, 0.5, (1.0, 1.52)))
     def test_pruned_seeds_equal_the_reference_seeds(self, grid, params):
-        stack, meas = _stack_and_measurement(*params)
-        expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, stack, meas)[0]))
-        per_map = np.array(
-            [[stack.thickness], [meas.wavelength], [meas.reflectance], [meas.transmittance]]
-        )
+        one_map = _map_of(*params)
+        expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, *one_map)[0]))
+        per_map = np.array(one_map[:4])[:, None]
         assert _seeds_or_flat(
-            lambda: film._grid_seeds(grid, *per_map, stack.ambient_index, stack.substrate_index)[0]
+            lambda: film._grid_seeds(grid, *per_map, *one_map[4:])[0]
         ) == expected
 
     def test_map_without_near_minimum_raises_no_minimum_found(self):
         # an ambient index of 1e308 makes every residual NaN: no map has a
         # local minimum, and the answer is that of the full reference map
-        measurements = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")[:20]
+        measurements = rows_of(read_rt_csv(files("lsepkit") / "data" / "film_rt.csv"), slice(20))
         grid = NkGrid(n_step=0.05, kappa_step=0.05)
-        stack = FilmStack(thickness=70e-9, film_index=1.5 + 0j, ambient_index=1e308)
+        first = (measurements.wavelength[0], measurements.reflectance[0],
+                 measurements.transmittance[0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NoMinimumFound):
-                _two_lowest_minima(_residual_map(grid, stack, measurements[0])[0])
+                _two_lowest_minima(_residual_map(grid, 70e-9, *first, 1e308, 1.52)[0])
             with pytest.raises(NoMinimumFound):
                 extract_nk(measurements, grid=grid, ambient_index=1e308)
 
@@ -386,14 +427,14 @@ class TestTileSearch:
         )
         nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
         close_calls = TestCloseCalls.fixture(TestCloseCalls.CLOSE_CALLS_NM)
-        maps = [(TestCloseCalls.THICKNESS, meas) for meas in close_calls] + [
-            (FIXTURE_THICKNESSES[1], close_calls[1]), (FIXTURE_THICKNESSES[2], close_calls[3])
+        measured = np.column_stack(
+            (close_calls.wavelength, close_calls.reflectance, close_calls.transmittance)
+        )
+        maps = [(TestCloseCalls.THICKNESS, row) for row in range(4)] + [
+            (FIXTURE_THICKNESSES[1], 1), (FIXTURE_THICKNESSES[2], 3)
         ]
-        params = np.array([(d, m.wavelength, m.reflectance, m.transmittance) for d, m in maps])
-        reference = np.stack([
-            _residual_map(grid, FilmStack(thickness=d, film_index=1.5 + 0j), m)[0]
-            for d, m in maps
-        ])
+        params = np.array([(d, *measured[row]) for d, row in maps])
+        reference = np.stack([_residual_map(grid, *map_, 1.0, 1.52)[0] for map_ in params])
         # every tile of every map, the maps taking turns so that a call mixes them
         tile, owner = np.divmod(np.arange(rows.shape[0] * len(maps)), len(maps))
         for lo in range(0, tile.size, per_call):
@@ -410,24 +451,24 @@ FIXTURE_RT = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
 FIXTURE_THICKNESSES = tuple(float(t) for t in np.linspace(63.0 * 1e-9, 77.0 * 1e-9, 3))
 
 
-def scalar_residual(n, kappa, stack, meas):
-    """The residual one root at a time in numpy scalar arithmetic: the
-    model's former scalar path, whose every bit the refinement keeps."""
+def scalar_residual(n, kappa, thickness, row):
+    """The residual one root at a time in numpy scalar arithmetic, on
+    fixture row ``row``: the model's former scalar path, whose every bit
+    the refinement keeps."""
     r_amp, t_amp = film._amplitudes(
-        complex(n, kappa), stack.thickness, meas.wavelength, stack.ambient_index,
-        stack.substrate_index,
+        complex(n, kappa), thickness, float(FIXTURE_RT.wavelength[row]), 1.0, 1.52
     )
-    flux_ratio = stack.substrate_index / stack.ambient_index
+    flux_ratio = 1.52 / 1.0  # substrate / ambient
     refl, trans = float(np.abs(r_amp) ** 2), float(flux_ratio * np.abs(t_amp) ** 2)
-    return abs(trans - meas.transmittance) + abs(refl - meas.reflectance)
+    return (abs(trans - float(FIXTURE_RT.transmittance[row]))
+            + abs(refl - float(FIXTURE_RT.reflectance[row])))
 
 
 def _misfit_of(roots):
-    """The objective nelder_mead takes, for (stack, measurement) roots."""
-    thickness = np.array([stack.thickness for stack, _ in roots])
-    wavelength = np.array([meas.wavelength for _, meas in roots])
-    refl = np.array([meas.reflectance for _, meas in roots])
-    trans = np.array([meas.transmittance for _, meas in roots])
+    """The objective nelder_mead takes, for (thickness, fixture row) roots."""
+    thickness = np.array([d for d, _ in roots])
+    fixture = rows_of(FIXTURE_RT, [row for _, row in roots])
+    wavelength, refl, trans = fixture.wavelength, fixture.reflectance, fixture.transmittance
 
     def objective(points, rows):
         return film._misfits(
@@ -439,7 +480,11 @@ def _misfit_of(roots):
 
 
 def _fixture_at(wavelength_nm):
-    return next(m for m in FIXTURE_RT if round(m.wavelength * 1e9, 6) == wavelength_nm)
+    """The fixture row at the given wavelength."""
+    return next(
+        row for row, wl in enumerate(FIXTURE_RT.wavelength.tolist())
+        if round(wl * 1e9, 6) == wavelength_nm
+    )
 
 
 @given(
@@ -448,7 +493,7 @@ def _fixture_at(wavelength_nm):
             st.floats(0.1, 3.5),
             st.one_of(st.just(0.0), st.floats(0.0, 3.2)),
             st.sampled_from(FIXTURE_THICKNESSES),
-            st.sampled_from(FIXTURE_RT),
+            st.integers(0, FIXTURE_RT.wavelength.size - 1),
         ),
         min_size=1,
         max_size=8,
@@ -458,13 +503,40 @@ def _fixture_at(wavelength_nm):
 @example([(1.95, 1.4, FIXTURE_THICKNESSES[2], _fixture_at(487.5))])
 @example([(0.684, 0.352, FIXTURE_THICKNESSES[0], _fixture_at(550.0))])
 def test_batched_residual_equals_scalar_residual(trials):
-    roots = [(FilmStack(thickness=t, film_index=1.5 + 0j), meas) for _, _, t, meas in trials]
+    roots = [(t, row) for _, _, t, row in trials]
     points = np.array([(n, kappa) for n, kappa, _, _ in trials])
     batch = _misfit_of(roots)(points, np.arange(len(trials)))
-    for (n, kappa), (stack, meas), value in zip(points, roots, batch):
-        expected = scalar_residual(n, kappa, stack, meas)
+    for (n, kappa), (t, row), value in zip(points, roots, batch):
+        expected = scalar_residual(n, kappa, t, row)
         assert value == expected
-        assert residual(n, kappa, stack, meas) == expected
+        assert residual(n, kappa, t, rows_of(FIXTURE_RT, [row]))[0] == expected
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.1, 3.5), st.one_of(st.just(0.0), st.floats(0.0, 3.2))),
+             min_size=1, max_size=4),
+    st.lists(st.one_of(st.sampled_from(FIXTURE_THICKNESSES), st.floats(5e-9, 999e-9)),
+             min_size=1, max_size=3),
+    st.lists(st.integers(0, FIXTURE_RT.wavelength.size - 1), min_size=1, max_size=5),
+    st.sampled_from([(1.0, 1.52), (1.33, 2.4)]),
+)
+def test_forward_model_on_arrays_equals_per_element_calls(indices, thicknesses, rows, media):
+    # bit for bit: the fixture generator calls the model once on its whole
+    # wavelength axis, where it once called it per wavelength
+    ambient, substrate = media
+    n, kappa = (np.array(column)[:, None, None] for column in zip(*indices))
+    thickness = np.array(thicknesses)[None, :, None]
+    spectrum = rows_of(FIXTURE_RT, rows)
+    media = dict(substrate_index=substrate, ambient_index=ambient)
+    refl, trans = rt_theoretical(n + 1j * kappa, thickness, spectrum.wavelength, **media)
+    misfit = residual(n, kappa, thickness, spectrum, **media)
+    assert refl.shape == trans.shape == misfit.shape == (len(indices), len(thicknesses), len(rows))
+    for i, j, k in np.ndindex(refl.shape):
+        nf = complex(n[i, 0, 0], kappa[i, 0, 0])
+        one = rt_theoretical(nf, thicknesses[j], float(spectrum.wavelength[k]), **media)
+        assert (refl[i, j, k], trans[i, j, k]) == one
+        alone = residual(nf.real, nf.imag, thicknesses[j], rows_of(spectrum, [k]), **media)
+        assert misfit[i, j, k] == alone[0]
 
 
 class TestLockstepRefine:
@@ -482,26 +554,29 @@ class TestLockstepRefine:
     GRID = NkGrid()
 
     def roots_and_seeds(self):
-        stack = FilmStack(thickness=self.THICKNESS, film_index=1.5 + 0j)
         n_vals, k_vals = self.GRID.n_values, self.GRID.kappa_values
         roots, seeds = [], []
-        for meas in TestCloseCalls.fixture(self.WAVELENGTHS_NM):
-            for row, col in _two_lowest_minima(_residual_map(self.GRID, stack, meas)[0]):
-                roots.append((stack, meas))
+        for wavelength_nm in self.WAVELENGTHS_NM:
+            fixture_row = _fixture_at(wavelength_nm)
+            one_map = (FIXTURE_RT.wavelength[fixture_row], FIXTURE_RT.reflectance[fixture_row],
+                       FIXTURE_RT.transmittance[fixture_row])
+            surface = _residual_map(self.GRID, self.THICKNESS, *one_map, 1.0, 1.52)[0]
+            for row, col in _two_lowest_minima(surface):
+                roots.append((self.THICKNESS, fixture_row))
                 seeds.append((n_vals[row], k_vals[col]))
         for kappa in (0.0, 0.5):  # on the last (590 nm) map
             roots.append(roots[-1])
             seeds.append((self.GRID.n_max, kappa))
         return roots, np.array(seeds)
 
-    def scipy_refine(self, seed, stack, meas, maxiter):
+    def scipy_refine(self, seed, thickness, fixture_row, maxiter):
         """scipy's result for one root, and whether it took a shrink step
         (the only step that evaluates four points)."""
         calls, marks = [0], []
 
         def objective(x):
             calls[0] += 1
-            return scalar_residual(x[0], x[1], stack, meas)
+            return scalar_residual(x[0], x[1], thickness, fixture_row)
 
         result = optimize.minimize(
             objective,
@@ -527,8 +602,8 @@ class TestLockstepRefine:
             maxiter=maxiter,
         )
         shrunk = []
-        for i, (seed, (stack, meas)) in enumerate(zip(seeds, roots)):
-            expected, took_shrink = self.scipy_refine(seed, stack, meas, maxiter)
+        for i, (seed, (thickness, fixture_row)) in enumerate(zip(seeds, roots)):
+            expected, took_shrink = self.scipy_refine(seed, thickness, fixture_row, maxiter)
             shrunk.append(took_shrink)
             assert x[i].tolist() == expected.x.tolist()
             assert fun[i] == expected.fun
@@ -599,11 +674,11 @@ class TestExtraction:
         meas, n_true, k_true = synthetic_measurements()
         cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
         assert isinstance(cands, NkCandidates)
-        assert all(column.shape == (2 * len(meas),) for column in cands)
+        assert all(column.shape == (2 * meas.wavelength.size,) for column in cands)
         chosen = select_physical_branch(cands)
         physical = cands.take(chosen)
         assert np.all(np.diff(physical.wavelength) > 0.0)
-        assert physical.wavelength.size == len(meas)
+        assert physical.wavelength.size == meas.wavelength.size
         for n, kappa, nv, kv in zip(physical.n, physical.kappa, n_true, k_true):
             assert abs(n - nv) <= 2.0 * self.GRID.n_step
             assert abs(kappa - kv) <= 2.0 * self.GRID.kappa_step
@@ -616,11 +691,7 @@ class TestExtraction:
 
     def test_zero_absorption_recovered(self):
         wavelengths = np.linspace(520e-9, 640e-9, 8)
-        meas = []
-        for wl in wavelengths:
-            stack = FilmStack(thickness=70e-9, film_index=1.8 + 0j)
-            reflectance, transmittance = rt_theoretical(stack, wl)
-            meas.append(RTMeasurement(wl, reflectance, transmittance))
+        meas = RTSpectrum(wavelengths, *rt_theoretical(1.8 + 0j, 70e-9, wavelengths))
         cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
         for wl in set(cands.wavelength.tolist()):
             at = np.flatnonzero(cands.wavelength == wl)
@@ -631,14 +702,14 @@ class TestExtraction:
     def test_thickness_sweep_produces_per_thickness_candidates(self):
         meas, _, _ = synthetic_measurements()
         cands = extract_nk(
-            meas[:2], thickness_range=(63e-9, 77e-9), grid=self.GRID, n_thickness=3
+            rows_of(meas, slice(2)), thickness_range=(63e-9, 77e-9), grid=self.GRID, n_thickness=3
         )
         thicknesses = {round(d * 1e9, 3) for d in cands.thickness.tolist()}
         assert thicknesses == {63.0, 70.0, 77.0}
 
     def test_input_guards(self):
         with pytest.raises(ValueError):
-            extract_nk([], thickness_range=(70e-9, 70e-9))
+            extract_nk(RTSpectrum([], [], []), thickness_range=(70e-9, 70e-9))
         meas, _, _ = synthetic_measurements()
         with pytest.raises(ValueError):
             extract_nk(meas, thickness_range=(77e-9, 63e-9))
@@ -827,11 +898,10 @@ class TestCsvIo:
         path = tmp_path / "rt.csv"
         write_rt_csv(path, meas)
         back = read_rt_csv(path)
-        assert len(back) == len(meas)
-        for a, b in zip(meas, back):
-            assert abs(a.wavelength - b.wavelength) < 1e-18
-            assert a.reflectance == b.reflectance
-            assert a.transmittance == b.transmittance
+        assert back.wavelength.shape == meas.wavelength.shape
+        assert np.all(np.abs(meas.wavelength - back.wavelength) < 1e-18)
+        assert np.array_equal(back.reflectance, meas.reflectance)
+        assert np.array_equal(back.transmittance, meas.transmittance)
 
     def test_header_is_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -843,6 +913,6 @@ class TestCsvIo:
         from importlib.resources import files
 
         fixture = files("lsepkit") / "data" / "film_rt.csv"
-        rows = read_rt_csv(fixture)
-        assert len(rows) > 50
-        assert all(r.reflectance + r.transmittance <= 1.0 + 1e-9 for r in rows)
+        spectrum = read_rt_csv(fixture)
+        assert spectrum.wavelength.size > 50
+        assert np.all(spectrum.reflectance + spectrum.transmittance <= 1.0 + 1e-9)

@@ -354,8 +354,16 @@ class TestNearField:
         co = mie_coefficients(scene)
         with pytest.raises(EvaluationTooFarOut):
             near_field_grid(scene, co, [[0.0, 0.0, 1e-6]])
-        with pytest.raises(ValueError):
-            near_field_grid(scene, co, [[0.0, 0.0, 0.0]])
+        # the exact center takes the field a hair above it along z, and so
+        # does every point nearer the center than that (moving a point just
+        # above z = -1e-12 up by 1e-12 would land it next to the center,
+        # where the expansion is off by orders of magnitude)
+        near = [[0.0, 0.0, 0.0], [0.0, 0.0, -0.9999e-12], [1e-13, -1e-13, 5e-13]]
+        center = near_field_grid(scene, co, near)
+        above = near_field_grid(scene, co, [[0.0, 0.0, 1e-12]] * len(near))
+        assert np.array_equal(center.positions, above.positions)
+        assert np.array_equal(center.E, above.E) and np.array_equal(center.H, above.H)
+        assert np.array_equal(center.enhancement, above.enhancement)
         with pytest.raises(ValueError, match="finite"):
             near_field_grid(scene, co, [[np.nan, 0.0, 0.0]])
 
