@@ -56,6 +56,13 @@ EXIT_NUMERICAL = 3
 # Longest energy or time axis a config may ask for: 2e4 times the
 # default energy grid.
 MAX_SAMPLES = 10**7
+# Largest extract-nk sweep, as maps (thickness samples x R/T rows) times
+# (n, kappa) grid points, a map counted as at least 1e5 points: the grid
+# search keeps bookkeeping per map that grows with the grid.  76 times the
+# default sweep of 303 maps of 436,521 points.
+MAX_MAP_POINTS = 10**10
+# Thickest film extract-nk inverts, 1 um (extract_nk's thickness range).
+MAX_THICKNESS_NM = 1e3
 # Largest level, photon or linewidth energy a config may name: 100 eV is
 # extreme ultraviolet, far above the optical range the models describe.
 MAX_ENERGY_EV = 100.0
@@ -165,7 +172,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "thickness_min_nm": Key("63", float, 1.0),
         "thickness_max_nm": Key("77", float, 1.0),
         "thickness_samples": Key("3", int, 1),
-        "reference_thickness_nm": Key("70", float, 1.0),
+        "reference_thickness_nm": Key("70", float, 1.0, MAX_THICKNESS_NM),
         "n_min": Key("0.1"),
         "n_max": Key("3.5"),
         "n_step": Key("0.005"),
@@ -522,6 +529,13 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
         kappa_max=cfg["kappa_max"],
         kappa_step=cfg["kappa_step"],
     )
+    maps = cfg["thickness_samples"] * spectrum.wavelength.size
+    work = maps * max(grid.n_values.size * grid.kappa_values.size, 10**5)
+    if not work <= MAX_MAP_POINTS:
+        raise ConfigError(
+            f"thickness_samples: asks for {maps} maps (thickness samples x R/T rows), "
+            f"{work:.3g} map points, more than {MAX_MAP_POINTS:.0e}"
+        )
     candidates = film.extract_nk(
         spectrum,
         thickness_range=(t_lo, t_hi),

@@ -15,12 +15,16 @@ refinement to the branch choice, which returns the physical rows.
 The grid search evaluates each (wavelength, thickness) map only on the
 tiles of the (n, kappa) grid that can hold a seed.  Circular complex
 arithmetic bounds the residual from below on every tile (Gargantini &
-Henrici, Numer. Math. 18, 305 (1972); Moore, Interval Analysis (1966)),
-and tiles are evaluated best first until every tile left is bounded
-above the map's threshold, so that no skipped point can change a seed.
-The evaluated points are computed in the arithmetic of the full
-reference map (``_residual_map``), so the seeds are the ones that map
-would give.
+Henrici, Numer. Math. 18, 305 (1972); Moore, Kearfott & Cloud,
+Introduction to Interval Analysis (SIAM 2009)), and tiles are evaluated
+best first until every tile left is bounded above the map's threshold,
+so that no skipped point can change a seed.  A tile about to be
+evaluated first has its bound sharpened to the least bound of its
+sub-tiles, still a bound on every point of it, and goes back unevaluated
+if that lies above the threshold.  The evaluated points are computed in
+the arithmetic of the full reference map (``_residual_map``), with the
+Fresnel factors of a point computed once for all maps, so the seeds are
+the ones that map would give.
 
 The refinement polishes all roots at once with the package's one
 simplex search, numerics.simplex.nelder_mead: a bounded Nelder-Mead run
@@ -54,10 +58,15 @@ _COARSE = 4 * _FINE
 # Outward slack of every tile bound, far above the rounding of the bound
 # and of the maps it bounds (about 1e-15).
 _BOUND_SLACK = 1e-9
-# Values per vectorized call (bounds or map points), so that
-# temporaries stay small.
-_VALUES_PER_CALL = 1 << 15
+# Map values per vectorized call, and tile bounds per call (a bound takes
+# about twice the temporaries of a value), so that the temporaries of a
+# call stay in the processor's cache.
+_VALUES_PER_CALL = 1 << 14
+_BOUNDS_PER_CALL = 1 << 13
 _HALO = np.arange(-1, _FINE + 1)
+# Sides of the sub-tiles that sharpen a fine tile's bound, in turn, before
+# the tile is evaluated.
+_SUB_TILES = (4, 2)
 
 
 class NoMinimumFound(NumericalFailure):
@@ -185,12 +194,14 @@ def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mu
     return r1, r2, multiply(t1, t2)
 
 
-def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
+def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index,
+                interfaces=None):
     """Airy reflection and transmission amplitudes, elementwise over arrays
     of film index, thickness and wavelength, rounded as numpy's array loops
-    round (see _rt)."""
+    round (see _rt).  ``interfaces`` are the _interfaces of the film index
+    if already computed, which are the same at any array size."""
     nf = np.asarray(index_film, dtype=complex)
-    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index)
+    r1, r2, t12 = interfaces or _interfaces(nf, ambient_index, substrate_index)
     phase = np.exp(2j * np.pi * nf * thickness / wavelength)
     denom = 1.0 + r1 * r2 * phase**2
     # phase**2 * r2, not r2 * phase**2: an array loop's complex product
@@ -283,11 +294,13 @@ def residual(n, kappa, thickness, spectrum: RTSpectrum, substrate_index=1.52, am
 
 
 def _reference_surface(index_film, thickness, wavelength, reflectance, transmittance,
-                       ambient_index, substrate_index):
+                       ambient_index, substrate_index, interfaces=None):
     """|T - T_measured| + |R - R_measured|, elementwise over arrays of film
     index, thickness, wavelength, R and T, rounded as the reference map
     rounds it (_amplitudes)."""
-    r_amp, t_amp = _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index)
+    r_amp, t_amp = _amplitudes(
+        index_film, thickness, wavelength, ambient_index, substrate_index, interfaces
+    )
     flux_ratio = substrate_index / ambient_index
     r_t = np.abs(r_amp) ** 2
     t_t = flux_ratio * np.abs(t_amp) ** 2
@@ -368,7 +381,8 @@ class _Discs(NamedTuple):
     sound: np.ndarray  # the disc lies in Re(nf) > 0
 
     def take(self, tiles):
-        return _Discs(*(field[tiles] for field in self))
+        """The discs of the given tiles, which index each field's last axis."""
+        return _Discs(*(np.take(field, tiles, axis=-1) for field in self))
 
 
 def _disc_product(a, a_rad, b, b_rad):
@@ -449,28 +463,48 @@ def _tile_origins(shape, size):
     return rows.ravel(), cols.ravel()
 
 
+def _span_discs(n_vals, k_vals, rows, cols, size, ambient_index, substrate_index) -> _Discs:
+    """Discs of the size x size tiles whose first rows and columns are
+    ``rows`` and ``cols`` (broadcast against each other), cut at the grid's
+    edges."""
+
+    def span(values, first):
+        last = values.size - 1
+        return values[np.minimum(first, last)], values[np.minimum(first + size - 1, last)]
+
+    return _tile_discs(*span(n_vals, rows), *span(k_vals, cols), ambient_index, substrate_index)
+
+
 class _Tiling(NamedTuple):
     """The grid, cut into fine tiles of _FINE x _FINE points and coarse
     tiles of _COARSE x _COARSE points, each row-major."""
 
     n_vals: np.ndarray
     k_vals: np.ndarray
+    media: tuple  # ambient and substrate index
     coarse: _Discs
     fine: _Discs
     origins: tuple  # first row and column of each fine tile
     children: np.ndarray  # fine tiles of each coarse tile, -1 past the grid
 
+    def sub_discs(self, tiles, size) -> _Discs:
+        """Discs of the size x size sub-tiles of the given fine tiles,
+        shaped (sub-tile row, sub-tile column, tile) by broadcasting, so
+        that a map's phase and decay factors (_lower_bounds) come once per
+        row and column.  A sub-tile past the grid repeats the tile's last
+        row or column, so its disc still holds points of the tile only."""
+        starts = np.arange(0, _FINE, size)
+        rows = self.origins[0][tiles] + starts[:, None, None]
+        cols = self.origins[1][tiles] + starts[:, None]
+        return _span_discs(self.n_vals, self.k_vals, rows, cols, size, *self.media)
+
 
 def _tiling(n_vals, k_vals, ambient_index, substrate_index) -> _Tiling:
     shape = (n_vals.size, k_vals.size)
+    media = (ambient_index, substrate_index)
 
     def discs(size):
-        rows, cols = _tile_origins(shape, size)
-        return _tile_discs(
-            n_vals[rows], n_vals[np.minimum(rows + size, shape[0]) - 1],
-            k_vals[cols], k_vals[np.minimum(cols + size, shape[1]) - 1],
-            ambient_index, substrate_index,
-        )
+        return _span_discs(n_vals, k_vals, *_tile_origins(shape, size), size, *media)
 
     rows, cols = _tile_origins(shape, _FINE)
     side = _COARSE // _FINE
@@ -479,33 +513,68 @@ def _tiling(n_vals, k_vals, ambient_index, substrate_index) -> _Tiling:
     children[parent, rows % _COARSE // _FINE * side + cols % _COARSE // _FINE] = np.arange(
         rows.size
     )
-    return _Tiling(n_vals, k_vals, discs(_COARSE), discs(_FINE), (rows, cols), children)
+    return _Tiling(n_vals, k_vals, media, discs(_COARSE), discs(_FINE), (rows, cols), children)
 
 
-def _tile_points(evaluate, owner, rows, cols, shape):
-    """Evaluates fine tiles with a one-point halo and keeps the core
-    points that are at most each of their in-grid 8-neighbours: exactly
-    the local minima of the full map.
+def _by_tile(tiles, per_call):
+    """Calls of at most per_call entries, in order of tile so that the
+    entries of a call share few tiles: per call, the indices of its entries,
+    its distinct tiles, and where each entry's tile is among them."""
+    order = np.argsort(tiles, kind="stable")
+    for lo in range(0, order.size, per_call):
+        part = order[lo : lo + per_call]
+        ordered = tiles[part]
+        new = np.diff(ordered, prepend=-1) != 0
+        yield part, ordered[new], np.cumsum(new) - 1
 
-    ``evaluate(owner, r, c)`` returns the values at r[p, :, None],
-    c[p, None, :].  Returns the tile, value and flat index of each kept
-    point, and the largest value of each tile.
+
+def _refined_bounds(tiling: _Tiling, bounds, owner, tiles, size):
+    """The least bound of the size x size sub-tiles of each (map, fine
+    tile) pair: a bound on the whole tile, as its sub-tiles cover it."""
+    out = np.empty(tiles.size)
+    for part, distinct, at in _by_tile(tiles, _BOUNDS_PER_CALL // (_FINE // size) ** 2):
+        sub = bounds(owner[part], tiling.sub_discs(distinct, size).take(at))
+        out[part] = sub.min(axis=(0, 1))
+    return out
+
+
+def _children(tiling: _Tiling, bounds, owner, coarse):
+    """Map, fine tile, bound and sub-tile side (_FINE) of each fine tile of
+    the given (map, coarse tile) pairs: entries of the search's queue."""
+    tiles = tiling.children[coarse]
+    owner = np.broadcast_to(owner[:, None], tiles.shape)[tiles >= 0]
+    tiles = tiles[tiles >= 0]
+    bound = np.empty(tiles.size)
+    for lo in range(0, tiles.size, _BOUNDS_PER_CALL):
+        part = slice(lo, lo + _BOUNDS_PER_CALL)
+        bound[part] = bounds(owner[part], tiling.fine.take(tiles[part]))
+    return owner, tiles, bound, np.full(tiles.size, _FINE, dtype=np.int8)
+
+
+def _tile_points(evaluate, owner, distinct, at, origins, shape):
+    """Evaluates fine tiles of maps with a one-point halo and keeps the
+    core points that are at most each of their 8-neighbours: exactly the
+    local minima of the full map.
+
+    Pair p is tile distinct[at[p]] of map owner[p].  ``evaluate(owner, at,
+    r, c)`` returns the pairs' values at r[at[p], :, None], c[at[p], None,
+    :].  Returns the pair, value and flat index of each kept point, and the
+    largest value of each pair.
     """
-    rows = rows[:, None] + _HALO
-    cols = cols[:, None] + _HALO
-    row_in = (rows >= 0) & (rows < shape[0])
-    col_in = (cols >= 0) & (cols < shape[1])
-    values = evaluate(owner, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1))
-    values[~(row_in[:, :, None] & col_in[:, None, :])] = np.inf
+    rows = origins[0][distinct][:, None] + _HALO
+    cols = origins[1][distinct][:, None] + _HALO
+    # a point past the grid is read at the nearest grid point, which is the
+    # point beside it or that point itself, so it decides no comparison (the
+    # edge rule of _window_min) and adds no new value to a tile's largest
+    values = evaluate(owner, at, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1))
     beside = np.minimum(values[:, :, :-2], values[:, :, 2:])
     across = np.minimum(beside, values[:, :, 1:-1])
     neighbours = np.minimum(np.minimum(across[:, :-2], across[:, 2:]), beside[:, 1:-1])
     core = values[:, 1:-1, 1:-1]
-    inside = row_in[:, 1:-1, None] & col_in[:, None, 1:-1]
-    tile, i, j = np.nonzero(inside & (core <= neighbours))
-    index = rows[tile, i + 1] * shape[1] + cols[tile, j + 1]
-    top = np.where(inside, core, -np.inf).max(axis=(1, 2))
-    return tile, core[tile, i, j], index, top
+    inside = ((rows[:, 1:-1, None] < shape[0]) & (cols[:, None, 1:-1] < shape[1]))[at]
+    pair, i, j = np.nonzero(inside & (core <= neighbours))
+    index = rows[at[pair], i + 1] * shape[1] + cols[at[pair], j + 1]
+    return pair, core[pair, i, j], index, core.max(axis=(1, 2))
 
 
 def _rank_by_map(maps, *keys):
@@ -534,22 +603,33 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
     and ``evaluate`` computes map values as _tile_points asks.  A map's
     threshold is max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), with v_k its k-th
     lowest local minimum found so far.  Each round splits the coarse
-    tiles and evaluates the fine tiles whose bound is at or below the
-    threshold.  While a map has fewer than two local minima it goes best
-    first instead: it takes its tiles up to the reach-th best coarse or
+    tiles and takes the fine tiles whose bound is at or below the map's
+    level, its threshold.  While a map has fewer than two local minima it
+    goes best first instead: its level is the reach-th best coarse or
     queued fine bound, starting from the number of fine tiles in a coarse
-    tile, and doubles its reach each round.
+    tile, and its reach doubles each round.
+
+    A taken tile is sharpened before it is evaluated, lazily, as few
+    tiles reach this stage: its bound becomes the least bound of its 4 x 4
+    sub-tiles, and if that is still at or below the level, the least
+    bound of its 2 x 2 sub-tiles (_refined_bounds).  A tile whose
+    sharper bound lies above the level goes back into the queue with that
+    bound, to be evaluated only if a short map's level grows past it.  A
+    map with two minima leaves the tiles it does not take: its level only
+    falls.
 
     Why a skipped tile cannot matter: every local minimum found is one of
     the full map, as _tile_points reads its neighbours from the halo, so
     v_k found so far is at least the full map's v_k, and thresholds only
-    fall.  The rounds stop when no map has a tile left at or below its
-    threshold (a map short of minima stops with every tile evaluated).
-    Then every skipped point exceeds the threshold, so it can be neither
-    one of the two lowest local minima nor tie with one; and it lies more
-    than FLAT_LANDSCAPE_SPAN above the lowest point, so a map with a
-    skipped point is not flat.  So _lowest_minima decides on these minima
-    as _two_lowest_minima decides on the full map.
+    fall.  Every bound, a sharpened one too, is at or below each value on
+    its tile, as the sub-tiles cover the tile.  The rounds stop when no
+    map has a tile left at or below its threshold (a map short of minima
+    stops with every tile evaluated).  Then every skipped point exceeds
+    the threshold, so it can be neither one of the two lowest local
+    minima nor tie with one; and it lies more than FLAT_LANDSCAPE_SPAN
+    above the lowest point, so a map with a skipped point is not flat.
+    So _lowest_minima decides on these minima as _two_lowest_minima
+    decides on the full map.
 
     Returns, per map, the value and flat index of its two lowest local
     minima in ascending (value, index) order, and the map's spread
@@ -558,7 +638,7 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
     """
     shape = (tiling.n_vals.size, tiling.k_vals.size)
     width = tiling.children.shape[0]
-    step = max(1, _VALUES_PER_CALL // width)
+    step = max(1, _BOUNDS_PER_CALL // width)
     coarse_bounds = np.concatenate(
         [bounds(np.arange(lo, min(lo + step, count))[:, None], tiling.coarse)
          for lo in range(0, count, step)]
@@ -568,9 +648,11 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
     reach = np.full(count, (_COARSE // _FINE) ** 2)  # a coarse tile's worth
     threshold = np.full(count, np.inf)
     closed = np.ones(coarse_bounds.shape, dtype=bool)  # coarse tiles not yet split
-    queue = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)  # map, tile, bound
+    # map, tile, bound, and the side of the sub-tiles whose least bound it is
+    queue = _children(tiling, bounds, np.empty(0, dtype=int), np.empty(0, dtype=int))
     found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)  # map, value, index
     top = np.full(count, -np.inf)  # largest value evaluated
+    skipped = np.zeros(count, dtype=bool)  # a tile left the queue unevaluated
     while True:
         level = threshold.copy()
         short = np.isinf(threshold)
@@ -581,39 +663,35 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
                 _kth_lowest(queue[0][waiting], queue[2][waiting], reach, count)[short],
             )
             reach[short] *= 2
-        owner, coarse = np.nonzero(closed & (coarse_bounds <= level[:, None]))
-        closed[owner, coarse] = False
-        tiles = tiling.children[coarse]
-        owner = np.broadcast_to(owner[:, None], tiles.shape)[tiles >= 0]
-        tiles = tiles[tiles >= 0]
-        fresh = [
-            bounds(owner[part], tiling.fine.take(tiles[part]))
-            for part in (
-                slice(lo, lo + _VALUES_PER_CALL) for lo in range(0, tiles.size, _VALUES_PER_CALL)
-            )
-        ]
-        queue = (
-            np.concatenate((queue[0], owner)),
-            np.concatenate((queue[1], tiles)),
-            np.concatenate([queue[2], *fresh]),
-        )
-        take = queue[2] <= level[queue[0]]
-        if not take.any() and not coarse.size:
+        opened = np.nonzero(closed & (coarse_bounds <= level[:, None]))
+        closed[opened] = False
+        queue = tuple(map(np.concatenate, zip(queue, _children(tiling, bounds, *opened))))
+        limit = level[queue[0]]
+        take = queue[2] <= limit
+        if not take.any() and not opened[0].size:
             if (level[short] == np.inf).all():
                 break
             continue
-        owner, tiles = queue[0][take], queue[1][take]
-        queue = tuple(column[~take] for column in queue)
-        batches = [found]
-        per_call = _VALUES_PER_CALL // _HALO.size**2
-        for lo in range(0, tiles.size, per_call):
-            part = owner[lo : lo + per_call]
-            picked = tiles[lo : lo + per_call]
-            tile, value, index, tile_top = _tile_points(
-                evaluate, part, tiling.origins[0][picked], tiling.origins[1][picked], shape
+        for size in _SUB_TILES:
+            refine = np.flatnonzero(take & (queue[3] > size) & (limit < np.inf))
+            queue[2][refine] = _refined_bounds(
+                tiling, bounds, queue[0][refine], queue[1][refine], size
             )
-            batches.append((part[tile], value, index))
-            np.maximum.at(top, part, tile_top)
+            queue[3][refine] = size
+            take[refine] = queue[2][refine] <= limit[refine]
+        owner, tiles = queue[0][take], queue[1][take]
+        # the level of a map with two minima is its threshold, which only
+        # falls: a tile it does not take now it never takes
+        skip = ~take & ~short[queue[0]]
+        skipped[queue[0][skip]] = True
+        queue = tuple(column[~take & ~skip] for column in queue)
+        batches = [found]
+        for part, distinct, at in _by_tile(tiles, _VALUES_PER_CALL // _HALO.size**2):
+            pair, value, index, tile_top = _tile_points(
+                evaluate, owner[part], distinct, at, tiling.origins, shape
+            )
+            batches.append((owner[part][pair], value, index))
+            np.maximum.at(top, owner[part], tile_top)
         found = tuple(np.concatenate(column) for column in zip(*batches))
         order, rank = _rank_by_map(found[0], found[2], found[1])
         found = tuple(column[order[rank < 2]] for column in found)
@@ -624,7 +702,7 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
 
     maps, value, index = found
     edges = np.searchsorted(maps, np.arange(count + 1))
-    complete = ~closed.any(axis=1) & (np.bincount(queue[0], minlength=count) == 0)
+    complete = ~closed.any(axis=1) & ~skipped & (np.bincount(queue[0], minlength=count) == 0)
     return [
         (value[lo:hi], index[lo:hi], top[m] - value[lo] if complete[m] and hi > lo else np.inf)
         for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
@@ -653,12 +731,16 @@ def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
     def bounds(owner, discs):
         return _lower_bounds(discs, k0d[owner], reflectance[owner], transmittance[owner])
 
-    def evaluate(owner, rows, cols):
+    def evaluate(owner, at, rows, cols):
+        # the Fresnel factors depend on the point alone: once per tile
         nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
-        at = owner[:, None, None]
+        nf, *factors = (
+            np.take(a, at, axis=0) for a in (nf, *_interfaces(nf, ambient_index, substrate_index))
+        )
+        m = owner[:, None, None]
         return _reference_surface(
-            nf, thickness[at], wavelength[at], reflectance[at], transmittance[at],
-            ambient_index, substrate_index,
+            nf, thickness[m], wavelength[m], reflectance[m], transmittance[m],
+            ambient_index, substrate_index, tuple(factors),
         )
 
     return [

@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# A longer search for the property tests, selected with
+# --hypothesis-profile=deep (the CI runs the tile search's properties so).
+settings.register_profile("deep", max_examples=1500, deadline=None)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     from _acceptance_log import RESULTS
 

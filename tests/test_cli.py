@@ -344,6 +344,20 @@ class TestConfigErrors:
         assert "seed_y_max_nm: asks for 2e+07 samples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # 1.01e8 maps, checked before any is allocated: unchecked, the
+            # run exited 1 with an _ArrayMemoryError traceback
+            ("thickness_samples", "1000000"),
+            # unchecked, kappa rescaled by 7e-308 left two flat curves, and
+            # the run exited 3 with a BranchAmbiguous that named no key
+            ("reference_thickness_nm", "1e308"),
+        ],
+    )
+    def test_extract_nk_sweep_past_its_maximum_is_named(self, tmp_path, capsys, key, value):
+        self.assert_named_config_error(tmp_path, capsys, "extract-nk", key, value)
+
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -382,6 +382,24 @@ class TestTileSearch:
                 assert bound <= surface[row : row + size, col : col + size].min()
 
     @given(_GRIDS, _MAPS)
+    def test_no_refined_bound_exceeds_the_map_inside_the_tile(self, grid, params):
+        # the least bound of a fine tile's sub-tiles, at each side the
+        # search refines to, sub-tiles past the grid's edges included
+        thickness, wavelength, refl, trans, ambient, substrate = _map_of(*params)
+        surface, n_vals, k_vals = _residual_map(grid, *_map_of(*params))
+        tiling = film._tiling(n_vals, k_vals, ambient, substrate)
+        k0d = 2.0 * np.pi * thickness / wavelength
+
+        def bounds(owner, discs):
+            return film._lower_bounds(discs, k0d, refl, trans)
+
+        tiles = np.arange(tiling.origins[0].size)
+        for size in film._SUB_TILES:
+            refined = film._refined_bounds(tiling, bounds, np.zeros_like(tiles), tiles, size)
+            for bound, row, col in zip(refined, *tiling.origins):
+                assert bound <= surface[row : row + film._FINE, col : col + film._FINE].min()
+
+    @given(_GRIDS, _MAPS)
     # a map with one local minimum, whose first tiles have no bound
     @example(
         _window(1.0, 9, 0.1, 0.0, 40, 0.4),
@@ -409,6 +427,51 @@ class TestTileSearch:
                 _two_lowest_minima(_residual_map(grid, 70e-9, *first, 1e308, 1.52)[0])
             with pytest.raises(NoMinimumFound):
                 extract_nk(measurements, grid=grid, ambient_index=1e308)
+
+    def test_shared_fresnel_factors_equal_the_values_alone(self):
+        # the search computes r1, r2 and t1 t2 once per distinct tile and
+        # gathers them for every map that evaluates the tile, in calls of
+        # more than 256 KiB per array
+        rng = np.random.default_rng(7)
+        grid = NkGrid()
+        n_vals, k_vals = grid.n_values, grid.kappa_values
+        nf = (n_vals[rng.integers(0, n_vals.size, (40, film._HALO.size))][:, :, None]
+              + 1j * k_vals[rng.integers(0, k_vals.size, (40, film._HALO.size))][:, None, :])
+        at = rng.integers(0, 40, 500)
+        rows = rng.integers(0, FIXTURE_RT.wavelength.size, at.size)
+        maps = tuple(
+            column[:, None, None]
+            for column in (np.array(FIXTURE_THICKNESSES)[rng.integers(0, 3, at.size)],
+                           FIXTURE_RT.wavelength[rows], FIXTURE_RT.reflectance[rows],
+                           FIXTURE_RT.transmittance[rows])
+        )
+        factors = tuple(f[at] for f in film._interfaces(nf, 1.0, 1.52))
+        shared = film._reference_surface(nf[at], *maps, 1.0, 1.52, factors)
+        assert np.array_equal(shared, film._reference_surface(nf[at], *maps, 1.0, 1.52))
+
+    def test_fixture_seeds_from_few_values(self, monkeypatch):
+        # the CLI's default sweep: 303 maps of the default 681 x 641 grid,
+        # 132 M values in full; the refined bounds leave at most 1.4 M
+        measured = np.column_stack(
+            (FIXTURE_RT.wavelength, FIXTURE_RT.reflectance, FIXTURE_RT.transmittance)
+        )
+        per_map = np.column_stack(
+            (np.repeat(FIXTURE_THICKNESSES, len(measured)), np.tile(measured, (3, 1)))
+        )
+        grid = NkGrid()
+        evaluated = []
+        surface = film._reference_surface
+
+        def counted(index_film, *args):
+            evaluated.append(index_film.size)
+            return surface(index_film, *args)
+
+        monkeypatch.setattr(film, "_reference_surface", counted)
+        seeds = film._grid_seeds(grid, *per_map.T, 1.0, 1.52)
+        monkeypatch.undo()
+        assert sum(evaluated) <= 1_400_000
+        for params, found in list(zip(per_map, seeds))[::10]:
+            assert found == _two_lowest_minima(_residual_map(grid, *params, 1.0, 1.52)[0])
 
     @pytest.mark.parametrize("per_call", [1, 37, film._VALUES_PER_CALL // film._HALO.size**2])
     def test_reference_arithmetic_on_tiles_equals_reference_map(self, per_call):
