@@ -473,7 +473,11 @@ class TestTileSearch:
         for params, found in list(zip(per_map, seeds))[::10]:
             assert found == _two_lowest_minima(_residual_map(grid, *params, 1.0, 1.52)[0])
 
-    @pytest.mark.parametrize("per_call", [1, 37, film._VALUES_PER_CALL // film._HALO.size**2])
+    # 327 tiles make complex arrays of 511 KiB, past numpy's 256 KiB reuse
+    # of temporaries, whatever size the search itself uses per call
+    @pytest.mark.parametrize(
+        "per_call", sorted({1, 37, 327, film._VALUES_PER_CALL // film._HALO.size**2})
+    )
     def test_reference_arithmetic_on_tiles_equals_reference_map(self, per_call):
         # bit for bit, in arrays of any size (numpy rounds a complex
         # product by the order of its operands, which it swaps itself when
