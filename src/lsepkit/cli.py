@@ -61,7 +61,8 @@ MAX_SAMPLES = 10**7
 # search keeps bookkeeping per map that grows with the grid.  76 times the
 # default sweep of 303 maps of 436,521 points.
 MAX_MAP_POINTS = 10**10
-# Thickest film extract-nk inverts, 1 um (extract_nk's thickness range).
+# Thickest film extract-nk inverts, 1 um: the key's maximum converts to
+# film.MAX_THICKNESS, so a thickness the keys accept extract_nk accepts.
 MAX_THICKNESS_NM = 1e3
 # Largest level, photon or linewidth energy a config may name: 100 eV is
 # extreme ultraviolet, far above the optical range the models describe.
@@ -97,7 +98,7 @@ class Key(NamedTuple):
 MATERIAL_KEYS = {
     "transition_energy_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
     "decay_rate_per_s": Key("1.15e12", float, 0.0, MAX_DECAY_RATE),
-    "pure_dephasing_ev": Key("0.017", float, 0.0),
+    "pure_dephasing_ev": Key("0.017", float, 0.0, MAX_ENERGY_EV),
     "dipole_debye": Key("32.0", float, 1e-9, medium.MAX_DIPOLE_DEBYE),
     "number_density_per_m3": Key("3.29e25", float, 0.0),
     "background_permittivity": Key("2.3104", float, 1.0, MAX_PERMITTIVITY),
@@ -145,7 +146,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         **MATERIAL_KEYS,
         **SPHERE_KEYS,
         "photon_energy_ev": Key("2.16", float, 1e-6, MAX_ENERGY_EV),
-        "epsilon_override": Key("", list),  # empty, or "re, im"
+        "epsilon_override": Key("", list, -MAX_PERMITTIVITY, MAX_PERMITTIVITY),  # or "re, im"
         "grid_half_nm": Key("300", float, 1.0),
         "grid_step_nm": Key("5", float, 0.1),
         "seed_z_nm": Key("-200", float, -MAX_LENGTH_NM, MAX_LENGTH_NM),
@@ -169,8 +170,8 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "input": Key("", str),  # empty -> packaged film fixture
         "substrate_index": Key("1.52", float, 1.0, MAX_INDEX),
         "ambient_index": Key("1.0", float, 1.0, MAX_INDEX),
-        "thickness_min_nm": Key("63", float, 1.0),
-        "thickness_max_nm": Key("77", float, 1.0),
+        "thickness_min_nm": Key("63", float, 1.0, MAX_THICKNESS_NM),
+        "thickness_max_nm": Key("77", float, 1.0, MAX_THICKNESS_NM),
         "thickness_samples": Key("3", int, 1),
         "reference_thickness_nm": Key("70", float, 1.0, MAX_THICKNESS_NM),
         "n_min": Key("0.1"),
@@ -436,6 +437,18 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     scene = _nearfield_scene(cfg)
     coeffs = mie_coefficients(scene)
 
+    seed_z = cfg["seed_z_nm"] * 1e-9
+    seed_max = cfg["seed_y_max_nm"] * 1e-9
+    spacing = cfg["seed_spacing_nm"] * 1e-9
+    _check_samples(2.0 * seed_max / spacing + 1.0, "seed_y_max_nm", "the seed_spacing_nm seeds")
+    n_side = int(round(seed_max / spacing))
+    seed_y = spacing * np.arange(-n_side, n_side + 1)
+    # the tracer keeps one point per seed and step
+    _check_samples(seed_y.size * cfg["max_steps"], "max_steps", f"{seed_y.size} streamlines")
+    seeds = np.stack(
+        [np.zeros_like(seed_y), seed_y, np.full_like(seed_y, seed_z)], axis=1
+    )
+
     half = cfg["grid_half_nm"]
     step = cfg["grid_step_nm"]
     _check_samples((2.0 * half / step + 1.0) ** 2, "grid_half_nm", "the grid_step_nm map")
@@ -444,15 +457,6 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
     grid = near_field_grid(scene, coeffs, pts)
 
-    seed_z = cfg["seed_z_nm"] * 1e-9
-    seed_max = cfg["seed_y_max_nm"] * 1e-9
-    spacing = cfg["seed_spacing_nm"] * 1e-9
-    _check_samples(2.0 * seed_max / spacing + 1.0, "seed_y_max_nm", "the seed_spacing_nm seeds")
-    n_side = int(round(seed_max / spacing))
-    seed_y = spacing * np.arange(-n_side, n_side + 1)
-    seeds = np.stack(
-        [np.zeros_like(seed_y), seed_y, np.full_like(seed_y, seed_z)], axis=1
-    )
     lines = poynting_streamlines(
         scene,
         coeffs,

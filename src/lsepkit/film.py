@@ -50,6 +50,9 @@ FLAT_LANDSCAPE_SPAN = 1e-15
 # Largest (n, kappa) grid an NkGrid may ask for, about 230 times the
 # default 681 x 641: a tiny step would ask for more than fits in memory.
 MAX_GRID_POINTS = 10**8
+# Thickest film extract_nk inverts: 1 um, written as 1e3 nm converts to
+# metres (one ulp above 1e-6), so the CLI's thickness keys meet it exactly.
+MAX_THICKNESS = 1e3 * 1e-9
 # The grid search works on tiles of the (n, kappa) grid.  It bounds the
 # residual from below on coarse tiles of every map, splits the coarse
 # tiles it cannot rule out into fine tiles, and evaluates fine tiles only.
@@ -777,8 +780,8 @@ def extract_nk(
     if not spectrum.wavelength.size:
         raise ValueError("at least one measurement is required")
     t_low, t_high = thickness_range
-    if not 0.0 < t_low <= t_high or t_high >= 1e-6:
-        raise ValueError(f"thickness_range must lie inside (0, 1 um), got {thickness_range}")
+    if not 0.0 < t_low <= t_high <= MAX_THICKNESS:
+        raise ValueError(f"thickness_range must lie inside (0, 1 um], got {thickness_range}")
     _check_stack(t_low, substrate_index, ambient_index)
     if grid is None:
         grid = NkGrid()

@@ -6,14 +6,14 @@ Im(eps) >= 0.  Size parameter x = 2 pi sqrt(eps_host) r / lambda.
 
 One array kernel (Wiscombe, Appl. Opt. 19, 1505 (1980)) serves every
 caller, with orders as rows and samples as columns.  The logarithmic
-derivatives D_n = psi_n'/psi_n go downward from a modified-Lentz seed
-(Lentz, Appl. Opt. 15, 668 (1976)) that each sample runs to its own
-convergence.  psi_n divides up from psi_0 = sin z, or from psi_1 =
-sin z / z - cos z near a nonzero multiple of pi (|sin z| < 0.1 and
-|z| > 1), where D_1 + 1/z is mostly roundoff.  chi_n = -x y_n goes
-upward.  The near fields reuse both recurrences.  Spectra are solved in
-groups that share a multipole cutoff, so each sample keeps the cutoff
-and seed of a one-sample solve.
+derivatives D_n = psi_n'/psi_n go downward from D = 0, started far
+above the cutoff at an order set by each sample's own argument.  psi_n
+divides up from psi_0 = sin z, or from psi_1 = sin z / z - cos z near a
+nonzero multiple of pi (|sin z| < 0.1 and |z| > 1), where D_1 + 1/z is
+mostly roundoff.  chi_n = -x y_n goes upward.  The near fields reuse
+both recurrences.  Spectra are solved in groups that share a multipole
+cutoff, so each sample keeps the cutoff and the starting order of a
+one-sample solve, and so its bits.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ class RecurrenceUnstable(NumericalFailure):
 
 
 MAX_SIZE_PARAMETER = 100.0
+# Largest |z| the log-derivative recurrence takes: a size parameter of
+# 100 in a medium of index 100.  It starts about |z| orders up, so this
+# also bounds its steps.
+MAX_RECURRENCE_ARGUMENT = 1e4
 
 
 @dataclass(frozen=True)
@@ -139,46 +143,23 @@ def multipole_cutoff(x):
     return n.astype(int) if isinstance(n, np.ndarray) else int(n)
 
 
-def _log_derivative_seed(z: np.ndarray, n: int, max_terms: int = 10000) -> np.ndarray:
-    """D_n(z) = psi_n'(z)/psi_n(z) for complex z, per element, by a modified-Lentz fraction.
-
-    From the three-term recurrence, D_n = (n+1)/z - 1/((2n+3)/z - 1/(...))
-    with partial denominators (2(n+k)+1)/z and numerators -1.  Each
-    element stops at its own convergence.
-    """
-    tiny = 1e-50
-    out = np.empty_like(z)
-    live = np.arange(z.size)
-    f = (n + 1) / z
-    f[f == 0.0] = tiny
-    c = f.copy()
-    d = np.zeros_like(z)
-    for k in range(1, max_terms + 1):
-        b_k = (2.0 * (n + k) + 1.0) / z
-        d = b_k - d
-        d[d == 0.0] = tiny
-        c = b_k - 1.0 / c
-        c[c == 0.0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        # not in place: numpy rounds an in-place complex product of one
-        # element without the fused multiply-add it uses otherwise, and a
-        # sample must get the same bits whatever its group size
-        f = f * delta
-        done = np.abs(delta - 1.0) < 1e-15
-        if done.any():
-            out[live[done]] = f[done]
-            live, z, f, c, d = (v[~done] for v in (live, z, f, c, d))
-            if live.size == 0:
-                return out
-    raise RecurrenceUnstable(f"continued fraction stalled at order {n}, z={z[0]}")
-
-
 def _log_derivatives(z: np.ndarray, n_max: int) -> np.ndarray:
-    """D_0..D_n_max(z) by downward recurrence, in complex arithmetic (real part for real z)."""
+    """D_0..D_n_max(z) by downward recurrence, in complex arithmetic (real part for real z).
+
+    Each element starts from D = 0 at its own order, the cutoff of
+    max(n_max, |z|) plus |z|**(2/3) orders, far enough above n_max that
+    the start's error has decayed below roundoff there.
+    """
     zc = np.asarray(z, dtype=complex)
+    size = np.abs(zc)
+    if not np.all(size <= MAX_RECURRENCE_ARGUMENT):
+        raise RecurrenceUnstable(f"|z| = {size.max()} is not finite or > MAX_RECURRENCE_ARGUMENT")
+    start = multipole_cutoff(np.maximum(n_max, size)) + np.ceil(size ** (2.0 / 3.0)).astype(int)
+    top = np.zeros_like(zc)
+    for n in range(int(start.max(initial=n_max + 1)), n_max, -1):
+        top = np.where(n <= start, n / zc - 1.0 / (top + n / zc), 0.0)
     d = np.empty((n_max + 1,) + zc.shape, dtype=complex)
-    d[n_max] = _log_derivative_seed(zc, n_max)
+    d[n_max] = top
     for n in range(n_max, 0, -1):
         d[n - 1] = n / zc - 1.0 / (d[n] + n / zc)
     return d if np.iscomplexobj(z) else d.real

@@ -1,7 +1,8 @@
 from hypothesis import settings
 
 # A longer search for the property tests, selected with
-# --hypothesis-profile=deep (the CI runs the tile search's properties so).
+# --hypothesis-profile=deep (the CI runs the tile search's and the Mie
+# layer's properties so).
 settings.register_profile("deep", max_examples=1500, deadline=None)
 
 

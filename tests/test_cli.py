@@ -270,6 +270,14 @@ class TestConfigErrors:
             ("extract-nk", "kappa_step", "1e-9"),
             # a 400,001 x 400,001 map
             ("nearfield", "grid_half_nm", "1e6"),
+            # 41 streamlines of a million steps each
+            ("nearfield", "max_steps", "1000000"),
+            # each of these ran into a failure that named no key, or ran on
+            ("extract-nk", "thickness_min_nm", "1e308"),
+            ("extract-nk", "thickness_max_nm", "1e308"),
+            ("transient", "pure_dephasing_ev", "1e308"),
+            ("qabs-spectrum", "pure_dephasing_ev", "1e308"),
+            ("nearfield", "epsilon_override", "1e308, 1e308"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, command, key, value):
@@ -888,11 +896,15 @@ class TestErrorContract:
         assert capsys.readouterr().err == "error: need at least 16 points, got 12\n"
         assert not out.exists()
 
-    def test_eigensolver_failure_is_numerical_failure(self, tmp_path, capsys):
-        ini = tmp_path / "cfg.ini"
-        write_ini(ini, "transient", pure_dephasing_ev="1e308")
+    def test_eigensolver_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # pure_dephasing_ev = 1e308 made LAPACK fail; it is a config error
+        # now, so the failure is forced
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", unconverged)
         out = tmp_path / "o"
-        rc = main(["transient", "--config", str(ini), "--out", str(out)])
+        rc = main(["transient", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

@@ -783,6 +783,16 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_nk(meas, thickness_range=(0.5e-6, 2e-6))
 
+    def test_thickest_film_matches_the_config_keys(self):
+        # the CLI's largest thickness_max_nm, in metres, is the largest
+        # thickness extract_nk takes
+        edge = cli.MAX_THICKNESS_NM * 1e-9
+        assert edge == film.MAX_THICKNESS
+        meas = rows_of(synthetic_measurements()[0], slice(1))
+        assert extract_nk(meas, thickness_range=(edge, edge), grid=self.GRID).thickness[0] == edge
+        with pytest.raises(ValueError, match="1 um"):
+            extract_nk(meas, thickness_range=(edge, np.nextafter(edge, 1.0)), grid=self.GRID)
+
 
 def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, capsys):
     # the README's film snippet, exactly as shown, reading the packaged

@@ -4,7 +4,7 @@ boundary conditions, energy bookkeeping, and streamline behavior."""
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,9 +16,10 @@ from lsepkit.medium import (
     epsilon_steady,
     epsilon_transient,
 )
-from lsepkit.mie import fields
+from lsepkit.mie import fields, scatter
 from lsepkit.mie import (
     EvaluationTooFarOut,
+    RecurrenceUnstable,
     SizeParameterOutOfRange,
     SphereScene,
     Termination,
@@ -150,6 +151,36 @@ class TestCoefficients:
     def test_cutoff_grows_with_size(self):
         assert multipole_cutoff(0.5) >= 3
         assert multipole_cutoff(10.0) > multipole_cutoff(1.0)
+
+
+def oracle_log_derivatives(z: complex, n_max: int) -> np.ndarray:
+    """D_0..D_n_max(z) = psi_{n-1}/psi_n - n/z from 40-digit Bessel ratios."""
+    mp.mp.dps = 40
+    zm = mp.mpc(z)
+    half = mp.mpf("0.5")
+    j = [mp.besselj(n - half, zm) for n in range(n_max + 2)]
+    return np.array([complex(j[n] / j[n + 1] - n / zm) for n in range(n_max + 1)])
+
+
+class TestLogDerivatives:
+    # the recurrence starts |z|**(2/3) orders above the cutoff; without that
+    # margin the top orders miss the oracle by up to 8e-7 on this grid
+    @pytest.mark.parametrize("x", [0.05, 1.0, 10.0, 50.0, 100.0])
+    def test_against_high_precision_oracle(self, x):
+        n_max = multipole_cutoff(x)
+        for z in [x] + [m * x for m in (1.5 + 0.01j, 2.9 + 0.01j, 0.3 + 3j, 1.33 + 1e-4j)]:
+            got = scatter._log_derivatives(np.array([z]), n_max)[:, 0]
+            ref = oracle_log_derivatives(z, n_max)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11, z
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), 2e4 + 0j])
+    def test_unusable_argument_raises_before_iterating(self, monkeypatch, bad):
+        def no_start(*args):
+            raise AssertionError("the recurrence was started")
+
+        monkeypatch.setattr(scatter, "multipole_cutoff", no_start)
+        with pytest.raises(RecurrenceUnstable, match="not finite or >"):
+            scatter._log_derivatives(np.array([1.0 + 0.5j, bad]), 5)
 
 
 class TestEfficiencies:
@@ -446,6 +477,9 @@ def _sphere_spectra(draw):
 
 
 class TestBatchedEfficiencies:
+    # a draw solves up to 40 samples batched and then one by one, which can
+    # take more than the default deadline on a loaded machine
+    @settings(deadline=None)
     @given(_sphere_spectra())
     def test_matches_one_scene_per_sample(self, case):
         spectrum, radius, host = case
