@@ -23,15 +23,13 @@ the error test running over the eight real components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import NumericalFailure
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
 from .numerics import eig, integrate, solve_linear
-
-ENVELOPES = ("continuous", "step")
 
 
 class NoUniqueSteadyState(NumericalFailure):
@@ -89,35 +87,20 @@ class TwoLevelParams:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Classical monochromatic drive E0 cos(w t).
-
-    ``envelope`` is "continuous" (on for all simulated times) or "step"
-    (switched on at ``turn_on`` seconds).
-    """
+    """Classical monochromatic drive E0 cos(w t), acting from t = 0."""
 
     amplitude: float
     photon_energy: float
-    envelope: str = "continuous"
-    turn_on: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not 0.0 < self.photon_energy < math.inf:
             raise ValueError(f"photon_energy must be finite and > 0, got {self.photon_energy}")
-        if not math.isfinite(self.turn_on):
-            raise ValueError(f"turn_on must be finite, got {self.turn_on}")
-        if self.envelope not in ENVELOPES:
-            raise ValueError(f"envelope must be one of {ENVELOPES}")
 
     @property
     def angular_frequency(self) -> float:
         return self.photon_energy * EV_TO_RADS
-
-    @property
-    def acts_from(self) -> float:
-        """Time (s) from which the drive acts on a state given at t = 0."""
-        return max(self.turn_on, 0.0) if self.envelope == "step" else 0.0
 
 
 def detuning_energy(params: TwoLevelParams, drive: DriveField) -> float:
@@ -219,29 +202,31 @@ class BlochTrajectory:
         _check_states(self.states, tol)
 
 
+def _generators(params: TwoLevelParams, frequency: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G0, G1) of the Bloch equations dv/dt = (G0 + Omega(t) G1) v.
+
+    G0 moves the decayed population to the ground state and damps the
+    coherences at the total dephasing rate while they precess at
+    ``frequency`` (rad/s); G1, per unit Rabi frequency, exchanges
+    populations and coherences.  The columns of both sum against
+    (1, 0, 0, 1) to zero: the trace is conserved.
+    """
+    gamma, gtot = params.decay_rate, params.total_dephasing_rate
+    g0 = np.array([[0, 0, 0, gamma], [0, -(1j * frequency + gtot), 0, 0],
+                   [0, 0, 1j * frequency - gtot, 0], [0, 0, 0, -gamma]])
+    g1 = 1j * np.array([[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]])
+    return g0, g1
+
+
 def liouvillian_rwa(params: TwoLevelParams, drive: DriveField) -> np.ndarray:
     """Rotating-wave generator on (rho00, rho01~, rho10~, rho11).
 
-    Populations exchange through the decay rate; the envelope of rho01
-    relaxes at the total dephasing rate while precessing at the detuning;
-    the drive couples populations and coherences at half the Rabi
-    frequency.  Rows sum against (1, 0, 0, 1) to zero: the trace is
-    conserved.
+    The envelopes precess at the detuning, and the drive couples
+    populations and coherences at half the Rabi frequency:
+    G0(delta) + (Omega/2) G1.
     """
-    gamma = params.decay_rate
-    gtot = params.total_dephasing_rate
-    delta = detuning_rate(params, drive)
-    half = 0.5j * params.dipole_si * drive.amplitude / HBAR
-
-    return np.array(
-        [
-            [0.0, half, -half, gamma],
-            [half, -(1j * delta + gtot), 0.0, -half],
-            [-half, 0.0, 1j * delta - gtot, half],
-            [0.0, -half, half, -gamma],
-        ],
-        dtype=complex,
-    )
+    g0, g1 = _generators(params, detuning_rate(params, drive))
+    return g0 + 0.5 * rabi_frequencies(params, drive)[0] * g1
 
 
 def steady_state(params: TwoLevelParams, drive: DriveField) -> DensityMatrix:
@@ -297,27 +282,12 @@ def evolve_rwa(
 ) -> BlochTrajectory:
     """Rotating-frame evolution from ``rho0`` at t = 0, sampled exactly.
 
-    The generator is piecewise constant (undriven before a step turn-on,
-    driven after), so each segment is an eigen-decomposition propagation;
-    no step-size control enters.  Coherence entries of the result are
-    rotating-frame envelopes.
+    The generator is constant, so one eigen-decomposition propagates the
+    state to every sample; no step-size control enters.  Coherence
+    entries of the result are rotating-frame envelopes.
     """
     times = _checked_times(sample_times)
-    v0 = rho0.as_vector()
-    t_on = drive.acts_from
-    gen_on = liouvillian_rwa(params, drive)
-
-    states = np.empty((times.size, 4), dtype=complex)
-    late = times >= t_on
-    if t_on > 0.0:
-        gen_off = liouvillian_rwa(params, replace(drive, amplitude=0.0))
-        if np.any(~late):
-            states[~late] = _propagate_eig(gen_off, v0, times[~late])
-        v_on = _propagate_eig(gen_off, v0, np.array([t_on]))[0]
-    else:
-        v_on = v0
-    if np.any(late):
-        states[late] = _propagate_eig(gen_on, v_on, times[late] - t_on)
+    states = _propagate_eig(liouvillian_rwa(params, drive), rho0.as_vector(), times)
     return BlochTrajectory(times=times, states=states, frame="rotating", drive=drive)
 
 
@@ -330,40 +300,24 @@ def evolve_lab(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> BlochTrajectory:
-    """Lab-frame evolution with the full cosine drive (no rotating-wave
-    approximation), integrated adaptively to the relative and absolute
-    local-error tolerances ``rtol`` and ``atol``.
+    """Lab-frame evolution from ``rho0`` at t = 0 with the full cosine
+    drive (no rotating-wave approximation), integrated adaptively to the
+    relative and absolute local-error tolerances ``rtol`` and ``atol``.
 
-    The equations are linear, dv/dt = (G0 + Omega cos(w t) G1) v, and go to
-    :func:`lsepkit.numerics.integrate` as two precomputed generators and a
-    coupling.  A step turn-on splits the integration (undriven before it),
-    so no step straddles the jump.  Coherences in the result are lab-frame
+    The coherences precess at the transition frequency and the coupling is
+    Omega cos(w t); :func:`lsepkit.numerics.integrate` takes the two
+    generators and the coupling.  Coherences in the result are lab-frame
     values; use :func:`rotating_frame` to compare against
     :func:`evolve_rwa`.  An integration that cannot reach the last sample
     raises the integrator's StepUnderflow or MaxStepsExceeded; no partial
     trajectory is returned.
     """
     times = _checked_times(sample_times)
-    gamma, gtot, w1 = params.decay_rate, params.total_dephasing_rate, params.transition_rate
-    # G0 decays the population and rotates and damps the coherences; G1,
-    # per unit Rabi frequency, exchanges populations and coherences
-    g0 = np.array([[0, 0, 0, gamma], [0, -(1j * w1 + gtot), 0, 0],
-                   [0, 0, 1j * w1 - gtot, 0], [0, 0, 0, -gamma]])
-    g1 = 1j * np.array([[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]])
-    rabi = params.dipole_si * drive.amplitude / HBAR
-    w = drive.angular_frequency
-    t_on = drive.acts_from
-    late = times >= t_on
-    v, states = rho0.as_vector(), []
-    if t_on > 0.0:
-        ends = np.append(times[~late], t_on) if late.any() else times
-        head = integrate(g0, g1, np.zeros_like, v, 0.0, ends, rtol=rtol, atol=atol).states
-        states.append(head[: np.count_nonzero(~late)])
-        v = head[-1]
-    if late.any():
-        states.append(integrate(g0, g1, lambda t: rabi * np.cos(w * t), v, t_on, times[late],
-                                rtol=rtol, atol=atol).states)
-    return BlochTrajectory(times=times, states=np.concatenate(states), frame="lab", drive=drive)
+    g0, g1 = _generators(params, params.transition_rate)
+    rabi, w = rabi_frequencies(params, drive)[0], drive.angular_frequency
+    states = integrate(g0, g1, lambda t: rabi * np.cos(w * t), rho0.as_vector(), 0.0, times,
+                       rtol=rtol, atol=atol).states
+    return BlochTrajectory(times=times, states=states, frame="lab", drive=drive)
 
 
 def rotating_frame(traj: BlochTrajectory) -> BlochTrajectory:

@@ -275,12 +275,9 @@ def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
 def _energy_grid(cfg: RunConfig) -> np.ndarray:
     lo = cfg["energy_min_ev"]
     hi = cfg["energy_max_ev"]
-    step = cfg["energy_step_ev"]
     if hi <= lo:
         raise ConfigError(f"energy_max_ev: must exceed energy_min_ev, got {hi} <= {lo}")
-    _check_samples((hi - lo) / step + 1.0, "energy_step_ev", "energy_min_ev..energy_max_ev")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    return _axis(lo, hi, cfg["energy_step_ev"], "energy_step_ev", "energy_min_ev..energy_max_ev")
 
 
 def _check_samples(count: float, key: str, span: str) -> None:
@@ -289,6 +286,22 @@ def _check_samples(count: float, key: str, span: str) -> None:
         raise ConfigError(
             f"{key}: asks for {count:.3g} samples over {span}, more than {MAX_SAMPLES:.0e}"
         )
+
+
+def _axis(lo, hi, step, key: str, span: str, *, origin=None, square=False) -> np.ndarray:
+    """The samples origin + i step (origin defaults to lo) that lie in [lo, hi].
+
+    Their count, squared for a square map of the axis, is checked before
+    the axis is built.  A span within a millionth of a step of a whole
+    number of steps keeps its end sample, moved onto the end: no sample
+    lies outside [lo, hi].
+    """
+    count = (hi - lo) / step + 1.0
+    _check_samples(count * count if square else count, key, span)
+    origin = lo if origin is None else origin
+    first = math.ceil((lo - origin) / step - 1e-6)
+    last = math.floor((hi - origin) / step + 1e-6)
+    return np.clip(origin + step * np.arange(first, last + 1), lo, hi)
 
 
 def _packaged(name: str):
@@ -439,10 +452,8 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
 
     seed_z = cfg["seed_z_nm"] * 1e-9
     seed_max = cfg["seed_y_max_nm"] * 1e-9
-    spacing = cfg["seed_spacing_nm"] * 1e-9
-    _check_samples(2.0 * seed_max / spacing + 1.0, "seed_y_max_nm", "the seed_spacing_nm seeds")
-    n_side = int(round(seed_max / spacing))
-    seed_y = spacing * np.arange(-n_side, n_side + 1)
+    seed_y = _axis(-seed_max, seed_max, cfg["seed_spacing_nm"] * 1e-9, "seed_y_max_nm",
+                   "the seed_spacing_nm seeds", origin=0.0)
     # the tracer keeps one point per seed and step
     _check_samples(seed_y.size * cfg["max_steps"], "max_steps", f"{seed_y.size} streamlines")
     seeds = np.stack(
@@ -450,9 +461,8 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     )
 
     half = cfg["grid_half_nm"]
-    step = cfg["grid_step_nm"]
-    _check_samples((2.0 * half / step + 1.0) ** 2, "grid_half_nm", "the grid_step_nm map")
-    axis = np.arange(-half, half + 0.5 * step, step) * 1e-9
+    axis = _axis(-half, half, cfg["grid_step_nm"], "grid_half_nm", "the grid_step_nm map",
+                 square=True) * 1e-9
     yy, zz = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
     grid = near_field_grid(scene, coeffs, pts)
@@ -494,10 +504,8 @@ def cmd_transient(cfg: RunConfig) -> dict[str, str]:
     )
     radius = cfg["radius_nm"] * 1e-9
     host = cfg["host_epsilon"]
-    t_max = cfg["time_max_fs"] * 1e-15
-    t_step = cfg["time_step_fs"] * 1e-15
-    _check_samples(t_max / t_step + 1.0, "time_step_fs", "0..time_max_fs")
-    times = np.arange(0.0, t_max + 0.5 * t_step, t_step)
+    times = _axis(0.0, cfg["time_max_fs"] * 1e-15, cfg["time_step_fs"] * 1e-15,
+                  "time_step_fs", "0..time_max_fs")
     detunings = cfg["detunings_ev"]
     if not detunings:
         raise ConfigError("detunings_ev: list is empty")

@@ -1,8 +1,8 @@
 from hypothesis import settings
 
 # A longer search for the property tests, selected with
-# --hypothesis-profile=deep (the CI runs the tile search's and the Mie
-# layer's properties so).
+# --hypothesis-profile=deep (the CI runs the tile search's, the Mie
+# layer's and the Bloch layer's properties so).
 settings.register_profile("deep", max_examples=1500, deadline=None)
 
 

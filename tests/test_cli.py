@@ -12,6 +12,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -656,6 +657,51 @@ class TestNearfield:
         assert leftovers == []
 
 
+class TestAxes:
+    """A span that is no whole number of steps ends on the last sample
+    inside it; no sample passes the configured maximum."""
+
+    @pytest.mark.parametrize(
+        "command, values, name, column, expected",
+        [
+            # used to write a 133 eV row, past MAX_ENERGY_EV
+            ("lorentz", {"energy_min_ev": "1", "energy_max_ev": "100", "energy_step_ev": "66"},
+             "epsilon_lorentz.csv", 0, [1.0, 67.0]),
+            # used to write a 500 fs slice
+            ("transient", {"detunings_ev": "0", "time_max_fs": "400", "time_step_fs": "250"},
+             "qabs_t.csv", 1, [0.0, 250.0]),
+            # used to exit 2 on a map corner at 400 nm, past 10 radii; one
+            # seed of two steps keeps the run cheap
+            ("nearfield", {"grid_half_nm": "300", "grid_step_nm": "350",
+                           "seed_y_max_nm": "0", "max_steps": "2"},
+             "field_map.csv", 0, [-300.0, 50.0]),
+        ],
+        ids=["energy", "time", "map"],
+    )
+    def test_table_axis_stops_at_its_maximum(
+        self, tmp_path, capsys, command, values, name, column, expected
+    ):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **values)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        _, rows = read_csv_columns(out / name)
+        axis = np.unique(np.array(rows, dtype=float)[:, column])
+        np.testing.assert_allclose(axis, expected, rtol=1e-12)
+
+    def test_seeds_stop_at_their_maximum(self, tmp_path, capsys):
+        # used to place seeds at +-240 nm
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "nearfield", seed_y_max_nm="200", seed_spacing_nm="120",
+                  grid_half_nm="100", grid_step_nm="100", max_steps="2")
+        out = tmp_path / "out"
+        assert main(["nearfield", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        lines = json.loads((out / "streamlines.json").read_text())["lines"]
+        assert [ln["seed_nm"][1] for ln in lines] == [-120.0, 0.0, 120.0]
+
+
 class TestExtractNk:
     @staticmethod
     def synthetic(tmp_path):
@@ -803,6 +849,73 @@ def run_main(argv):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv)
     return rc, [str(w.message) for w in caught] + err.getvalue().splitlines()
+
+
+# cheap base configs for the key sweep: a coarse (n, kappa) grid at one
+# thickness, a small map with five seeds of 60 steps, a 50 fs transient
+SWEEP_BASE = {
+    "extract-nk": {"n_step": "0.05", "kappa_step": "0.05", "thickness_min_nm": "70",
+                   "thickness_max_nm": "70", "thickness_samples": "1"},
+    "nearfield": {"grid_half_nm": "100", "grid_step_nm": "20", "seed_y_max_nm": "20",
+                  "max_steps": "60"},
+    "transient": {"time_max_fs": "50"},
+}
+FLOAT_SWEEP = ["-1e308", "-1", "0", "1e-300", "1e308", "nan", "inf", "word"]
+INT_SWEEP = ["-1", "0", "1000000", "1e3", "word"]
+
+
+def sweep_cases():
+    """One case per numeric key of each command and value of its sweep,
+    so that a new key is swept without editing the test."""
+    return [
+        pytest.param(command, key, value, id=f"{command}-{key}-{value}")
+        for command, block in cli.DEFAULTS.items()
+        for key, spec in block.items()
+        if spec.kind in (float, int, list)
+        for value in (INT_SWEEP if spec.kind is int else FLOAT_SWEEP)
+    ]
+
+
+def assert_finite_numbers(path):
+    """Every number in a written CSV or JSON file is finite."""
+
+    def finite(text):
+        value = float(text)
+        assert math.isfinite(value), f"{path.name}: {text}"
+        return value
+
+    if path.suffix == ".json":
+        json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
+        return
+    for row in csv.reader(path.read_text().splitlines()):
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError:
+                continue
+            finite(cell)
+
+
+class TestKeySweep:
+    """Each numeric key set alone to an extreme, zero, non-finite or
+    non-numeric value ends with exit code 0, 2 or 3.  A failure prints one
+    stderr line and writes no output directory; a success writes only
+    finite numbers."""
+
+    @pytest.mark.parametrize("command, key, value", sweep_cases())
+    def test_one_key_ends_cleanly(self, tmp_path, command, key, value):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **{**SWEEP_BASE.get(command, {}), key: value})
+        out = tmp_path / "out"
+        rc, err = run_main([command, "--config", str(ini), "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if rc == EXIT_OK:
+            assert err == []
+            for path in out.iterdir():
+                assert_finite_numbers(path)
+        else:
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not out.exists()
 
 
 class TestZippedPackage:

@@ -139,7 +139,7 @@ class TestLorentz:
 
 
 class TestTransient:
-    DRIVE = DriveField(amplitude=462.0, photon_energy=2.20, envelope="step")
+    DRIVE = DriveField(amplitude=462.0, photon_energy=2.20)
 
     def test_starts_at_background(self):
         # coherence grows linearly from zero, so the offset shrinks with t
