@@ -21,10 +21,18 @@ best first until every tile left is bounded above the map's threshold,
 so that no skipped point can change a seed.  A tile about to be
 evaluated first has its bound sharpened to the least bound of its
 sub-tiles, still a bound on every point of it, and goes back unevaluated
-if that lies above the threshold.  The evaluated points are computed in
-the arithmetic of the full reference map (``_residual_map``), with the
-Fresnel factors of a point computed once for all maps, so the seeds are
-the ones that map would give.
+if that lies above the threshold.  A tile still taken is dropped
+unevaluated if the residual provably slopes one way along n or kappa
+over the tile widened by one grid step (a gradient test of interval
+global optimisation: Hansen & Walster, Global Optimization Using
+Interval Analysis (2004), ch. 12), where each point's lower neighbour
+that way lies inside the grid, and the slope's bound times the least
+grid spacing exceeds the bounds' slack: then every point of the tile
+has a neighbour lower by more than rounding, and none is a local
+minimum.  The evaluated points are computed in the arithmetic of the
+full reference map (``_residual_map``), with the Fresnel factors of a
+point computed once for all maps and the phase from one factor per row
+and one per column, so the seeds are the ones that map would give.
 
 The refinement polishes all roots at once with the package's one
 simplex search, numerics.simplex.nelder_mead: a bounded Nelder-Mead run
@@ -197,15 +205,19 @@ def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mu
     return r1, r2, multiply(t1, t2)
 
 
-def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index,
-                interfaces=None):
+def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
     """Airy reflection and transmission amplitudes, elementwise over arrays
     of film index, thickness and wavelength, rounded as numpy's array loops
-    round (see _rt).  ``interfaces`` are the _interfaces of the film index
-    if already computed, which are the same at any array size."""
+    round (see _rt)."""
     nf = np.asarray(index_film, dtype=complex)
-    r1, r2, t12 = interfaces or _interfaces(nf, ambient_index, substrate_index)
     phase = np.exp(2j * np.pi * nf * thickness / wavelength)
+    return _airy(_interfaces(nf, ambient_index, substrate_index), phase)
+
+
+def _airy(interfaces, phase):
+    """The amplitudes of _amplitudes from the film's _interfaces and its
+    phase exp(i k0 d nf), which are the same at any array size."""
+    r1, r2, t12 = interfaces
     denom = 1.0 + r1 * r2 * phase**2
     # phase**2 * r2, not r2 * phase**2: an array loop's complex product
     # rounds differently with its operands swapped, and numpy swaps them
@@ -296,15 +308,10 @@ def residual(n, kappa, thickness, spectrum: RTSpectrum, substrate_index=1.52, am
     )
 
 
-def _reference_surface(index_film, thickness, wavelength, reflectance, transmittance,
-                       ambient_index, substrate_index, interfaces=None):
-    """|T - T_measured| + |R - R_measured|, elementwise over arrays of film
-    index, thickness, wavelength, R and T, rounded as the reference map
-    rounds it (_amplitudes)."""
-    r_amp, t_amp = _amplitudes(
-        index_film, thickness, wavelength, ambient_index, substrate_index, interfaces
-    )
-    flux_ratio = substrate_index / ambient_index
+def _surface(amplitudes, reflectance, transmittance, flux_ratio):
+    """|T - T_measured| + |R - R_measured| from the Airy amplitudes, rounded
+    as the reference map rounds it."""
+    r_amp, t_amp = amplitudes
     r_t = np.abs(r_amp) ** 2
     t_t = flux_ratio * np.abs(t_amp) ** 2
     return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
@@ -320,9 +327,8 @@ def _residual_map(grid: NkGrid, thickness, wavelength, reflectance, transmittanc
     n_vals = grid.n_values
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
-    surface = _reference_surface(
-        nf, thickness, wavelength, reflectance, transmittance, ambient_index, substrate_index
-    )
+    amplitudes = _amplitudes(nf, thickness, wavelength, ambient_index, substrate_index)
+    surface = _surface(amplitudes, reflectance, transmittance, substrate_index / ambient_index)
     return surface, n_vals, k_vals
 
 
@@ -357,14 +363,33 @@ def _two_lowest_minima(surface: np.ndarray):
     return [(int(rows[i]), int(cols[i])) for i in order]
 
 
+class _Maps(NamedTuple):
+    """The residual maps of a search as columns: map i is the film of
+    thickness[i] measured at wavelength[i]."""
+
+    thickness: np.ndarray
+    wavelength: np.ndarray
+    reflectance: np.ndarray
+    transmittance: np.ndarray
+
+    def k0d(self, maps):
+        """k0*d (2 pi d / lambda) of the given maps."""
+        return 2.0 * np.pi * self.thickness[maps] / self.wavelength[maps]
+
+
 class _Discs(NamedTuple):
-    """Per tile: the disc around its film indices, and discs (centre,
-    radius) that hold the Fresnel factors over it.
+    """Discs (centre, radius) that hold the film index and the Fresnel
+    factors over tiles of the grid, the tiles on the last axis.
 
     Circular complex arithmetic (Gargantini & Henrici, Numer. Math. 18,
     305 (1972)): r1, r2, t1 = 1 + r1 and t2 = 1 + r2 are Moebius maps of
     the film index, so each maps the index disc onto a disc; a sum or a
     product of discs lies in the disc of the sum or product formula.
+
+    The fields broadcast over sub-tiles laid out as (sub-tile row,
+    sub-tile column, tile): n_mid varies along the rows alone; k_mid, k_lo
+    and k_hi along the columns alone; and a tile's sub-tiles share one
+    radius, the largest of them.
     """
 
     n_mid: np.ndarray
@@ -378,7 +403,6 @@ class _Discs(NamedTuple):
     r2_rad: np.ndarray
     r12: np.ndarray
     r12_rad: np.ndarray
-    r12_max: np.ndarray  # largest |r1| |r2| on the disc, < 1
     t_lo: np.ndarray  # flux |t1 t2|^2 on the disc, from below
     t_hi: np.ndarray  # and from above
     sound: np.ndarray  # the disc lies in Re(nf) > 0
@@ -392,23 +416,31 @@ def _disc_product(a, a_rad, b, b_rad):
     return a * b, np.abs(a) * b_rad + np.abs(b) * a_rad + a_rad * b_rad
 
 
-def _tile_discs(n_lo, n_hi, k_lo, k_hi, ambient_index, substrate_index) -> _Discs:
+def _disc_inverse(centre, radius, sound):
+    """1/z over the disc around ``centre``, where ``sound`` puts the disc
+    in Re(z) > 0 (garbage elsewhere)."""
+    scale = np.where(sound, centre.real**2 + centre.imag**2 - radius**2, 1.0)
+    return centre.conjugate() / scale, radius / scale
+
+
+def _span_discs(n_vals, k_vals, rows, cols, ambient_index, substrate_index) -> _Discs:
+    """Discs of the tiles from grid row rows[0] to rows[1] and column
+    cols[0] to cols[1], index arrays shaped (sub-tile row, 1, tile) and
+    (1, sub-tile column, tile)."""
+    n_lo, n_hi = n_vals[rows[0]], n_vals[rows[1]]
+    k_lo, k_hi = k_vals[cols[0]], k_vals[cols[1]]
     n_mid, k_mid = 0.5 * (n_lo + n_hi), 0.5 * (k_lo + k_hi)
-    radius = np.hypot(0.5 * (n_hi - n_lo), 0.5 * (k_hi - k_lo))
+    radius = np.hypot(
+        0.5 * (n_hi - n_lo).max(axis=0, keepdims=True),
+        0.5 * (k_hi - k_lo).max(axis=1, keepdims=True),
+    )
     # Inside Re(nf) > 0 the poles -n0 and -ns of the Fresnel factors lie
     # outside the disc, and |r1|, |r2| < 1.  A tile whose disc reaches
     # further is never ruled out.
     sound = n_mid > radius
     centre = n_mid + 1j * k_mid
-
-    def inverse(pole):
-        # 1/(nf + pole) maps the disc onto a disc
-        shifted = centre + pole
-        scale = np.where(sound, shifted.real**2 + shifted.imag**2 - radius**2, 1.0)
-        return shifted.conjugate() / scale, radius / scale
-
-    inv1, inv1_rad = inverse(ambient_index)
-    inv2, inv2_rad = inverse(substrate_index)
+    inv1, inv1_rad = _disc_inverse(centre + ambient_index, radius, sound)
+    inv2, inv2_rad = _disc_inverse(centre + substrate_index, radius, sound)
     # r1 = 2 n0/(n0 + nf) - 1, r2 = 1 - 2 ns/(nf + ns)
     r1, r1_rad = 2.0 * ambient_index * inv1 - 1.0, 2.0 * ambient_index * inv1_rad
     r2, r2_rad = 1.0 - 2.0 * substrate_index * inv2, 2.0 * substrate_index * inv2_rad
@@ -418,44 +450,176 @@ def _tile_discs(n_lo, n_hi, k_lo, k_hi, ambient_index, substrate_index) -> _Disc
     flux = substrate_index / ambient_index
     return _Discs(
         n_mid, k_mid, radius, k_lo, k_hi, r1, r1_rad, r2, r2_rad, r12, r12_rad,
-        np.where(sound, (np.abs(r1) + r1_rad) * (np.abs(r2) + r2_rad), 0.0),
         flux * np.maximum(t12_abs - t12_rad, 0.0) ** 2,
         flux * (t12_abs + t12_rad) ** 2,
         sound,
     )
 
 
+class _Ranges(NamedTuple):
+    """R and T over discs, from below and above, and the discs of the phase
+    P = exp(2i k0 d nf) and of the numerator r1 + r2 P and denominator
+    1 + r1 r2 P of the reflection amplitude (centre, radius)."""
+
+    phase: np.ndarray
+    phase_rad: np.ndarray
+    num: np.ndarray
+    num_rad: np.ndarray
+    den: np.ndarray
+    den_rad: np.ndarray
+    den_lo: np.ndarray  # |1 + r1 r2 P| from below
+    den_hi: np.ndarray  # and from above
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+
+
+def _rt_ranges(discs: _Discs, k0d) -> _Ranges:
+    """R and T over each disc for maps of the given k0*d.
+
+    The phase P lies in a disc of radius |P_c| (exp(2 k0 d rho) - 1)
+    around its value P_c at the disc centre, as |exp(z) - 1| <= exp(|z|)
+    - 1; |P| = exp(-2 k0 d kappa) is bounded by the tile's kappa range;
+    and |1 + r1 r2 P| >= 1 - |r1||r2||P| > 0.  The decay and the p_max and
+    p_min factors come once per column, the phase once per row.
+    """
+    decay = np.exp(-2.0 * k0d * discs.k_mid)
+    phase = np.exp(2j * k0d * discs.n_mid) * decay
+    phase_rad = decay * np.expm1(2.0 * k0d * discs.radius)
+    reach = decay + phase_rad
+    num = discs.r1 + discs.r2 * phase
+    num_rad = discs.r1_rad + np.abs(discs.r2) * phase_rad + discs.r2_rad * reach
+    den = 1.0 + discs.r12 * phase
+    r12_abs = np.abs(discs.r12)
+    den_rad = r12_abs * phase_rad + discs.r12_rad * reach
+    p_max = np.exp(-2.0 * k0d * discs.k_lo)
+    p_min = np.exp(-2.0 * k0d * discs.k_hi)
+    # the largest |r1 r2| on the disc, (|r1| + r1_rad)(|r2| + r2_rad), below 1
+    floor = 1.0 - (r12_abs + discs.r12_rad) * p_max
+    den_abs, num_abs = np.abs(den), np.abs(num)
+    den_lo = np.maximum(den_abs - den_rad, floor)
+    den_hi = np.minimum(den_abs + den_rad, 2.0 - floor)
+    return _Ranges(
+        phase, phase_rad, num, num_rad, den, den_rad, den_lo, den_hi,
+        (np.maximum(num_abs - num_rad, 0.0) / den_hi) ** 2,
+        ((num_abs + num_rad) / den_lo) ** 2,
+        discs.t_lo * p_min / den_hi**2,
+        discs.t_hi * p_max / den_lo**2,
+    )
+
+
 def _lower_bounds(discs: _Discs, k0d, reflectance, transmittance):
     """A lower bound on |R - R_measured| + |T - T_measured| over each
-    tile, for maps of the given k0*d (2 pi d / lambda), R and T.
-
-    The phase P = exp(2i k0 d nf) lies in a disc of radius
-    |P_c| (exp(2 k0 d rho) - 1) around its value P_c at the disc centre,
-    as |exp(z) - 1| <= exp(|z|) - 1; |P| = exp(-2 k0 d kappa) is bounded
-    by the tile's kappa range; and |1 + r1 r2 P| >= 1 - |r1||r2||P| > 0.
-    """
+    disc, for maps of the given k0*d, R and T."""
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-2.0 * k0d * discs.k_mid)
-        phase = np.exp(2j * k0d * discs.n_mid) * decay
-        phase_rad = decay * np.expm1(2.0 * k0d * discs.radius)
-        reach = decay + phase_rad
-        num = np.abs(discs.r1 + discs.r2 * phase)
-        num_rad = discs.r1_rad + np.abs(discs.r2) * phase_rad + discs.r2_rad * reach
-        den = np.abs(1.0 + discs.r12 * phase)
-        den_rad = np.abs(discs.r12) * phase_rad + discs.r12_rad * reach
-        p_max = np.exp(-2.0 * k0d * discs.k_lo)
-        p_min = np.exp(-2.0 * k0d * discs.k_hi)
-        floor = 1.0 - discs.r12_max * p_max
-        den_lo = np.maximum(den - den_rad, floor)
-        den_hi = np.minimum(den + den_rad, 2.0 - floor)
-        r_lo = (np.maximum(num - num_rad, 0.0) / den_hi) ** 2
-        r_hi = ((num + num_rad) / den_lo) ** 2
-        t_lo = discs.t_lo * p_min / den_hi**2
-        t_hi = discs.t_hi * p_max / den_lo**2
-        gap = np.maximum(np.maximum(r_lo - reflectance, reflectance - r_hi), 0.0)
-        gap += np.maximum(np.maximum(t_lo - transmittance, transmittance - t_hi), 0.0)
+        rt = _rt_ranges(discs, k0d)
+        gap = np.maximum(np.maximum(rt.r_lo - reflectance, reflectance - rt.r_hi), 0.0)
+        gap += np.maximum(np.maximum(rt.t_lo - transmittance, transmittance - rt.t_hi), 0.0)
     # gap >= 0 fails only for a NaN from an overflowing phase radius
     return np.where(discs.sound & (gap >= 0.0), gap - _BOUND_SLACK, -np.inf)
+
+
+def _scaled(lo, hi, q_lo, q_hi):
+    """The range of x q for x in [lo, hi] and q in [q_lo, q_hi], q_lo >= 0."""
+    return lo * np.where(lo < 0.0, q_hi, q_lo), hi * np.where(hi > 0.0, q_hi, q_lo)
+
+
+def _clarke(lo, hi, value_lo, value_hi, measured):
+    """The range of the slope of |v - measured|, from the range [lo, hi] of
+    the slope of v and [value_lo, value_hi] of v: the sign of v - measured
+    times it, or any multiple from -1 to 1 of it where v may meet the
+    measured value (Clarke's generalized gradient)."""
+    above, below = value_lo > measured, value_hi < measured
+    reach = np.maximum(-lo, hi)
+    return (np.where(above, lo, np.where(below, -hi, -reach)),
+            np.where(above, hi, np.where(below, -lo, reach)))
+
+
+def _part_range(part, disc):
+    """The range of the real or imaginary part of a disc."""
+    centre, radius = disc
+    return part(centre) - radius, part(centre) + radius
+
+
+def _slopes(discs: _Discs, k0d, reflectance, transmittance, media, spacing):
+    """The sign that the residual f = |R - R_measured| + |T - T_measured|
+    of each map keeps along n and along kappa over each disc: +1 or -1
+    where its bound times the grid spacing along that axis exceeds
+    _BOUND_SLACK, else 0.
+
+    The amplitudes r = (r1 + r2 P)/(1 + r1 r2 P) = N/D and
+    t = t1 t2 P^(1/2)/D are holomorphic in nf = n + i kappa, so
+    dR/dn = 2 Re(conj(r) r') and dR/dkappa = -2 Im(conj(r) r'), with
+    r' = (r1' (1 - r2^2 P^2) + (1 - r1^2) P (r2' + 2i k0d r2))/D^2 and
+    conj(r) r' = conj(N) D^2 r' conj(D)/|D|^4; and dT/dn = 2 T Re(L),
+    dT/dkappa = -2 T Im(L) with L = t'/t = 1/nf - 1/(n0 + nf)
+    - 1/(nf + ns) + i k0d - D'/D.  By Lebourg's mean-value theorem the
+    difference of f between two points of the disc is the step times a
+    slope of Clarke's generalized gradient at a point between them
+    (_clarke), which needs the ranges of R and T over the disc; those of
+    the mean-value form about the disc centre are the sharper.  Where a
+    range misses the measured value by less than rounding, f differs
+    from the smooth function the signs describe by about 1e-16, far below
+    the margin.
+    """
+    ambient, substrate = media
+    with np.errstate(all="ignore"):
+        rt = _rt_ranges(discs, k0d)
+        centre, radius = discs.n_mid + 1j * discs.k_mid, discs.radius
+        g1 = _disc_inverse(centre + ambient, radius, discs.sound)
+        g2 = _disc_inverse(centre + substrate, radius, discs.sound)
+        g1_sq, g2_sq = _disc_product(*g1, *g1), _disc_product(*g2, *g2)
+        # r1' = -2 n0 g1^2, 1 - r1^2 = 4 n0 nf g1^2 and r2' = 2 ns g2^2,
+        # with g1 = 1/(n0 + nf) and g2 = 1/(nf + ns)
+        dr1 = -2.0 * ambient * g1_sq[0], 2.0 * ambient * g1_sq[1]
+        one_minus = _disc_product(4.0 * ambient * centre, 4.0 * ambient * radius, *g1_sq)
+        dr2 = 2.0 * substrate * g2_sq[0], 2.0 * substrate * g2_sq[1]
+        r1, r2 = (discs.r1, discs.r1_rad), (discs.r2, discs.r2_rad)
+        phase = rt.phase, rt.phase_rad
+        r2p_sq = _disc_product(*_disc_product(*r2, *phase), *_disc_product(*r2, *phase))
+        first = _disc_product(*dr1, 1.0 - r2p_sq[0], r2p_sq[1])
+        inner = dr2[0] + 2j * k0d * r2[0], dr2[1] + 2.0 * k0d * r2[1]
+        second = _disc_product(*one_minus, *_disc_product(*phase, *inner))
+        conj_den = rt.den.conjugate(), rt.den_rad
+        x = _disc_product(
+            rt.num.conjugate(), rt.num_rad, first[0] + second[0], first[1] + second[1]
+        )
+        x = _disc_product(*x, *conj_den)
+        # D' conj(D), D' = P (r1' r2 + r1 r2' + 2i k0d r1 r2)
+        terms = (_disc_product(*dr1, *r2), _disc_product(*r1, *dr2),
+                 (2j * k0d * discs.r12, 2.0 * k0d * discs.r12_rad))
+        q = sum(term[0] for term in terms), sum(term[1] for term in terms)
+        e = _disc_product(*_disc_product(*phase, *q), *conj_den)
+        inv_nf = _disc_inverse(centre, radius, discs.sound)
+        log_t = inv_nf[0] - g1[0] - g2[0] + 1j * k0d, inv_nf[1] + g1[1] + g2[1]
+        den_sq = rt.den_lo**2, rt.den_hi**2
+        # R and T about their values at the disc centre, by the mean-value
+        # theorem, as |dR| <= 2 |conj(r) r'| |dz| and |d log T| <= 2 |L| |dz|:
+        # far sharper than the ranges of _rt_ranges on small discs
+        r_mid, t_mid = _airy(_interfaces(centre, ambient, substrate), np.exp(1j * k0d * centre))
+        r_mid, t_mid = np.abs(r_mid) ** 2, substrate / ambient * np.abs(t_mid) ** 2
+        r_reach = 2.0 * radius * (np.abs(x[0]) + x[1]) / den_sq[0] ** 2
+        t_reach = np.exp(2.0 * radius * (
+            np.abs(log_t[0]) + log_t[1] + (np.abs(e[0]) + e[1]) / den_sq[0]
+        ))
+        r_lo, r_hi = np.maximum(rt.r_lo, r_mid - r_reach), np.minimum(rt.r_hi, r_mid + r_reach)
+        t_lo, t_hi = np.maximum(rt.t_lo, t_mid / t_reach), np.minimum(rt.t_hi, t_mid * t_reach)
+        signs = []
+        # dR/dn and dT/dn from the real parts, the kappa slopes from the
+        # imaginary parts with the opposite sign
+        for part, sign, step in ((np.real, 1, spacing[0]), (np.imag, -1, spacing[1])):
+            d_r = _scaled(*_part_range(part, x), 1.0 / den_sq[1] ** 2, 1.0 / den_sq[0] ** 2)
+            e_lo, e_hi = _scaled(*_part_range(part, e), 1.0 / den_sq[1], 1.0 / den_sq[0])
+            l_lo, l_hi = _part_range(part, log_t)
+            d_t = _scaled(l_lo - e_hi, l_hi - e_lo, t_lo, t_hi)
+            d_r = _clarke(*d_r, r_lo, r_hi, reflectance)
+            d_t = _clarke(*d_t, t_lo, t_hi, transmittance)
+            lo, hi = 2.0 * (d_r[0] + d_t[0]), 2.0 * (d_r[1] + d_t[1])
+            ok = discs.sound & np.isfinite(lo) & np.isfinite(hi)
+            rising, falling = ok & (lo * step > _BOUND_SLACK), ok & (hi * step < -_BOUND_SLACK)
+            signs.append(sign * (rising.astype(int) - falling))
+    return signs
 
 
 def _tile_origins(shape, size):
@@ -466,57 +630,27 @@ def _tile_origins(shape, size):
     return rows.ravel(), cols.ravel()
 
 
-def _span_discs(n_vals, k_vals, rows, cols, size, ambient_index, substrate_index) -> _Discs:
-    """Discs of the size x size tiles whose first rows and columns are
-    ``rows`` and ``cols`` (broadcast against each other), cut at the grid's
-    edges."""
-
-    def span(values, first):
-        last = values.size - 1
-        return values[np.minimum(first, last)], values[np.minimum(first + size - 1, last)]
-
-    return _tile_discs(*span(n_vals, rows), *span(k_vals, cols), ambient_index, substrate_index)
-
-
 class _Tiling(NamedTuple):
-    """The grid, cut into fine tiles of _FINE x _FINE points and coarse
-    tiles of _COARSE x _COARSE points, each row-major."""
+    """The grid, cut into fine tiles of _FINE x _FINE points, row-major,
+    which coarse tiles of _COARSE x _COARSE points group."""
 
     n_vals: np.ndarray
     k_vals: np.ndarray
     media: tuple  # ambient and substrate index
-    coarse: _Discs
-    fine: _Discs
     origins: tuple  # first row and column of each fine tile
-    children: np.ndarray  # fine tiles of each coarse tile, -1 past the grid
+    spacing: tuple  # least step between neighbouring n and kappa values
 
-    def sub_discs(self, tiles, size) -> _Discs:
-        """Discs of the size x size sub-tiles of the given fine tiles,
-        shaped (sub-tile row, sub-tile column, tile) by broadcasting, so
-        that a map's phase and decay factors (_lower_bounds) come once per
-        row and column.  A sub-tile past the grid repeats the tile's last
-        row or column, so its disc still holds points of the tile only."""
-        starts = np.arange(0, _FINE, size)
-        rows = self.origins[0][tiles] + starts[:, None, None]
-        cols = self.origins[1][tiles] + starts[:, None]
-        return _span_discs(self.n_vals, self.k_vals, rows, cols, size, *self.media)
+    def tiles(self, size):
+        """Tiles of size x size points along the rows and the columns."""
+        return -(-self.n_vals.size // size), -(-self.k_vals.size // size)
 
 
 def _tiling(n_vals, k_vals, ambient_index, substrate_index) -> _Tiling:
-    shape = (n_vals.size, k_vals.size)
-    media = (ambient_index, substrate_index)
-
-    def discs(size):
-        return _span_discs(n_vals, k_vals, *_tile_origins(shape, size), size, *media)
-
-    rows, cols = _tile_origins(shape, _FINE)
-    side = _COARSE // _FINE
-    parent = rows // _COARSE * -(-shape[1] // _COARSE) + cols // _COARSE
-    children = np.full((parent[-1] + 1, side * side), -1)
-    children[parent, rows % _COARSE // _FINE * side + cols % _COARSE // _FINE] = np.arange(
-        rows.size
+    spacing = tuple(float(np.diff(v).min()) if v.size > 1 else 0.0 for v in (n_vals, k_vals))
+    return _Tiling(
+        n_vals, k_vals, (ambient_index, substrate_index),
+        _tile_origins((n_vals.size, k_vals.size), _FINE), spacing,
     )
-    return _Tiling(n_vals, k_vals, media, discs(_COARSE), discs(_FINE), (rows, cols), children)
 
 
 def _by_tile(tiles, per_call):
@@ -531,45 +665,122 @@ def _by_tile(tiles, per_call):
         yield part, ordered[new], np.cumsum(new) - 1
 
 
-def _refined_bounds(tiling: _Tiling, bounds, owner, tiles, size):
-    """The least bound of the size x size sub-tiles of each (map, fine
-    tile) pair: a bound on the whole tile, as its sub-tiles cover it."""
-    out = np.empty(tiles.size)
-    for part, distinct, at in _by_tile(tiles, _BOUNDS_PER_CALL // (_FINE // size) ** 2):
-        sub = bounds(owner[part], tiling.sub_discs(distinct, size).take(at))
-        out[part] = sub.min(axis=(0, 1))
+def _sub_tile_bounds(tiling: _Tiling, maps: _Maps, owner, rows, cols, side, counts):
+    """Lower bounds of map owner[p] on the side x side sub-tiles of the tile
+    whose first row and column are rows[p] and cols[p]: counts[0] x
+    counts[1] sub-tiles each, shaped (sub-tile row, sub-tile column, p).
+
+    A call computes the discs of its distinct tiles once and gathers them
+    for its pairs, or broadcasts them if all pairs share one tile.  A
+    sub-tile past the grid repeats the grid's last row or column, so its
+    disc still holds points of the tile only.
+    """
+    last = (tiling.n_vals.size - 1, tiling.k_vals.size - 1)
+    distinct, at = np.unique(rows * (last[1] + 1) + cols, return_inverse=True)
+    first_rows = distinct // (last[1] + 1) + side * np.arange(counts[0])[:, None, None]
+    first_cols = distinct % (last[1] + 1) + side * np.arange(counts[1])[None, :, None]
+    discs = _span_discs(
+        tiling.n_vals, tiling.k_vals,
+        (np.minimum(first_rows, last[0]), np.minimum(first_rows + side - 1, last[0])),
+        (np.minimum(first_cols, last[1]), np.minimum(first_cols + side - 1, last[1])),
+        *tiling.media,
+    )
+    out = np.empty(counts + (owner.size,))
+    step = max(1, _BOUNDS_PER_CALL // (counts[0] * counts[1]))
+    for lo in range(0, owner.size, step):
+        part = slice(lo, lo + step)
+        m = owner[part]
+        out[..., part] = _lower_bounds(
+            discs if distinct.size == 1 else discs.take(at[part]),
+            maps.k0d(m), maps.reflectance[m], maps.transmittance[m],
+        )
     return out
 
 
-def _children(tiling: _Tiling, bounds, owner, coarse):
+def _children(tiling: _Tiling, maps: _Maps, owner, coarse):
     """Map, fine tile, bound and sub-tile side (_FINE) of each fine tile of
     the given (map, coarse tile) pairs: entries of the search's queue."""
-    tiles = tiling.children[coarse]
-    owner = np.broadcast_to(owner[:, None], tiles.shape)[tiles >= 0]
-    tiles = tiles[tiles >= 0]
-    bound = np.empty(tiles.size)
-    for lo in range(0, tiles.size, _BOUNDS_PER_CALL):
-        part = slice(lo, lo + _BOUNDS_PER_CALL)
-        bound[part] = bounds(owner[part], tiling.fine.take(tiles[part]))
-    return owner, tiles, bound, np.full(tiles.size, _FINE, dtype=np.int8)
+    side = _COARSE // _FINE
+    fine, width = tiling.tiles(_FINE), tiling.tiles(_COARSE)[1]
+    rows, cols = coarse // width * side, coarse % width * side
+    bound = _sub_tile_bounds(
+        tiling, maps, owner, rows * _FINE, cols * _FINE, _FINE, (side, side)
+    )
+    rows = rows + np.arange(side)[:, None, None]
+    cols = cols + np.arange(side)[:, None]
+    inside = (rows < fine[0]) & (cols < fine[1])
+    owner = np.broadcast_to(owner, inside.shape)[inside]
+    return (owner, (rows * fine[1] + cols)[inside], bound[inside],
+            np.full(owner.size, _FINE, dtype=np.int8))
 
 
-def _tile_points(evaluate, owner, distinct, at, origins, shape):
+def _monotone(tiling: _Tiling, maps: _Maps, owner, tiles):
+    """Whether map owner[p] provably holds no local minimum on fine tile
+    tiles[p]: its slope along n or kappa keeps one sign (_slopes) over the
+    tile widened by one grid step on every side, which covers each point
+    of the tile and its neighbours, and each point's lower neighbour that
+    way lies inside the grid."""
+    shape = (tiling.n_vals.size, tiling.k_vals.size)
+    rows, cols = tiling.origins[0][tiles], tiling.origins[1][tiles]
+    discs = _span_discs(
+        tiling.n_vals, tiling.k_vals,
+        (np.maximum(rows - 1, 0)[None, None], np.minimum(rows + _FINE, shape[0] - 1)[None, None]),
+        (np.maximum(cols - 1, 0)[None, None], np.minimum(cols + _FINE, shape[1] - 1)[None, None]),
+        *tiling.media,
+    )
+    along_n, along_k = (sign[0, 0] for sign in _slopes(
+        discs, maps.k0d(owner), maps.reflectance[owner], maps.transmittance[owner],
+        tiling.media, tiling.spacing,
+    ))
+    return (((along_n > 0) & (rows > 0)) | ((along_n < 0) & (rows + _FINE < shape[0]))
+            | ((along_k > 0) & (cols > 0)) | ((along_k < 0) & (cols + _FINE < shape[1])))
+
+
+def _tile_values(tiling: _Tiling, maps: _Maps, owner, at, rows, cols):
+    """Values of map owner[p] at grid rows rows[at[p]] and columns
+    cols[at[p]], shaped (p, row, column), bit for bit those of
+    _residual_map.
+
+    The Fresnel factors depend on the point alone: once per tile.  The
+    phase exp(z), z = 2i pi nf d / lambda, comes from one factor per row
+    and one per column.  Re(z) depends on kappa alone and Im(z) on n
+    alone, in the last bit too: each part of each complex product and
+    quotient that makes z is one rounded product plus exact zeros.  And
+    numpy's exp(x + iy) is (exp(x) cos(y), exp(x) sin(y)), which
+    exp(x + 0i) times exp(0 + iy) rounds alike.
+    """
+    n, kappa = tiling.n_vals[rows], tiling.k_vals[cols]
+    factors = _interfaces(n[:, :, None] + 1j * kappa[:, None, :], *tiling.media)
+    factors = tuple(np.take(f, at, axis=0) for f in factors)
+    m = owner[:, None]
+    # along the diagonal n[i] + i kappa[i], z holds the parts of every row and column
+    z = 2j * np.pi * (n + 1j * kappa)[at] * maps.thickness[m] / maps.wavelength[m]
+    phase = np.exp(1j * z.imag)[:, :, None] * np.exp(z.real + 0j)[:, None, :]
+    ambient, substrate = tiling.media
+    return _surface(
+        _airy(factors, phase), maps.reflectance[m, None], maps.transmittance[m, None],
+        substrate / ambient,
+    )
+
+
+def _tile_points(tiling: _Tiling, maps: _Maps, owner, distinct, at):
     """Evaluates fine tiles of maps with a one-point halo and keeps the
     core points that are at most each of their 8-neighbours: exactly the
     local minima of the full map.
 
-    Pair p is tile distinct[at[p]] of map owner[p].  ``evaluate(owner, at,
-    r, c)`` returns the pairs' values at r[at[p], :, None], c[at[p], None,
-    :].  Returns the pair, value and flat index of each kept point, and the
-    largest value of each pair.
+    Pair p is tile distinct[at[p]] of map owner[p].  Returns the pair,
+    value and flat index of each kept point, and the largest value of each
+    pair.
     """
-    rows = origins[0][distinct][:, None] + _HALO
-    cols = origins[1][distinct][:, None] + _HALO
+    shape = (tiling.n_vals.size, tiling.k_vals.size)
+    rows = tiling.origins[0][distinct][:, None] + _HALO
+    cols = tiling.origins[1][distinct][:, None] + _HALO
     # a point past the grid is read at the nearest grid point, which is the
     # point beside it or that point itself, so it decides no comparison (the
     # edge rule of _window_min) and adds no new value to a tile's largest
-    values = evaluate(owner, at, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1))
+    values = _tile_values(
+        tiling, maps, owner, at, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1)
+    )
     beside = np.minimum(values[:, :, :-2], values[:, :, 2:])
     across = np.minimum(beside, values[:, :, 1:-1])
     neighbours = np.minimum(np.minimum(across[:, :-2], across[:, 2:]), beside[:, 1:-1])
@@ -591,68 +802,79 @@ def _rank_by_map(maps, *keys):
 def _kth_lowest(maps, values, k, count):
     """Per map of ``count``, the k-th lowest of its values (k may vary by
     map), or inf if it has fewer."""
-    order, rank = _rank_by_map(maps, values)
+    order = np.argsort(values)
+    # by map, keeping the order of values within a map: a radix sort of
+    # small map numbers
+    order = order[np.argsort(maps[order].astype(np.min_scalar_type(count)), kind="stable")]
+    rank = np.arange(order.size) - np.searchsorted(maps[order], maps[order])
     hit = rank == np.broadcast_to(k, count)[maps[order]] - 1
     kth = np.full(count, np.inf)
     kth[maps[order][hit]] = values[order][hit]
     return kth
 
 
-def _tile_search(tiling: _Tiling, count, bounds, evaluate):
-    """The two lowest local minima of each of ``count`` maps, evaluating
-    only the fine tiles that can hold one.
+def _tile_search(tiling: _Tiling, maps: _Maps):
+    """The two lowest local minima of each map, evaluating only the fine
+    tiles that can hold one.
 
-    ``bounds(maps, discs)`` bounds maps from below on tiles (_Discs),
-    and ``evaluate`` computes map values as _tile_points asks.  A map's
-    threshold is max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), with v_k its k-th
-    lowest local minimum found so far.  Each round splits the coarse
-    tiles and takes the fine tiles whose bound is at or below the map's
-    level, its threshold.  While a map has fewer than two local minima it
-    goes best first instead: its level is the reach-th best coarse or
-    queued fine bound, starting from the number of fine tiles in a coarse
-    tile, and its reach doubles each round.
+    A map's threshold is max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), with v_k its
+    k-th lowest local minimum found so far.  Each round splits the coarse
+    tiles and takes the fine tiles whose lower bound (_lower_bounds) is at
+    or below the map's level, its threshold.  While a map has fewer than
+    two local minima it goes best first instead: its level is the reach-th
+    best coarse or queued fine bound, starting from the number of fine
+    tiles in a coarse tile, and its reach doubles each round.
 
     A taken tile is sharpened before it is evaluated, lazily, as few
     tiles reach this stage: its bound becomes the least bound of its 4 x 4
-    sub-tiles, and if that is still at or below the level, the least
-    bound of its 2 x 2 sub-tiles (_refined_bounds).  A tile whose
-    sharper bound lies above the level goes back into the queue with that
-    bound, to be evaluated only if a short map's level grows past it.  A
-    map with two minima leaves the tiles it does not take: its level only
-    falls.
+    sub-tiles, and if that is still at or below the level, by no more than
+    that step raised it, the least bound of its 2 x 2 sub-tiles (a tile
+    further below its level seldom has a 2 x 2 sub-tile above it, and
+    would be taken anyway).  A tile whose sharper bound lies above
+    the level goes back into the queue with that bound, to be evaluated
+    only if a short map's level grows past it.  A map with two minima
+    leaves the tiles it does not take: its level only falls.  A tile still
+    taken is dropped unevaluated if the map provably holds no local
+    minimum on it (_monotone), and its map is marked as not evaluated in
+    full.
 
     Why a skipped tile cannot matter: every local minimum found is one of
     the full map, as _tile_points reads its neighbours from the halo, so
     v_k found so far is at least the full map's v_k, and thresholds only
     fall.  Every bound, a sharpened one too, is at or below each value on
-    its tile, as the sub-tiles cover the tile.  The rounds stop when no
-    map has a tile left at or below its threshold (a map short of minima
-    stops with every tile evaluated).  Then every skipped point exceeds
-    the threshold, so it can be neither one of the two lowest local
-    minima nor tie with one; and it lies more than FLAT_LANDSCAPE_SPAN
-    above the lowest point, so a map with a skipped point is not flat.
-    So _lowest_minima decides on these minima as _two_lowest_minima
-    decides on the full map.
+    its tile, as the sub-tiles cover the tile.  A dropped monotone tile
+    holds no local minimum: each of its points has a neighbour inside the
+    grid whose value is lower by more than _BOUND_SLACK (the slope's bound
+    times the grid spacing), far above the rounding of either value; so
+    its map is not flat either.  The rounds stop when no map has a tile
+    left at or below its threshold (a map short of minima stops with every
+    tile evaluated or dropped).  Then every skipped point exceeds the
+    threshold or is no local minimum, so it can be neither one of the two
+    lowest local minima nor tie with one; and a map with a point skipped
+    by its bound has one more than FLAT_LANDSCAPE_SPAN above its lowest
+    point, so it is not flat.  So _lowest_minima decides on these minima
+    as _two_lowest_minima decides on the full map.
 
     Returns, per map, the value and flat index of its two lowest local
     minima in ascending (value, index) order, and the map's spread
     (max - min) if every tile was evaluated and it has a local minimum,
     else inf.
     """
-    shape = (tiling.n_vals.size, tiling.k_vals.size)
-    width = tiling.children.shape[0]
-    step = max(1, _BOUNDS_PER_CALL // width)
-    coarse_bounds = np.concatenate(
-        [bounds(np.arange(lo, min(lo + step, count))[:, None], tiling.coarse)
-         for lo in range(0, count, step)]
-    )
+    count = maps.thickness.size
+    coarse_tiles = tiling.tiles(_COARSE)
+    every, corner = np.arange(count), np.zeros(count, dtype=int)
+    # the whole grid as one tile, its coarse tiles as sub-tiles
+    coarse_bounds = _sub_tile_bounds(
+        tiling, maps, every, corner, corner, _COARSE, coarse_tiles
+    ).reshape(-1, count).T
+    width = coarse_bounds.shape[1]
     ranked = np.sort(coarse_bounds, axis=1)
     ranked = np.concatenate((ranked, np.full((count, 1), np.inf)), axis=1)
     reach = np.full(count, (_COARSE // _FINE) ** 2)  # a coarse tile's worth
     threshold = np.full(count, np.inf)
     closed = np.ones(coarse_bounds.shape, dtype=bool)  # coarse tiles not yet split
     # map, tile, bound, and the side of the sub-tiles whose least bound it is
-    queue = _children(tiling, bounds, np.empty(0, dtype=int), np.empty(0, dtype=int))
+    queue = _children(tiling, maps, np.empty(0, dtype=int), np.empty(0, dtype=int))
     found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)  # map, value, index
     top = np.full(count, -np.inf)  # largest value evaluated
     skipped = np.zeros(count, dtype=bool)  # a tile left the queue unevaluated
@@ -668,19 +890,28 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
             reach[short] *= 2
         opened = np.nonzero(closed & (coarse_bounds <= level[:, None]))
         closed[opened] = False
-        queue = tuple(map(np.concatenate, zip(queue, _children(tiling, bounds, *opened))))
+        queue = tuple(map(np.concatenate, zip(queue, _children(tiling, maps, *opened))))
         limit = level[queue[0]]
         take = queue[2] <= limit
         if not take.any() and not opened[0].size:
             if (level[short] == np.inf).all():
                 break
             continue
-        for size in _SUB_TILES:
-            refine = np.flatnonzero(take & (queue[3] > size) & (limit < np.inf))
-            queue[2][refine] = _refined_bounds(
-                tiling, bounds, queue[0][refine], queue[1][refine], size
+        # how far the last sharpening raised each bound: a tile that lies
+        # further than that below its level is evaluated as it is
+        gain = np.full(take.size, np.inf)
+        for side in _SUB_TILES:
+            refine = np.flatnonzero(
+                take & (queue[3] > side) & (limit < np.inf) & (limit - queue[2] <= gain)
             )
-            queue[3][refine] = size
+            tiles = queue[1][refine]
+            sharper = _sub_tile_bounds(
+                tiling, maps, queue[0][refine], tiling.origins[0][tiles],
+                tiling.origins[1][tiles], side, (_FINE // side,) * 2,
+            ).min(axis=(0, 1))
+            gain[refine] = sharper - queue[2][refine]
+            queue[2][refine] = sharper
+            queue[3][refine] = side
             take[refine] = queue[2][refine] <= limit[refine]
         owner, tiles = queue[0][take], queue[1][take]
         # the level of a map with two minima is its threshold, which only
@@ -688,11 +919,12 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
         skip = ~take & ~short[queue[0]]
         skipped[queue[0][skip]] = True
         queue = tuple(column[~take & ~skip] for column in queue)
+        monotone = _monotone(tiling, maps, owner, tiles)
+        skipped[owner[monotone]] = True
+        owner, tiles = owner[~monotone], tiles[~monotone]
         batches = [found]
         for part, distinct, at in _by_tile(tiles, _VALUES_PER_CALL // _HALO.size**2):
-            pair, value, index, tile_top = _tile_points(
-                evaluate, owner[part], distinct, at, tiling.origins, shape
-            )
+            pair, value, index, tile_top = _tile_points(tiling, maps, owner[part], distinct, at)
             batches.append((owner[part][pair], value, index))
             np.maximum.at(top, owner[part], tile_top)
         found = tuple(np.concatenate(column) for column in zip(*batches))
@@ -703,8 +935,8 @@ def _tile_search(tiling: _Tiling, count, bounds, evaluate):
             _kth_lowest(found[0], found[1], 1, count) + FLAT_LANDSCAPE_SPAN,
         )
 
-    maps, value, index = found
-    edges = np.searchsorted(maps, np.arange(count + 1))
+    found_maps, value, index = found
+    edges = np.searchsorted(found_maps, np.arange(count + 1))
     complete = ~closed.any(axis=1) & ~skipped & (np.bincount(queue[0], minlength=count) == 0)
     return [
         (value[lo:hi], index[lo:hi], top[m] - value[lo] if complete[m] and hi > lo else np.inf)
@@ -727,28 +959,11 @@ def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
     """_two_lowest_minima(_residual_map(...)) of every map, given by the
     arrays of its thickness, wavelength, R and T, from the tiles that can
     hold a seed."""
-    n_vals, k_vals = grid.n_values, grid.kappa_values
-    tiling = _tiling(n_vals, k_vals, ambient_index, substrate_index)
-    k0d = 2.0 * np.pi * thickness / wavelength
-
-    def bounds(owner, discs):
-        return _lower_bounds(discs, k0d[owner], reflectance[owner], transmittance[owner])
-
-    def evaluate(owner, at, rows, cols):
-        # the Fresnel factors depend on the point alone: once per tile
-        nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
-        nf, *factors = (
-            np.take(a, at, axis=0) for a in (nf, *_interfaces(nf, ambient_index, substrate_index))
-        )
-        m = owner[:, None, None]
-        return _reference_surface(
-            nf, thickness[m], wavelength[m], reflectance[m], transmittance[m],
-            ambient_index, substrate_index, tuple(factors),
-        )
-
+    tiling = _tiling(grid.n_values, grid.kappa_values, ambient_index, substrate_index)
+    maps = _Maps(thickness, wavelength, reflectance, transmittance)
     return [
-        _lowest_minima(value, index, spread, k_vals.size)
-        for value, index, spread in _tile_search(tiling, thickness.size, bounds, evaluate)
+        _lowest_minima(value, index, spread, tiling.k_vals.size)
+        for value, index, spread in _tile_search(tiling, maps)
     ]
 
 
@@ -770,8 +985,9 @@ def extract_nk(
 
     The grid is searched tile by tile (_grid_seeds): a certified lower
     bound on the residual rules out the tiles of each map that cannot hold
-    a seed, and the rest are evaluated in the reference arithmetic.  The
-    seeds are always those of the full reference map (_residual_map).
+    a seed, a certified slope the tiles that hold no local minimum, and
+    the rest are evaluated in the reference arithmetic.  The seeds are
+    always those of the full reference map (_residual_map).
 
     All roots are refined together by numerics.simplex.nelder_mead, the
     shared lockstep Nelder-Mead, whose every root ends where scipy's

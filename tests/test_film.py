@@ -346,6 +346,12 @@ def _map_of(wavelength, thickness, refl, trans, indices):
     return thickness, wavelength, refl, trans * (1.0 - refl), ambient, substrate
 
 
+def _search_of(n_vals, k_vals, thickness, wavelength, refl, trans, ambient, substrate):
+    """The tiling of a grid and one map on it, as the grid search takes them."""
+    one_map = (np.array([value]) for value in (thickness, wavelength, refl, trans))
+    return film._tiling(n_vals, k_vals, ambient, substrate), film._Maps(*one_map)
+
+
 def _seeds_or_flat(find):
     try:
         return find()
@@ -371,33 +377,54 @@ class TestTileSearch:
         (5.104455015188793e-07, 3e-07, 0.0, 1.0, (1.0, 1.52)),
     )
     def test_no_tile_bound_exceeds_the_map_inside_the_tile(self, grid, params):
-        thickness, wavelength, refl, trans, ambient, substrate = _map_of(*params)
         surface, n_vals, k_vals = _residual_map(grid, *_map_of(*params))
-        tiling = film._tiling(n_vals, k_vals, ambient, substrate)
-        k0d = 2.0 * np.pi * thickness / wavelength
-        for size, discs in ((film._FINE, tiling.fine), (film._COARSE, tiling.coarse)):
-            bounds = film._lower_bounds(discs, k0d, refl, trans)
+        tiling, maps = _search_of(n_vals, k_vals, *_map_of(*params))
+        for size in (film._FINE, film._COARSE):
+            # the whole grid as one tile, cut into tiles of the given size
+            bounds = film._sub_tile_bounds(
+                tiling, maps, *np.zeros((3, 1), dtype=int), size, tiling.tiles(size)
+            )
             origins = film._tile_origins(surface.shape, size)
-            for bound, row, col in zip(bounds, *origins):
+            for bound, row, col in zip(bounds.ravel(), *origins):
                 assert bound <= surface[row : row + size, col : col + size].min()
 
     @given(_GRIDS, _MAPS)
     def test_no_refined_bound_exceeds_the_map_inside_the_tile(self, grid, params):
         # the least bound of a fine tile's sub-tiles, at each side the
         # search refines to, sub-tiles past the grid's edges included
-        thickness, wavelength, refl, trans, ambient, substrate = _map_of(*params)
         surface, n_vals, k_vals = _residual_map(grid, *_map_of(*params))
-        tiling = film._tiling(n_vals, k_vals, ambient, substrate)
-        k0d = 2.0 * np.pi * thickness / wavelength
-
-        def bounds(owner, discs):
-            return film._lower_bounds(discs, k0d, refl, trans)
-
-        tiles = np.arange(tiling.origins[0].size)
-        for size in film._SUB_TILES:
-            refined = film._refined_bounds(tiling, bounds, np.zeros_like(tiles), tiles, size)
-            for bound, row, col in zip(refined, *tiling.origins):
+        tiling, maps = _search_of(n_vals, k_vals, *_map_of(*params))
+        rows, cols = tiling.origins
+        for side in film._SUB_TILES:
+            refined = film._sub_tile_bounds(
+                tiling, maps, np.zeros_like(rows), rows, cols, side, (film._FINE // side,) * 2
+            ).min(axis=(0, 1))
+            for bound, row, col in zip(refined, rows, cols):
                 assert bound <= surface[row : row + film._FINE, col : col + film._FINE].min()
+
+    @given(_GRIDS, _MAPS)
+    # a tile on the kappa = 0 edge whose map rises with kappa, with a local
+    # minimum on that edge: fails without the rule that a point's lower
+    # neighbour must lie inside the grid
+    @example(
+        _window(3.32, 3, 0.001, 0.0, 21, 0.001),
+        (3.35e-07, 2.79e-07, 0.81, 0.84, (1.0, 1.0)),
+    )
+    # repeated rows, whose neighbours along n tie although the map's slope
+    # along n keeps its sign: fails without the margin over the least
+    # grid spacing
+    @example(
+        _window(1.0, 9, 1e-16, 0.0, 1, 1e-16),
+        (4.825114521802965e-07, 2.611879140881655e-07, 0.0, 1.0, (1.0, 1.52)),
+    )
+    def test_no_monotone_tile_holds_a_local_minimum(self, grid, params):
+        surface, n_vals, k_vals = _residual_map(grid, *_map_of(*params))
+        tiling, maps = _search_of(n_vals, k_vals, *_map_of(*params))
+        local = surface <= _window_min(surface)
+        tiles = np.arange(tiling.origins[0].size)
+        dropped = film._monotone(tiling, maps, np.zeros_like(tiles), tiles)
+        for row, col in zip(tiling.origins[0][dropped], tiling.origins[1][dropped]):
+            assert not local[row : row + film._FINE, col : col + film._FINE].any()
 
     @given(_GRIDS, _MAPS)
     # a map with one local minimum, whose first tiles have no bound
@@ -431,27 +458,29 @@ class TestTileSearch:
     def test_shared_fresnel_factors_equal_the_values_alone(self):
         # the search computes r1, r2 and t1 t2 once per distinct tile and
         # gathers them for every map that evaluates the tile, in calls of
-        # more than 256 KiB per array
+        # more than 256 KiB per array, and builds the phase from one factor
+        # per row and one per column of each map
         rng = np.random.default_rng(7)
         grid = NkGrid()
         n_vals, k_vals = grid.n_values, grid.kappa_values
-        nf = (n_vals[rng.integers(0, n_vals.size, (40, film._HALO.size))][:, :, None]
-              + 1j * k_vals[rng.integers(0, k_vals.size, (40, film._HALO.size))][:, None, :])
+        rows = rng.integers(0, n_vals.size, (40, film._HALO.size))
+        cols = rng.integers(0, k_vals.size, (40, film._HALO.size))
         at = rng.integers(0, 40, 500)
-        rows = rng.integers(0, FIXTURE_RT.wavelength.size, at.size)
-        maps = tuple(
-            column[:, None, None]
-            for column in (np.array(FIXTURE_THICKNESSES)[rng.integers(0, 3, at.size)],
-                           FIXTURE_RT.wavelength[rows], FIXTURE_RT.reflectance[rows],
-                           FIXTURE_RT.transmittance[rows])
-        )
-        factors = tuple(f[at] for f in film._interfaces(nf, 1.0, 1.52))
-        shared = film._reference_surface(nf[at], *maps, 1.0, 1.52, factors)
-        assert np.array_equal(shared, film._reference_surface(nf[at], *maps, 1.0, 1.52))
+        fixture_rows = rng.integers(0, FIXTURE_RT.wavelength.size, 8)
+        params = np.array([(d, FIXTURE_RT.wavelength[row], FIXTURE_RT.reflectance[row],
+                            FIXTURE_RT.transmittance[row])
+                           for d in FIXTURE_THICKNESSES for row in fixture_rows])
+        owner = rng.integers(0, len(params), at.size)
+        tiling = film._tiling(n_vals, k_vals, 1.0, 1.52)
+        shared = film._tile_values(tiling, film._Maps(*params.T), owner, at, rows, cols)
+        reference = np.stack([_residual_map(grid, *map_, 1.0, 1.52)[0] for map_ in params])
+        expected = reference[owner[:, None, None], rows[at][:, :, None], cols[at][:, None, :]]
+        assert np.array_equal(shared, expected)
 
     def test_fixture_seeds_from_few_values(self, monkeypatch):
         # the CLI's default sweep: 303 maps of the default 681 x 641 grid,
-        # 132 M values in full; the refined bounds leave at most 1.4 M
+        # 132 M values in full; the refined bounds and the monotone tiles
+        # leave at most 850,000
         measured = np.column_stack(
             (FIXTURE_RT.wavelength, FIXTURE_RT.reflectance, FIXTURE_RT.transmittance)
         )
@@ -459,17 +488,24 @@ class TestTileSearch:
             (np.repeat(FIXTURE_THICKNESSES, len(measured)), np.tile(measured, (3, 1)))
         )
         grid = NkGrid()
-        evaluated = []
-        surface = film._reference_surface
+        evaluated, dropped = [], []
+        tile_values, monotone = film._tile_values, film._monotone
 
-        def counted(index_film, *args):
-            evaluated.append(index_film.size)
-            return surface(index_film, *args)
+        def counted(tiling, maps, owner, *args):
+            evaluated.append(owner.size * film._HALO.size**2)
+            return tile_values(tiling, maps, owner, *args)
 
-        monkeypatch.setattr(film, "_reference_surface", counted)
+        def counted_drops(*args):
+            drops = monotone(*args)
+            dropped.append(int(drops.sum()))
+            return drops
+
+        monkeypatch.setattr(film, "_tile_values", counted)
+        monkeypatch.setattr(film, "_monotone", counted_drops)
         seeds = film._grid_seeds(grid, *per_map.T, 1.0, 1.52)
         monkeypatch.undo()
-        assert sum(evaluated) <= 1_400_000
+        assert 0 < sum(evaluated) <= 850_000
+        assert sum(dropped) >= 3_000
         for params, found in list(zip(per_map, seeds))[::10]:
             assert found == _two_lowest_minima(_residual_map(grid, *params, 1.0, 1.52)[0])
 
@@ -485,14 +521,11 @@ class TestTileSearch:
         # tiles come from maps of different thickness and wavelength
         grid = NkGrid()
         n_vals, k_vals = grid.n_values, grid.kappa_values
+        tiling = film._tiling(n_vals, k_vals, 1.0, 1.52)
         rows, cols = (
-            np.clip(start[:, None] + film._HALO, 0, size - 1)
-            for start, size in zip(
-                film._tile_origins((n_vals.size, k_vals.size), film._FINE),
-                (n_vals.size, k_vals.size),
-            )
+            np.clip(start[:, None] + film._HALO, 0, values.size - 1)
+            for start, values in zip(tiling.origins, (n_vals, k_vals))
         )
-        nf = n_vals[rows][:, :, None] + 1j * k_vals[cols][:, None, :]
         close_calls = TestCloseCalls.fixture(TestCloseCalls.CLOSE_CALLS_NM)
         measured = np.column_stack(
             (close_calls.wavelength, close_calls.reflectance, close_calls.transmittance)
@@ -502,15 +535,16 @@ class TestTileSearch:
         ]
         params = np.array([(d, *measured[row]) for d, row in maps])
         reference = np.stack([_residual_map(grid, *map_, 1.0, 1.52)[0] for map_ in params])
-        # every tile of every map, the maps taking turns so that a call mixes them
+        # every tile of every map, grouped by tile as the search groups them,
+        # so that a call mixes the maps
         tile, owner = np.divmod(np.arange(rows.shape[0] * len(maps)), len(maps))
-        for lo in range(0, tile.size, per_call):
-            part, at = tile[lo : lo + per_call], owner[lo : lo + per_call]
-            tiles = film._reference_surface(
-                nf[part], *params[at].T[:, :, None, None], 1.0, 1.52
+        for part, distinct, at in film._by_tile(tile, per_call):
+            values = film._tile_values(
+                tiling, film._Maps(*params.T), owner[part], at, rows[distinct], cols[distinct]
             )
-            expected = reference[at[:, None, None], rows[part][:, :, None], cols[part][:, None, :]]
-            assert np.array_equal(tiles, expected)
+            points = rows[tile[part]][:, :, None], cols[tile[part]][:, None, :]
+            expected = reference[(owner[part][:, None, None], *points)]
+            assert np.array_equal(values, expected)
 
 
 FIXTURE_RT = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
