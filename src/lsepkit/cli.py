@@ -49,6 +49,7 @@ from .mie import (
     qabs_transient,
 )
 from .mie import SphereScene
+from .numerics import axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,9 +131,10 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "number_density_per_m3": MATERIAL_KEYS["number_density_per_m3"]._replace(
             default="1.47e25"
         ),
+        # the fit's start, inside the dipoles it searches (from 1e-6 D)
+        "dipole_debye": MATERIAL_KEYS["dipole_debye"]._replace(default="30.0", minimum=1e-6),
+        "pure_dephasing_ev": MATERIAL_KEYS["pure_dephasing_ev"]._replace(default="0.010"),
         "input": Key("", str),  # empty -> packaged target spectrum
-        "initial_dipole_debye": Key("30.0", float, 1e-6, medium.MAX_DIPOLE_DEBYE),
-        "initial_pure_dephasing_ev": Key("0.010", float, 0.0, MAX_ENERGY_EV),
     },
     "qabs-spectrum": {
         **MATERIAL_KEYS,
@@ -172,7 +174,8 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "ambient_index": Key("1.0", float, 1.0, MAX_INDEX),
         "thickness_min_nm": Key("63", float, 1.0, MAX_THICKNESS_NM),
         "thickness_max_nm": Key("77", float, 1.0, MAX_THICKNESS_NM),
-        "thickness_samples": Key("3", int, 1),
+        # more always exceed MAX_MAP_POINTS, which checks the built sweep
+        "thickness_samples": Key("3", int, 1, MAX_MAP_POINTS // 10**5),
         "reference_thickness_nm": Key("70", float, 1.0, MAX_THICKNESS_NM),
         "n_min": Key("0.1"),
         "n_max": Key("3.5"),
@@ -289,19 +292,11 @@ def _check_samples(count: float, key: str, span: str) -> None:
 
 
 def _axis(lo, hi, step, key: str, span: str, *, origin=None, square=False) -> np.ndarray:
-    """The samples origin + i step (origin defaults to lo) that lie in [lo, hi].
-
-    Their count, squared for a square map of the axis, is checked before
-    the axis is built.  A span within a millionth of a step of a whole
-    number of steps keeps its end sample, moved onto the end: no sample
-    lies outside [lo, hi].
-    """
+    """numerics.axis(lo, hi, step, origin), its sample count, squared for a
+    square map of the axis, checked before the axis is built."""
     count = (hi - lo) / step + 1.0
     _check_samples(count * count if square else count, key, span)
-    origin = lo if origin is None else origin
-    first = math.ceil((lo - origin) / step - 1e-6)
-    last = math.floor((hi - origin) / step + 1e-6)
-    return np.clip(origin + step * np.arange(first, last + 1), lo, hi)
+    return axis(lo, hi, step, origin)
 
 
 def _packaged(name: str):
@@ -377,13 +372,7 @@ def _nk_columns(candidates: film.NkCandidates, label: str) -> list:
 
 def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
     target = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
-    start = _material(cfg)
-    report = medium.fit_material(
-        target,
-        start,
-        dipole_init=cfg["initial_dipole_debye"],
-        dephasing_init=cfg["initial_pure_dephasing_ev"],
-    )
+    report = medium.fit_material(target, _material(cfg))
     fitted = report.params
     eps = medium.epsilon_steady(fitted, target.energies).epsilon
     payload = {
@@ -541,7 +530,8 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
         kappa_max=cfg["kappa_max"],
         kappa_step=cfg["kappa_step"],
     )
-    maps = cfg["thickness_samples"] * spectrum.wavelength.size
+    sweep = film.thickness_sweep((t_lo, t_hi), cfg["thickness_samples"])
+    maps = sweep.size * spectrum.wavelength.size
     work = maps * max(grid.n_values.size * grid.kappa_values.size, 10**5)
     if not work <= MAX_MAP_POINTS:
         raise ConfigError(

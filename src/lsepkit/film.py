@@ -51,7 +51,7 @@ import numpy as np
 
 from . import NumericalFailure, table
 from .constants import EV_TO_RADS
-from .numerics import kramers_kronig_real, nelder_mead
+from .numerics import axis, kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
 FLAT_LANDSCAPE_SPAN = 1e-15
@@ -186,13 +186,11 @@ class NkGrid:
 
     @property
     def n_values(self) -> np.ndarray:
-        count = int(round((self.n_max - self.n_min) / self.n_step)) + 1
-        return self.n_min + self.n_step * np.arange(count)
+        return axis(self.n_min, self.n_max, self.n_step)
 
     @property
     def kappa_values(self) -> np.ndarray:
-        count = int(round((self.kappa_max - self.kappa_min) / self.kappa_step)) + 1
-        return self.kappa_min + self.kappa_step * np.arange(count)
+        return axis(self.kappa_min, self.kappa_max, self.kappa_step)
 
 
 def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mul):
@@ -333,25 +331,23 @@ def _residual_map(grid: NkGrid, thickness, wavelength, reflectance, transmittanc
 
 
 def _window_min(surface: np.ndarray) -> np.ndarray:
-    """Minimum over each point's 3x3 window, edges replicated.
+    """Minimum over each point's 3x3 window in the last two axes, edges
+    replicated.
 
-    Equal to ``scipy.ndimage.minimum_filter(surface, size=3,
+    Equal to ``scipy.ndimage.minimum_filter(surface, size=(1, ..., 3, 3),
     mode="nearest")``; a point is an 8-neighbour local minimum exactly
     where it equals its window minimum.
     """
-    across = surface.copy()
-    np.minimum(across[:, 1:], surface[:, :-1], out=across[:, 1:])
-    np.minimum(across[:, :-1], surface[:, 1:], out=across[:, :-1])
-    window = across.copy()
-    np.minimum(window[1:], across[:-1], out=window[1:])
-    np.minimum(window[:-1], across[1:], out=window[:-1])
-    return window
+    edged = np.concatenate((surface[..., :1], surface, surface[..., -1:]), axis=-1)
+    across = np.minimum(np.minimum(edged[..., :-2], edged[..., 1:-1]), edged[..., 2:])
+    edged = np.concatenate((across[..., :1, :], across, across[..., -1:, :]), axis=-2)
+    return np.minimum(np.minimum(edged[..., :-2, :], edged[..., 1:-1, :]), edged[..., 2:, :])
 
 
 def _two_lowest_minima(surface: np.ndarray):
     """Indices of the two lowest local minima (8-neighbor) of a surface.
 
-    The full-grid rule that the tile search reproduces (_lowest_minima).
+    The full-grid rule that the tile search reproduces (_grid_seeds).
     """
     if np.ptp(surface) < FLAT_LANDSCAPE_SPAN:
         raise NoMinimumFound("residual landscape is flat")
@@ -765,7 +761,7 @@ def _tile_values(tiling: _Tiling, maps: _Maps, owner, at, rows, cols):
 
 def _tile_points(tiling: _Tiling, maps: _Maps, owner, distinct, at):
     """Evaluates fine tiles of maps with a one-point halo and keeps the
-    core points that are at most each of their 8-neighbours: exactly the
+    core points that equal their window minimum (_window_min): exactly the
     local minima of the full map.
 
     Pair p is tile distinct[at[p]] of map owner[p].  Returns the pair,
@@ -781,12 +777,9 @@ def _tile_points(tiling: _Tiling, maps: _Maps, owner, distinct, at):
     values = _tile_values(
         tiling, maps, owner, at, np.clip(rows, 0, shape[0] - 1), np.clip(cols, 0, shape[1] - 1)
     )
-    beside = np.minimum(values[:, :, :-2], values[:, :, 2:])
-    across = np.minimum(beside, values[:, :, 1:-1])
-    neighbours = np.minimum(np.minimum(across[:, :-2], across[:, 2:]), beside[:, 1:-1])
     core = values[:, 1:-1, 1:-1]
     inside = ((rows[:, 1:-1, None] < shape[0]) & (cols[:, None, 1:-1] < shape[1]))[at]
-    pair, i, j = np.nonzero(inside & (core <= neighbours))
+    pair, i, j = np.nonzero(inside & (core <= _window_min(values)[:, 1:-1, 1:-1]))
     index = rows[at[pair], i + 1] * shape[1] + cols[at[pair], j + 1]
     return pair, core[pair, i, j], index, core.max(axis=(1, 2))
 
@@ -852,13 +845,13 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     threshold or is no local minimum, so it can be neither one of the two
     lowest local minima nor tie with one; and a map with a point skipped
     by its bound has one more than FLAT_LANDSCAPE_SPAN above its lowest
-    point, so it is not flat.  So _lowest_minima decides on these minima
-    as _two_lowest_minima decides on the full map.
+    point, so it is not flat.  So _grid_seeds decides on these minima as
+    _two_lowest_minima decides on the full map.
 
-    Returns, per map, the value and flat index of its two lowest local
-    minima in ascending (value, index) order, and the map's spread
-    (max - min) if every tile was evaluated and it has a local minimum,
-    else inf.
+    Returns the map and flat index of each map's two lowest local minima,
+    as columns by map, then in ascending (value, index) order; and per
+    map its spread (max - min) if every tile was evaluated and it has a
+    local minimum, else inf.
     """
     count = maps.thickness.size
     coarse_tiles = tiling.tiles(_COARSE)
@@ -935,36 +928,43 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
             _kth_lowest(found[0], found[1], 1, count) + FLAT_LANDSCAPE_SPAN,
         )
 
-    found_maps, value, index = found
-    edges = np.searchsorted(found_maps, np.arange(count + 1))
     complete = ~closed.any(axis=1) & ~skipped & (np.bincount(queue[0], minlength=count) == 0)
-    return [
-        (value[lo:hi], index[lo:hi], top[m] - value[lo] if complete[m] and hi > lo else np.inf)
-        for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
-    ]
-
-
-def _lowest_minima(value, index, spread, columns):
-    """_two_lowest_minima from the local minima of a map (in ascending
-    order) and its spread."""
-    if spread < FLAT_LANDSCAPE_SPAN:
-        raise NoMinimumFound("residual landscape is flat")
-    if not value.size:
-        raise NoMinimumFound("no local minimum on the search grid")
-    return [divmod(int(i), columns) for i in index[:2]]
+    complete &= np.bincount(found[0], minlength=count) > 0
+    spread = np.full(count, np.inf)
+    spread[complete] = top[complete] - _kth_lowest(found[0], found[1], 1, count)[complete]
+    return found[0], found[2], spread
 
 
 def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
                 ambient_index, substrate_index):
     """_two_lowest_minima(_residual_map(...)) of every map, given by the
     arrays of its thickness, wavelength, R and T, from the tiles that can
-    hold a seed."""
+    hold a seed: the map, grid row and grid column of each seed, as
+    columns by map, then lower minimum first.  The first map that is flat
+    or has no local minimum raises NoMinimumFound."""
     tiling = _tiling(grid.n_values, grid.kappa_values, ambient_index, substrate_index)
     maps = _Maps(thickness, wavelength, reflectance, transmittance)
-    return [
-        _lowest_minima(value, index, spread, tiling.k_vals.size)
-        for value, index, spread in _tile_search(tiling, maps)
-    ]
+    owner, index, spread = _tile_search(tiling, maps)
+    flat = spread < FLAT_LANDSCAPE_SPAN
+    failed = flat | (np.bincount(owner, minlength=spread.size) == 0)
+    if failed.any():
+        raise NoMinimumFound("residual landscape is flat" if flat[np.argmax(failed)]
+                             else "no local minimum on the search grid")
+    return (owner, *np.divmod(index, tiling.k_vals.size))
+
+
+def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
+    """The film thicknesses extract_nk inverts: the one thickness of a
+    range whose ends are equal, else n_thickness of them (at least 2),
+    evenly spaced from end to end."""
+    t_low, t_high = thickness_range
+    if not 0.0 < t_low <= t_high <= MAX_THICKNESS:
+        raise ValueError(f"thickness_range must lie inside (0, 1 um], got {thickness_range}")
+    if t_low == t_high:
+        return np.array([t_low])
+    if n_thickness < 2:
+        raise ValueError(f"a thickness range needs at least 2 thickness samples, got {n_thickness}")
+    return np.linspace(t_low, t_high, n_thickness)
 
 
 def extract_nk(
@@ -981,7 +981,9 @@ def extract_nk(
     and refines each by simplex descent; select_physical_branch settles
     which root is physical.  The rows come by thickness (ascending), then
     by measurement, then by seed (lower grid minimum first); a map with a
-    single local minimum gives one row.
+    single local minimum gives one row.  The thicknesses (thickness_sweep)
+    are the range's one thickness if its ends are equal, else n_thickness
+    >= 2 of them from end to end.
 
     The grid is searched tile by tile (_grid_seeds): a certified lower
     bound on the residual rules out the tiles of each map that cannot hold
@@ -995,25 +997,16 @@ def extract_nk(
     """
     if not spectrum.wavelength.size:
         raise ValueError("at least one measurement is required")
-    t_low, t_high = thickness_range
-    if not 0.0 < t_low <= t_high <= MAX_THICKNESS:
-        raise ValueError(f"thickness_range must lie inside (0, 1 um], got {thickness_range}")
-    _check_stack(t_low, substrate_index, ambient_index)
+    thicknesses = thickness_sweep(thickness_range, n_thickness)
+    _check_stack(thicknesses[0], substrate_index, ambient_index)
     if grid is None:
         grid = NkGrid()
-    thicknesses = (
-        np.array([t_low])
-        if t_low == t_high
-        else np.linspace(t_low, t_high, max(2, n_thickness))
-    )
     measured = np.column_stack((spectrum.wavelength, spectrum.reflectance, spectrum.transmittance))
     # one map per (thickness, measurement): thickness, wavelength, R, T
     per_map = np.column_stack(
         (np.repeat(thicknesses, len(measured)), np.tile(measured, (thicknesses.size, 1)))
     )
-    seeds = _grid_seeds(grid, *per_map.T, ambient_index, substrate_index)
-    owner = np.repeat(np.arange(len(seeds)), [len(found) for found in seeds])
-    seed_row, seed_col = np.concatenate(seeds).T
+    owner, seed_row, seed_col = _grid_seeds(grid, *per_map.T, ambient_index, substrate_index)
     thickness, wavelength, reflectance, transmittance = per_map[owner].T
 
     def misfits(points, rows):

@@ -204,19 +204,14 @@ def _spectrum_residual(model: PermittivitySpectrum, target: PermittivitySpectrum
     return float(np.sum(np.abs(model.epsilon - target.epsilon) ** 2))
 
 
-def fit_material(
-    target: PermittivitySpectrum,
-    fixed: MaterialParams,
-    dipole_init: float | None = None,
-    dephasing_init: float | None = None,
-) -> FitReport:
+def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitReport:
     """Two-parameter least-squares fit of dipole and pure dephasing.
 
     Holds density, background, transition energy and decay fixed (taken
     from `fixed`) and adjusts the effective dipole moment and the pure
     dephasing rate to minimize the summed squared permittivity misfit on
     the target grid.  Derivative-free bounded simplex search
-    (numerics.simplex.nelder_mead, from the one starting point).
+    (numerics.simplex.nelder_mead, from the dipole and dephasing of `fixed`).
 
     Raises FitDiverged when the search reaches FIT_MAXITER iterations or
     cannot improve on its start.  A target with no resonant feature drives
@@ -224,10 +219,9 @@ def fit_material(
     rather than failing.
     """
     p0 = fixed.two_level
-    d0 = p0.dipole if dipole_init is None else float(dipole_init)
-    g0 = p0.pure_dephasing if dephasing_init is None else float(dephasing_init)
-    if not (0.0 < d0 < math.inf and 0.0 <= g0 < math.inf):
-        raise ValueError("initial dipole must be finite and > 0, dephasing finite and >= 0")
+    d0, g0 = p0.dipole, p0.pure_dephasing
+    if not d0 > 0.0:
+        raise ValueError(f"the fit's start dipole must be > 0, got {d0}")
 
     def build(dipole: float, dephasing: float) -> MaterialParams:
         return replace(fixed, two_level=replace(p0, dipole=dipole, pure_dephasing=dephasing))

@@ -8,6 +8,7 @@ second per command.
 import configparser
 import contextlib
 import csv
+import functools
 import importlib
 import inspect
 import io
@@ -289,7 +290,7 @@ class TestConfigErrors:
         [
             ("transient", "transition_energy_ev"),
             ("fit-permittivity", "transition_energy_ev"),
-            ("fit-permittivity", "initial_pure_dephasing_ev"),
+            ("fit-permittivity", "pure_dephasing_ev"),
             ("nearfield", "photon_energy_ev"),
             ("lorentz", "lorentz_resonance_ev"),
             ("lorentz", "lorentz_damping_ev"),
@@ -310,7 +311,7 @@ class TestConfigErrors:
                 for command in ("fit-permittivity", "qabs-spectrum", "nearfield", "transient")
             ),
             ("qabs-spectrum", "dipole_debye", "1e308"),
-            ("fit-permittivity", "initial_dipole_debye", "1e308"),
+            ("fit-permittivity", "dipole_debye", "1e308"),
             ("lorentz", "lorentz_strength", "1e308"),
             ("extract-nk", "substrate_index", "1e308"),
             ("extract-nk", "ambient_index", "1e308"),
@@ -356,8 +357,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "key, value",
         [
-            # 1.01e8 maps, checked before any is allocated: unchecked, the
-            # run exited 1 with an _ArrayMemoryError traceback
+            # 1.01e8 maps, past the key's maximum: unchecked, the run
+            # exited 1 with an _ArrayMemoryError traceback
             ("thickness_samples", "1000000"),
             # unchecked, kappa rescaled by 7e-308 left two flat curves, and
             # the run exited 3 with a BranchAmbiguous that named no key
@@ -366,6 +367,17 @@ class TestConfigErrors:
     )
     def test_extract_nk_sweep_past_its_maximum_is_named(self, tmp_path, capsys, key, value):
         self.assert_named_config_error(tmp_path, capsys, "extract-nk", key, value)
+
+    def test_one_thickness_sample_on_a_range_is_config_error(self, tmp_path, capsys):
+        # used to sweep 63 and 77 nm, while the map budget counted one
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", thickness_samples="1")
+        out = tmp_path / "o"
+        rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: a thickness range needs at least 2 thickness samples, got 1\n"
+        assert not out.exists()
 
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -862,17 +874,25 @@ SWEEP_BASE = {
 }
 FLOAT_SWEEP = ["-1e308", "-1", "0", "1e-300", "1e308", "nan", "inf", "word"]
 INT_SWEEP = ["-1", "0", "1000000", "1e3", "word"]
+# keys that earlier versions read: the fit now starts from dipole_debye and
+# pure_dephasing_ev, and an INI that still names one of these exits 2
+RETIRED_KEYS = {("fit-permittivity", "initial_dipole_debye"),
+                ("fit-permittivity", "initial_pure_dephasing_ev")}
 
 
 def sweep_cases():
-    """One case per numeric key of each command and value of its sweep,
-    so that a new key is swept without editing the test."""
-    return [
-        pytest.param(command, key, value, id=f"{command}-{key}-{value}")
+    """One case per numeric or retired key of each command and value of
+    its sweep, so that a new key is swept without editing the test."""
+    keys = [
+        (command, key, spec.kind)
         for command, block in cli.DEFAULTS.items()
         for key, spec in block.items()
         if spec.kind in (float, int, list)
-        for value in (INT_SWEEP if spec.kind is int else FLOAT_SWEEP)
+    ]
+    return [
+        pytest.param(command, key, value, id=f"{command}-{key}-{value}")
+        for command, key, kind in keys + [(*site, float) for site in sorted(RETIRED_KEYS)]
+        for value in (INT_SWEEP if kind is int else FLOAT_SWEEP)
     ]
 
 
@@ -900,7 +920,7 @@ class TestKeySweep:
     """Each numeric key set alone to an extreme, zero, non-finite or
     non-numeric value ends with exit code 0, 2 or 3.  A failure prints one
     stderr line and writes no output directory; a success writes only
-    finite numbers."""
+    finite numbers.  A retired key is an unknown key, whatever its value."""
 
     @pytest.mark.parametrize("command, key, value", sweep_cases())
     def test_one_key_ends_cleanly(self, tmp_path, command, key, value):
@@ -909,6 +929,8 @@ class TestKeySweep:
         out = tmp_path / "out"
         rc, err = run_main([command, "--config", str(ini), "--out", str(out)])
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if (command, key) in RETIRED_KEYS:
+            assert rc == EXIT_CONFIG and err == [f"error: [{command}] has unknown key {key!r}"]
         if rc == EXIT_OK:
             assert err == []
             for path in out.iterdir():
@@ -916,6 +938,65 @@ class TestKeySweep:
         else:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert not out.exists()
+
+
+# cheap base configs on which every numeric key acts: SWEEP_BASE, but the
+# default three-thickness sweep, so that thickness_samples acts, and seeds
+# 2 nm apart whose lines run out of steps, so that a 10% wider
+# seed_y_max_nm adds seeds and max_steps acts
+NUDGE_BASE = {
+    **SWEEP_BASE,
+    "extract-nk": {"n_step": "0.05", "kappa_step": "0.05"},
+    "nearfield": {"grid_half_nm": "100", "grid_step_nm": "20", "seed_y_max_nm": "20",
+                  "seed_spacing_nm": "2", "max_steps": "10"},
+}
+# qabs-spectrum's default model, quantum, does not read the Lorentz keys
+UNREAD_KEYS = {("qabs-spectrum", key) for key in cli.LORENTZ_KEYS}
+
+
+def nudged(text, kind):
+    """``text`` moved by 10%: each number of a list, zero to 0.1, an empty
+    list to (0.1, 0.1), an integer by at least 1."""
+    if kind is int:
+        return str(int(text) + max(1, int(text) // 10))
+    tokens = [tok for tok in text.split(",") if tok.strip()] or ["0", "0"]
+    return ", ".join(repr(1.1 * float(tok) if float(tok) else 0.1) for tok in tokens)
+
+
+def run_outputs(tmp_path, command, values):
+    """The exit code of a run in process, and the bytes of each file it wrote."""
+    ini = tmp_path / "cfg.ini"
+    write_ini(ini, command, **values)
+    out = tmp_path / "out"
+    rc, _ = run_main([command, "--config", str(ini), "--out", str(out)])
+    return rc, {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+
+
+@functools.cache
+def base_run(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_outputs(Path(tmp), command, NUDGE_BASE.get(command, {}))
+
+
+class TestEveryKeyActs:
+    """Each numeric key moved alone by 10% from its base value changes the
+    exit code or a byte of the output: no key is dead."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            pytest.param(command, key, id=f"{command}-{key}")
+            for command, block in cli.DEFAULTS.items()
+            for key, spec in block.items()
+            if spec.kind in (float, int, list) and (command, key) not in UNREAD_KEYS
+        ],
+    )
+    def test_key_changes_the_run(self, tmp_path, command, key):
+        base = NUDGE_BASE.get(command, {})
+        spec = cli.DEFAULTS[command][key]
+        assert base_run(command)[0] == EXIT_OK
+        moved = {**base, key: nudged(base.get(key, spec.default), spec.kind)}
+        assert run_outputs(tmp_path, command, moved) != base_run(command)
 
 
 class TestZippedPackage:

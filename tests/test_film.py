@@ -266,6 +266,12 @@ def test_window_min_equals_minimum_filter(surface):
     window = _window_min(surface)
     assert np.array_equal(window, reference)
     assert np.array_equal(surface <= window, surface <= reference)
+    # a stack of surfaces, each filtered alone, as the tile search filters
+    # its stack of tiles with their halos
+    stack = np.stack([surface, -surface, surface[::-1, ::-1]])
+    assert np.array_equal(
+        _window_min(stack), ndimage.minimum_filter(stack, size=(1, 3, 3), mode="nearest")
+    )
 
 
 class TestCloseCalls:
@@ -359,6 +365,34 @@ def _seeds_or_flat(find):
         return "no minimum"
 
 
+def _seeds_by_map(seeds, count):
+    """The (row, column) seeds of each of ``count`` maps, from the columns
+    of _grid_seeds, in the form of _two_lowest_minima."""
+    owner, rows, cols = (column.tolist() for column in seeds)
+    return [[(r, c) for o, r, c in zip(owner, rows, cols) if o == m] for m in range(count)]
+
+
+class TestGridAxes:
+    """NkGrid's axes lie inside their window, start at its lower end, and
+    keep its upper end when the span is a whole number of steps."""
+
+    @given(_GRIDS)
+    # a span of 9.7 steps, and one of 10.7: the axes used to reach 3.6 and 3.3
+    @example(NkGrid(n_step=0.35))
+    @example(NkGrid(kappa_step=0.3))
+    def test_axes_stay_inside_the_window(self, grid):
+        for lo, hi, step, values in (
+            (grid.n_min, grid.n_max, grid.n_step, grid.n_values),
+            (grid.kappa_min, grid.kappa_max, grid.kappa_step, grid.kappa_values),
+        ):
+            assert values[0] == lo
+            assert lo <= values.min() and values.max() <= hi
+            steps = (hi - lo) / step
+            if abs(steps - round(steps)) < 1e-7:
+                assert values.size == round(steps) + 1
+                assert abs(values[-1] - hi) <= 1e-6 * step + 2.0 * np.spacing(hi)
+
+
 class TestTileSearch:
     """The pruned grid search against the full reference map on random
     maps and small grid windows, with tiles cut at every grid edge."""
@@ -410,11 +444,11 @@ class TestTileSearch:
         _window(3.32, 3, 0.001, 0.0, 21, 0.001),
         (3.35e-07, 2.79e-07, 0.81, 0.84, (1.0, 1.0)),
     )
-    # repeated rows, whose neighbours along n tie although the map's slope
-    # along n keeps its sign: fails without the margin over the least
-    # grid spacing
+    # repeated rows (10 points, 6 distinct values), whose neighbours along
+    # n tie although the map's slope along n keeps its sign: fails without
+    # the margin over the least grid spacing
     @example(
-        _window(1.0, 9, 1e-16, 0.0, 1, 1e-16),
+        _window(1.0, 10, 1.2e-16, 0.0, 1, 1e-16),
         (4.825114521802965e-07, 2.611879140881655e-07, 0.0, 1.0, (1.0, 1.52)),
     )
     def test_no_monotone_tile_holds_a_local_minimum(self, grid, params):
@@ -439,7 +473,7 @@ class TestTileSearch:
         expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, *one_map)[0]))
         per_map = np.array(one_map[:4])[:, None]
         assert _seeds_or_flat(
-            lambda: film._grid_seeds(grid, *per_map, *one_map[4:])[0]
+            lambda: _seeds_by_map(film._grid_seeds(grid, *per_map, *one_map[4:]), 1)[0]
         ) == expected
 
     def test_map_without_near_minimum_raises_no_minimum_found(self):
@@ -502,7 +536,7 @@ class TestTileSearch:
 
         monkeypatch.setattr(film, "_tile_values", counted)
         monkeypatch.setattr(film, "_monotone", counted_drops)
-        seeds = film._grid_seeds(grid, *per_map.T, 1.0, 1.52)
+        seeds = _seeds_by_map(film._grid_seeds(grid, *per_map.T, 1.0, 1.52), len(per_map))
         monkeypatch.undo()
         assert 0 < sum(evaluated) <= 850_000
         assert sum(dropped) >= 3_000
@@ -733,10 +767,7 @@ class TestLockstepRefine:
             model = medium.epsilon_steady(material, target.energies)
             return float(np.sum(np.abs(model.epsilon - target.epsilon) ** 2))
 
-        start = np.array([
-            np.log(defaults["initial_dipole_debye"]),
-            defaults["initial_pure_dephasing_ev"],
-        ])
+        start = np.array([np.log(two_level.dipole), two_level.pure_dephasing])
         scale = max(cost(start), np.sum(np.abs(target.epsilon) ** 2), 1e-30)
         bounds = [(np.log(1e-6), np.log(1e6)), (0.0, 10.0)]
         x, fun, nfev, nit, success = nelder_mead(
@@ -757,12 +788,7 @@ class TestLockstepRefine:
         assert (nfev[0], nit[0], success[0]) == (expected.nfev, expected.nit, expected.success)
         assert expected.success == (maxiter == medium.FIT_MAXITER)
         if expected.success and xatol == 1e-9:
-            report = medium.fit_material(
-                target,
-                fixed,
-                dipole_init=defaults["initial_dipole_debye"],
-                dephasing_init=defaults["initial_pure_dephasing_ev"],
-            )
+            report = medium.fit_material(target, fixed)
             assert report.params.two_level.dipole == float(np.exp(expected.x[0]))
             assert report.params.two_level.pure_dephasing == float(expected.x[1])
             assert (report.residual, report.n_evaluations) == (expected.fun, expected.nfev)
@@ -816,6 +842,9 @@ class TestExtraction:
             extract_nk(meas, thickness_range=(77e-9, 63e-9))
         with pytest.raises(ValueError):
             extract_nk(meas, thickness_range=(0.5e-6, 2e-6))
+        # one sample cannot sweep a range; it used to sweep both ends
+        with pytest.raises(ValueError, match="at least 2 thickness samples, got 1"):
+            extract_nk(meas, thickness_range=(63e-9, 77e-9), n_thickness=1)
 
     def test_thickest_film_matches_the_config_keys(self):
         # the CLI's largest thickness_max_nm, in metres, is the largest

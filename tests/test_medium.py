@@ -1,5 +1,7 @@
 """Effective-permittivity module: analytic oracles and round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,12 +233,16 @@ class TestFit:
     def test_bad_start_rejected(self):
         grid = np.linspace(1.9, 2.35, 30)
         target = epsilon_steady(BULK, grid)
-        with pytest.raises(ValueError):
-            fit_material(target, BULK, dipole_init=-5.0)
-        with pytest.raises(ValueError):
-            fit_material(target, BULK, dipole_init=float("nan"))
-        with pytest.raises(ValueError):
-            fit_material(target, BULK, dephasing_init=float("inf"))
+        # the fit starts from the fixed parameters: a zero dipole has no
+        # logarithm to search on
+        zero = dataclasses.replace(BULK, two_level=dataclasses.replace(BULK.two_level, dipole=0.0))
+        with pytest.raises(ValueError, match="start dipole must be > 0"):
+            fit_material(target, zero)
+        # a negative, NaN or infinite start cannot be built
+        for field, bad in [("dipole", -5.0), ("dipole", float("nan")),
+                           ("pure_dephasing", float("inf"))]:
+            with pytest.raises(ValueError):
+                dataclasses.replace(BULK.two_level, **{field: bad})
 
     def test_iteration_cap_raises_fit_diverged(self, monkeypatch):
         grid = np.linspace(1.9, 2.35, 120)

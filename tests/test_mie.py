@@ -1,6 +1,8 @@
 """Sphere response: coefficients against a high-precision oracle, field
 boundary conditions, energy bookkeeping, and streamline behavior."""
 
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -603,3 +605,21 @@ class TestStreamlines:
             poynting_streamlines(scene, None, [[0.0, 0.0, -200e-9]], scheme="leapfrog")
         with pytest.raises(ValueError, match="finite"):
             poynting_streamlines(scene, None, [[np.nan, 0.0, -200e-9]])
+
+
+def test_readme_sphere_examples_run(capsys):
+    # the README's quick start, transient and streamline snippets, exactly
+    # as shown and in one namespace, as a reader runs them in turn; their
+    # comments' claims hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
+    namespace = {}
+    for call in ("qabs_spectrum(spectrum", "epsilon_transient(", "poynting_streamlines("):
+        (snippet,) = [b for b in blocks if call in b]
+        exec(compile(snippet, "README.md", "exec"), namespace)
+    peak, q_max = (float(line) for line in capsys.readouterr().out.split())
+    assert round(peak, 3) == 2.163 and q_max > 1.0
+    times, q_t = namespace["times"], namespace["q_t"]
+    assert q_t[times <= 30e-15].max() > 1.0 and q_t[-1] < 1.0
+    farthest = max(ln.seed[1] for ln in namespace["captured"])
+    assert round(farthest * 1e9, 6) == 95.0
