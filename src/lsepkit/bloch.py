@@ -15,9 +15,10 @@ The rotating-wave generator is a 4x4 complex matrix acting on the state
 vector; its eigen-decomposition propagates the envelope exactly at any
 sample time.  The lab-frame equations keep the full cosine drive
 (counter-rotating term included).  They are linear, dv/dt = (G0 +
-Omega cos(w t) G1) v, and are integrated with the adaptive 8th-order
-Dormand-Prince pair for linear systems (:func:`lsepkit.numerics.integrate`),
-the error test running over the eight real components.
+Omega cos(w t) G1) v, with a generator that repeats every drive period,
+and are propagated one period at a time with fourth-order Magnus steps
+(:func:`lsepkit.numerics.integrate`); the step count per period doubles
+until two grids agree in all eight real components.
 """
 
 from __future__ import annotations
@@ -301,22 +302,22 @@ def evolve_lab(
     atol: float = 1e-12,
 ) -> BlochTrajectory:
     """Lab-frame evolution from ``rho0`` at t = 0 with the full cosine
-    drive (no rotating-wave approximation), integrated adaptively to the
-    relative and absolute local-error tolerances ``rtol`` and ``atol``.
+    drive (no rotating-wave approximation).
 
     The coherences precess at the transition frequency and the coupling is
     Omega cos(w t); :func:`lsepkit.numerics.integrate` takes the two
-    generators and the coupling.  Coherences in the result are lab-frame
-    values; use :func:`rotating_frame` to compare against
-    :func:`evolve_rwa`.  An integration that cannot reach the last sample
-    raises the integrator's StepUnderflow or MaxStepsExceeded; no partial
-    trajectory is returned.
+    generators, Omega and w, and propagates one drive period at a time,
+    doubling its steps per period until the samples of two grids agree
+    to the relative and absolute tolerances ``rtol`` and ``atol``.
+    Coherences in the result are lab-frame values; use
+    :func:`rotating_frame` to compare against :func:`evolve_rwa`.  A
+    propagation that cannot meet the tolerances raises NotConverged; no
+    partial trajectory is returned.
     """
     times = _checked_times(sample_times)
     g0, g1 = _generators(params, params.transition_rate)
     rabi, w = rabi_frequencies(params, drive)[0], drive.angular_frequency
-    states = integrate(g0, g1, lambda t: rabi * np.cos(w * t), rho0.as_vector(), 0.0, times,
-                       rtol=rtol, atol=atol).states
+    states = integrate(g0, g1, rabi, w, rho0.as_vector(), times, rtol=rtol, atol=atol).states
     return BlochTrajectory(times=times, states=states, frame="lab", drive=drive)
 
 

@@ -1,15 +1,16 @@
 """Self-contained numerical kernels: linear algebra on small complex
-systems, adaptive integration of linear systems dy/dt = (G0 + c(t) G1) y
-with the 8th-order Dormand-Prince pair, batched as step matrices, a
-principal-value Kramers-Kronig transform, and a bounded Nelder-Mead
-simplex search run from many starts in lockstep, and sample axes."""
+systems, propagation of periodically driven linear systems
+dy/dt = (G0 + Omega cos(w t) G1) y one drive period at a time with
+fourth-order Magnus steps, a principal-value Kramers-Kronig transform,
+a bounded Nelder-Mead simplex search run from many starts in lockstep,
+and sample axes."""
 
 import math
 
 import numpy as np
 
 from .linalg import SingularMatrix, NotConverged, DefectiveMatrix, solve_linear, eig
-from .ode import StepStats, Trajectory, StepUnderflow, MaxStepsExceeded, integrate
+from .periodic import StepStats, Trajectory, integrate
 from .kk import GridTooCoarse, kramers_kronig_real
 from .simplex import nelder_mead
 
@@ -21,8 +22,6 @@ __all__ = [
     "eig",
     "StepStats",
     "Trajectory",
-    "StepUnderflow",
-    "MaxStepsExceeded",
     "integrate",
     "GridTooCoarse",
     "kramers_kronig_real",

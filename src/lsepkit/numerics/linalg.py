@@ -20,7 +20,8 @@ class SingularMatrix(NumericalFailure):
 
 
 class NotConverged(NumericalFailure):
-    """Eigen-decomposition failed or missed the residual bound."""
+    """Eigen-decomposition failed or missed the residual bound, or the
+    periodic propagator could not meet its tolerances."""
 
 
 class DefectiveMatrix(NumericalFailure):

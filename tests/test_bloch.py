@@ -7,7 +7,7 @@ Material numbers used throughout: a molecular-exciton transition at
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,7 +29,7 @@ from lsepkit.bloch import (
     steady_state,
 )
 from lsepkit.constants import EV_TO_RADS, HBAR, power_to_field
-from lsepkit.numerics import StepUnderflow, integrate
+from lsepkit.numerics import NotConverged, integrate
 
 PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
                         pure_dephasing=0.017, dipole=32.0)
@@ -229,6 +229,21 @@ class TestEvolveRwa:
         traj.validate(1e-9)
 
 
+@st.composite
+def _off_grid_records(draw):
+    """A drive of 1e5 to 1e7 V/m near resonance, and strictly increasing
+    sample times anywhere in a record of 0.05 to 5 drive periods, some of
+    them exactly on period boundaries."""
+    drive = DriveField(amplitude=10.0 ** draw(st.floats(5.0, 7.0)),
+                       photon_energy=draw(st.floats(1.9, 2.3)))
+    period = 2.0 * np.pi / drive.angular_frequency
+    span = period * draw(st.floats(0.05, 5.0))
+    fractions = draw(arrays(float, draw(st.integers(1, 40)), elements=st.floats(0.0, 1.0)))
+    boundaries = period * np.array(draw(st.lists(st.integers(0, 5), max_size=3)), dtype=float)
+    times = np.unique(np.concatenate([span * fractions, boundaries[boundaries <= span]]))
+    return drive, times
+
+
 class TestEvolveLab:
     def test_zero_field_is_free_decay(self):
         p = PARAMS
@@ -301,9 +316,10 @@ class TestEvolveLab:
         cplx_err = np.abs(smooth - rwa.rho01)[late] / scale
         assert cplx_err.max() < 1e-3
 
-    def test_full_wave_grid_takes_one_step_per_sample_interval(self, monkeypatch):
-        # at the default tolerances every interval of the criterion-8
-        # grid (1/24 of an optical cycle) passes the error test whole
+    def test_full_wave_grid_step_stats(self, monkeypatch):
+        # at the default tolerances the criterion-8 record (256 drive
+        # periods) is accepted on the sixth grid, 768 steps per period,
+        # after the five coarser grids of 24 to 384 steps
         stats = []
 
         def spy(*args, **kwargs):
@@ -316,7 +332,37 @@ class TestEvolveLab:
         times = np.arange(0.0, 500e-15, 2.0 * np.pi / drive.angular_frequency / 24.0)
         evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
         assert times.size == 6123
-        assert stats == [(6122, 0)]
+        assert stats == [(768, 5)]
+
+    @pytest.mark.parametrize("amplitude", [1e8, 1e9])
+    def test_strong_field_matches_tight_dop853(self, amplitude):
+        # Oracle: scipy's DOP853 (a test-only dependency) at rtol 1e-13 on
+        # the written-out lab-frame equations.  Tolerance: every entry
+        # within 1e-10, the default rtol on the order-one populations.
+        from scipy.integrate import solve_ivp
+
+        drive = DriveField(amplitude=amplitude, photon_energy=2.11)
+        w = drive.angular_frequency
+        rabi = rabi_frequencies(PARAMS, drive)[0]
+        gamma, w1 = PARAMS.decay_rate, PARAMS.transition_rate
+        gtot = PARAMS.total_dephasing_rate
+
+        def rhs(t, r):
+            drive_term = 1j * rabi * np.cos(w * t)
+            exchange, inversion = r[1] - r[2], r[0] - r[3]
+            return np.array([
+                gamma * r[3] + drive_term * exchange,
+                -(1j * w1 + gtot) * r[1] + drive_term * inversion,
+                (1j * w1 - gtot) * r[2] - drive_term * inversion,
+                -gamma * r[3] - drive_term * exchange,
+            ])
+
+        times = np.arange(0.0, 50e-15, 2.0 * np.pi / w / 24.0)
+        ref = solve_ivp(rhs, (0.0, times[-1]), DensityMatrix.ground().as_vector(),
+                        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+        assert ref.success
+        got = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
+        assert np.abs(got.states - ref.y.T).max() <= 1e-10
 
     def test_detuned_complex_envelope_after_transient(self):
         # off resonance the demodulated coherence rotates at the detuning
@@ -367,12 +413,42 @@ class TestEvolveLab:
             evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
 
     def test_failed_integration_raises_instead_of_partial_result(self):
-        # tolerances no step can meet drive the step below the floor
+        # tolerances finer than rounding: the grids never agree
         drive = DriveField(amplitude=1e5, photon_energy=2.11)
         times = np.linspace(0.0, 10e-15, 5)
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(NotConverged):
             evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
                        rtol=1e-20, atol=1e-30)
+
+    @pytest.mark.parametrize("tolerances", [
+        dict(rtol=0.0), dict(rtol=-1e-10), dict(rtol=float("nan")),
+        dict(atol=0.0), dict(atol=-1e-12), dict(atol=float("nan")),
+    ], ids=["rtol-zero", "rtol-negative", "rtol-nan", "atol-zero", "atol-negative", "atol-nan"])
+    def test_rejects_bad_tolerances(self, tolerances):
+        drive = DriveField(amplitude=1e5, photon_energy=2.11)
+        with pytest.raises(ValueError):
+            evolve_lab(PARAMS, drive, DensityMatrix.ground(), [0.0, 1e-15], **tolerances)
+
+    # a lone sample in the first steps of the record, which both grids
+    # reach with one step of the same length: only the period end tells
+    # their error
+    @example((DriveField(amplitude=1e5, photon_energy=2.0), np.array([3.93776954e-17])))
+    @example((DriveField(amplitude=1e5, photon_energy=2.0), np.array([4.24067488e-17])))
+    @settings(deadline=None)
+    @given(_off_grid_records())
+    def test_off_grid_samples_match_tighter_tolerances(self, record):
+        # The step control makes two grids agree within atol + rtol |v|;
+        # the returned finer grid is about 16 times closer to the exact
+        # state.  Tolerance: every real component of the default run
+        # within the default atol + rtol |v| of a run at 100x tighter
+        # tolerances, and the trace within 1e-12.
+        drive, times = record
+        got = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times).states
+        tight = evolve_lab(PARAMS, drive, DensityMatrix.ground(), times,
+                           rtol=1e-12, atol=1e-14).states
+        dev = np.abs((got - tight).view(float))
+        assert np.all(dev <= 1e-12 + 1e-10 * np.abs(tight.view(float)))
+        assert bloch.state_errors(got)[0].max() <= 1e-12
 
 
 def _windowed_trapezoid(times, values, period):

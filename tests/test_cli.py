@@ -1116,6 +1116,6 @@ class TestErrorContract:
             and cls.__module__.startswith("lsepkit.")
             and cls is not NumericalFailure
         }
-        assert len(defined) >= 17
+        assert len(defined) >= 15
         for cls in defined:
             assert issubclass(cls, ValueError) != issubclass(cls, NumericalFailure), cls
