@@ -30,7 +30,7 @@ import numpy as np
 
 from . import NumericalFailure
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
-from .numerics import eig, integrate, solve_linear
+from .numerics import checked_times, eig, integrate, solve_linear
 
 
 class NoUniqueSteadyState(NumericalFailure):
@@ -259,15 +259,6 @@ def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> 
     return 0.5j * params.dipole_si / HBAR / (params.total_dephasing_rate + 1j * delta)
 
 
-def _checked_times(sample_times) -> np.ndarray:
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0:
-        raise ValueError("sample_times must not be empty")
-    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("sample_times must be finite, strictly increasing and >= 0")
-    return times
-
-
 def _propagate_eig(gen, v0, dts):
     """exp(gen * dt) @ v0 for each dt via eigen-decomposition."""
     values, vectors = eig(gen)
@@ -287,7 +278,7 @@ def evolve_rwa(
     state to every sample; no step-size control enters.  Coherence
     entries of the result are rotating-frame envelopes.
     """
-    times = _checked_times(sample_times)
+    times = checked_times(sample_times)
     states = _propagate_eig(liouvillian_rwa(params, drive), rho0.as_vector(), times)
     return BlochTrajectory(times=times, states=states, frame="rotating", drive=drive)
 
@@ -314,11 +305,10 @@ def evolve_lab(
     propagation that cannot meet the tolerances raises NotConverged; no
     partial trajectory is returned.
     """
-    times = _checked_times(sample_times)
     g0, g1 = _generators(params, params.transition_rate)
     rabi, w = rabi_frequencies(params, drive)[0], drive.angular_frequency
-    states = integrate(g0, g1, rabi, w, rho0.as_vector(), times, rtol=rtol, atol=atol).states
-    return BlochTrajectory(times=times, states=states, frame="lab", drive=drive)
+    traj = integrate(g0, g1, rabi, w, rho0.as_vector(), sample_times, rtol=rtol, atol=atol)
+    return BlochTrajectory(times=traj.times, states=traj.states, frame="lab", drive=drive)
 
 
 def rotating_frame(traj: BlochTrajectory) -> BlochTrajectory:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -131,8 +132,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "number_density_per_m3": MATERIAL_KEYS["number_density_per_m3"]._replace(
             default="1.47e25"
         ),
-        # the fit's start, inside the dipoles it searches (from 1e-6 D)
-        "dipole_debye": MATERIAL_KEYS["dipole_debye"]._replace(default="30.0", minimum=1e-6),
+        "dipole_debye": MATERIAL_KEYS["dipole_debye"]._replace(default="30.0"),
         "pure_dephasing_ev": MATERIAL_KEYS["pure_dephasing_ev"]._replace(default="0.010"),
         "input": Key("", str),  # empty -> packaged target spectrum
     },
@@ -177,12 +177,7 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         # more always exceed MAX_MAP_POINTS, which checks the built sweep
         "thickness_samples": Key("3", int, 1, MAX_MAP_POINTS // 10**5),
         "reference_thickness_nm": Key("70", float, 1.0, MAX_THICKNESS_NM),
-        "n_min": Key("0.1"),
-        "n_max": Key("3.5"),
-        "n_step": Key("0.005"),
-        "kappa_min": Key("0.0"),
-        "kappa_max": Key("3.2"),
-        "kappa_step": Key("0.005"),
+        **{f.name: Key(repr(f.default)) for f in dataclasses.fields(film.NkGrid)},
         "kk_asymptote": Key("1.52", float, 0.0, MAX_INDEX),
     },
     "lorentz": {**LORENTZ_KEYS, **ENERGY_GRID_KEYS},
@@ -522,14 +517,7 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
     t_lo = cfg["thickness_min_nm"] * 1e-9
     t_hi = cfg["thickness_max_nm"] * 1e-9
     t_ref = cfg["reference_thickness_nm"] * 1e-9
-    grid = film.NkGrid(
-        n_min=cfg["n_min"],
-        n_max=cfg["n_max"],
-        n_step=cfg["n_step"],
-        kappa_min=cfg["kappa_min"],
-        kappa_max=cfg["kappa_max"],
-        kappa_step=cfg["kappa_step"],
-    )
+    grid = film.NkGrid(**{f.name: cfg[f.name] for f in dataclasses.fields(film.NkGrid)})
     sweep = film.thickness_sweep((t_lo, t_hi), cfg["thickness_samples"])
     maps = sweep.size * spectrum.wavelength.size
     work = maps * max(grid.n_values.size * grid.kappa_values.size, 10**5)

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .axes import checked_times
 from .linalg import NotConverged
 
 #: Steps of the first grid over one period.
@@ -207,10 +208,7 @@ def integrate(
         raise ValueError("tolerances must be positive")
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be finite and positive")
-    samples = np.atleast_1d(np.asarray(sample_times, dtype=float))
-    if (samples.size == 0 or not np.all(np.isfinite(samples))
-            or np.any(np.diff(samples) <= 0.0) or samples[0] < 0.0):
-        raise ValueError("sample_times must be non-empty, finite, strictly increasing and >= 0")
+    samples = checked_times(sample_times)
 
     g0, g1 = np.asarray(g0, complex), np.asarray(g1, complex)
     gens = np.array([_real(g.T) for g in (g0, g1, g0 @ g1 - g1 @ g0)])

@@ -404,13 +404,15 @@ class TestEvolveLab:
     @pytest.mark.parametrize(
         "times",
         [[], [0.0, 2e-15, 2e-15], [0.0, 3e-15, 1e-15], [-1e-15, 1e-15],
-         [0.0, float("nan")], [0.0, float("inf")]],
-        ids=["empty", "repeated", "decreasing", "negative", "nan", "inf"],
+         [0.0, float("nan")], [0.0, float("inf")], [[0.0, 1e-15]]],
+        ids=["empty", "repeated", "decreasing", "negative", "nan", "inf", "2-d"],
     )
     def test_rejects_bad_sample_times(self, times):
+        # both solvers take their samples through one check
         drive = DriveField(amplitude=1e5, photon_energy=2.11)
-        with pytest.raises(ValueError):
-            evolve_lab(PARAMS, drive, DensityMatrix.ground(), times)
+        for evolve in (evolve_lab, evolve_rwa):
+            with pytest.raises(ValueError, match="sample_times"):
+                evolve(PARAMS, drive, DensityMatrix.ground(), times)
 
     def test_failed_integration_raises_instead_of_partial_result(self):
         # tolerances finer than rounding: the grids never agree

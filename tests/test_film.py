@@ -681,8 +681,8 @@ class TestLockstepRefine:
     512.5 nm root meets an outside contraction exactly as good as its
     reflection, the 475 and 590 nm roots take shrink steps, and two extra
     seeds at n_max start from a simplex reflected back inside the bound.
-    fit_material's options run on the packaged target spectrum from the
-    fit-permittivity defaults."""
+    fit_material's options run on the projected misfit of the packaged
+    target spectrum from the fit-permittivity defaults."""
 
     THICKNESS = 63 * 1e-9
     WAVELENGTHS_NM = (475.0, 512.5, 590.0)
@@ -750,47 +750,50 @@ class TestLockstepRefine:
         else:
             assert np.all(nit == maxiter)
 
-    # the fit's options, capped at 20 iterations, and with a loose xatol
-    # under which fatol decides convergence
+    # the fit's options, capped at 20 iterations, and with the 1e-9 eV
+    # xatol it took before its dipole was projected
     @pytest.mark.parametrize(
-        "xatol, maxiter", [(1e-9, medium.FIT_MAXITER), (1e-9, 20), (1e-3, medium.FIT_MAXITER)]
+        "xatol, maxiter", [(1e-11, medium.FIT_MAXITER), (1e-9, medium.FIT_MAXITER), (1e-11, 20)]
     )
     def test_fit_options_match_scipy_bit_for_bit(self, xatol, maxiter):
         defaults = cli.load_config("fit-permittivity", None, ".")
         fixed = cli._material(defaults)
         target = medium.read_spectrum_csv(cli._packaged("epsilon_extracted.csv"))
-        two_level = fixed.two_level
+        two_level, background = fixed.two_level, fixed.background_permittivity
+        excess = target.epsilon - background
 
         def cost(x):
+            # the misfit at the least-squares dipole of dephasing x[0]
             material = dataclasses.replace(fixed, two_level=dataclasses.replace(
-                two_level, dipole=np.exp(x[0]), pure_dephasing=x[1]))
-            model = medium.epsilon_steady(material, target.energies)
-            return float(np.sum(np.abs(model.epsilon - target.epsilon) ** 2))
+                two_level, dipole=1.0, pure_dephasing=x[0]))
+            unit = medium.epsilon_steady(material, target.energies).epsilon - background
+            d2 = np.clip(np.vdot(unit, excess).real / np.vdot(unit, unit).real,
+                         0.0, medium.MAX_DIPOLE_DEBYE**2)
+            return float(np.sum(np.abs(d2 * unit - excess) ** 2))
 
-        start = np.array([np.log(two_level.dipole), two_level.pure_dephasing])
-        scale = max(cost(start), np.sum(np.abs(target.epsilon) ** 2), 1e-30)
-        bounds = [(np.log(1e-6), np.log(1e6)), (0.0, 10.0)]
+        start = np.array([two_level.pure_dephasing])
+        initial = medium.epsilon_steady(fixed, target.energies).epsilon - target.epsilon
+        scale = max(np.sum(np.abs(initial) ** 2), np.sum(np.abs(target.epsilon) ** 2), 1e-30)
         x, fun, nfev, nit, success = nelder_mead(
             lambda points, rows: np.array([cost(p) for p in points]),
             start[None, :],
-            lower=np.array([lo for lo, _ in bounds]),
-            upper=np.array([hi for _, hi in bounds]),
+            lower=np.array([0.0]),
+            upper=np.array([10.0]),
             xatol=xatol,
             fatol=1e-8 * scale,
             maxiter=maxiter,
         )
         expected = optimize.minimize(
-            cost, start, method="Nelder-Mead", bounds=bounds,
+            cost, start, method="Nelder-Mead", bounds=[(0.0, 10.0)],
             options={"xatol": xatol, "fatol": 1e-8 * scale, "maxiter": maxiter},
         )
         assert x[0].tolist() == expected.x.tolist()
         assert fun[0] == expected.fun
         assert (nfev[0], nit[0], success[0]) == (expected.nfev, expected.nit, expected.success)
         assert expected.success == (maxiter == medium.FIT_MAXITER)
-        if expected.success and xatol == 1e-9:
+        if expected.success and xatol == 1e-11:
             report = medium.fit_material(target, fixed)
-            assert report.params.two_level.dipole == float(np.exp(expected.x[0]))
-            assert report.params.two_level.pure_dephasing == float(expected.x[1])
+            assert report.params.two_level.pure_dephasing == float(expected.x[0])
             assert (report.residual, report.n_evaluations) == (expected.fun, expected.nfev)
 
 

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsepkit import medium
+from lsepkit import cli, medium
 from lsepkit.bloch import DriveField, TwoLevelParams
 from lsepkit.constants import EV_TO_RADS
 from lsepkit.medium import (
@@ -231,14 +233,8 @@ class TestFit:
         assert report.params.two_level.dipole < 0.1
 
     def test_bad_start_rejected(self):
-        grid = np.linspace(1.9, 2.35, 30)
-        target = epsilon_steady(BULK, grid)
-        # the fit starts from the fixed parameters: a zero dipole has no
-        # logarithm to search on
-        zero = dataclasses.replace(BULK, two_level=dataclasses.replace(BULK.two_level, dipole=0.0))
-        with pytest.raises(ValueError, match="start dipole must be > 0"):
-            fit_material(target, zero)
-        # a negative, NaN or infinite start cannot be built
+        # the fit starts from the fixed parameters: a negative, NaN or
+        # infinite start cannot be built
         for field, bad in [("dipole", -5.0), ("dipole", float("nan")),
                            ("pure_dephasing", float("inf"))]:
             with pytest.raises(ValueError):
@@ -254,6 +250,38 @@ class TestFit:
         monkeypatch.setattr(medium, "FIT_MAXITER", 5)
         with pytest.raises(FitDiverged, match="after 5 iterations"):
             fit_material(target, start)
+
+
+    @given(
+        st.floats(0.5, 5.0), st.floats(0.0, 1e14), st.floats(1e-3, 1.0),
+        st.floats(1e20, 1e27), st.floats(1.0, 20.0), st.floats(1.0, 300.0),
+    )
+    def test_response_scales_as_dipole_squared(
+        self, transition, decay, dephasing, density, background, dipole
+    ):
+        # the fit's premise: eps - eps_b is d^2 times the response of a 1 D
+        # dipole, to rounding, so a local-field term would fail here
+        energies = transition + np.linspace(-0.3, 0.3, 61)
+
+        def response(d):
+            two_level = TwoLevelParams(transition, decay, dephasing, d)
+            return epsilon_steady(MaterialParams(density, background, two_level), energies).epsilon
+
+        excess, unit = response(dipole) - background, response(1.0) - background
+        rounding = background + np.abs(excess) + dipole**2 * (background + np.abs(unit))
+        assert np.all(np.abs(excess - dipole**2 * unit) <= 4 * np.finfo(float).eps * rounding)
+
+    @settings(deadline=None)
+    @given(st.floats(1.0, 300.0), st.floats(1e-3, 1.0))
+    def test_recovers_exact_targets_from_cli_defaults(self, dipole, dephasing):
+        fixed = cli._material(cli.load_config("fit-permittivity", None, "."))
+        energies = read_spectrum_csv(cli._packaged("epsilon_extracted.csv")).energies
+        truth = dataclasses.replace(fixed, two_level=dataclasses.replace(
+            fixed.two_level, dipole=dipole, pure_dephasing=dephasing))
+        report = fit_material(epsilon_steady(truth, energies), fixed)
+        assert report.params.two_level.dipole == pytest.approx(dipole, rel=1e-9, abs=0.0)
+        assert abs(report.params.two_level.pure_dephasing - dephasing) <= 1e-10
+        assert not report.degenerate
 
 
 class TestCsv:
