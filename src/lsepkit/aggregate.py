@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import at_least_one, check, non_negative
+
 
 class ModeOutOfRange(ValueError):
     """Requested exciton mode index outside 1..n."""
@@ -47,10 +49,10 @@ class AggregateChain:
     monomer_dipole: float
 
     def __post_init__(self):
-        if self.n_molecules < 1:
-            raise ValueError("n_molecules must be at least 1")
-        if self.monomer_dipole < 0.0:
-            raise ValueError("monomer_dipole must be non-negative")
+        check(self.n_molecules, at_least_one, "n_molecules must be finite and >= 1")
+        check(self.monomer_energy, np.isfinite, "monomer_energy must be finite")
+        check(self.coupling, np.isfinite, "coupling must be finite")
+        check(self.monomer_dipole, non_negative, "monomer_dipole must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ def orientational_average(dipole: float, dimensionality: int) -> float:
     The on-axis dipole divided by the dimensionality of the disorder:
     2 for dipoles random in a plane, 3 for random in space.
     """
+    check(dipole, non_negative, "dipole must be finite and >= 0")
     if dimensionality not in (2, 3):
         raise BadDimension(f"dimensionality must be 2 or 3, got {dimensionality}")
     return dipole / dimensionality

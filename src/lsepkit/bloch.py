@@ -23,12 +23,11 @@ until two grids agree in all eight real components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalFailure
+from . import NumericalFailure, check, non_negative, positive
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
 from .numerics import checked_times, eig, integrate, solve_linear
 
@@ -56,14 +55,10 @@ class TwoLevelParams:
     dipole: float
 
     def __post_init__(self):
-        if not 0.0 < self.transition_energy < math.inf:
-            raise ValueError(
-                f"transition_energy must be finite and > 0, got {self.transition_energy}"
-            )
-        if not (0.0 <= self.decay_rate < math.inf and 0.0 <= self.pure_dephasing < math.inf):
-            raise ValueError("rates must be finite and non-negative")
-        if not 0.0 <= self.dipole < math.inf:
-            raise ValueError(f"dipole must be finite and non-negative, got {self.dipole}")
+        check(self.transition_energy, positive, "transition_energy must be finite and > 0")
+        check(self.decay_rate, non_negative, "decay_rate must be finite and >= 0")
+        check(self.pure_dephasing, non_negative, "pure_dephasing must be finite and >= 0")
+        check(self.dipole, non_negative, "dipole must be finite and >= 0")
 
     @property
     def transition_rate(self) -> float:
@@ -94,10 +89,8 @@ class DriveField:
     photon_energy: float
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
-        if not 0.0 < self.photon_energy < math.inf:
-            raise ValueError(f"photon_energy must be finite and > 0, got {self.photon_energy}")
+        check(self.amplitude, non_negative, "amplitude must be finite and >= 0")
+        check(self.photon_energy, positive, "photon_energy must be finite and > 0")
 
     @property
     def angular_frequency(self) -> float:
@@ -330,6 +323,7 @@ def cycle_average(times: np.ndarray, values: np.ndarray, period: float) -> np.nd
     demodulated lab-frame coherences; end windows are clipped.  A window
     holding a single sample returns that sample.
     """
+    check(period, positive, "period must be finite and > 0")
     half = 0.5 * period
     # pad the window edge by a fraction of the sample spacing so boundary
     # samples are kept despite float rounding; exact-period cancellation

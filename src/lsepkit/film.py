@@ -42,14 +42,13 @@ scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from . import NumericalFailure, table
+from . import NumericalFailure, at_least_one, check, non_negative, positive, table
 from .constants import EV_TO_RADS
 from .numerics import axis, kramers_kronig_real, nelder_mead
 
@@ -111,7 +110,7 @@ class RTSpectrum:
 def _first_fault(wavelength, reflectance, transmittance):
     """(row, fault) of the first row that is not a measurement, or None."""
     total = reflectance + transmittance
-    bad = ~np.stack([_positive(wavelength), (0.0 <= reflectance) & (reflectance <= 1.0),
+    bad = ~np.stack([positive(wavelength), (0.0 <= reflectance) & (reflectance <= 1.0),
                      (0.0 <= transmittance) & (transmittance <= 1.0),
                      ~(total > 1.0 + NOISE_ALLOWANCE)])
     if not bad.any():
@@ -124,10 +123,6 @@ def _first_fault(wavelength, reflectance, transmittance):
         f"transmittance must lie in [0, 1], got {t}",
         f"R + T = {s:.4f} exceeds 1 + {NOISE_ALLOWANCE} noise allowance",
     ][int(np.argmax(bad[:, row]))]
-
-
-def _positive(values):
-    return (0.0 < values) & (values < math.inf)
 
 
 class NkCandidates(NamedTuple):
@@ -162,17 +157,16 @@ class NkGrid:
     kappa_step: float = 0.005
 
     def __post_init__(self):
-        values = (self.n_max, self.n_step, self.kappa_min, self.kappa_max, self.kappa_step)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"grid bounds and steps must be finite, got {values}")
         # the Fresnel poles nf = -n0 and nf = -ns stay off the grid (and off
         # the tile discs of the grid search)
-        if not 0.0 < self.n_min < math.inf:
-            raise ValueError(f"n_min must be finite and > 0, got {self.n_min}")
+        check(self.n_min, positive, "n_min must be finite and > 0")
+        check(self.kappa_min, non_negative, "kappa_min must be finite and >= 0")
+        check(self.n_max, np.isfinite, "n_max must be finite")
+        check(self.kappa_max, np.isfinite, "kappa_max must be finite")
+        check(self.n_step, positive, "n_step must be finite and > 0")
+        check(self.kappa_step, positive, "kappa_step must be finite and > 0")
         if self.n_min >= self.n_max or self.kappa_min >= self.kappa_max:
             raise ValueError("grid bounds must be ordered")
-        if self.n_step <= 0.0 or self.kappa_step <= 0.0:
-            raise ValueError("grid steps must be > 0")
         points = ((self.n_max - self.n_min) / self.n_step + 1.0) * (
             (self.kappa_max - self.kappa_min) / self.kappa_step + 1.0
         )
@@ -181,8 +175,6 @@ class NkGrid:
                 f"n_step = {self.n_step:g} and kappa_step = {self.kappa_step:g} ask for "
                 f"{points:.3g} grid points, more than {MAX_GRID_POINTS:.0e}"
             )
-        if self.kappa_min < 0.0:
-            raise ValueError("kappa grid must be non-negative")
 
     @property
     def n_values(self) -> np.ndarray:
@@ -267,28 +259,20 @@ def _misfits(index_film, thickness, wavelength, reflectance, transmittance,
     return np.abs(t_t - transmittance) + np.abs(r_t - reflectance)
 
 
-def _check(values, ok, requirement):
-    """Raises ValueError naming the first of ``values`` that is not ``ok``."""
-    values = np.asarray(values)
-    bad = values[~ok(values)]
-    if bad.size:
-        raise ValueError(f"{requirement}, got {bad[0].item()}")
-
-
 def _check_stack(thickness, substrate_index, ambient_index):
     """The film thicknesses and the two half-space indices."""
-    _check(thickness, _positive, "thickness must be finite and > 0")
-    _check([ambient_index, substrate_index], lambda v: (1.0 <= v) & (v < math.inf),
-           "ambient and substrate indices must be finite and >= 1")
+    check(thickness, positive, "thickness must be finite and > 0")
+    check(ambient_index, at_least_one, "ambient_index must be finite and >= 1")
+    check(substrate_index, at_least_one, "substrate_index must be finite and >= 1")
 
 
 def rt_theoretical(film_index, thickness, wavelength, substrate_index=1.52, ambient_index=1.0):
     """Normal-incidence (R, T) of a film between two half-spaces,
     elementwise over broadcast arrays of film index, thickness and
     wavelength; each value is the one computed for it alone."""
-    _check(wavelength, _positive, "wavelength must be finite and > 0")
-    _check(film_index, lambda nf: np.isfinite(nf) & (nf.imag >= 0.0),
-           "film index must be finite with a non-negative imaginary part")
+    check(wavelength, positive, "wavelength must be finite and > 0")
+    check(film_index, lambda nf: np.isfinite(nf) & (nf.imag >= 0.0),
+          "film index must be finite with a non-negative imaginary part")
     _check_stack(thickness, substrate_index, ambient_index)
     return _rt(film_index, thickness, wavelength, ambient_index, substrate_index)
 
@@ -297,8 +281,8 @@ def residual(n, kappa, thickness, spectrum: RTSpectrum, substrate_index=1.52, am
     """|R - R_measured| + |T - T_measured| of the trial indices n + i kappa,
     elementwise over broadcast arrays of n, kappa, thickness and the rows
     of ``spectrum``."""
-    _check(n, _positive, "n must be finite and > 0")
-    _check(kappa, lambda k: (0.0 <= k) & (k < math.inf), "kappa must be finite and >= 0")
+    check(n, positive, "n must be finite and > 0")
+    check(kappa, non_negative, "kappa must be finite and >= 0")
     _check_stack(thickness, substrate_index, ambient_index)
     return _misfits(
         np.asarray(n) + 1j * np.asarray(kappa), thickness, spectrum.wavelength,
@@ -1030,8 +1014,8 @@ def extract_nk(
 def thickness_rescale(kappa, thickness_used: float, thickness_reference: float):
     """Deconvolution identity: kappa (a float or an array) scales with the
     thickness ratio."""
-    if thickness_used <= 0.0 or thickness_reference <= 0.0:
-        raise ValueError("thicknesses must be > 0")
+    check(thickness_used, positive, "thickness_used must be finite and > 0")
+    check(thickness_reference, positive, "thickness_reference must be finite and > 0")
     return kappa * (thickness_used / thickness_reference)
 
 
@@ -1057,6 +1041,7 @@ def select_physical_branch(
     an exact tie takes the rows as they come.  So a curve's assignment is
     the parity of the strict crossings since the last tie.
     """
+    check(ambiguity_threshold, non_negative, "ambiguity_threshold must be finite and >= 0")
     if not candidates.wavelength.size:
         raise ValueError("no candidates supplied")
     n, kappa = candidates.n, candidates.kappa

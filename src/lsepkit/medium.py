@@ -4,7 +4,8 @@ The polarization of N identical emitters per unit volume, each carrying
 the same weak-field coherence, adds a resonant term to the host
 permittivity: eps = eps_b + (2 N d / (eps0 E0)) rho01~.  Steady state
 uses the analytic linear coherence; transients reuse the rotating-frame
-propagator so the spectrum can be sampled on femtosecond slices.  A
+propagator so the spectrum can be sampled on femtosecond slices, and at
+zero field take the linear coherence per unit field switched on.  A
 single-oscillator Lorentz model and a fit of dipole and dephasing
 against measured spectra round out the module: eps - eps_b is d^2 times
 the response of a 1 D dipole, so the fit solves d^2 in closed form and
@@ -20,11 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import NumericalFailure, table
+from . import NumericalFailure, at_least_one, check, non_negative, positive, table
 from .bloch import (
     DensityMatrix,
     DriveField,
     TwoLevelParams,
+    detuning_rate,
     evolve_rwa,
     linear_coherence_per_field,
 )
@@ -55,15 +57,9 @@ class MaterialParams:
     two_level: TwoLevelParams
 
     def __post_init__(self):
-        if not 0.0 < self.number_density < math.inf:
-            raise ValueError(
-                f"number_density must be finite and > 0, got {self.number_density}"
-            )
-        if not 1.0 <= self.background_permittivity < math.inf:
-            raise ValueError(
-                "background_permittivity must be finite and >= 1, "
-                f"got {self.background_permittivity}"
-            )
+        check(self.number_density, positive, "number_density must be finite and > 0")
+        check(self.background_permittivity, at_least_one,
+              "background_permittivity must be finite and >= 1")
 
     @property
     def coupling_strength(self) -> float:
@@ -94,8 +90,8 @@ class PermittivitySpectrum:
             raise ValueError("energies and epsilon must be matching 1-d arrays")
         if energies.size == 0:
             raise ValueError("empty spectrum")
-        if not (np.isfinite(energies).all() and np.isfinite(epsilon).all()):
-            raise ValueError("energies and epsilon must be finite")
+        check(energies, np.isfinite, "energies must be finite")
+        check(epsilon, np.isfinite, "epsilon must be finite")
         if np.any(np.diff(energies) < 0.0):
             raise ValueError("energies must be non-decreasing")
         if self.time is not None:
@@ -103,8 +99,7 @@ class PermittivitySpectrum:
             object.__setattr__(self, "time", time)
             if time.shape != energies.shape:
                 raise ValueError("time must match the sample count")
-            if not np.isfinite(time).all():
-                raise ValueError("time must be finite")
+            check(time, np.isfinite, "time must be finite")
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,9 @@ class LorentzParams:
 
     def __post_init__(self):
         for name in ("eps_background", "oscillator_strength", "resonance"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            check(getattr(self, name), non_negative, f"{name} must be finite and >= 0")
         # zero damping puts the pole on the real energy axis
-        if not 0.0 < self.damping < math.inf:
-            raise ValueError(f"damping must be finite and > 0, got {self.damping}")
+        check(self.damping, positive, "damping must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -136,12 +129,11 @@ class FitReport:
     degenerate: bool
 
 
-def _finite_prefactor(material: MaterialParams, prefactor: float) -> float:
-    """The polarization prefactor 2 N d / eps0 [/ E0], rejected if it overflowed."""
-    if not math.isfinite(prefactor):
-        raise ValueError(
-            f"number_density {material.number_density:g} overflows the permittivity prefactor"
-        )
+def _prefactor(material: MaterialParams, field: float = 1.0) -> float:
+    """The polarization prefactor 2 N d / (eps0 E0), rejected if it overflowed."""
+    prefactor = 2.0 * material.number_density * material.two_level.dipole_si / (EPS0 * field)
+    check(prefactor, np.isfinite,
+          f"number_density {material.number_density:g} overflows the permittivity prefactor")
     return prefactor
 
 
@@ -153,10 +145,8 @@ def epsilon_steady(material: MaterialParams, energies) -> PermittivitySpectrum:
     (delta^2 + Gamma^2) with A = N d^2 / (eps0 hbar).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    p = material.two_level
-    ratio = linear_coherence_per_field(p, energies)
-    prefactor = _finite_prefactor(material, 2.0 * material.number_density * p.dipole_si / EPS0)
-    eps = material.background_permittivity + prefactor * ratio
+    ratio = linear_coherence_per_field(material.two_level, energies)
+    eps = material.background_permittivity + _prefactor(material) * ratio
     return PermittivitySpectrum(energies=energies, epsilon=eps)
 
 
@@ -167,21 +157,20 @@ def epsilon_transient(
 
     Evolves the ensemble coherence from the ground state under the given
     drive and converts each rotating-frame sample to eps(t).  Rows share
-    the drive photon energy; the time axis tags each slice.
+    the drive photon energy; the time axis tags each slice.  At zero
+    amplitude eps(t) is the weak-field limit, the linear coherence per
+    unit field switched on at t = 0, which settles to epsilon_steady.
     """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     p = material.two_level
+    # rho01~ grows linearly with E0, so a zero field takes it per unit field
+    prefactor = _prefactor(material, drive.amplitude or 1.0)
     if drive.amplitude == 0.0:
-        # zero-field limit: coherence scales linearly with the drive, so
-        # the induced part of eps vanishes and the background remains
-        eps = np.full(times.shape, complex(material.background_permittivity))
-        energies = np.full(times.shape, drive.photon_energy)
-        return PermittivitySpectrum(energies=energies, epsilon=eps, time=times)
-    prefactor = _finite_prefactor(
-        material, 2.0 * material.number_density * p.dipole_si / (EPS0 * drive.amplitude)
-    )
-    traj = evolve_rwa(p, drive, DensityMatrix.ground(), times)
-    eps = material.background_permittivity + prefactor * traj.rho01
+        rate = p.total_dephasing_rate + 1j * detuning_rate(p, drive)
+        coherence = linear_coherence_per_field(p, drive.photon_energy) * -np.expm1(-rate * times)
+    else:
+        coherence = evolve_rwa(p, drive, DensityMatrix.ground(), times).rho01
+    eps = material.background_permittivity + prefactor * coherence
     energies = np.full(times.shape, drive.photon_energy)
     return PermittivitySpectrum(energies=energies, epsilon=eps, time=times)
 
@@ -220,7 +209,8 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
     misfit of `fixed`, n_evaluations counts the projected misfits.
 
     Raises FitDiverged when the search reaches FIT_MAXITER iterations or
-    cannot improve on its start.  A target with no resonant feature drives
+    cannot improve on its start, or when the target needs a dipole above
+    MAX_DIPOLE_DEBYE.  A target with no resonant feature drives
     the dipole toward zero; the report flags that case as degenerate
     rather than failing.
     """
@@ -258,7 +248,10 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
             f"(start {initial:.6g})"
         )
     dephasing = float(x[0])
-    dipole = math.sqrt(project(dephasing)[0])
+    d2 = project(dephasing)[0]
+    if d2 >= MAX_DIPOLE_DEBYE**2:
+        raise FitDiverged(f"the target needs a dipole above {MAX_DIPOLE_DEBYE:g} D")
+    dipole = math.sqrt(d2)
     # a flat target pushes the dipole to zero; flag, do not fail
     degenerate = dipole <= 1e-3 * p0.dipole
     return FitReport(

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .. import NumericalFailure
+from .. import NumericalFailure, check, positive
 from ..constants import C0, EPS0
 from .scatter import (
     MieCoefficients,
@@ -112,8 +112,7 @@ def near_field_grid(scene: SphereScene, coeffs: MieCoefficients | None, points) 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (P, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    check(pts, np.isfinite, "points must be finite")
     r = np.linalg.norm(pts, axis=1)
     centered = r < CENTER_OFFSET
     if centered.any():
@@ -204,8 +203,7 @@ def poynting_streamlines(
     threshold (flux sinks inside an absorbing sphere; crossing one shows
     up as a direction reversal).
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+    check(step, positive, "step must be finite and > 0")
     if scheme not in ("euler", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if coeffs is None:

@@ -18,13 +18,11 @@ one-sample solve, and so its bits.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import NumericalFailure
+from .. import NumericalFailure, at_least_one, check, positive
 from ..constants import ev_to_vacuum_wavelength_m
 from ..medium import PermittivitySpectrum, refractive_index
 
@@ -55,10 +53,8 @@ class SphereScene:
 
     def __post_init__(self):
         _check_geometry(self.radius, self.host_epsilon, self.wavelength_vacuum)
-        if not cmath.isfinite(complex(self.sphere_epsilon)):
-            raise ValueError(f"sphere_epsilon must be finite, got {self.sphere_epsilon}")
-        if complex(self.sphere_epsilon).imag < 0.0:
-            raise ValueError("sphere_epsilon must have Im >= 0 (absorbing convention)")
+        check(self.sphere_epsilon, lambda e: np.isfinite(e) & (e.imag >= 0.0),
+              "sphere_epsilon must be finite with Im >= 0 (absorbing convention)")
 
     @property
     def size_parameter(self) -> float:
@@ -108,15 +104,9 @@ class QuasistaticResponse:
 
 def _check_geometry(radius, host_epsilon, wavelength) -> None:
     """Scene invariants on scalars or per-sample arrays; names the first bad value."""
-    for name, value, rule, ok in (
-        ("radius", radius, "> 0", lambda v: v > 0.0),
-        ("wavelength", wavelength, "> 0", lambda v: v > 0.0),
-        ("host_epsilon", host_epsilon, ">= 1", lambda v: v >= 1.0),
-    ):
-        value = np.asarray(value)
-        bad = ~(ok(value) & (value < math.inf))
-        if bad.any():
-            raise ValueError(f"{name} must be finite and {rule}, got {value[bad].flat[0]}")
+    check(radius, positive, "radius must be finite and > 0")
+    check(wavelength, positive, "wavelength must be finite and > 0")
+    check(host_epsilon, at_least_one, "host_epsilon must be finite and >= 1")
 
 
 def _size_parameter(radius, host_epsilon, wavelength):
@@ -144,25 +134,24 @@ def multipole_cutoff(x):
 
 
 def _log_derivatives(z: np.ndarray, n_max: int) -> np.ndarray:
-    """D_0..D_n_max(z) by downward recurrence, in complex arithmetic (real part for real z).
+    """D_0..D_n_max(z) by downward recurrence, in real arithmetic for real z.
 
     Each element starts from D = 0 at its own order, the cutoff of
     max(n_max, |z|) plus |z|**(2/3) orders, far enough above n_max that
     the start's error has decayed below roundoff there.
     """
-    zc = np.asarray(z, dtype=complex)
-    size = np.abs(zc)
+    size = np.abs(z)
     if not np.all(size <= MAX_RECURRENCE_ARGUMENT):
         raise RecurrenceUnstable(f"|z| = {size.max()} is not finite or > MAX_RECURRENCE_ARGUMENT")
     start = multipole_cutoff(np.maximum(n_max, size)) + np.ceil(size ** (2.0 / 3.0)).astype(int)
-    top = np.zeros_like(zc)
+    top = np.zeros(np.shape(z), dtype=np.result_type(z, 1.0))
     for n in range(int(start.max(initial=n_max + 1)), n_max, -1):
-        top = np.where(n <= start, n / zc - 1.0 / (top + n / zc), 0.0)
-    d = np.empty((n_max + 1,) + zc.shape, dtype=complex)
+        top = np.where(n <= start, n / z - 1.0 / (top + n / z), 0.0)
+    d = np.empty((n_max + 1,) + top.shape, dtype=top.dtype)
     d[n_max] = top
     for n in range(n_max, 0, -1):
-        d[n - 1] = n / zc - 1.0 / (d[n] + n / zc)
-    return d if np.iscomplexobj(z) else d.real
+        d[n - 1] = n / z - 1.0 / (d[n] + n / z)
+    return d
 
 
 def _riccati_psi(z: np.ndarray, dlog: np.ndarray) -> np.ndarray:
@@ -272,11 +261,11 @@ def qabs_spectrum(
     their coherence can swing Im(eps) negative, a momentary gain.  Negative
     Im(eps) is clipped to zero and the time axis passes through.
     """
-    if spectrum.time is None and np.any(spectrum.epsilon.imag < -1e-9):
-        raise ValueError("spectrum has negative Im(eps) beyond roundoff")
+    if spectrum.time is None:
+        check(spectrum.epsilon.imag, lambda v: v >= -1e-9,
+              "spectrum has negative Im(eps) beyond roundoff")
     energies = spectrum.energies
-    if not np.all(energies > 0.0):
-        raise ValueError(f"photon energy must be > 0, got {energies[~(energies > 0.0)][0]}")
+    check(energies, positive, "photon energy must be > 0")
     wavelength = ev_to_vacuum_wavelength_m(energies)
     _check_geometry(radius, host_epsilon, wavelength)
     x = _size_parameter(radius, host_epsilon, wavelength)
@@ -316,8 +305,9 @@ def quasistatic_polarizability(
     sphere_epsilon: complex, host_epsilon: float, radius: float
 ) -> QuasistaticResponse:
     """Clausius-Mossotti dipole response of a small sphere."""
-    if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    check(radius, positive, "radius must be finite and > 0")
+    check(host_epsilon, at_least_one, "host_epsilon must be finite and >= 1")
+    check(sphere_epsilon, np.isfinite, "sphere_epsilon must be finite")
     es = complex(sphere_epsilon)
     denominator = es + 2.0 * host_epsilon
     distance = abs(denominator)

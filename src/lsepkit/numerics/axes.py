@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from .. import check, positive
+
 
 def axis(lo, hi, step, origin=None) -> np.ndarray:
     """The samples origin + i step (origin defaults to lo) that lie in [lo, hi].
@@ -12,6 +14,7 @@ def axis(lo, hi, step, origin=None) -> np.ndarray:
     A span within a millionth of a step of a whole number of steps keeps
     its end sample, moved onto the end: no sample lies outside [lo, hi].
     """
+    check(step, positive, "step must be finite and > 0")
     origin = lo if origin is None else origin
     first = math.ceil((lo - origin) / step - 1e-6)
     last = math.floor((hi - origin) / step + 1e-6)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import check
+
 MIN_POINTS = 16
 # Kernel rows built at once: a few (BLOCK_ROWS, n) arrays are alive,
 # never an (n, n) one.
@@ -79,6 +81,8 @@ def kramers_kronig_real(omega_grid, imag_part, asymptote: float = 0.0):
     im_part = np.asarray(imag_part, dtype=float)
     if omega.ndim != 1 or omega.shape != im_part.shape:
         raise ValueError("omega_grid and imag_part must be matching 1-d arrays")
+    check(omega, np.isfinite, "omega_grid must be finite")
+    check(im_part, np.isfinite, "imag_part must be finite")
     if omega.size < MIN_POINTS:
         raise GridTooCoarse(f"need at least {MIN_POINTS} points, got {omega.size}")
     if np.any(np.diff(omega) <= 0.0) or omega[0] <= 0.0:

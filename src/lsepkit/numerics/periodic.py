@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import check, positive
 from .axes import checked_times
 from .linalg import NotConverged
 
@@ -204,10 +205,9 @@ def integrate(
         per period times periods, or the disagreement stops falling;
         no partial trajectory is returned.
     """
-    if not (rtol > 0.0 and atol > 0.0):
-        raise ValueError("tolerances must be positive")
-    if not 0.0 < omega < math.inf:
-        raise ValueError("omega must be finite and positive")
+    check(rtol, positive, "rtol must be finite and > 0")
+    check(atol, positive, "atol must be finite and > 0")
+    check(omega, positive, "omega must be finite and > 0")
     samples = checked_times(sample_times)
 
     g0, g1 = np.asarray(g0, complex), np.asarray(g1, complex)

@@ -535,6 +535,17 @@ class TestFitPermittivity:
         assert header[:3] == ["energy_eV", "eps_real", "eps_imag"]
         assert len(rows) == 251
 
+    def test_dipole_above_the_cap_is_numerical_failure(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "fit-permittivity", number_density_per_m3="1e-20")
+        out = tmp_path / "o"
+        rc = main_without_warnings(["fit-permittivity", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: FitDiverged: ")
+        assert not out.exists()
+
 
 class TestQabsSpectrum:
     def run_coarse(self, tmp_path, out_name, model="quantum"):
@@ -619,6 +630,20 @@ class TestTransient:
         peak = data[data[:, 2].argmax()]
         assert peak[2] > 1.0
         assert 5.0 < peak[1] < 50.0
+
+    def test_zero_power_is_the_weak_field_limit(self, tmp_path, capsys):
+        q_abs = []
+        for power in ("0", "1e-12"):
+            ini = tmp_path / f"{power}.ini"
+            write_ini(ini, "transient", power_mw=power, detunings_ev="0, 0.09",
+                      time_max_fs="60", time_step_fs="2")
+            out = tmp_path / power
+            assert main(["transient", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+            q_abs.append(np.array(read_csv_columns(out / "qabs_t.csv")[1], dtype=float)[:, 2])
+        capsys.readouterr()
+        # Q_abs at t = 0 is the roundoff of an undoped sphere: compare
+        # against the largest value
+        assert np.abs(q_abs[0] - q_abs[1]).max() <= 1e-9 * q_abs[1].max()
 
     def test_empty_detuning_list_is_config_error(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"

@@ -175,11 +175,22 @@ class TestTransient:
         hi = epsilon_transient(BULK, DriveField(1000.0, 2.20), t).epsilon[0]
         assert abs(lo - hi) <= 1e-3 * abs(hi)
 
-    def test_zero_field_limit_is_flat_background(self):
-        times = np.linspace(0.0, 400e-15, 5)
-        spec = epsilon_transient(BULK, DriveField(0.0, 2.20), times)
-        assert np.allclose(spec.epsilon, BULK.background_permittivity, atol=1e-15)
-        assert spec.time is not None and len(spec.time) == 5
+    def test_zero_field_is_the_weak_field_limit(self):
+        # rho01~ grows linearly with E0, so eps(t) keeps its weak-field
+        # value as the field goes to zero
+        times = np.linspace(0.0, 400e-15, 401)
+        for energy in (2.11, 2.20, 2.201):
+            zero = epsilon_transient(BULK, DriveField(0.0, energy), times)
+            weak = epsilon_transient(BULK, DriveField(1e-3, energy), times)
+            excess = np.abs(weak.epsilon - EPS_HOST).max()
+            assert np.abs(zero.epsilon - weak.epsilon).max() <= 1e-12 * excess
+            assert zero.time is not None and len(zero.time) == 401
+
+    @pytest.mark.parametrize("energy", [2.11, 2.20, 2.201])
+    def test_zero_field_settles_to_steady_state(self, energy):
+        late = epsilon_transient(BULK, DriveField(0.0, energy), [2e-12]).epsilon[0]
+        steady = epsilon_steady(BULK, [energy]).epsilon[0]
+        assert abs(late - steady) <= 1e-12 * abs(steady)
 
 
 class TestSpectrumValidation:
@@ -249,6 +260,14 @@ class TestFit:
         )
         monkeypatch.setattr(medium, "FIT_MAXITER", 5)
         with pytest.raises(FitDiverged, match="after 5 iterations"):
+            fit_material(target, start)
+
+    def test_dipole_above_the_cap_raises_fit_diverged(self):
+        # at 1e-20 emitters per m^3 the target needs a dipole far above
+        # MAX_DIPOLE_DEBYE; the projected d^2 sits on its clip
+        target = epsilon_steady(PLANAR, np.linspace(1.9, 2.35, 120))
+        start = dataclasses.replace(PLANAR, number_density=1e-20)
+        with pytest.raises(FitDiverged, match=r"needs a dipole above 1e\+06 D"):
             fit_material(target, start)
 
 
