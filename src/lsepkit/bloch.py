@@ -321,9 +321,13 @@ def cycle_average(times: np.ndarray, values: np.ndarray, period: float) -> np.nd
 
     Intended for stripping the counter-rotating ripple (period pi/w) off
     demodulated lab-frame coherences; end windows are clipped.  A window
-    holding a single sample returns that sample.
+    holding a single sample returns that sample.  ``times`` is a sample
+    axis (numerics.checked_times) and ``values`` a 1-d array along it.
     """
     check(period, positive, "period must be finite and > 0")
+    times, values = checked_times(times), np.asarray(values)
+    if values.shape != times.shape:
+        raise ValueError("values must be a 1-d array with one value per time")
     half = 0.5 * period
     # pad the window edge by a fraction of the sample spacing so boundary
     # samples are kept despite float rounding; exact-period cancellation
@@ -334,7 +338,7 @@ def cycle_average(times: np.ndarray, values: np.ndarray, period: float) -> np.nd
     last = np.searchsorted(times, times + half + pad, side="right") - 1
     # running trapezoid integral: each window's integral is a difference
     area = np.concatenate([[0.0], np.cumsum(0.5 * diffs * (values[1:] + values[:-1]))])
-    out = values.copy()
+    out = values.astype(np.result_type(values, float))  # int samples average to floats
     wide = last > first
     first, last = first[wide], last[wide]
     out[wide] = (area[last] - area[first]) / (times[last] - times[first])

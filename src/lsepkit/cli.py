@@ -469,9 +469,8 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
         for ln in lines
     ]
     captured = sum(ln.terminated is Termination.ABSORBED for ln in lines)
-    body = json.dumps(
-        {"captured_count": captured, "lines": payload}, indent=1, sort_keys=True
-    )
+    # no indent: json writes indented text with its pure-Python encoder
+    body = json.dumps({"captured_count": captured, "lines": payload}, sort_keys=True)
     return {
         "field_map.csv": table.render(
             ["y_nm", "z_nm", "enhancement"], [yy.ravel() * 1e9, zz.ravel() * 1e9, grid.enhancement]

@@ -768,14 +768,6 @@ def _tile_points(tiling: _Tiling, maps: _Maps, owner, distinct, at):
     return pair, core[pair, i, j], index, core.max(axis=(1, 2))
 
 
-def _rank_by_map(maps, *keys):
-    """Order of entries by map, then by ``keys`` (the last one first), and
-    each entry's rank within its map in that order."""
-    order = np.lexsort(keys + (maps,))
-    first = np.searchsorted(maps[order], maps[order])
-    return order, np.arange(order.size) - first
-
-
 def _kth_lowest(maps, values, k, count):
     """Per map of ``count``, the k-th lowest of its values (k may vary by
     map), or inf if it has fewer."""
@@ -794,13 +786,18 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     """The two lowest local minima of each map, evaluating only the fine
     tiles that can hold one.
 
-    A map's threshold is max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), with v_k its
-    k-th lowest local minimum found so far.  Each round splits the coarse
-    tiles and takes the fine tiles whose lower bound (_lower_bounds) is at
-    or below the map's level, its threshold.  While a map has fewer than
-    two local minima it goes best first instead: its level is the reach-th
-    best coarse or queued fine bound, starting from the number of fine
-    tiles in a coarse tile, and its reach doubles each round.
+    Each map's two lowest local minima so far are rows of two (maps, 2)
+    arrays, value and flat index, in ascending (value, index) order.  A
+    missing one has value inf and the index one past the grid, so it sorts
+    after every minimum found, one of value inf too.  A map's threshold is
+    max(v_2, v_1 + FLAT_LANDSCAPE_SPAN), v_k the value of row k.  Each
+    round splits the coarse tiles, takes the fine tiles whose lower bound
+    (_lower_bounds) is at or below the map's level, its threshold, and
+    merges the minima it finds into the rows with one lexsort.  While a
+    map has fewer than two local minima it goes best first instead: its
+    level is the reach-th best coarse or queued fine bound, starting from
+    the number of fine tiles in a coarse tile, and its reach doubles each
+    round.
 
     A taken tile is sharpened before it is evaluated, lazily, as few
     tiles reach this stage: its bound becomes the least bound of its 4 x 4
@@ -829,13 +826,10 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     threshold or is no local minimum, so it can be neither one of the two
     lowest local minima nor tie with one; and a map with a point skipped
     by its bound has one more than FLAT_LANDSCAPE_SPAN above its lowest
-    point, so it is not flat.  So _grid_seeds decides on these minima as
-    _two_lowest_minima decides on the full map.
-
-    Returns the map and flat index of each map's two lowest local minima,
-    as columns by map, then in ascending (value, index) order; and per
-    map its spread (max - min) if every tile was evaluated and it has a
-    local minimum, else inf.
+    point, so it is not flat.  So the search decides on these minima, and
+    on the spread of a map evaluated in full, as _two_lowest_minima
+    decides on the full map: it returns the (maps, 2) indices, or raises
+    NoMinimumFound for the first map that is flat or has no local minimum.
     """
     count = maps.thickness.size
     coarse_tiles = tiling.tiles(_COARSE)
@@ -848,16 +842,16 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     ranked = np.sort(coarse_bounds, axis=1)
     ranked = np.concatenate((ranked, np.full((count, 1), np.inf)), axis=1)
     reach = np.full(count, (_COARSE // _FINE) ** 2)  # a coarse tile's worth
-    threshold = np.full(count, np.inf)
     closed = np.ones(coarse_bounds.shape, dtype=bool)  # coarse tiles not yet split
     # map, tile, bound, and the side of the sub-tiles whose least bound it is
     queue = _children(tiling, maps, np.empty(0, dtype=int), np.empty(0, dtype=int))
-    found = np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int)  # map, value, index
+    missing = tiling.n_vals.size * tiling.k_vals.size  # the index of no minimum
+    lowest, index = np.full((count, 2), np.inf), np.full((count, 2), missing)
     top = np.full(count, -np.inf)  # largest value evaluated
     skipped = np.zeros(count, dtype=bool)  # a tile left the queue unevaluated
     while True:
-        level = threshold.copy()
-        short = np.isinf(threshold)
+        level = np.maximum(lowest[:, 1], lowest[:, 0] + FLAT_LANDSCAPE_SPAN)  # the threshold
+        short = np.isinf(level)
         if short.any():
             waiting = short[queue[0]]
             level[short] = np.minimum(
@@ -899,42 +893,38 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
         monotone = _monotone(tiling, maps, owner, tiles)
         skipped[owner[monotone]] = True
         owner, tiles = owner[~monotone], tiles[~monotone]
-        batches = [found]
+        batches = [(np.repeat(every, 2), lowest.ravel(), index.ravel())]
         for part, distinct, at in _by_tile(tiles, _VALUES_PER_CALL // _HALO.size**2):
-            pair, value, index, tile_top = _tile_points(tiling, maps, owner[part], distinct, at)
-            batches.append((owner[part][pair], value, index))
+            pair, value, point, tile_top = _tile_points(tiling, maps, owner[part], distinct, at)
+            batches.append((owner[part][pair], value, point))
             np.maximum.at(top, owner[part], tile_top)
-        found = tuple(np.concatenate(column) for column in zip(*batches))
-        order, rank = _rank_by_map(found[0], found[2], found[1])
-        found = tuple(column[order[rank < 2]] for column in found)
-        threshold = np.maximum(
-            _kth_lowest(found[0], found[1], 2, count),
-            _kth_lowest(found[0], found[1], 1, count) + FLAT_LANDSCAPE_SPAN,
-        )
+        by_map, value, point = (np.concatenate(column) for column in zip(*batches))
+        order = np.lexsort((point, value, by_map))
+        # every map has two rows or more: keep its first two
+        keep = order[np.searchsorted(by_map[order], every)[:, None] + np.arange(2)]
+        lowest, index = value[keep], point[keep]
 
-    complete = ~closed.any(axis=1) & ~skipped & (np.bincount(queue[0], minlength=count) == 0)
-    complete &= np.bincount(found[0], minlength=count) > 0
-    spread = np.full(count, np.inf)
-    spread[complete] = top[complete] - _kth_lowest(found[0], found[1], 1, count)[complete]
-    return found[0], found[2], spread
+    found = index[:, 0] < missing
+    flat = found & ~closed.any(axis=1) & ~skipped & (np.bincount(queue[0], minlength=count) == 0)
+    flat[flat] = top[flat] - lowest[flat, 0] < FLAT_LANDSCAPE_SPAN
+    failed = flat | ~found
+    if failed.any():
+        raise NoMinimumFound("residual landscape is flat" if flat[np.argmax(failed)]
+                             else "no local minimum on the search grid")
+    return index
 
 
 def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
                 ambient_index, substrate_index):
     """_two_lowest_minima(_residual_map(...)) of every map, given by the
     arrays of its thickness, wavelength, R and T, from the tiles that can
-    hold a seed: the map, grid row and grid column of each seed, as
-    columns by map, then lower minimum first.  The first map that is flat
-    or has no local minimum raises NoMinimumFound."""
+    hold a seed (_tile_search): the map, grid row and grid column of each
+    seed, as columns by map, then lower minimum first.  The first map that
+    is flat or has no local minimum raises NoMinimumFound."""
     tiling = _tiling(grid.n_values, grid.kappa_values, ambient_index, substrate_index)
-    maps = _Maps(thickness, wavelength, reflectance, transmittance)
-    owner, index, spread = _tile_search(tiling, maps)
-    flat = spread < FLAT_LANDSCAPE_SPAN
-    failed = flat | (np.bincount(owner, minlength=spread.size) == 0)
-    if failed.any():
-        raise NoMinimumFound("residual landscape is flat" if flat[np.argmax(failed)]
-                             else "no local minimum on the search grid")
-    return (owner, *np.divmod(index, tiling.k_vals.size))
+    index = _tile_search(tiling, _Maps(thickness, wavelength, reflectance, transmittance))
+    owner, slot = np.nonzero(index < tiling.n_vals.size * tiling.k_vals.size)  # else missing
+    return (owner, *np.divmod(index[owner, slot], tiling.k_vals.size))
 
 
 def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .. import NumericalFailure, check, positive
+from .. import NumericalFailure, at_least_one, check, positive
 from ..constants import C0, EPS0
 from .scatter import (
     MieCoefficients,
@@ -204,6 +204,8 @@ def poynting_streamlines(
     up as a direction reversal).
     """
     check(step, positive, "step must be finite and > 0")
+    check(max_steps, lambda v: at_least_one(v) & (np.floor(v) == v),
+          "max_steps must be an integer >= 1")
     if scheme not in ("euler", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if coeffs is None:
@@ -229,7 +231,7 @@ def poynting_streamlines(
         s = poynting(grid.E, grid.H)
         return s, np.linalg.norm(s, axis=1)
 
-    for _ in range(max_steps):
+    for _ in range(int(max_steps)):
         pts = points[active]
         radii = np.linalg.norm(pts, axis=1)
         left = radii > domain

@@ -14,8 +14,11 @@ def axis(lo, hi, step, origin=None) -> np.ndarray:
     A span within a millionth of a step of a whole number of steps keeps
     its end sample, moved onto the end: no sample lies outside [lo, hi].
     """
+    check(lo, np.isfinite, "lo must be finite")
+    check(hi, np.isfinite, "hi must be finite")
     check(step, positive, "step must be finite and > 0")
     origin = lo if origin is None else origin
+    check(origin, np.isfinite, "origin must be finite")
     first = math.ceil((lo - origin) / step - 1e-6)
     last = math.floor((hi - origin) / step + 1e-6)
     return np.clip(origin + step * np.arange(first, last + 1), lo, hi)

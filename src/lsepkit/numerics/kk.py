@@ -69,7 +69,7 @@ def kramers_kronig_real(omega_grid, imag_part, asymptote: float = 0.0):
     imag_part : (n,) array_like
         Imaginary part sampled on ``omega_grid``.
     asymptote : float
-        High-frequency limit added to the transform (e.g. a background
+        Finite high-frequency limit added to the transform (e.g. a background
         refractive index from resonances outside the band).
 
     Raises
@@ -83,6 +83,7 @@ def kramers_kronig_real(omega_grid, imag_part, asymptote: float = 0.0):
         raise ValueError("omega_grid and imag_part must be matching 1-d arrays")
     check(omega, np.isfinite, "omega_grid must be finite")
     check(im_part, np.isfinite, "imag_part must be finite")
+    check(asymptote, np.isfinite, "asymptote must be finite")
     if omega.size < MIN_POINTS:
         raise GridTooCoarse(f"need at least {MIN_POINTS} points, got {omega.size}")
     if np.any(np.diff(omega) <= 0.0) or omega[0] <= 0.0:

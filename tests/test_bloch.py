@@ -495,6 +495,23 @@ class TestCycleAverage:
         floor = 16 * np.finfo(float).smallest_subnormal
         assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max() + floor
 
+    @pytest.mark.parametrize(
+        "times, values, match",
+        [([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "sample_times"),
+         ([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0], "sample_times"),
+         ([0.0, 1.0, 2.0], np.ones((3, 2)), "values"),
+         ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0], "values")],
+        ids=["decreasing", "negative", "2-d values", "longer values"],
+    )
+    def test_rejects_a_bad_axis(self, times, values, match):
+        # the time axis takes the propagators' one sample-time check; a
+        # decreasing axis used to give [1, 2.5, 3]
+        with pytest.raises(ValueError, match=match):
+            cycle_average(np.asarray(times), np.asarray(values), 1.0)
+
+    def test_integer_samples_average_to_floats(self):
+        assert cycle_average(np.arange(3.0), np.array([0, 1, 3]), 2.0).tolist() == [0.5, 1.25, 2.0]
+
 
 class TestLinearity:
     def test_weak_field_coherence_linear_in_amplitude(self):

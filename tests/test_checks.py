@@ -119,6 +119,14 @@ CASES = [
     ("coupling", lambda v: AggregateChain(**{**CHAIN, "coupling": v}), -INF),
     ("monomer_dipole", lambda v: AggregateChain(**{**CHAIN, "monomer_dipole": v}), -1.0),
     ("dipole", lambda v: orientational_average(v, 3), -1.0),
+    ("lo must", lambda v: axis(v, 1.0, 0.1), -INF),
+    ("hi must", lambda v: axis(0.0, v, 0.1), -INF),
+    ("origin", lambda v: axis(0.0, 1.0, 0.1, origin=v), -INF),
+    ("asymptote", lambda v: kramers_kronig_real(np.arange(1.0, 18.0), np.zeros(17), v), -INF),
+    ("max_steps", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, -200e-9]],
+                                                 max_steps=v), 0),
+    ("max_steps", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, -200e-9]],
+                                                 max_steps=v), 2.5),
 ]
 
 

@@ -358,11 +358,12 @@ def _search_of(n_vals, k_vals, thickness, wavelength, refl, trans, ambient, subs
     return film._tiling(n_vals, k_vals, ambient, substrate), film._Maps(*one_map)
 
 
-def _seeds_or_flat(find):
+def _seeds_or_failure(find):
+    """What ``find`` returns, or the reason NoMinimumFound gives."""
     try:
         return find()
-    except NoMinimumFound:
-        return "no minimum"
+    except NoMinimumFound as failure:
+        return str(failure)
 
 
 def _seeds_by_map(seeds, count):
@@ -470,11 +471,35 @@ class TestTileSearch:
     @example(_window(2.0, 4, 1e-16, 0.5, 12, 0.1), (550e-9, 70e-9, 0.2, 0.5, (1.0, 1.52)))
     def test_pruned_seeds_equal_the_reference_seeds(self, grid, params):
         one_map = _map_of(*params)
-        expected = _seeds_or_flat(lambda: _two_lowest_minima(_residual_map(grid, *one_map)[0]))
+        expected = _seeds_or_failure(lambda: _two_lowest_minima(_residual_map(grid, *one_map)[0]))
         per_map = np.array(one_map[:4])[:, None]
-        assert _seeds_or_flat(
+        assert _seeds_or_failure(
             lambda: _seeds_by_map(film._grid_seeds(grid, *per_map, *one_map[4:]), 1)[0]
         ) == expected
+
+    @given(_GRIDS, st.lists(_MAPS, min_size=2, max_size=4))
+    # two local minima beside one
+    @example(_window(2.0, 7, 0.4, 2.5, 31, 0.1),
+             [(658e-9, 917e-9, 0.69, 0.5, (1.0, 1.52)), (346e-9, 490e-9, 0.21, 0.13, (1.0, 1.52))])
+    # a map with two minima, then two flat maps
+    @example(_window(3.44, 9, 1e-16, 0.51, 33, 1e-16),
+             [(432e-9, 131e-9, 0.26, 0.23, (1.0, 1.52)), (423e-9, 480e-9, 0.55, 0.057, (1.0, 1.52)),
+              (708e-9, 154e-9, 0.89, 0.069, (1.0, 1.52))])
+    def test_batch_seeds_equal_the_reference_seeds(self, grid, params):
+        # one search over maps of one grid and one stack (the first map's
+        # media): a map whose threshold falls while another still has fewer
+        # than two minima, and failing maps among good ones
+        media = params[0][4]
+        per_map = [_map_of(*map_params[:4], media)[:4] for map_params in params]
+        expected = [
+            _seeds_or_failure(lambda: _two_lowest_minima(_residual_map(grid, *one, *media)[0]))
+            for one in per_map
+        ]
+        failures = [seeds for seeds in expected if isinstance(seeds, str)]
+        columns = np.array(per_map).T
+        assert _seeds_or_failure(
+            lambda: _seeds_by_map(film._grid_seeds(grid, *columns, *media), len(per_map))
+        ) == (failures[0] if failures else expected)
 
     def test_map_without_near_minimum_raises_no_minimum_found(self):
         # an ambient index of 1e308 makes every residual NaN: no map has a
