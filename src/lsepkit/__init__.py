@@ -42,3 +42,9 @@ def non_negative(values):
 def at_least_one(values):
     """Finite and >= 1: false for NaN and +-inf."""
     return (1.0 <= values) & (values < np.inf)
+
+
+def positive_integer(values):
+    """A whole number >= 1, such as 3 or 3.0: false for NaN, +-inf and
+    fractions."""
+    return at_least_one(values) & (np.floor(values) == values)

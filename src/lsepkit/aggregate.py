@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import at_least_one, check, non_negative
+from . import check, non_negative, positive_integer
 
 
 class ModeOutOfRange(ValueError):
-    """Requested exciton mode index outside 1..n."""
+    """Requested exciton mode index not a whole number in 1..n."""
 
 
 class BadDimension(ValueError):
@@ -49,7 +49,7 @@ class AggregateChain:
     monomer_dipole: float
 
     def __post_init__(self):
-        check(self.n_molecules, at_least_one, "n_molecules must be finite and >= 1")
+        check(self.n_molecules, positive_integer, "n_molecules must be an integer >= 1")
         check(self.monomer_energy, np.isfinite, "monomer_energy must be finite")
         check(self.coupling, np.isfinite, "coupling must be finite")
         check(self.monomer_dipole, non_negative, "monomer_dipole must be finite and >= 0")
@@ -74,8 +74,8 @@ def eigenvalues(chain: AggregateChain) -> np.ndarray:
 def eigenstate(chain: AggregateChain, mode: int) -> np.ndarray:
     """Site coefficients of exciton mode m, normalized to unit norm."""
     n = chain.n_molecules
-    if not 1 <= mode <= n:
-        raise ModeOutOfRange(f"mode {mode} outside 1..{n}")
+    if not (positive_integer(mode) and mode <= n):
+        raise ModeOutOfRange(f"mode must be an integer in 1..{n}, got {mode}")
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(j * mode * np.pi / (n + 1))
 
@@ -87,8 +87,8 @@ def mode_dipole(chain: AggregateChain, mode: int) -> float:
     carry mu * sqrt(2/(n+1)) * cot(m pi / (2(n+1))).
     """
     n = chain.n_molecules
-    if not 1 <= mode <= n:
-        raise ModeOutOfRange(f"mode {mode} outside 1..{n}")
+    if not (positive_integer(mode) and mode <= n):
+        raise ModeOutOfRange(f"mode must be an integer in 1..{n}, got {mode}")
     parity = 1.0 - (-1.0) ** mode  # 2 for odd m, 0 for even m
     if parity == 0.0:
         return 0.0

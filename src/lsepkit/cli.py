@@ -4,8 +4,10 @@ Subcommands run the batch pipelines and write plot-ready CSV/JSON files:
 fit the material model to a permittivity target, compute efficiency
 spectra, map near fields and trace energy-flow streamlines, run the
 switch-on transient, invert film R/T data, and evaluate the classical
-single-oscillator comparison.  Configuration is an INI file; every
-default can be printed with --dump-defaults so runs are reproducible.
+single-oscillator comparison.  A run's keys come from DEFAULTS, then
+from the command's section of the INI file named by --config; the
+command line names only that file and the output directory, so the INI
+file and --dump-defaults describe a run completely.
 
 DEFAULTS declares each command's keys once, each with its default, kind
 and range.  load_config checks the whole block when it loads it, keys
@@ -184,14 +186,6 @@ DEFAULTS: dict[str, dict[str, Key]] = {
 }
 
 
-class RunConfig(dict):
-    """One command's checked, typed key values, and where it writes."""
-
-    def __init__(self, values: dict[str, object], out_dir):
-        super().__init__(values)
-        self.out_dir = Path(out_dir)
-
-
 def _parse(key: str, spec: Key, raw: str):
     """The typed value of one key, checked against its kind and range."""
     text = raw.strip()
@@ -216,8 +210,8 @@ def _parse(key: str, spec: Key, raw: str):
     return values if spec.kind is list else values[0]
 
 
-def load_config(command: str, config_path, out_dir, overrides=None) -> RunConfig:
-    """Defaults, then the INI section, then overrides; every key checked."""
+def load_config(command: str, config_path) -> dict[str, object]:
+    """Defaults, then the INI section; every key checked and typed."""
     keys = DEFAULTS[command]
     raw = {key: spec.default for key, spec in keys.items()}
     if config_path:
@@ -237,8 +231,7 @@ def load_config(command: str, config_path, out_dir, overrides=None) -> RunConfig
             if key not in keys:
                 raise ConfigError(f"[{command}] has unknown key {key!r}")
             raw[key] = value
-    raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
-    return RunConfig({key: _parse(key, keys[key], text) for key, text in raw.items()}, out_dir)
+    return {key: _parse(key, keys[key], text) for key, text in raw.items()}
 
 
 def dump_defaults(command: str) -> str:
@@ -247,7 +240,7 @@ def dump_defaults(command: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _material(cfg: RunConfig) -> medium.MaterialParams:
+def _material(cfg: dict) -> medium.MaterialParams:
     two_level = bloch.TwoLevelParams(
         transition_energy=cfg["transition_energy_ev"],
         decay_rate=cfg["decay_rate_per_s"],
@@ -261,7 +254,7 @@ def _material(cfg: RunConfig) -> medium.MaterialParams:
     )
 
 
-def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
+def _lorentz(cfg: dict) -> medium.LorentzParams:
     return medium.LorentzParams(
         eps_background=cfg["lorentz_background"],
         oscillator_strength=cfg["lorentz_strength"],
@@ -270,7 +263,7 @@ def _lorentz(cfg: RunConfig) -> medium.LorentzParams:
     )
 
 
-def _energy_grid(cfg: RunConfig) -> np.ndarray:
+def _energy_grid(cfg: dict) -> np.ndarray:
     lo = cfg["energy_min_ev"]
     hi = cfg["energy_max_ev"]
     if hi <= lo:
@@ -301,7 +294,7 @@ def _packaged(name: str):
     return files("lsepkit") / "data" / name
 
 
-def _read_input(cfg: RunConfig, fallback: str, read):
+def _read_input(cfg: dict, fallback: str, read):
     """``read`` of the input file, or of the packaged ``fallback`` through a
     real path (a temporary copy when the package is imported from a zip)."""
     from contextlib import nullcontext
@@ -365,7 +358,7 @@ def _nk_columns(candidates: film.NkCandidates, label: str) -> list:
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
+def cmd_fit_permittivity(cfg: dict) -> dict[str, str]:
     target = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
     report = medium.fit_material(target, _material(cfg))
     fitted = report.params
@@ -391,7 +384,7 @@ def cmd_fit_permittivity(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_qabs_spectrum(cfg: RunConfig) -> dict[str, str]:
+def cmd_qabs_spectrum(cfg: dict) -> dict[str, str]:
     model = cfg["model"]
     energies = _energy_grid(cfg)
     if model == "quantum":
@@ -411,7 +404,7 @@ def cmd_qabs_spectrum(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def _nearfield_scene(cfg: RunConfig) -> SphereScene:
+def _nearfield_scene(cfg: dict) -> SphereScene:
     energy = cfg["photon_energy_ev"]
     override = cfg["epsilon_override"]
     if override:
@@ -419,9 +412,7 @@ def _nearfield_scene(cfg: RunConfig) -> SphereScene:
             raise ConfigError(f"epsilon_override: expected 're,im', got {len(override)} numbers")
         eps = complex(*override)
     else:
-        spectrum = medium.epsilon_steady(_material(cfg), np.array([energy]))
-        raw = spectrum.epsilon[0]
-        eps = complex(raw.real, max(raw.imag, 0.0))
+        eps = complex(medium.epsilon_steady(_material(cfg), np.array([energy])).epsilon[0])
     return SphereScene(
         radius=cfg["radius_nm"] * 1e-9,
         sphere_epsilon=eps,
@@ -430,7 +421,7 @@ def _nearfield_scene(cfg: RunConfig) -> SphereScene:
     )
 
 
-def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
+def cmd_nearfield(cfg: dict) -> dict[str, str]:
     scene = _nearfield_scene(cfg)
     coeffs = mie_coefficients(scene)
 
@@ -479,7 +470,7 @@ def cmd_nearfield(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_transient(cfg: RunConfig) -> dict[str, str]:
+def cmd_transient(cfg: dict) -> dict[str, str]:
     material = _material(cfg)
     amplitude = power_to_field(
         cfg["power_mw"] * 1e-3,
@@ -509,7 +500,7 @@ def cmd_transient(cfg: RunConfig) -> dict[str, str]:
     return {"qabs_t.csv": table.render(["detuning_eV", "time_fs", "Q_abs"], columns)}
 
 
-def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
+def cmd_extract_nk(cfg: dict) -> dict[str, str]:
     spectrum = _read_input(cfg, "film_rt.csv", film.read_rt_csv)
     if not spectrum.wavelength.size:
         raise ConfigError("input: measurement file has no rows")
@@ -554,7 +545,7 @@ def cmd_extract_nk(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_lorentz(cfg: RunConfig) -> dict[str, str]:
+def cmd_lorentz(cfg: dict) -> dict[str, str]:
     spectrum = medium.lorentz_epsilon(_lorentz(cfg), _energy_grid(cfg))
     return {
         "epsilon_lorentz.csv": table.render(
@@ -589,13 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print the default configuration block and exit",
         )
-        if name == "qabs-spectrum":
-            cmd.add_argument(
-                "--model",
-                choices=DEFAULTS[name]["model"].kind,
-                default=None,
-                help="permittivity source for the spectrum",
-            )
     return parser
 
 
@@ -608,9 +592,7 @@ def main(argv=None) -> int:
         # a numpy overflow, invalid value or division by zero is a
         # numerical failure, not a warning ahead of invalid output
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = load_config(
-                args.command, args.config, args.out, {"model": getattr(args, "model", None)}
-            )
+            cfg = load_config(args.command, args.config)
             bodies = COMMANDS[args.command](cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -618,10 +600,11 @@ def main(argv=None) -> int:
     except (NumericalFailure, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out_dir = Path(args.out)
     try:
-        written = write_outputs(cfg.out_dir, bodies)
+        written = write_outputs(out_dir, bodies)
     except OSError as exc:
-        print(f"error: cannot write to {cfg.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write to {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in written:
         print(path)

@@ -822,7 +822,10 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     times the grid spacing), far above the rounding of either value; so
     its map is not flat either.  The rounds stop when no map has a tile
     left at or below its threshold (a map short of minima stops with every
-    tile evaluated or dropped).  Then every skipped point exceeds the
+    tile evaluated or dropped; one that found its second minimum in the
+    last round that took tiles stops with the tiles above its threshold
+    still queued, so a map's flat decision reads its own queue and coarse
+    tiles, not the batch's).  Then every skipped point exceeds the
     threshold or is no local minimum, so it can be neither one of the two
     lowest local minima nor tie with one; and a map with a point skipped
     by its bound has one more than FLAT_LANDSCAPE_SPAN above its lowest

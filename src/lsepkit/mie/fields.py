@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .. import NumericalFailure, at_least_one, check, positive
+from .. import NumericalFailure, check, positive, positive_integer
 from ..constants import C0, EPS0
 from .scatter import (
     MieCoefficients,
@@ -204,8 +204,7 @@ def poynting_streamlines(
     up as a direction reversal).
     """
     check(step, positive, "step must be finite and > 0")
-    check(max_steps, lambda v: at_least_one(v) & (np.floor(v) == v),
-          "max_steps must be an integer >= 1")
+    check(max_steps, positive_integer, "max_steps must be an integer >= 1")
     if scheme not in ("euler", "midpoint"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if coeffs is None:

@@ -25,7 +25,8 @@ G1 and C, so no matrix is built per sample.  Every power of a generator
 whose columns sum against a fixed vector to zero does so too, so the
 truncated series keeps such a conserved sum (the Bloch trace).  A
 sample within the rounding of its own time of a grid phase takes no
-partial step.
+partial step.  Partial steps run in blocks of _BLOCK samples, each block
+summing its own series.
 
 M doubles from M_START until the M- and 2M-step states agree within
 atol + rtol |y| in every real component, at every sample and at the
@@ -56,7 +57,9 @@ M_START = 24
 #: Budget of one integration: steps per period times periods spanned.
 MAX_STEPS = 2**19
 
-#: Samples whose prefix matrices are gathered at once; bounds the memory.
+#: Samples whose prefix matrices are gathered, or whose partial steps are
+#: taken, at once: bounds the memory, and keeps each product small enough
+#: that a multithreaded BLAS runs it on one thread.
 _BLOCK = 256
 
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
@@ -149,10 +152,11 @@ def _states(m, gens, rabi, omega, y0, samples, period_index, phase):
     states[samples.size:] = starts[:n_starts]
     tau = phase - grid[j]
     off = np.flatnonzero(np.abs(tau) > _ON_GRID * samples)
-    if off.size:
-        coeffs = _exponents(rabi, omega, grid[j[off]], tau[off])
-        stacked = gens.reshape(-1, w)
-        states[off] = _exp(states[off], lambda y: (
+    stacked = gens.reshape(-1, w)
+    for lo in range(0, off.size, _BLOCK):
+        block = off[lo:lo + _BLOCK]
+        coeffs = _exponents(rabi, omega, grid[j[block]], tau[block])
+        states[block] = _exp(states[block], lambda y: (
             coeffs[:, :, None] * y[:, None]).reshape(len(y), -1) @ stacked)
     return states
 

@@ -124,3 +124,17 @@ class TestValidation:
             AggregateChain(0, 2.0, 0.05, 1.0)
         with pytest.raises(ValueError):
             AggregateChain(5, 2.0, 0.05, -1.0)
+
+    def test_counts_are_whole_numbers(self):
+        with pytest.raises(ValueError, match="n_molecules must be an integer"):
+            AggregateChain(2.5, 2.3, 0.1, 10.0)
+        chain = AggregateChain(7, 2.3, 0.1, 10.0)
+        with pytest.raises(ModeOutOfRange, match="got 1.5"):
+            mode_dipole(chain, 1.5)
+        with pytest.raises(ModeOutOfRange, match="got 1.5"):
+            eigenstate(chain, 1.5)
+        # an integral float counts, as it does for poynting_streamlines' max_steps
+        whole = AggregateChain(3.0, 2.3, 0.1, 10.0)
+        np.testing.assert_array_equal(eigenvalues(whole),
+                                      eigenvalues(AggregateChain(3, 2.3, 0.1, 10.0)))
+        assert mode_dipole(chain, 3.0) == mode_dipole(chain, 3)

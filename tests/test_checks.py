@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from lsepkit import at_least_one, check, non_negative, positive
-from lsepkit.aggregate import AggregateChain, orientational_average
+from lsepkit import at_least_one, check, non_negative, positive, positive_integer
+from lsepkit.aggregate import AggregateChain, eigenstate, mode_dipole, orientational_average
 from lsepkit.bloch import DensityMatrix, DriveField, TwoLevelParams, cycle_average, evolve_lab
 from lsepkit.film import (
     NkCandidates,
@@ -127,6 +127,9 @@ CASES = [
                                                  max_steps=v), 0),
     ("max_steps", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, -200e-9]],
                                                  max_steps=v), 2.5),
+    ("n_molecules", lambda v: AggregateChain(**{**CHAIN, "n_molecules": v}), 2.5),
+    ("mode must", lambda v: mode_dipole(AggregateChain(**CHAIN), v), 1.5),
+    ("mode must", lambda v: eigenstate(AggregateChain(**CHAIN), v), 1.5),
 ]
 
 
@@ -150,7 +153,8 @@ class TestCheck:
         assert check([], positive, "x") is None
 
     @pytest.mark.parametrize("predicate, edge", [
-        (positive, 0.0), (non_negative, -1e-300), (at_least_one, math.nextafter(1.0, 0.0))])
+        (positive, 0.0), (non_negative, -1e-300), (at_least_one, math.nextafter(1.0, 0.0)),
+        (positive_integer, math.nextafter(2.0, 0.0))])
     def test_predicates_reject_the_edge_and_non_finite(self, predicate, edge):
         values = np.array([edge, NAN, INF, -INF])
         assert not predicate(values).any()

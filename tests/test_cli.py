@@ -501,8 +501,10 @@ class TestConfigErrors:
             raise RecurrenceUnstable("forced for the exit-code contract")
 
         monkeypatch.setattr(cli, "qabs_spectrum", unstable)
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "qabs-spectrum", model="lorentz")
         out = tmp_path / "o"
-        rc = main(["qabs-spectrum", "--model", "lorentz", "--out", str(out)])
+        rc = main(["qabs-spectrum", "--config", str(ini), "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -574,27 +576,22 @@ class TestQabsSpectrum:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_model_flag_overrides_config(self, tmp_path, capsys):
-        ini = tmp_path / "cfg.ini"
-        write_ini(ini, "qabs-spectrum", energy_step_ev="0.005")
-        out = tmp_path / "ql"
-        rc = main(
-            [
-                "qabs-spectrum",
-                "--config",
-                str(ini),
-                "--out",
-                str(out),
-                "--model",
-                "lorentz",
-            ]
-        )
-        assert rc == EXIT_OK
+    def test_model_key_selects_lorentz(self, tmp_path, capsys):
+        path = self.run_coarse(tmp_path, "ql", model="lorentz")
         capsys.readouterr()
-        _, rows = read_csv_columns(out / "qabs.csv")
+        _, rows = read_csv_columns(path)
         data = np.array(rows, dtype=float)
         assert 2.10 <= data[data[:, 3].argmax(), 0] <= 2.20
         assert data[:, 3].max() > 1.0
+
+    def test_model_flag_is_gone(self, tmp_path, capsys):
+        # the model is a key of the INI section; argv takes no key
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["qabs-spectrum", "--model", "lorentz", "--out", str(out)])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --model lorentz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLorentzCommand:
@@ -811,6 +808,16 @@ class TestExtractNk:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "kk_asymptote" in err
+        assert not out.exists()
+
+    def test_measurement_file_without_rows(self, tmp_path, capsys):
+        rt_path = tmp_path / "rt.csv"
+        film.write_rt_csv(rt_path, film.RTSpectrum([], [], []))
+        out = tmp_path / "nk"
+        rc = main(["extract-nk", "--config", str(self.config(tmp_path, rt_path)),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: input: measurement file has no rows\n"
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):

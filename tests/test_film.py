@@ -134,6 +134,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="thickness must be finite and > 0, got 0.0"):
             rt_theoretical(1.5 + 0j, [70e-9, 0.0], 600e-9)
 
+    def test_empty_measurement_is_rejected(self):
+        with pytest.raises(ValueError, match="^at least one measurement is required$"):
+            extract_nk(RTSpectrum([], [], []))
+
     def test_measurement_bounds(self):
         with pytest.raises(ValueError):
             RTSpectrum([600e-9], [1.2], [0.0])
@@ -501,6 +505,26 @@ class TestTileSearch:
             lambda: _seeds_by_map(film._grid_seeds(grid, *columns, *media), len(per_map))
         ) == (failures[0] if failures else expected)
 
+    def test_flat_map_beside_an_unfinished_map(self):
+        # Map A (packaged row 45 at 70 nm) ends the search with a coarse
+        # tile never split and fine tiles still queued: it found its second
+        # minimum in the last round that took tiles.  Map B (R = T = 1e6)
+        # is exactly flat on this window, where R + T = 1 rounds away
+        # against 2e6.  Fails if B's flat decision reads the closed tiles
+        # or the queue of the whole batch instead of B's own.
+        measured = read_rt_csv(files("lsepkit") / "data" / "film_rt.csv")
+        grid = NkGrid(kappa_max=1e-14, kappa_step=1e-16)
+        wavelength = measured.wavelength[45]
+        a = (70e-9, wavelength, measured.reflectance[45], measured.transmittance[45])
+        b = (70e-9, wavelength, 1e6, 1e6)
+        with pytest.raises(NoMinimumFound, match="residual landscape is flat"):
+            _two_lowest_minima(_residual_map(grid, *b, 1.0, 1.52)[0])
+        expected = _two_lowest_minima(_residual_map(grid, *a, 1.0, 1.52)[0])
+        assert _seeds_by_map(film._grid_seeds(grid, *np.array([a]).T, 1.0, 1.52), 1) == [expected]
+        for batch in ([a, b], [b, a]):
+            with pytest.raises(NoMinimumFound, match="residual landscape is flat"):
+                film._grid_seeds(grid, *np.array(batch).T, 1.0, 1.52)
+
     def test_map_without_near_minimum_raises_no_minimum_found(self):
         # an ambient index of 1e308 makes every residual NaN: no map has a
         # local minimum, and the answer is that of the full reference map
@@ -781,7 +805,7 @@ class TestLockstepRefine:
         "xatol, maxiter", [(1e-11, medium.FIT_MAXITER), (1e-9, medium.FIT_MAXITER), (1e-11, 20)]
     )
     def test_fit_options_match_scipy_bit_for_bit(self, xatol, maxiter):
-        defaults = cli.load_config("fit-permittivity", None, ".")
+        defaults = cli.load_config("fit-permittivity", None)
         fixed = cli._material(defaults)
         target = medium.read_spectrum_csv(cli._packaged("epsilon_extracted.csv"))
         two_level, background = fixed.two_level, fixed.background_permittivity

@@ -293,7 +293,7 @@ class TestFit:
     @settings(deadline=None)
     @given(st.floats(1.0, 300.0), st.floats(1e-3, 1.0))
     def test_recovers_exact_targets_from_cli_defaults(self, dipole, dephasing):
-        fixed = cli._material(cli.load_config("fit-permittivity", None, "."))
+        fixed = cli._material(cli.load_config("fit-permittivity", None))
         energies = read_spectrum_csv(cli._packaged("epsilon_extracted.csv")).energies
         truth = dataclasses.replace(fixed, two_level=dataclasses.replace(
             fixed.two_level, dipole=dipole, pure_dephasing=dephasing))

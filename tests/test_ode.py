@@ -76,6 +76,16 @@ class TestBasics:
             traj.states[:, 3].real, rabi_population(times), atol=1e-6
         )
 
+    def test_partial_steps_in_blocks_equal_one_block(self, monkeypatch):
+        # 600 samples, none on a grid phase, take their partial steps in
+        # blocks of periodic._BLOCK; one block of them all gives the same bits
+        times = np.linspace(0.1, 3.0, 600)
+        assert times.size > periodic._BLOCK
+        args = (np.zeros((4, 4)), RABI_UNIT, OMEGA, 1.0, GROUND, times)
+        blocked = integrate(*args, **TOL).states
+        monkeypatch.setattr(periodic, "_BLOCK", 10**9)
+        np.testing.assert_array_equal(blocked, integrate(*args, **TOL).states)
+
 
 class TestAccuracyScaling:
     def test_tolerance_halving_monotone(self):
