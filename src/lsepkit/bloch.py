@@ -12,13 +12,17 @@ Conventions, fixed project-wide:
   rate plus the pure dephasing rate.
 
 The rotating-wave generator is a 4x4 complex matrix acting on the state
-vector; its eigen-decomposition propagates the envelope exactly at any
-sample time.  The lab-frame equations keep the full cosine drive
-(counter-rotating term included).  They are linear, dv/dt = (G0 +
-Omega cos(w t) G1) v, with a generator that repeats every drive period,
-and are propagated one period at a time with fourth-order Magnus steps
-(:func:`lsepkit.numerics.integrate`); the step count per period doubles
-until two grids agree in all eight real components.
+vector; its eigen-decomposition, certified by a residual bound,
+propagates the envelope exactly at any sample time.  Its stationary
+state is the textbook closed form (Loudon, The Quantum Theory of Light,
+3rd ed., OUP 2000, ch. 2), with NoUniqueSteadyState at zero decay and
+where that form leaves the float range (on exact resonance with a
+dephasing rate below 6e-268 1/s).  The lab-frame equations keep the
+full cosine drive (counter-rotating term included).  They are linear,
+dv/dt = (G0 + Omega cos(w t) G1) v, with a generator that repeats every
+drive period, and are propagated one period at a time with fourth-order
+Magnus steps (:func:`lsepkit.numerics.integrate`); the step count per
+period doubles until two grids agree in all eight real components.
 """
 
 from __future__ import annotations
@@ -29,12 +33,21 @@ import numpy as np
 
 from . import NumericalFailure, check, non_negative, positive
 from .constants import DEBYE, EV, EV_TO_RADS, HBAR
-from .numerics import checked_times, eig, integrate, solve_linear
+from .numerics import NotConverged, checked_times, integrate
 
 
 class NoUniqueSteadyState(NumericalFailure):
     """Without decay the driven system keeps a conserved component and
-    the stationary state is not unique."""
+    the stationary state is not unique; a decay too slow for double
+    precision on exact resonance is treated alike."""
+
+
+class DefectiveMatrix(NumericalFailure):
+    """Eigenvector basis is numerically rank deficient."""
+
+
+# Residual certificate for eig: ||A v - w v|| <= EIG_RTOL * ||A|| per pair.
+EIG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,13 +136,12 @@ class DensityMatrix:
     rho10: complex
     rho11: complex
 
+    def __post_init__(self):
+        check(self.as_vector(), np.isfinite, "rho must be finite")
+
     @classmethod
     def ground(cls) -> "DensityMatrix":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
-
-    @classmethod
-    def from_vector(cls, v) -> "DensityMatrix":
-        return cls(*(complex(c) for c in np.asarray(v).ravel()))
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.rho00, self.rho01, self.rho10, self.rho11], dtype=complex)
@@ -224,20 +236,37 @@ def liouvillian_rwa(params: TwoLevelParams, drive: DriveField) -> np.ndarray:
 
 
 def steady_state(params: TwoLevelParams, drive: DriveField) -> DensityMatrix:
-    """Unique stationary state of the rotating-wave generator.
+    """Unique stationary state of the rotating-wave generator, in closed
+    form (Loudon, The Quantum Theory of Light, 3rd ed., OUP 2000, ch. 2).
 
-    Solves L v = 0 with the trace row pinned to one.  Raises
-    NoUniqueSteadyState when the decay rate vanishes (the generator then
-    conserves more than the trace).
+    With decay rate gamma, dephasing rate Gamma, detuning delta, Rabi
+    frequency Omega and R = Omega^2 Gamma / (2 (Gamma^2 + delta^2)), the
+    excited population is R / (gamma + 2R), the inversion is w = gamma /
+    (gamma + 2R) (1 - 2 rho11 would cancel), and rho01~ = i (Omega/2) w /
+    (Gamma + i delta) is :func:`linear_coherence_per_field` times E0 w.
+
+    Raises NoUniqueSteadyState when the decay rate vanishes (the
+    generator then conserves more than the trace), and when gamma + 2R
+    is not a finite number: for a decay rate > 0 in the keys' ranges
+    only on exact resonance with Gamma below 6e-268 1/s, a decay too
+    slow to resolve in double precision.  Every other state is finite
+    and passes ``validate``.
     """
-    if params.decay_rate <= 0.0:
+    gamma = params.decay_rate
+    if gamma <= 0.0:
         raise NoUniqueSteadyState("zero decay rate leaves a conserved population")
-    gen = liouvillian_rwa(params, drive)
-    # trace row scaled to the generator's magnitude keeps pivots balanced
-    scale = max(np.max(np.abs(gen)), 1.0)
-    gen[0, :] = np.array([1.0, 0.0, 0.0, 1.0]) * scale
-    rhs = np.array([scale, 0.0, 0.0, 0.0], dtype=complex)
-    return DensityMatrix.from_vector(solve_linear(gen, rhs))
+    # numpy scalars: a zero or overflowing divisor gives inf or nan, checked below
+    with np.errstate(all="ignore"):
+        coherence = drive.amplitude * linear_coherence_per_field(
+            params, np.float64(drive.photon_energy))
+        pump = rabi_frequencies(params, drive)[0] * coherence.imag
+        saturation = gamma + 2.0 * pump
+    if not np.isfinite(saturation):
+        raise NoUniqueSteadyState(
+            f"decay rate {gamma:.3g} 1/s is too slow to resolve the steady state on resonance")
+    excited = pump / saturation
+    coherence = coherence * (gamma / saturation)
+    return DensityMatrix(1.0 - excited, coherence, np.conj(coherence), excited)
 
 
 def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> complex:
@@ -252,10 +281,39 @@ def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> 
     return 0.5j * params.dipole_si / HBAR / (params.total_dephasing_rate + 1j * delta)
 
 
+def eig(a):
+    """Eigenvalues and unit-norm right eigenvectors (the columns) of a
+    square complex matrix.  Raises NotConverged when LAPACK fails or a
+    pair misses the residual bound ||A v - w v|| <= EIG_RTOL ||A||, and
+    DefectiveMatrix when the eigenvector basis is numerically rank
+    deficient (the matrix cannot be diagonalized)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {a.shape}")
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(str(exc)) from exc
+    norms = np.linalg.norm(vectors, axis=0)
+    if np.any(norms == 0.0):
+        raise NotConverged("zero eigenvector returned")
+    vectors = vectors / norms
+    residual = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+    bound = EIG_RTOL * max(np.linalg.norm(a, 2), np.finfo(float).tiny)
+    if np.any(residual > bound):
+        raise NotConverged(f"residual {np.max(residual):.3e} exceeds {bound:.3e}")
+    # a defective matrix has no complete basis; numerically the basis collapses
+    svals = np.linalg.svd(vectors, compute_uv=False)
+    if svals[-1] < 1e-9 * svals[0]:
+        raise DefectiveMatrix(f"eigenvector basis condition {svals[0] / svals[-1]:.3e}")
+    return values, vectors
+
+
 def _propagate_eig(gen, v0, dts):
-    """exp(gen * dt) @ v0 for each dt via eigen-decomposition."""
+    """exp(gen * dt) @ v0 for each dt via eigen-decomposition; eig has
+    certified the basis, so the coefficients take a plain solve."""
     values, vectors = eig(gen)
-    coeffs = solve_linear(vectors, v0)
+    coeffs = np.linalg.solve(vectors, v0)
     return (vectors @ (np.exp(np.outer(values, dts)) * coeffs[:, None])).T
 
 

@@ -47,9 +47,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import check, positive
+from .. import NumericalFailure, check, positive
 from .axes import checked_times
-from .linalg import NotConverged
+
+
+class NotConverged(NumericalFailure):
+    """The propagator could not meet its tolerances, or an
+    eigen-decomposition failed or missed its residual bound."""
+
 
 #: Steps of the first grid over one period.
 M_START = 24
@@ -194,7 +199,7 @@ def integrate(
     rabi, omega : float
         Amplitude and angular frequency (> 0) of the coupling.
     y0 : (n,) array_like
-        State at t = 0, real or complex.
+        Finite state at t = 0, real or complex.
     sample_times : sequence of float
         Finite, strictly increasing times, none before 0.  The returned
         states are complex.
@@ -212,6 +217,7 @@ def integrate(
     check(rtol, positive, "rtol must be finite and > 0")
     check(atol, positive, "atol must be finite and > 0")
     check(omega, positive, "omega must be finite and > 0")
+    check(y0, np.isfinite, "y0 must be finite")
     samples = checked_times(sample_times)
 
     g0, g1 = np.asarray(g0, complex), np.asarray(g1, complex)

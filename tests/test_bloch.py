@@ -14,12 +14,14 @@ from hypothesis.extra.numpy import arrays
 from lsepkit import bloch
 from lsepkit.bloch import (
     BlochTrajectory,
+    DefectiveMatrix,
     DensityMatrix,
     DriveField,
     NoUniqueSteadyState,
     TwoLevelParams,
     cycle_average,
     detuning_energy,
+    eig,
     evolve_lab,
     evolve_rwa,
     linear_coherence_per_field,
@@ -183,6 +185,61 @@ class TestSteadyState:
             steady_state(undamped, WEAK)
 
 
+EPS = np.finfo(float).eps
+_decaying = _params.filter(lambda p: p.decay_rate > 0.0)
+
+
+def _pinned_trace_solve(params, drive):
+    """The stationary state as steady_state solved it before its closed
+    form: L v = 0 with the trace row pinned to one and scaled to the
+    generator, by LU.  Returns the pinned matrix's smallest over largest
+    singular value and the solution, or None where that ratio is below
+    1e-12 and the solve raised SingularMatrix."""
+    gen = liouvillian_rwa(params, drive)
+    scale = max(np.max(np.abs(gen)), 1.0)
+    gen[0, :] = np.array([1.0, 0.0, 0.0, 1.0]) * scale
+    svals = np.linalg.svd(gen, compute_uv=False)
+    ratio = svals[-1] / svals[0]
+    if ratio < 1e-12:
+        return None
+    return ratio, np.linalg.solve(gen, np.array([scale, 0.0, 0.0, 0.0]))
+
+
+class TestClosedFormSteadyState:
+    @given(_decaying, _drives)
+    def test_stationary_with_exact_trace(self, params, drive):
+        # the closed form leaves the float range only on exact resonance
+        # with a dephasing rate below 6e-268 1/s; everywhere else it is
+        # finite, annihilated by the generator to a few ulps of its
+        # largest entry (at most 1.12 over 5,000 draws) and of trace one
+        # to 2 ulps
+        try:
+            v = steady_state(params, drive).as_vector()
+        except NoUniqueSteadyState:
+            assert detuning_energy(params, drive) == 0.0
+            assert params.total_dephasing_rate < 6e-268
+            return
+        gen = liouvillian_rwa(params, drive)
+        assert np.isfinite(v).all()
+        assert np.abs(gen @ v).max() <= 4 * EPS * np.abs(gen).max()
+        assert abs(v[0] + v[3] - 1.0) <= 2 * EPS
+
+    @given(_decaying, _drives)
+    def test_matches_the_pinned_trace_solve(self, params, drive):
+        # Oracle: the LU solve of the pinned system, wherever its
+        # singular-value ratio is at least 1e-12.  Tolerance: 1e-11
+        # absolute plus the solve's own forward error, 4 eps / ratio.  The
+        # gap reached 0.7 eps / ratio over 5,000 draws; on the two worst,
+        # 60-digit solves put the closed form within 1.2e-16 and the LU
+        # solve up to 2.6e-8 off
+        pinned = _pinned_trace_solve(params, drive)
+        if pinned is None:
+            return
+        ratio, want = pinned
+        got = steady_state(params, drive).as_vector()
+        assert np.abs(got - want).max() <= 1e-11 + 4 * EPS / ratio
+
+
 class TestEvolveRwa:
     def test_steady_state_is_fixed_point(self):
         ss = steady_state(PARAMS, WEAK)
@@ -242,6 +299,57 @@ def _off_grid_records(draw):
     boundaries = period * np.array(draw(st.lists(st.integers(0, 5), max_size=3)), dtype=float)
     times = np.unique(np.concatenate([span * fractions, boundaries[boundaries <= span]]))
     return drive, times
+
+
+class TestEig:
+    def test_diagonal(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        values, vectors = eig(a)
+        np.testing.assert_allclose(sorted(values.real), [1, 2, 3, 4], atol=1e-12)
+        np.testing.assert_allclose(np.abs(values.imag), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-12)
+
+    def test_two_level_coupling_pair(self):
+        # symmetric off-diagonal coupling splits into +/- J
+        j = 0.37
+        a = np.array([[0.0, j], [j, 0.0]], dtype=complex)
+        values, _ = eig(a)
+        np.testing.assert_allclose(sorted(values.real), [-j, j], atol=1e-12)
+
+    def test_zero_drive_relaxation_generator(self):
+        # 4x4 generator of undriven two-level relaxation: populations
+        # couple through the decay rate, coherences rotate at the detuning
+        # and damp at the total dephasing rate.  Spectrum is known in
+        # closed form: {0, -gamma, -dephasing +/- i*detuning}.
+        gamma = 1.15e12
+        dephasing = 2.64e13
+        detuning = 1.37e14
+        gen = np.zeros((4, 4), dtype=complex)
+        gen[0, 3] = gamma
+        gen[3, 3] = -gamma
+        gen[1, 1] = -(dephasing + 1j * detuning)
+        gen[2, 2] = -(dephasing - 1j * detuning)
+        values, _ = eig(gen)
+        expected = np.array(
+            [0.0, -gamma, -(dephasing + 1j * detuning), -(dephasing - 1j * detuning)]
+        )
+        got = values[np.argsort(values.real + 1e-3 * values.imag)]
+        want = expected[np.argsort(expected.real + 1e-3 * expected.imag)]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1.0)
+
+    def test_reconstruction_residual(self):
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            values, vectors = eig(a)
+            residual = np.linalg.norm(a @ vectors - vectors * values)
+            assert residual <= 1e-8 * np.linalg.norm(a)
+
+    def test_defective_raises(self):
+        # Jordan block: eigenvalue 0 twice, single eigenvector
+        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises((DefectiveMatrix, NotConverged)):
+            eig(a)
 
 
 class TestEvolveLab:

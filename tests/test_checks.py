@@ -130,6 +130,9 @@ CASES = [
     ("n_molecules", lambda v: AggregateChain(**{**CHAIN, "n_molecules": v}), 2.5),
     ("mode must", lambda v: mode_dipole(AggregateChain(**CHAIN), v), 1.5),
     ("mode must", lambda v: eigenstate(AggregateChain(**CHAIN), v), 1.5),
+    ("rho must", lambda v: DensityMatrix(1.0, 0.0, 0.0, v), -INF),
+    ("y0", lambda v: integrate(np.eye(2), np.eye(2), 1.0, 1.0, [1.0, v], [0.0, 1.0],
+                               rtol=1e-10, atol=1e-12), -INF),
 ]
 
 

@@ -1148,6 +1148,22 @@ class TestErrorContract:
             and cls.__module__.startswith("lsepkit.")
             and cls is not NumericalFailure
         }
-        assert len(defined) >= 15
+        # the named set makes adding or deleting a class a change here too
+        assert {f"{cls.__module__}.{cls.__name__}" for cls in defined} == {
+            "lsepkit.aggregate.BadDimension",
+            "lsepkit.aggregate.ModeOutOfRange",
+            "lsepkit.bloch.DefectiveMatrix",
+            "lsepkit.bloch.NoUniqueSteadyState",
+            "lsepkit.cli.ConfigError",
+            "lsepkit.film.BranchAmbiguous",
+            "lsepkit.film.NoMinimumFound",
+            "lsepkit.medium.FitDiverged",
+            "lsepkit.mie.fields.EvaluationTooFarOut",
+            "lsepkit.mie.fields.ZeroPoyntingVector",
+            "lsepkit.mie.scatter.RecurrenceUnstable",
+            "lsepkit.mie.scatter.SizeParameterOutOfRange",
+            "lsepkit.numerics.kk.GridTooCoarse",
+            "lsepkit.numerics.periodic.NotConverged",
+        }
         for cls in defined:
             assert issubclass(cls, ValueError) != issubclass(cls, NumericalFailure), cls
