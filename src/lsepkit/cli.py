@@ -240,13 +240,22 @@ def dump_defaults(command: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _material(cfg: dict) -> medium.MaterialParams:
+def _material(cfg: dict, energies=()) -> medium.MaterialParams:
+    """The material of the keys, for its linear response at the photon
+    ``energies`` (eV).  Undamped, with no decay and no dephasing, that
+    response has a real pole at the transition energy: an input error if
+    one of the energies lies on it."""
     two_level = bloch.TwoLevelParams(
         transition_energy=cfg["transition_energy_ev"],
         decay_rate=cfg["decay_rate_per_s"],
         pure_dephasing=cfg["pure_dephasing_ev"],
         dipole=cfg["dipole_debye"],
     )
+    if two_level.total_dephasing_rate == 0.0 and two_level.transition_energy in energies:
+        raise ConfigError(
+            "decay_rate_per_s, pure_dephasing_ev: both 0 leave the emitter undamped, with a pole "
+            f"at its transition energy {two_level.transition_energy} eV, which this run samples"
+        )
     return medium.MaterialParams(
         number_density=cfg["number_density_per_m3"],
         background_permittivity=cfg["background_permittivity"],
@@ -360,7 +369,7 @@ def _nk_columns(candidates: film.NkCandidates, label: str) -> list:
 
 def cmd_fit_permittivity(cfg: dict) -> dict[str, str]:
     target = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
-    report = medium.fit_material(target, _material(cfg))
+    report = medium.fit_material(target, _material(cfg, target.energies))
     fitted = report.params
     eps = medium.epsilon_steady(fitted, target.energies).epsilon
     payload = {
@@ -388,7 +397,7 @@ def cmd_qabs_spectrum(cfg: dict) -> dict[str, str]:
     model = cfg["model"]
     energies = _energy_grid(cfg)
     if model == "quantum":
-        spectrum = medium.epsilon_steady(_material(cfg), energies)
+        spectrum = medium.epsilon_steady(_material(cfg, energies), energies)
     elif model == "lorentz":
         spectrum = medium.lorentz_epsilon(_lorentz(cfg), energies)
     else:
@@ -412,7 +421,7 @@ def _nearfield_scene(cfg: dict) -> SphereScene:
             raise ConfigError(f"epsilon_override: expected 're,im', got {len(override)} numbers")
         eps = complex(*override)
     else:
-        eps = complex(medium.epsilon_steady(_material(cfg), np.array([energy])).epsilon[0])
+        eps = complex(medium.epsilon_steady(_material(cfg, [energy]), [energy]).epsilon[0])
     return SphereScene(
         radius=cfg["radius_nm"] * 1e-9,
         sphere_epsilon=eps,
@@ -421,7 +430,18 @@ def _nearfield_scene(cfg: dict) -> SphereScene:
     )
 
 
+def _mirrors(values: np.ndarray) -> np.ndarray:
+    """For each sample of an ascending axis, the index of the sample that
+    is its exact negative if it is < 0 and has one, else its own index."""
+    other = np.minimum(np.searchsorted(values, -values), values.size - 1)
+    return np.where((values < 0.0) & (values[other] == -values), other, np.arange(values.size))
+
+
 def cmd_nearfield(cfg: dict) -> dict[str, str]:
+    # x-polarized light along z is symmetric under y -> -y, and so are the
+    # map plane x = 0 and the seed axis: a sample y < 0 whose mirror is
+    # sampled takes the mirror's result, |E| as it is and a line's points
+    # times (1, -1, 1); the y = 0 row and line are evaluated themselves
     scene = _nearfield_scene(cfg)
     coeffs = mie_coefficients(scene)
 
@@ -438,40 +458,46 @@ def cmd_nearfield(cfg: dict) -> dict[str, str]:
     half = cfg["grid_half_nm"]
     axis = _axis(-half, half, cfg["grid_step_nm"], "grid_half_nm", "the grid_step_nm map",
                  square=True) * 1e-9
-    yy, zz = np.meshgrid(axis, axis, indexing="ij")
+    row_of = _mirrors(axis)
+    own_rows = row_of == np.arange(axis.size)
+    yy, zz = np.meshgrid(axis[own_rows], axis, indexing="ij")
     pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
-    grid = near_field_grid(scene, coeffs, pts)
+    enhancement = np.empty((axis.size, axis.size))
+    enhancement[own_rows] = near_field_grid(scene, coeffs, pts).enhancement.reshape(yy.shape)
+    enhancement = enhancement[row_of]
 
-    lines = poynting_streamlines(
+    line_of = _mirrors(seed_y)
+    own_lines = np.nonzero(line_of == np.arange(seed_y.size))[0]
+    traced = poynting_streamlines(
         scene,
         coeffs,
-        seeds,
+        seeds[own_lines],
         step=cfg["step_nm"] * 1e-9,
         max_steps=cfg["max_steps"],
         scheme=cfg["scheme"],
     )
-
-    payload = [
-        {
-            "seed_nm": np.round(ln.seed * 1e9, 9).tolist(),
-            "terminated": ln.terminated.value,
-            "points_nm": np.round(ln.points * 1e9, 9).tolist(),
-        }
-        for ln in lines
-    ]
-    captured = sum(ln.terminated is Termination.ABSORBED for ln in lines)
+    lines = dict(zip(own_lines, traced))
+    payload = []
+    for i, j in enumerate(line_of):
+        points = lines[j].points if i == j else lines[j].points * [1.0, -1.0, 1.0]
+        payload.append({
+            "seed_nm": np.round(seeds[i] * 1e9, 9).tolist(),
+            "terminated": lines[j].terminated.value,
+            "points_nm": np.round(points * 1e9, 9).tolist(),
+        })
+    captured = sum(lines[j].terminated is Termination.ABSORBED for j in line_of)
     # no indent: json writes indented text with its pure-Python encoder
     body = json.dumps({"captured_count": captured, "lines": payload}, sort_keys=True)
     return {
         "field_map.csv": table.render(
-            ["y_nm", "z_nm", "enhancement"], [yy.ravel() * 1e9, zz.ravel() * 1e9, grid.enhancement]
+            ["y_nm", "z_nm", "enhancement"],
+            [np.repeat(axis, axis.size) * 1e9, np.tile(axis, axis.size) * 1e9, enhancement.ravel()]
         ),
         "streamlines.json": body + "\n",
     }
 
 
 def cmd_transient(cfg: dict) -> dict[str, str]:
-    material = _material(cfg)
     amplitude = power_to_field(
         cfg["power_mw"] * 1e-3,
         cfg["spot_diameter_mm"] * 1e-3,
@@ -483,15 +509,17 @@ def cmd_transient(cfg: dict) -> dict[str, str]:
     detunings = cfg["detunings_ev"]
     if not detunings:
         raise ConfigError("detunings_ev: list is empty")
-
-    transition = material.two_level.transition_energy
-    q_abs = []
-    for detuning in detunings:
-        photon = transition + detuning
+    photons = [cfg["transition_energy_ev"] + detuning for detuning in detunings]
+    for photon in photons:
         if not 0.0 < photon <= MAX_ENERGY_EV:
             raise ConfigError(
                 f"detunings_ev: drive energy {photon} eV is not in (0, {MAX_ENERGY_EV}]"
             )
+    # a zero field takes the linear response; a finite one the propagator
+    material = _material(cfg, photons if amplitude == 0.0 else ())
+
+    q_abs = []
+    for photon in photons:
         drive = bloch.DriveField(amplitude=amplitude, photon_energy=photon)
         spectrum = medium.epsilon_transient(material, drive, times)
         q_abs.append(qabs_transient(spectrum, radius=radius, host_epsilon=host).q_abs)

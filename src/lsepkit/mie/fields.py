@@ -9,6 +9,12 @@ incident amplitude.  near_field_grid, the one evaluator, decides the
 undefined exact center for the map and the tracer alike.  It is
 vectorized over point batches so the streamline tracer can advance every
 seed in lockstep.
+
+The scene is symmetric under y -> -y: at (x, -y, z) the fields are
+E = (Ex, -Ey, Ez) and H = (-Hx, Hy, -Hz) of those at (x, y, z), and the
+Poynting vector is (Sx, -Sy, Sz).  A batch of mirrored points gives these
+bit for bit, so a caller with a symmetric set of points can evaluate one
+of each mirror pair.
 """
 
 from __future__ import annotations
@@ -182,8 +188,12 @@ def near_field_grid(scene: SphereScene, coeffs: MieCoefficients | None, points) 
 
 
 def poynting(E: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Time-averaged Poynting vector 0.5 Re(E x H*), W/m^2."""
-    return 0.5 * np.real(np.cross(E, np.conj(H)))
+    """Time-averaged Poynting vector 0.5 Re(E x H*), W/m^2, over the last
+    axis: the products and differences of np.cross, without its overhead."""
+    h = np.conj(H)
+    ex, ey, ez, hx, hy, hz = E[..., 0], E[..., 1], E[..., 2], h[..., 0], h[..., 1], h[..., 2]
+    cross = np.stack([ey * hz - ez * hy, ez * hx - ex * hz, ex * hy - ey * hx], axis=-1)
+    return 0.5 * np.real(cross)
 
 
 def poynting_streamlines(
@@ -202,6 +212,10 @@ def poynting_streamlines(
     max_steps, or enters the sphere and its flux decays to the absorbed
     threshold (flux sinks inside an absorbing sphere; crossing one shows
     up as a direction reversal).
+
+    Since S goes to (Sx, -Sy, Sz) under y -> -y, the line from the seed
+    (x, -y, z) is the line from (x, y, z) times (1, -1, 1), with the same
+    termination.
     """
     check(step, positive, "step must be finite and > 0")
     check(max_steps, positive_integer, "max_steps must be an integer >= 1")

@@ -144,13 +144,19 @@ def _log_derivatives(z: np.ndarray, n_max: int) -> np.ndarray:
     if not np.all(size <= MAX_RECURRENCE_ARGUMENT):
         raise RecurrenceUnstable(f"|z| = {size.max()} is not finite or > MAX_RECURRENCE_ARGUMENT")
     start = multipole_cutoff(np.maximum(n_max, size)) + np.ceil(size ** (2.0 / 3.0)).astype(int)
+    first = int(start.max(initial=n_max + 1))
+    started = int(start.min(initial=first))  # at and below it every element has started
     top = np.zeros(np.shape(z), dtype=np.result_type(z, 1.0))
-    for n in range(int(start.max(initial=n_max + 1)), n_max, -1):
-        top = np.where(n <= start, n / z - 1.0 / (top + n / z), 0.0)
+    for n in range(first, n_max, -1):
+        n_z = n / z
+        top = n_z - 1.0 / (top + n_z)
+        if n > started:
+            top = np.where(n <= start, top, 0.0)
     d = np.empty((n_max + 1,) + top.shape, dtype=top.dtype)
     d[n_max] = top
     for n in range(n_max, 0, -1):
-        d[n - 1] = n / z - 1.0 / (d[n] + n / z)
+        n_z = n / z
+        d[n - 1] = n_z - 1.0 / (d[n] + n_z)
     return d
 
 

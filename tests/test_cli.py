@@ -32,7 +32,13 @@ from hypothesis import strategies as st
 import lsepkit
 from lsepkit import NumericalFailure, cli, film
 from lsepkit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from lsepkit.mie import RecurrenceUnstable
+from lsepkit.mie import (
+    RecurrenceUnstable,
+    mie_coefficients,
+    near_field_grid,
+    poynting_streamlines,
+)
+from lsepkit.numerics import axis
 
 
 def write_ini(path, section, **values):
@@ -649,6 +655,43 @@ class TestTransient:
         assert rc == EXIT_CONFIG
 
 
+class TestUndampedEmitter:
+    """No decay and no dephasing put a real pole in the linear response at
+    the transition energy: an input error when a run samples it there."""
+
+    UNDAMPED = {"decay_rate_per_s": "0", "pure_dephasing_ev": "0"}
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            # the default energy axis samples the 2.11 eV transition
+            ("qabs-spectrum", {}),
+            ("transient", {"power_mw": "0", "detunings_ev": "0"}),
+        ],
+        ids=["qabs-spectrum", "zero-power transient"],
+    )
+    def test_pole_on_a_sample_names_both_keys(self, tmp_path, capsys, command, values):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **self.UNDAMPED, **values)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(ini), "--out", str(out)]
+        assert main_without_warnings(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "decay_rate_per_s" in err and "pure_dephasing_ev" in err
+        assert not out.exists()
+
+    def test_transient_at_the_default_power_runs(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "transient", **self.UNDAMPED)
+        out = tmp_path / "out"
+        argv = ["transient", "--config", str(ini), "--out", str(out)]
+        assert main_without_warnings(argv) == EXIT_OK
+        capsys.readouterr()
+        _, rows = read_csv_columns(out / "qabs_t.csv")
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
 class TestNearfield:
     def test_small_scene_outputs(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
@@ -734,6 +777,47 @@ class TestAxes:
         capsys.readouterr()
         lines = json.loads((out / "streamlines.json").read_text())["lines"]
         assert [ln["seed_nm"][1] for ln in lines] == [-120.0, 0.0, 120.0]
+
+
+class TestNearfieldMirror:
+    """nearfield evaluates one of each y -> -y mirror pair of map rows and
+    seeds; its outputs match the direct evaluation of every point and
+    seed, on an axis with mirror rows and on one without."""
+
+    @pytest.mark.parametrize("step", ["25", "30"], ids=["symmetric", "asymmetric"])
+    def test_outputs_equal_the_direct_evaluation(self, tmp_path, capsys, step):
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "nearfield", grid_half_nm="100", grid_step_nm=step,
+                  seed_y_max_nm="60", seed_spacing_nm="30", max_steps="150")
+        out = tmp_path / "nf"
+        assert main(["nearfield", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        cfg = cli.load_config("nearfield", ini)
+        scene = cli._nearfield_scene(cfg)
+        coeffs = mie_coefficients(scene)
+
+        ax = axis(-100.0, 100.0, float(step)) * 1e-9
+        _, rows = read_csv_columns(out / "field_map.csv")
+        data = np.array(rows, dtype=float)
+        np.testing.assert_array_equal(data[:, 0], np.repeat(ax, ax.size) * 1e9)
+        np.testing.assert_array_equal(data[:, 1], np.tile(ax, ax.size) * 1e9)
+        yy, zz = np.meshgrid(ax, ax, indexing="ij")
+        pts = np.stack([np.zeros_like(yy), yy, zz], axis=-1).reshape(-1, 3)
+        want = near_field_grid(scene, coeffs, pts).enhancement
+        np.testing.assert_allclose(data[:, 2], want, rtol=1e-13, atol=0.0)
+
+        seed_max = cfg["seed_y_max_nm"] * 1e-9
+        seed_y = axis(-seed_max, seed_max, cfg["seed_spacing_nm"] * 1e-9, 0.0)
+        seeds = np.stack([np.zeros_like(seed_y), seed_y,
+                          np.full_like(seed_y, cfg["seed_z_nm"] * 1e-9)], axis=1)
+        lines = poynting_streamlines(scene, coeffs, seeds, step=cfg["step_nm"] * 1e-9,
+                                     max_steps=cfg["max_steps"])
+        payload = json.loads((out / "streamlines.json").read_text())["lines"]
+        assert [ln["seed_nm"] for ln in payload] == [np.round(s * 1e9, 9).tolist() for s in seeds]
+        assert [ln["terminated"] for ln in payload] == [ln.terminated.value for ln in lines]
+        assert [ln["points_nm"] for ln in payload] == [
+            np.round(ln.points * 1e9, 9).tolist() for ln in lines
+        ]
 
 
 class TestExtractNk:

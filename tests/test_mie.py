@@ -401,6 +401,61 @@ class TestNearField:
             near_field_grid(scene, co, [[np.nan, 0.0, 0.0]])
 
 
+MIRROR_Y = np.array([1.0, -1.0, 1.0])
+
+
+@st.composite
+def _scenes_with_points(draw):
+    """A sphere of size parameter up to about 7 and 1-200 points within a
+    drawn reach of 0.5-10 radii; a permittivity near 0 (where every Mie
+    solve fails) is moved to 1."""
+    eps = complex(draw(st.floats(-6.0, 10.0)), draw(st.floats(0.0, 3.0)))
+    scene = SphereScene(
+        radius=draw(st.floats(10e-9, 200e-9)),
+        sphere_epsilon=eps if abs(eps) >= 0.1 else 1.0,
+        host_epsilon=draw(st.floats(1.0, 2.5)),
+        wavelength_vacuum=draw(st.floats(300e-9, 1000e-9)),
+    )
+    n = draw(st.integers(1, 200))
+    cube = draw(arrays(float, (n, 3), elements=st.floats(-1.0, 1.0)))
+    reach = draw(st.floats(0.5, 9.99)) * scene.radius
+    return scene, cube * (reach / np.sqrt(3.0))
+
+
+class TestMirrorSymmetry:
+    """x-polarized light along z is symmetric under y -> -y: E goes to
+    (Ex, -Ey, Ez) and H to (-Hx, Hy, -Hz).  nearfield's map and tracer
+    evaluate one point of each mirror pair on this."""
+
+    @staticmethod
+    def assert_mirrored(field, mirrored, signs, ulps, incident):
+        """``mirrored`` times ``signs`` equals ``field`` within ``ulps`` of
+        each point's largest component or of the incident amplitude,
+        whichever is larger."""
+        scale = np.spacing(np.maximum(np.abs(field).max(axis=1, keepdims=True), incident))
+        assert np.all(np.abs(mirrored * signs - field) <= ulps * scale)
+
+    @settings(deadline=None)
+    @given(_scenes_with_points())
+    def test_mirror_point_flips_the_components(self, case):
+        scene, pts = case
+        co = mie_coefficients(scene)
+        admittance = np.sqrt(scene.host_epsilon) * EPS0 * C0
+        direct = near_field_grid(scene, co, pts)
+        # a mirror-image batch takes every product in the same order
+        mirror = near_field_grid(scene, co, pts * MIRROR_Y)
+        self.assert_mirrored(direct.E, mirror.E, MIRROR_Y, 0, 1.0)
+        self.assert_mirrored(direct.H, mirror.H, -MIRROR_Y, 0, admittance)
+        # in one mixed batch a point's place moves the sums over orders:
+        # up to 11 ulp of this scale was seen in 1,500 random scenes, and
+        # up to 69 ulp of the point's own largest component where the
+        # partial waves cancel
+        both = near_field_grid(scene, co, np.vstack([pts, pts * MIRROR_Y])[::-1])
+        n = len(pts)
+        self.assert_mirrored(direct.E, both.E[:n][::-1], MIRROR_Y, 32, 1.0)
+        self.assert_mirrored(direct.H, both.H[:n][::-1], -MIRROR_Y, 32, admittance)
+
+
 class TestQuasistaticResponse:
     def test_matched_sphere_has_zero_polarizability(self):
         resp = quasistatic_polarizability(2.25 + 0.0j, 2.25, 10e-9)
