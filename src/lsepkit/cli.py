@@ -438,10 +438,9 @@ def _mirrors(values: np.ndarray) -> np.ndarray:
 
 
 def cmd_nearfield(cfg: dict) -> dict[str, str]:
-    # x-polarized light along z is symmetric under y -> -y, and so are the
-    # map plane x = 0 and the seed axis: a sample y < 0 whose mirror is
-    # sampled takes the mirror's result, |E| as it is and a line's points
-    # times (1, -1, 1); the y = 0 row and line are evaluated themselves
+    # x-polarized light along z is symmetric under y -> -y, and so is the
+    # map plane x = 0: a row y < 0 whose mirror is sampled takes that
+    # row's |E|; the y = 0 row is evaluated itself
     scene = _nearfield_scene(cfg)
     coeffs = mie_coefficients(scene)
 
@@ -466,26 +465,23 @@ def cmd_nearfield(cfg: dict) -> dict[str, str]:
     enhancement[own_rows] = near_field_grid(scene, coeffs, pts).enhancement.reshape(yy.shape)
     enhancement = enhancement[row_of]
 
-    line_of = _mirrors(seed_y)
-    own_lines = np.nonzero(line_of == np.arange(seed_y.size))[0]
-    traced = poynting_streamlines(
+    lines = poynting_streamlines(
         scene,
         coeffs,
-        seeds[own_lines],
+        seeds,
         step=cfg["step_nm"] * 1e-9,
         max_steps=cfg["max_steps"],
         scheme=cfg["scheme"],
     )
-    lines = dict(zip(own_lines, traced))
-    payload = []
-    for i, j in enumerate(line_of):
-        points = lines[j].points if i == j else lines[j].points * [1.0, -1.0, 1.0]
-        payload.append({
-            "seed_nm": np.round(seeds[i] * 1e9, 9).tolist(),
-            "terminated": lines[j].terminated.value,
-            "points_nm": np.round(points * 1e9, 9).tolist(),
-        })
-    captured = sum(lines[j].terminated is Termination.ABSORBED for j in line_of)
+    payload = [
+        {
+            "seed_nm": np.round(line.seed * 1e9, 9).tolist(),
+            "terminated": line.terminated.value,
+            "points_nm": np.round(line.points * 1e9, 9).tolist(),
+        }
+        for line in lines
+    ]
+    captured = sum(line.terminated is Termination.ABSORBED for line in lines)
     # no indent: json writes indented text with its pure-Python encoder
     body = json.dumps({"captured_count": captured, "lines": payload}, sort_keys=True)
     return {

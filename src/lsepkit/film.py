@@ -946,9 +946,9 @@ def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
 
 def extract_nk(
     spectrum: RTSpectrum,
-    thickness_range=(63e-9, 77e-9),
+    thickness_range=(63 * 1e-9, 77 * 1e-9),
     grid: NkGrid | None = None,
-    n_thickness: int = 8,
+    n_thickness: int = 3,
     substrate_index: float = 1.52,
     ambient_index: float = 1.0,
 ) -> NkCandidates:

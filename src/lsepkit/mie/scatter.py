@@ -210,16 +210,14 @@ def _partial_waves(x: np.ndarray, m: np.ndarray, n_max: int):
     return a, b, c, d
 
 
-def mie_coefficients(scene: SphereScene, n_extra: int = 0) -> MieCoefficients:
-    """Partial-wave coefficients for plane-wave incidence.
-
-    n_extra raises the multipole cutoff beyond the standard rule, for
-    convergence studies.  Raises SizeParameterOutOfRange outside (0, 100]
-    and RecurrenceUnstable if the Bessel chains degenerate.
+def mie_coefficients(scene: SphereScene) -> MieCoefficients:
+    """Partial-wave coefficients for plane-wave incidence, to the order
+    multipole_cutoff gives.  Raises SizeParameterOutOfRange outside
+    (0, 100] and RecurrenceUnstable if the Bessel chains degenerate.
     """
     x = np.array([scene.size_parameter])
     _check_size_parameter(x)
-    n_max = multipole_cutoff(x[0]) + int(n_extra)
+    n_max = multipole_cutoff(x[0])
     a, b, c, d = _partial_waves(x, np.array([scene.relative_index]), n_max)
     return MieCoefficients(a=a[:, 0], b=b[:, 0], c=c[:, 0], d=d[:, 0], n_max=n_max)
 

@@ -1,3 +1,7 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
 from hypothesis import settings
 
 # A longer search for the property tests, selected with
@@ -5,6 +9,16 @@ from hypothesis import settings
 # axes', the Mie layer's, the near-field mirror's, the Bloch layer's and
 # the medium layer's properties so).
 settings.register_profile("deep", max_examples=1500, deadline=None)
+
+
+@pytest.fixture(scope="session")
+def make_fixtures():
+    """scripts/make_fixtures.py, the generator of the packaged fixtures."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

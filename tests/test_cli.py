@@ -30,10 +30,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsepkit
-from lsepkit import NumericalFailure, cli, film
+from lsepkit import NumericalFailure, cli, film, medium
 from lsepkit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from lsepkit.constants import vacuum_wavelength_m_to_ev
 from lsepkit.mie import (
     RecurrenceUnstable,
+    Termination,
     mie_coefficients,
     near_field_grid,
     poynting_streamlines,
@@ -781,8 +783,32 @@ class TestAxes:
 
 class TestNearfieldMirror:
     """nearfield evaluates one of each y -> -y mirror pair of map rows and
-    seeds; its outputs match the direct evaluation of every point and
-    seed, on an axis with mirror rows and on one without."""
+    traces every seed; its outputs match the direct evaluation of every
+    point and seed, on an axis with mirror rows and on one without, and
+    the traced lines are mirror images."""
+
+    @pytest.mark.parametrize("step", [None, "25", "30"], ids=["defaults", "symmetric", "asymmetric"])
+    def test_traced_lines_are_mirror_images(self, tmp_path, capsys, step):
+        argv = ["nearfield", "--out", str(tmp_path / "nf")]
+        if step:
+            ini = tmp_path / "cfg.ini"
+            write_ini(ini, "nearfield", grid_half_nm="100", grid_step_nm=step,
+                      seed_y_max_nm="60", seed_spacing_nm="30", max_steps="150")
+            argv += ["--config", str(ini)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        body = json.loads((tmp_path / "nf" / "streamlines.json").read_text())
+        by_seed = {tuple(ln["seed_nm"]): ln for ln in body["lines"]}
+        mirrored = [ln for ln in body["lines"] if ln["seed_nm"][1] < 0.0]
+        assert mirrored
+        for line in mirrored:
+            x, y, z = line["seed_nm"]
+            image = by_seed[(x, -y, z)]
+            assert line["terminated"] == image["terminated"]
+            assert line["points_nm"] == [[px, -py, pz] for px, py, pz in image["points_nm"]]
+        captured = [ln for ln in body["lines"] if ln["terminated"] == Termination.ABSORBED.value]
+        assert body["captured_count"] == len(captured)
+        assert any(ln["seed_nm"][1] < 0.0 for ln in captured)
 
     @pytest.mark.parametrize("step", ["25", "30"], ids=["symmetric", "asymmetric"])
     def test_outputs_equal_the_direct_evaluation(self, tmp_path, capsys, step):
@@ -917,6 +943,42 @@ class TestExtractNk:
         assert rc == EXIT_NUMERICAL
         assert "BranchAmbiguous" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFilmChain:
+    """extract-nk on its defaults, measured in the units of the material
+    that generated the packaged film fixture (scripts/make_fixtures.PLANAR
+    at 70 nm).  The bounds are the values measured when this test was
+    written, rounded up; a change may only raise the count or tighten
+    them."""
+
+    @pytest.fixture(scope="class")
+    def nk(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("chain") / "nk"
+        assert main(["extract-nk", "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv_columns(out / "nk.csv")
+        return {name: np.array(column, dtype=float)
+                for name, column in zip(header, zip(*rows)) if name != "branch"}
+
+    @pytest.fixture(scope="class")
+    def planar(self, make_fixtures):
+        return make_fixtures.PLANAR
+
+    def test_kappa_matches_the_generating_material(self, nk, planar):
+        energies = vacuum_wavelength_m_to_ev(nk["wavelength_nm"][::-1] * 1e-9)
+        kappa = medium.refractive_index(medium.epsilon_steady(planar, energies))[::-1].imag
+        assert np.count_nonzero(np.abs(nk["kappa"] - kappa) <= 1e-9) >= 93
+
+    def test_fitted_material_is_the_generating_one(self, nk, planar):
+        order = np.argsort(nk["energy_eV"])
+        energies = nk["energy_eV"][order]
+        eps = (nk["n"][order] + 1j * nk["kappa"][order]) ** 2
+        cfg = cli.load_config("fit-permittivity", None)
+        target = medium.PermittivitySpectrum(energies, eps)
+        fitted = medium.fit_material(target, cli._material(cfg, energies)).params.two_level
+        assert abs(fitted.dipole - planar.two_level.dipole) / planar.two_level.dipole <= 0.0095
+        gamma = planar.two_level.pure_dephasing
+        assert abs(fitted.pure_dephasing - gamma) / gamma <= 0.026
 
 
 BAD_VALUES = ["nan", "inf", "-1", "0", "1e308", "1e-9", "", "abc", "%"]

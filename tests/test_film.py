@@ -3,6 +3,7 @@ round trips, branch selection, and the dispersion-integral closure."""
 
 import csv
 import dataclasses
+import inspect
 from importlib.resources import files
 from pathlib import Path
 
@@ -897,6 +898,20 @@ class TestExtraction:
         # one sample cannot sweep a range; it used to sweep both ends
         with pytest.raises(ValueError, match="at least 2 thickness samples, got 1"):
             extract_nk(meas, thickness_range=(63e-9, 77e-9), n_thickness=1)
+
+    def test_default_sweep_is_the_config_keys(self):
+        # extract_nk's defaults sweep extract-nk's default thicknesses, bit
+        # for bit, as the CLI builds them from its nm keys
+        defaults = inspect.signature(extract_nk).parameters
+        cfg = cli.load_config("extract-nk", None)
+        want = film.thickness_sweep(
+            (cfg["thickness_min_nm"] * 1e-9, cfg["thickness_max_nm"] * 1e-9),
+            cfg["thickness_samples"],
+        )
+        got = film.thickness_sweep(
+            defaults["thickness_range"].default, defaults["n_thickness"].default
+        )
+        assert got.tobytes() == want.tobytes()
 
     def test_thickest_film_matches_the_config_keys(self):
         # the CLI's largest thickness_max_nm, in metres, is the largest

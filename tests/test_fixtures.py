@@ -4,9 +4,7 @@ The packaged files are not regenerated (the perfbench references derive
 from them), so this pins how far the generator has drifted from them.
 """
 
-import importlib.util
 from importlib.resources import files
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,20 +13,10 @@ from lsepkit import table
 from lsepkit.film import RT_HEADER
 from lsepkit.medium import SPECTRUM_HEADER
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
-
 
 def comments(path):
     with open(path, encoding="utf-8") as handle:
         return [line for line in handle if line.startswith("#")]
-
-
-@pytest.fixture(scope="module")
-def make_fixtures():
-    spec = importlib.util.spec_from_file_location("make_fixtures", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,13 @@ class TestCoefficients:
     def test_truncation_is_converged(self):
         scene = scene_for(5.0, 1.4 + 0.5j)
         base = efficiencies(scene)
-        extra = efficiencies(scene, mie_coefficients(scene, n_extra=8))
+        n_max = multipole_cutoff(scene.size_parameter) + 8
+        a, b, c, d = scatter._partial_waves(
+            np.array([scene.size_parameter]), np.array([scene.relative_index]), n_max
+        )
+        extra = efficiencies(
+            scene, scatter.MieCoefficients(a=a[:, 0], b=b[:, 0], c=c[:, 0], d=d[:, 0], n_max=n_max)
+        )
         assert abs(base.q_ext - extra.q_ext) < 1e-10
         assert abs(base.q_abs - extra.q_abs) < 1e-10
 
