@@ -573,7 +573,7 @@ def cmd_lorentz(cfg: dict) -> dict[str, str]:
     spectrum = medium.lorentz_epsilon(_lorentz(cfg), _energy_grid(cfg))
     return {
         "epsilon_lorentz.csv": table.render(
-            ["energy_eV", "eps_real", "eps_imag"],
+            medium.SPECTRUM_HEADER,
             [spectrum.energies, spectrum.epsilon.real, spectrum.epsilon.imag],
         ),
     }

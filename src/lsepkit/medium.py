@@ -9,9 +9,9 @@ zero field take the linear coherence per unit field switched on.  A
 single-oscillator Lorentz model and a fit of dipole and dephasing
 against measured spectra round out the module: eps - eps_b is d^2 times
 the response of a 1 D dipole, so the fit solves d^2 in closed form and
-searches the dephasing alone.  Spectra are read and written as
-lsepkit.table tables, written from their energy, permittivity and time
-arrays as whole columns.
+searches the dephasing alone.  A spectrum file is an lsepkit.table table
+with the one header SPECTRUM_HEADER, written from the energy and
+permittivity arrays as whole columns.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bloch import (
     linear_coherence_per_field,
 )
 from .constants import EPS0, EV_TO_RADS, HBAR
-from .numerics import nelder_mead
+from .numerics import checked_times, nelder_mead
 
 # Iteration cap of the fit's simplex search; reaching it means the search
 # did not converge.
@@ -70,16 +70,14 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class PermittivitySpectrum:
-    """Complex permittivity samples, optionally tagged with a time slice.
+    """Complex permittivity samples on a non-decreasing energy axis.
 
-    energies must be non-decreasing; time, when present, matches the
-    sample count (used for fixed-frequency transients where every row
-    shares one photon energy).
+    A transient's rows share one photon energy; its times are the sample
+    times that epsilon_transient was given, row for row.
     """
 
     energies: np.ndarray
     epsilon: np.ndarray
-    time: np.ndarray | None = None
 
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
@@ -94,12 +92,6 @@ class PermittivitySpectrum:
         check(epsilon, np.isfinite, "epsilon must be finite")
         if np.any(np.diff(energies) < 0.0):
             raise ValueError("energies must be non-decreasing")
-        if self.time is not None:
-            time = np.asarray(self.time, dtype=float)
-            object.__setattr__(self, "time", time)
-            if time.shape != energies.shape:
-                raise ValueError("time must match the sample count")
-            check(time, np.isfinite, "time must be finite")
 
 
 @dataclass(frozen=True)
@@ -156,12 +148,13 @@ def epsilon_transient(
     """Permittivity slices at one illumination energy after a sudden start.
 
     Evolves the ensemble coherence from the ground state under the given
-    drive and converts each rotating-frame sample to eps(t).  Rows share
-    the drive photon energy; the time axis tags each slice.  At zero
-    amplitude eps(t) is the weak-field limit, the linear coherence per
-    unit field switched on at t = 0, which settles to epsilon_steady.
+    drive and converts each rotating-frame sample to eps(t): row i is the
+    slice at sample_times[i] (numerics.checked_times), and every row
+    carries the drive photon energy.  At zero amplitude eps(t) is the
+    weak-field limit, the linear coherence per unit field switched on at
+    t = 0, which settles to epsilon_steady.
     """
-    times = np.atleast_1d(np.asarray(sample_times, dtype=float))
+    times = checked_times(np.atleast_1d(sample_times))
     p = material.two_level
     # rho01~ grows linearly with E0, so a zero field takes it per unit field
     prefactor = _prefactor(material, drive.amplitude or 1.0)
@@ -172,7 +165,7 @@ def epsilon_transient(
         coherence = evolve_rwa(p, drive, DensityMatrix.ground(), times).rho01
     eps = material.background_permittivity + prefactor * coherence
     energies = np.full(times.shape, drive.photon_energy)
-    return PermittivitySpectrum(energies=energies, epsilon=eps, time=times)
+    return PermittivitySpectrum(energies=energies, epsilon=eps)
 
 
 def lorentz_epsilon(params: LorentzParams, energies) -> PermittivitySpectrum:
@@ -267,20 +260,23 @@ SPECTRUM_HEADER = ("energy_eV", "eps_real", "eps_imag")
 
 
 def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> None:
-    """Write energy_eV, eps_real, eps_imag [, time_fs] rows at full precision."""
+    """Write energy_eV, eps_real, eps_imag rows at full precision."""
     columns = [spectrum.energies, spectrum.epsilon.real, spectrum.epsilon.imag]
-    header = SPECTRUM_HEADER
-    if spectrum.time is not None:
-        columns.append(spectrum.time * 1e15)
-        header += ("time_fs",)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(table.render(header, columns, comments))
+        handle.write(table.render(SPECTRUM_HEADER, columns, comments))
 
 
 def read_spectrum_csv(path) -> PermittivitySpectrum:
-    """Read a spectrum written by write_spectrum_csv (comments allowed)."""
-    data, _ = table.read(path, SPECTRUM_HEADER, SPECTRUM_HEADER + ("time_fs",))
-    time = data[:, 3] * 1e-15 if data.shape[1] == 4 else None
-    return PermittivitySpectrum(
-        energies=data[:, 0], epsilon=data[:, 1] + 1j * data[:, 2], time=time
-    )
+    """The spectrum in a CSV with header SPECTRUM_HEADER (comments allowed).
+
+    Faults name the file, and for a row its line: a file without rows, or
+    the first row whose energy is below the row before it.
+    """
+    data, lines = table.read(path, SPECTRUM_HEADER)
+    if not lines:
+        raise ValueError(f"{path}: empty spectrum")
+    descending = np.flatnonzero(np.diff(data[:, 0]) < 0.0)
+    if descending.size:
+        raise ValueError(f"{path}, line {lines[descending[0] + 1]}: "
+                         "energies must be non-decreasing")
+    return PermittivitySpectrum(energies=data[:, 0], epsilon=data[:, 1] + 1j * data[:, 2])

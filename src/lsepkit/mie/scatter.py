@@ -252,29 +252,37 @@ class EfficiencySpectrum:
     q_sca: np.ndarray
     q_abs: np.ndarray
     kappa_normalized: np.ndarray
-    time: np.ndarray | None = None
 
 
 def qabs_spectrum(
     spectrum: PermittivitySpectrum, radius: float, host_epsilon: float = 1.0
 ) -> EfficiencySpectrum:
-    """Sphere efficiencies across a steady or transient permittivity spectrum.
+    """Sphere efficiencies across a permittivity spectrum of an absorbing medium.
 
-    A steady spectrum (no time axis) with Im(eps) below -1e-9 is an active
-    medium and is rejected.  Transient slices are read quasi-statically;
-    their coherence can swing Im(eps) negative, a momentary gain.  Negative
-    Im(eps) is clipped to zero and the time axis passes through.
+    A spectrum with Im(eps) below -1e-9 is an active medium and is
+    rejected; a negative Im(eps) above that is roundoff and solved as 0.
     """
-    if spectrum.time is None:
-        check(spectrum.epsilon.imag, lambda v: v >= -1e-9,
-              "spectrum has negative Im(eps) beyond roundoff")
-    energies = spectrum.energies
+    check(spectrum.epsilon.imag, lambda v: v >= -1e-9,
+          "spectrum has negative Im(eps) beyond roundoff")
+    return qabs_transient(spectrum, radius, host_epsilon)
+
+
+def qabs_transient(
+    eps_t: PermittivitySpectrum, radius: float, host_epsilon: float = 1.0
+) -> EfficiencySpectrum:
+    """Sphere efficiencies along the slices of epsilon_transient, row for row.
+
+    Slices are read quasi-statically.  Their coherence can swing Im(eps)
+    negative, a momentary gain; each negative Im(eps) is clipped to zero.
+    qabs_spectrum runs this kernel once it has rejected an active medium.
+    """
+    energies = eps_t.energies
     check(energies, positive, "photon energy must be > 0")
     wavelength = ev_to_vacuum_wavelength_m(energies)
     _check_geometry(radius, host_epsilon, wavelength)
     x = _size_parameter(radius, host_epsilon, wavelength)
     _check_size_parameter(x)
-    eps = spectrum.epsilon.copy()
+    eps = eps_t.epsilon.copy()
     eps.imag[eps.imag < 0.0] = 0.0
     m = _relative_index(eps, host_epsilon)
 
@@ -284,7 +292,7 @@ def qabs_spectrum(
         group = cutoff == n_max
         a, b, _, _ = _partial_waves(x[group], m[group], int(n_max))
         q[:, group] = _efficiency_sums(x[group], a, b)
-    kappa = np.abs(refractive_index(spectrum).imag)
+    kappa = np.abs(refractive_index(eps_t).imag)
     peak = kappa.max()
     return EfficiencySpectrum(
         energies=energies.copy(),
@@ -292,17 +300,7 @@ def qabs_spectrum(
         q_sca=q[1],
         q_abs=q[0] - q[1],
         kappa_normalized=kappa / peak if peak > 0.0 else kappa,
-        time=None if spectrum.time is None else spectrum.time.copy(),
     )
-
-
-def qabs_transient(
-    eps_t: PermittivitySpectrum, radius: float, host_epsilon: float = 1.0
-) -> EfficiencySpectrum:
-    """qabs_spectrum along a transient permittivity, which must carry a time axis."""
-    if eps_t.time is None:
-        raise ValueError("transient spectrum must carry a time axis")
-    return qabs_spectrum(eps_t, radius, host_epsilon)
 
 
 def quasistatic_polarizability(

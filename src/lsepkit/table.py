@@ -24,8 +24,8 @@ def render(header, columns, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read(path, *headers) -> tuple[np.ndarray, list[int]]:
-    """The finite numbers of a table whose header is one of ``headers``.
+def read(path, header) -> tuple[np.ndarray, list[int]]:
+    """The finite numbers of a table whose header row is the names ``header``.
 
     Returns a (rows, columns) array and the 1-based line number of each
     row.  Raises ValueError for another header, a ragged row, a cell that
@@ -34,10 +34,9 @@ def read(path, *headers) -> tuple[np.ndarray, list[int]]:
     with open(path, encoding="utf-8") as handle:
         lines = [(number, line.strip()) for number, line in enumerate(handle, start=1)]
     rows = [(number, line) for number, line in lines if line and not line.startswith("#")]
-    header = [cell.strip() for cell in rows[0][1].split(",")] if rows else []
-    if header not in [list(names) for names in headers]:
-        expected = " or ".join(",".join(names) for names in headers)
-        raise ValueError(f"{path}: expected header {expected}, got {','.join(header)!r}")
+    found = [cell.strip() for cell in rows[0][1].split(",")] if rows else []
+    if found != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}, got {','.join(found)!r}")
     data = np.empty((len(rows) - 1, len(header)))
     for values, (number, line) in zip(data, rows[1:]):
         cells = line.split(",")

@@ -19,7 +19,7 @@ from lsepkit.film import (
     select_physical_branch,
     thickness_rescale,
 )
-from lsepkit.medium import LorentzParams, MaterialParams, PermittivitySpectrum
+from lsepkit.medium import LorentzParams, MaterialParams, PermittivitySpectrum, epsilon_transient
 from lsepkit.mie import (
     SphereScene,
     near_field_grid,
@@ -73,7 +73,8 @@ CASES = [
      lambda v: MaterialParams(**{**MATERIAL, "background_permittivity": v}), 0.5),
     ("energies", lambda v: _spectrum(energies=[2.0, v]), -INF),
     ("epsilon", lambda v: _spectrum(epsilon=[2.25, complex(2.25, v)]), -INF),
-    ("time", lambda v: _spectrum(time=[0.0, v]), -INF),
+    ("time", lambda v: epsilon_transient(MaterialParams(**MATERIAL), DriveField(0.0, 2.11),
+                                         [0.0, v]), -1e-15),
     ("eps_background", lambda v: LorentzParams(**{**LORENTZ, "eps_background": v}), -1.0),
     ("oscillator_strength",
      lambda v: LorentzParams(**{**LORENTZ, "oscillator_strength": v}), -1.0),

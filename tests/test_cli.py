@@ -226,6 +226,44 @@ class TestConfigErrors:
         assert "photon energy must be > 0, got 0.0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, message", [
+        ("energy_eV,eps_real,eps_imag,time_fs",
+         "expected header energy_eV,eps_real,eps_imag, got"),
+        ("energy_eV,eps_real,eps_imag", "spectrum has negative Im(eps) beyond roundoff"),
+    ], ids=["time column", "active medium"])
+    def test_gain_rows_are_an_input_error(self, tmp_path, capsys, header, message):
+        # a data spectrum with gain exits 2 whether or not it carries the
+        # time column of earlier versions; only qabs_transient clips gain
+        cells = ",10\n" if "time_fs" in header else "\n"
+        eps_path = tmp_path / "eps.csv"
+        eps_path.write_text(f"{header}\n2.2,2.3,-0.5{cells}2.3,2.3,-0.4{cells}")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "qabs-spectrum", model="data", input=str(eps_path))
+        out = tmp_path / "o"
+        rc = main(["qabs-spectrum", "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qabs-spectrum", "fit-permittivity"])
+    @pytest.mark.parametrize("rows, fault", [
+        ("2.0,3.5,0.1\n\n# note\n1.9,3.5,0.1\n", ", line 5: energies must be non-decreasing"),
+        ("", ": empty spectrum"),
+    ], ids=["descending", "no rows"])
+    def test_spectrum_file_fault_names_the_file(self, tmp_path, capsys, command, rows, fault):
+        eps_path = tmp_path / "eps.csv"
+        eps_path.write_text(f"energy_eV,eps_real,eps_imag\n{rows}")
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, **({"model": "data"} if command == "qabs-spectrum" else {}),
+                  input=str(eps_path))
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(ini), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {eps_path}{fault}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["qabs-spectrum", "transient"])
     def test_overflowing_number_density_is_named(self, tmp_path, capsys, command):
         ini = tmp_path / "cfg.ini"
@@ -603,6 +641,20 @@ class TestQabsSpectrum:
 
 
 class TestLorentzCommand:
+    def test_output_is_the_data_model_input(self, tmp_path, capsys):
+        # epsilon_lorentz.csv is a spectrum file: read back by the data
+        # model it gives the qabs.csv of the lorentz model, byte for byte
+        assert main(["lorentz", "--out", str(tmp_path / "lor")]) == EXIT_OK
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "qabs-spectrum", model="data",
+                  input=str(tmp_path / "lor" / "epsilon_lorentz.csv"))
+        assert main(["qabs-spectrum", "--config", str(ini), "--out", str(tmp_path / "d")]) == 0
+        write_ini(ini, "qabs-spectrum", model="lorentz")
+        assert main(["qabs-spectrum", "--config", str(ini), "--out", str(tmp_path / "l")]) == 0
+        capsys.readouterr()
+        data, lorentz = (tmp_path / name / "qabs.csv" for name in ("d", "l"))
+        assert data.read_bytes() == lorentz.read_bytes()
+
     def test_absorption_peaks_at_resonance(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         write_ini(ini, "lorentz", energy_step_ev="0.002")

@@ -531,9 +531,7 @@ def _sphere_spectra(draw):
     eps_real = draw(arrays(float, n, elements=st.floats(-6.0, 10.0)))
     eps_imag = draw(arrays(float, n, elements=st.floats(-0.5, 3.0)))
     eps_real[np.abs(eps_real + 1j * np.maximum(eps_imag, 0.0)) < 0.1] = 1.0
-    spectrum = PermittivitySpectrum(
-        energies=energies, epsilon=eps_real + 1j * eps_imag, time=np.arange(n) * 1e-15
-    )
+    spectrum = PermittivitySpectrum(energies=energies, epsilon=eps_real + 1j * eps_imag)
     radius = draw(st.floats(5e-9, 2e-6))
     host = draw(st.floats(1.0, 2.5))
     return spectrum, radius, host
@@ -545,8 +543,9 @@ class TestBatchedEfficiencies:
     @settings(deadline=None)
     @given(_sphere_spectra())
     def test_matches_one_scene_per_sample(self, case):
+        # the draws include gain rows, which only qabs_transient admits
         spectrum, radius, host = case
-        result = qabs_spectrum(spectrum, radius=radius, host_epsilon=host)
+        result = qabs_transient(spectrum, radius=radius, host_epsilon=host)
         assert_matches_per_sample(result, spectrum, radius, host)
 
     def test_transient_clips_negative_imaginary_slices(self):
@@ -555,16 +554,16 @@ class TestBatchedEfficiencies:
         spectrum = epsilon_transient(BULK, drive, times)
         assert (spectrum.epsilon.imag < 0.0).sum() == 16
         assert spectrum.epsilon.imag.min() < -0.59
-        result = qabs_spectrum(spectrum, radius=50e-9, host_epsilon=1.0)
+        result = qabs_transient(spectrum, radius=50e-9, host_epsilon=1.0)
         assert_matches_per_sample(result, spectrum, 50e-9, 1.0)
-        assert np.array_equal(result.time, times)
-        via_transient = qabs_transient(spectrum, radius=50e-9, host_epsilon=1.0)
-        assert np.array_equal(via_transient.q_abs, result.q_abs)
-        steady = PermittivitySpectrum(energies=spectrum.energies, epsilon=spectrum.epsilon)
+        # the rule follows the call: qabs_spectrum rejects the same slices
         with pytest.raises(ValueError, match="negative Im"):
-            qabs_spectrum(steady, radius=50e-9, host_epsilon=1.0)
-        with pytest.raises(ValueError, match="time axis"):
-            qabs_transient(steady, radius=50e-9, host_epsilon=1.0)
+            qabs_spectrum(spectrum, radius=50e-9, host_epsilon=1.0)
+        # with the gain clipped in the data, qabs_spectrum gives the same bits
+        passive = PermittivitySpectrum(spectrum.energies, spectrum.epsilon.real
+                                       + 1j * np.maximum(spectrum.epsilon.imag, 0.0))
+        steady = qabs_spectrum(passive, radius=50e-9, host_epsilon=1.0)
+        assert np.array_equal(steady.q_abs, result.q_abs)
 
 
 class TestStreamlines:
@@ -675,7 +674,7 @@ def test_readme_sphere_examples_run(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [b.split("```")[0] for b in readme.split("```python\n")[1:]]
     namespace = {}
-    for call in ("qabs_spectrum(spectrum", "epsilon_transient(", "poynting_streamlines("):
+    for call in ("qabs_spectrum(spectrum", "qabs_transient(transient", "poynting_streamlines("):
         (snippet,) = [b for b in blocks if call in b]
         exec(compile(snippet, "README.md", "exec"), namespace)
     peak, q_max = (float(line) for line in capsys.readouterr().out.split())
