@@ -257,6 +257,10 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
 
 
 SPECTRUM_HEADER = ("energy_eV", "eps_real", "eps_imag")
+# Im(eps) down to this far below zero is roundoff of an absorbing medium;
+# below it the medium has gain, which neither qabs_spectrum nor the
+# steady-state fit describes
+IMAG_ROUNDOFF = 1e-9
 
 
 def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> None:
@@ -269,14 +273,23 @@ def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> Non
 def read_spectrum_csv(path) -> PermittivitySpectrum:
     """The spectrum in a CSV with header SPECTRUM_HEADER (comments allowed).
 
-    Faults name the file, and for a row its line: a file without rows, or
-    the first row whose energy is below the row before it.
+    Faults name the file, and for a row its line: a file without rows, an
+    energy below the row before it, and the first row whose energy is not
+    > 0 or whose Im(eps) is below -IMAG_ROUNDOFF.
     """
     data, lines = table.read(path, SPECTRUM_HEADER)
     if not lines:
         raise ValueError(f"{path}: empty spectrum")
-    descending = np.flatnonzero(np.diff(data[:, 0]) < 0.0)
+    energy, imag = data[:, 0], data[:, 2]
+    descending = np.flatnonzero(np.diff(energy) < 0.0)
     if descending.size:
         raise ValueError(f"{path}, line {lines[descending[0] + 1]}: "
                          "energies must be non-decreasing")
-    return PermittivitySpectrum(energies=data[:, 0], epsilon=data[:, 1] + 1j * data[:, 2])
+    for bad, values, requirement in (
+        (energy <= 0.0, energy, "photon energy must be > 0"),
+        (imag < -IMAG_ROUNDOFF, imag, "spectrum has negative Im(eps) beyond roundoff"),
+    ):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"{path}, line {lines[row]}: {requirement}, got {values[row]}")
+    return PermittivitySpectrum(energies=energy, epsilon=data[:, 1] + 1j * imag)

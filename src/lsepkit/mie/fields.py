@@ -1,7 +1,10 @@
 """Near-zone electromagnetic fields and energy-flow streamlines.
 
 Exterior points carry the analytic plane wave plus the outgoing partial
-waves; interior points use the internal expansion.  E and H share every
+waves, whose radial functions h_n = j_n + i y_n of the real argument
+come from one upward recurrence; interior points use the internal
+expansion, whose j_n of a complex argument take the downward
+log-derivative recurrence of the Mie coefficients.  E and H share every
 radial and angular function of these vector waves and differ only in
 their coefficients (Bohren & Huffman 1983, sec. 4.4), so each spherical
 component of both fields is one matrix product over orders, for unit
@@ -30,7 +33,6 @@ from .scatter import (
     MieCoefficients,
     SphereScene,
     _log_derivatives,
-    _riccati_chi,
     mie_coefficients,
 )
 
@@ -87,6 +89,21 @@ def _spherical_jn(z: np.ndarray, n_max: int) -> np.ndarray:
     for n in range(2, n_max + 1):
         out[n] = out[n - 1] * ratios[n]
     return out
+
+
+def _spherical_hankel(x: np.ndarray, n_max: int) -> np.ndarray:
+    """h_0..h_n_max = j_n + i y_n for an array of real arguments x > 0.
+
+    The Riccati-Hankel functions xi_n = x h_n go upward from
+    xi_-1 = e^{ix} and xi_0 = -i e^{ix} (Abramowitz & Stegun 10.1.19).
+    Upward is stable for y_n, and so for h_n, since |h_n| >= |y_n|.
+    """
+    xi = np.empty((n_max + 2,) + x.shape, dtype=complex)
+    xi[0] = np.exp(1j * x)
+    xi[1] = -1j * xi[0]
+    for n in range(1, n_max + 1):
+        xi[n + 1] = (2.0 * n - 1.0) / x * xi[n] - xi[n - 1]
+    return xi[1:] / x
 
 
 def _angular_functions(mu: np.ndarray, n_max: int):
@@ -162,9 +179,8 @@ def near_field_grid(scene: SphereScene, coeffs: MieCoefficients | None, points) 
     outside = ~inside
     if np.any(outside):
         rho = scene.host_wavenumber * r[outside]
-        # h_n = j_n + i y_n with y_n = -chi_n / rho
-        hn = _spherical_jn(rho, n_max) - 1j * _riccati_chi(rho, n_max) / rho
-        partial_waves(outside, rho, hn, [1j * a, 1j * b], [-b, -a], admittance)
+        partial_waves(outside, rho, _spherical_hankel(rho, n_max),
+                      [1j * a, 1j * b], [-b, -a], admittance)
 
     if np.any(inside):
         m_rel = scene.relative_index

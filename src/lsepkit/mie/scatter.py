@@ -10,8 +10,9 @@ derivatives D_n = psi_n'/psi_n go downward from D = 0, started far
 above the cutoff at an order set by each sample's own argument.  psi_n
 divides up from psi_0 = sin z, or from psi_1 = sin z / z - cos z near a
 nonzero multiple of pi (|sin z| < 0.1 and |z| > 1), where D_1 + 1/z is
-mostly roundoff.  chi_n = -x y_n goes upward.  The near fields reuse
-both recurrences.  Spectra are solved in groups that share a multipole
+mostly roundoff.  chi_n = -x y_n goes upward.  The near fields take
+the log derivatives inside the sphere and their own upward recurrence
+for h_n outside.  Spectra are solved in groups that share a multipole
 cutoff, so each sample keeps the cutoff and the starting order of a
 one-sample solve, and so its bits.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .. import NumericalFailure, at_least_one, check, positive
 from ..constants import ev_to_vacuum_wavelength_m
-from ..medium import PermittivitySpectrum, refractive_index
+from ..medium import IMAG_ROUNDOFF, PermittivitySpectrum, refractive_index
 
 
 class SizeParameterOutOfRange(ValueError):
@@ -259,10 +260,10 @@ def qabs_spectrum(
 ) -> EfficiencySpectrum:
     """Sphere efficiencies across a permittivity spectrum of an absorbing medium.
 
-    A spectrum with Im(eps) below -1e-9 is an active medium and is
-    rejected; a negative Im(eps) above that is roundoff and solved as 0.
+    A spectrum with Im(eps) below -IMAG_ROUNDOFF is an active medium and
+    is rejected; a negative Im(eps) above that is roundoff and solved as 0.
     """
-    check(spectrum.epsilon.imag, lambda v: v >= -1e-9,
+    check(spectrum.epsilon.imag, lambda v: v >= -IMAG_ROUNDOFF,
           "spectrum has negative Im(eps) beyond roundoff")
     return qabs_transient(spectrum, radius, host_epsilon)
 

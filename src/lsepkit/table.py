@@ -15,13 +15,22 @@ import numpy as np
 def render(header, columns, comments=()) -> str:
     """The text of a table: ``# `` comment lines, the header, then row i
     of the equal-length ``columns`` on line i.  A column is a float array
-    or a list of text cells."""
-    cells = [np.asarray(column).tolist() for column in columns]
-    row = ",".join("%s" if column and isinstance(column[0], str) else "%.17g" for column in cells)
+    or a list of text cells.  A number column formats each of its
+    distinct float64 bit patterns once, so 0.0 and -0.0 stay apart."""
+    cells = [_cells(np.asarray(column)) for column in columns]
     lines = [f"# {line}" for line in comments]
     lines.append(",".join(header))
-    lines += map(row.__mod__, zip(*cells, strict=True))
+    lines += map(",".join, zip(*cells, strict=True))
     return "\n".join(lines) + "\n"
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """The cells of one column: text as it is, numbers as ``%.17g``."""
+    if column.dtype.kind == "U":
+        return column.tolist()
+    bits, row_key = np.unique(column.astype(float).view(np.uint64), return_inverse=True)
+    text = np.array(["%.17g" % value for value in bits.view(float).tolist()], dtype=object)
+    return text[row_key].tolist()
 
 
 def read(path, header) -> tuple[np.ndarray, list[int]]:

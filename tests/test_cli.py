@@ -223,7 +223,7 @@ class TestConfigErrors:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "photon energy must be > 0, got 0.0" in err
+        assert f"{eps_path}, line {row + 1}: photon energy must be > 0, got 0.0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("header, message", [
@@ -251,7 +251,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("rows, fault", [
         ("2.0,3.5,0.1\n\n# note\n1.9,3.5,0.1\n", ", line 5: energies must be non-decreasing"),
         ("", ": empty spectrum"),
-    ], ids=["descending", "no rows"])
+        ("0.0,3.5,0.1\n2.0,3.5,0.1\n", ", line 2: photon energy must be > 0, got 0.0"),
+        ("2.0,3.5,0.1\n2.1,3.5,-0.4\n",
+         ", line 3: spectrum has negative Im(eps) beyond roundoff, got -0.4"),
+    ], ids=["descending", "no rows", "zero energy", "active medium"])
     def test_spectrum_file_fault_names_the_file(self, tmp_path, capsys, command, rows, fault):
         eps_path = tmp_path / "eps.csv"
         eps_path.write_text(f"energy_eV,eps_real,eps_imag\n{rows}")

@@ -1,6 +1,7 @@
 """Effective-permittivity module: analytic oracles and round trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,22 @@ class TestCsv:
         with pytest.raises(ValueError,
                            match=f"^{path}, line 5: energies must be non-decreasing$"):
             read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("row, fault", [
+        ("0.0,3.4,0.1", "photon energy must be > 0, got 0.0"),
+        ("-2.0,3.4,0.1", "photon energy must be > 0, got -2.0"),
+        ("2.1,3.4,-2e-9", "spectrum has negative Im(eps) beyond roundoff, got -2e-09"),
+    ])
+    def test_row_fault_names_file_and_line(self, tmp_path, row, fault):
+        path = tmp_path / "eps.csv"
+        path.write_text(f"# note\nenergy_eV,eps_real,eps_imag\n{row}\n2.2,3.4,0.1\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: {fault}") + "$"):
+            read_spectrum_csv(path)
+
+    def test_roundoff_negative_imaginary_part_is_read(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        path.write_text("energy_eV,eps_real,eps_imag\n2.0,3.5,-1e-9\n")
+        assert read_spectrum_csv(path).epsilon[0] == 3.5 - 1e-9j
 
     def test_file_without_rows_is_named(self, tmp_path):
         path = tmp_path / "eps.csv"
