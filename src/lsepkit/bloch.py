@@ -278,7 +278,12 @@ def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> 
     elementwise on an array of photon energies.
     """
     delta = (params.transition_energy - photon_energy) * EV_TO_RADS
-    return 0.5j * params.dipole_si / HBAR / (params.total_dephasing_rate + 1j * delta)
+    return _coherence_per_field(params.dipole_si, params.total_dephasing_rate, delta)
+
+
+def _coherence_per_field(dipole_si, dephasing_rate, delta):
+    """i (d / 2 hbar) / (Gamma + i delta): the dipole in C m, the rates in rad/s."""
+    return 0.5j * dipole_si / HBAR / (dephasing_rate + 1j * delta)
 
 
 def eig(a):

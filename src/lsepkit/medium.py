@@ -26,6 +26,7 @@ from .bloch import (
     DensityMatrix,
     DriveField,
     TwoLevelParams,
+    _coherence_per_field,
     detuning_rate,
     evolve_rwa,
     linear_coherence_per_field,
@@ -137,9 +138,18 @@ def epsilon_steady(material: MaterialParams, energies) -> PermittivitySpectrum:
     (delta^2 + Gamma^2) with A = N d^2 / (eps0 hbar).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    ratio = linear_coherence_per_field(material.two_level, energies)
-    eps = material.background_permittivity + _prefactor(material) * ratio
+    eps = _steady_response(material, energies)(material.two_level.total_dephasing_rate)
     return PermittivitySpectrum(energies=energies, epsilon=eps)
+
+
+def _steady_response(material: MaterialParams, energies: np.ndarray):
+    """epsilon_steady's values on ``energies`` as a function of the coherence
+    damping rate (rad/s); the fit calls it once per dephasing it tries."""
+    p = material.two_level
+    delta = (p.transition_energy - energies) * EV_TO_RADS
+    prefactor = _prefactor(material)
+    return lambda rate: (material.background_permittivity
+                         + prefactor * _coherence_per_field(p.dipole_si, rate, delta))
 
 
 def epsilon_transient(
@@ -198,8 +208,9 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
     response of a 1 D dipole, so d^2 is solved in closed form (variable
     projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) and
     the bounded simplex (numerics.simplex.nelder_mead) searches the pure
-    dephasing alone, from that of `fixed`.  initial_residual is the
-    misfit of `fixed`, n_evaluations counts the projected misfits.
+    dephasing alone, from that of `fixed`, with that response from
+    epsilon_steady's helper, bit for bit and with no spectrum per misfit.
+    initial_residual is the misfit of `fixed`, n_evaluations counts them.
 
     Raises FitDiverged when the search reaches FIT_MAXITER iterations or
     cannot improve on its start, or when the target needs a dipole above
@@ -213,9 +224,11 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
     def build(dipole: float, dephasing: float) -> MaterialParams:
         return replace(fixed, two_level=replace(p0, dipole=dipole, pure_dephasing=dephasing))
 
+    response = _steady_response(build(1.0, p0.pure_dephasing), target.energies)
+
     def project(dephasing: float) -> tuple[float, float]:
         """The least-squares d^2 at one dephasing, and its misfit."""
-        unit = epsilon_steady(build(1.0, dephasing), target.energies).epsilon - background
+        unit = response(replace(p0, pure_dephasing=dephasing).total_dephasing_rate) - background
         norm = np.vdot(unit, unit).real
         # a response that underflows to zero takes no dipole
         d2 = np.clip(np.vdot(unit, excess).real / norm, 0.0, MAX_DIPOLE_DEBYE**2) if norm else 0.0

@@ -10,11 +10,11 @@ derivatives D_n = psi_n'/psi_n go downward from D = 0, started far
 above the cutoff at an order set by each sample's own argument.  psi_n
 divides up from psi_0 = sin z, or from psi_1 = sin z / z - cos z near a
 nonzero multiple of pi (|sin z| < 0.1 and |z| > 1), where D_1 + 1/z is
-mostly roundoff.  chi_n = -x y_n goes upward.  The near fields take
-the log derivatives inside the sphere and their own upward recurrence
-for h_n outside.  Spectra are solved in groups that share a multipole
-cutoff, so each sample keeps the cutoff and the starting order of a
-one-sample solve, and so its bits.
+mostly roundoff.  xi_n = x h_n goes upward, accurate relative to |xi_n|,
+all that the denominators need.  The near fields take the log
+derivatives inside the sphere and xi_n / x outside.  Spectra are solved
+in groups that share a multipole cutoff, so each sample keeps the cutoff
+and the starting order of a one-sample solve, and so its bits.
 """
 
 from __future__ import annotations
@@ -176,13 +176,15 @@ def _riccati_psi(z: np.ndarray, dlog: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _riccati_chi(x: np.ndarray, n_max: int) -> np.ndarray:
-    """chi_n(x) = -x y_n(x) for real x, orders 0..n_max; it grows with n, so upward is stable."""
-    chi = np.empty((n_max + 2,) + np.shape(x))
-    chi[0], chi[1] = -np.sin(x), np.cos(x)  # orders -1 and 0
+def _riccati_xi(x: np.ndarray, n_max: int) -> np.ndarray:
+    """xi_n(x) = x h_n(x) for real x > 0, orders 0..n_max, upward from xi_-1 =
+    e^{ix} and xi_0 = -i e^{ix} (A&S 10.1.19): stable, as |h_n| >= |y_n|."""
+    xi = np.empty((n_max + 2,) + np.shape(x), dtype=complex)
+    xi[0] = np.exp(1j * x)
+    xi[1] = -1j * xi[0]
     for n in range(1, n_max + 1):
-        chi[n + 1] = (2.0 * n - 1.0) / x * chi[n] - chi[n - 1]
-    return chi[1:]
+        xi[n + 1] = (2.0 * n - 1.0) / x * xi[n] - xi[n - 1]
+    return xi[1:]
 
 
 def _partial_waves(x: np.ndarray, m: np.ndarray, n_max: int):
@@ -190,7 +192,7 @@ def _partial_waves(x: np.ndarray, m: np.ndarray, n_max: int):
     mx = m * x
     dlog = _log_derivatives(mx, n_max)
     psi = _riccati_psi(x, _log_derivatives(x, n_max))
-    xi = psi - 1j * _riccati_chi(x, n_max)
+    xi = _riccati_xi(x, n_max)
 
     ns = np.arange(1, n_max + 1)[:, None]
     dn = dlog[1:]

@@ -134,6 +134,8 @@ CASES = [
     ("rho must", lambda v: DensityMatrix(1.0, 0.0, 0.0, v), -INF),
     ("y0", lambda v: integrate(np.eye(2), np.eye(2), 1.0, 1.0, [1.0, v], [0.0, 1.0],
                                rtol=1e-10, atol=1e-12), -INF),
+    # a seed, checked once like the points of near_field_grid
+    ("points", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, v]]), -INF),
 ]
 
 

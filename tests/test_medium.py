@@ -5,11 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsepkit import cli, medium
-from lsepkit.bloch import DriveField, TwoLevelParams
+from lsepkit.bloch import DriveField, TwoLevelParams, linear_coherence_per_field
 from lsepkit.constants import EV_TO_RADS
 from lsepkit.medium import (
     FitDiverged,
@@ -286,6 +287,39 @@ class TestFit:
         excess, unit = response(dipole) - background, response(1.0) - background
         rounding = background + np.abs(excess) + dipole**2 * (background + np.abs(unit))
         assert np.all(np.abs(excess - dipole**2 * unit) <= 4 * np.finfo(float).eps * rounding)
+
+    # the material keys' ranges, with densities up to that of a solid
+    # and the dephasings of the fit's search
+    @given(
+        transition=st.floats(1e-6, 100.0), decay=st.floats(0.0, 1e16),
+        density=st.floats(1.0, 1e30), background=st.floats(1.0, 1e4),
+        dephasing=st.floats(0.0, 10.0),
+        energies=arrays(float, st.integers(1, 60), elements=st.floats(1e-6, 100.0)),
+    )
+    def test_unit_response_is_epsilon_steady_bit_for_bit(
+        self, transition, decay, density, background, dephasing, energies
+    ):
+        # each misfit of fit_material takes the unit response from the
+        # helper that epsilon_steady shares, built once at 1 D, with no
+        # object per dephasing but its rate; both are the sum of bloch's
+        # linear coherence, as epsilon_steady took it before the helper
+        fixed = MaterialParams(density, background, TwoLevelParams(transition, decay, 0.017, 32.0))
+        energies = np.sort(energies)
+        two_level = dataclasses.replace(fixed.two_level, dipole=1.0, pure_dephasing=dephasing)
+        unit = dataclasses.replace(fixed, two_level=two_level)
+        try:
+            with np.errstate(all="ignore"):
+                want = epsilon_steady(unit, energies).epsilon - background
+        except ValueError:  # an undamped pole, or a rate so small that eps overflows
+            reject()
+        response = medium._steady_response(
+            dataclasses.replace(fixed, two_level=dataclasses.replace(fixed.two_level, dipole=1.0)),
+            energies)
+        got = response(two_level.total_dephasing_rate) - background
+        coherence = linear_coherence_per_field(two_level, energies)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (background + medium._prefactor(unit) * coherence
+                                 - background).tobytes()
 
     @settings(deadline=None)
     @given(st.floats(1.0, 300.0), st.floats(1e-3, 1.0))

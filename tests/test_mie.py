@@ -210,7 +210,7 @@ class TestSphericalHankel:
         x = 10.0**log_x
         n_max = multipole_cutoff(x)
         n = round(fraction * n_max)
-        got = fields._spherical_hankel(np.array([x]), n_max)[n, 0]
+        got = scatter._riccati_xi(np.array([x]), n_max)[n, 0] / x
         want = oracle_spherical_hankel(x, n)
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -274,11 +274,32 @@ class TestSceneValidation:
             SphereScene(radius, eps, host, wavelength)
 
 
+@st.composite
+def _scenes_with_points(draw):
+    """A sphere of size parameter up to about 7 and 1-200 points within a
+    drawn reach of 0.5-10 radii; a permittivity near 0 (where every Mie
+    solve fails) is moved to 1."""
+    eps = complex(draw(st.floats(-6.0, 10.0)), draw(st.floats(0.0, 3.0)))
+    scene = SphereScene(
+        radius=draw(st.floats(10e-9, 200e-9)),
+        sphere_epsilon=eps if abs(eps) >= 0.1 else 1.0,
+        host_epsilon=draw(st.floats(1.0, 2.5)),
+        wavelength_vacuum=draw(st.floats(300e-9, 1000e-9)),
+    )
+    n = draw(st.integers(1, 200))
+    cube = draw(arrays(float, (n, 3), elements=st.floats(-1.0, 1.0)))
+    reach = draw(st.floats(0.5, 9.99)) * scene.radius
+    return scene, cube * (reach / np.sqrt(3.0))
+
+
 def order_by_order_fields(scene, co, point):
     """E and H at one point, each spherical component of each field summed
     order by order (Bohren & Huffman 1983, sec. 4.4): the reference for
     the coefficient-block products of near_field_grid."""
-    r = np.linalg.norm(point)
+    # the radius rounded as near_field_grid rounds it: inside, the j_1
+    # anchor of _spherical_jn cancels at small |rho|, so a one-ulp
+    # change of rho can move j_n by some 1e-12 relative
+    r = np.linalg.norm(np.atleast_2d(point), axis=1)[0]
     theta, phi = np.arccos(point[2] / r), np.arctan2(point[1], point[0])
     pi_n, tau_n = fields._angular_functions(np.array([np.cos(theta)]), co.n_max)
     admittance = np.sqrt(scene.host_epsilon) * EPS0 * C0
@@ -289,10 +310,8 @@ def order_by_order_fields(scene, co, point):
         h_factor = -scene.relative_index * admittance
     else:
         rho = scene.host_wavenumber * r
-        # h_n = j_n + i y_n with y_n = -chi_n / rho, not the upward
-        # recurrence of near_field_grid
-        z_n = (fields._spherical_jn(np.array([rho]), co.n_max)
-               - 1j * scatter._riccati_chi(np.array([rho]), co.n_max) / rho)[:, 0]
+        # h_n from mpmath, not the upward recurrence of near_field_grid
+        z_n = np.array([oracle_spherical_hankel(rho, n) for n in range(co.n_max + 1)])
         waves = ((-co.b, 1j * co.a), (-co.a, 1j * co.b))
         h_factor = admittance
     sph = np.zeros((2, 3), dtype=complex)
@@ -330,6 +349,30 @@ class TestNearField:
         # largest field is some 500 roundings
         assert np.abs(grid.E - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
         assert np.abs(grid.H - want[:, 1]).max() <= 1e-13 * np.abs(want[:, 1]).max()
+
+    # the oracle takes mpmath's h_n order by order, about 0.4 ms each, so
+    # it checks four points of each drawn batch (which may lie all outside,
+    # all inside or on both sides), and in a batch of their own two points
+    # on the z axis and one within CENTER_OFFSET of the center
+    @settings(deadline=None)
+    @given(case=_scenes_with_points(),
+           z_radii=st.tuples(st.floats(0.01, 9.99), st.floats(-9.99, -0.01)),
+           center=arrays(float, 3, elements=st.floats(-0.5, 0.5)))
+    def test_drawn_scenes_equal_order_by_order_sum(self, case, z_radii, center):
+        scene, pts = case
+        co = mie_coefficients(scene)
+        drawn = near_field_grid(scene, co, pts)
+        axis = [[0.0, 0.0, z * scene.radius] for z in z_radii]
+        ends = near_field_grid(scene, co, np.vstack([axis, center * fields.CENTER_OFFSET]))
+        assert np.array_equal(ends.positions[-1], [0.0, 0.0, fields.CENTER_OFFSET])
+        positions = np.vstack([drawn.positions[:4], ends.positions])
+        want = np.array([order_by_order_fields(scene, co, p) for p in positions])
+        e_field, h_field = np.vstack([drawn.E[:4], ends.E]), np.vstack([drawn.H[:4], ends.H])
+        # a sum of about ten float64 terms per component: 1e-13 of the
+        # largest field is some 500 roundings
+        assert np.abs(e_field - want[:, 0]).max() <= 1e-13 * np.abs(want[:, 0]).max()
+        assert np.abs(h_field - want[:, 1]).max() <= 1e-13 * np.abs(want[:, 1]).max()
+
     def test_boundary_conditions_at_resonance(self):
         """Tangential E and H continuous, normal D continuous."""
         scene = resonant_scene(2.16)
@@ -434,24 +477,6 @@ class TestNearField:
 
 
 MIRROR_Y = np.array([1.0, -1.0, 1.0])
-
-
-@st.composite
-def _scenes_with_points(draw):
-    """A sphere of size parameter up to about 7 and 1-200 points within a
-    drawn reach of 0.5-10 radii; a permittivity near 0 (where every Mie
-    solve fails) is moved to 1."""
-    eps = complex(draw(st.floats(-6.0, 10.0)), draw(st.floats(0.0, 3.0)))
-    scene = SphereScene(
-        radius=draw(st.floats(10e-9, 200e-9)),
-        sphere_epsilon=eps if abs(eps) >= 0.1 else 1.0,
-        host_epsilon=draw(st.floats(1.0, 2.5)),
-        wavelength_vacuum=draw(st.floats(300e-9, 1000e-9)),
-    )
-    n = draw(st.integers(1, 200))
-    cube = draw(arrays(float, (n, 3), elements=st.floats(-1.0, 1.0)))
-    reach = draw(st.floats(0.5, 9.99)) * scene.radius
-    return scene, cube * (reach / np.sqrt(3.0))
 
 
 class TestMirrorSymmetry:
