@@ -8,9 +8,7 @@ coupling J has single-exciton energies
 with eigenstate coefficients proportional to sin(j m pi / (n + 1)).
 Summing the molecular transition dipoles over an eigenstate gives the
 collective mode dipole, which vanishes for even m and concentrates the
-oscillator strength in the lowest odd mode (the J-band).  An
-orientational average reduces the on-axis dipole to the value effective
-for an isotropic ensemble in 2 or 3 dimensions.
+oscillator strength in the lowest odd mode (the J-band).
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ from . import check, non_negative, positive_integer
 
 class ModeOutOfRange(ValueError):
     """Requested exciton mode index not a whole number in 1..n."""
-
-
-class BadDimension(ValueError):
-    """Orientational average defined for dimensionality 2 or 3 only."""
 
 
 @dataclass(frozen=True)
@@ -53,15 +47,6 @@ class AggregateChain:
         check(self.monomer_energy, np.isfinite, "monomer_energy must be finite")
         check(self.coupling, np.isfinite, "coupling must be finite")
         check(self.monomer_dipole, non_negative, "monomer_dipole must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class BrightState:
-    """Energy (eV) and collective dipole (debye) of the dominant mode."""
-
-    mode: int
-    energy: float
-    dipole: float
 
 
 def eigenvalues(chain: AggregateChain) -> np.ndarray:
@@ -94,21 +79,3 @@ def mode_dipole(chain: AggregateChain, mode: int) -> float:
         return 0.0
     angle = mode * np.pi / (2.0 * (n + 1))
     return chain.monomer_dipole * np.sqrt(parity / (n + 1)) / np.tan(angle)
-
-
-def bright_state(chain: AggregateChain) -> BrightState:
-    """The m = 1 exciton: band-edge energy and the largest mode dipole."""
-    energy = float(eigenvalues(chain)[0])
-    return BrightState(mode=1, energy=energy, dipole=mode_dipole(chain, 1))
-
-
-def orientational_average(dipole: float, dimensionality: int) -> float:
-    """Effective dipole of an isotropically oriented ensemble.
-
-    The on-axis dipole divided by the dimensionality of the disorder:
-    2 for dipoles random in a plane, 3 for random in space.
-    """
-    check(dipole, non_negative, "dipole must be finite and >= 0")
-    if dimensionality not in (2, 3):
-        raise BadDimension(f"dimensionality must be 2 or 3, got {dimensionality}")
-    return dipole / dimensionality

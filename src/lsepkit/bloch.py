@@ -13,16 +13,13 @@ Conventions, fixed project-wide:
 
 The rotating-wave generator is a 4x4 complex matrix acting on the state
 vector; its eigen-decomposition, certified by a residual bound,
-propagates the envelope exactly at any sample time.  Its stationary
-state is the textbook closed form (Loudon, The Quantum Theory of Light,
-3rd ed., OUP 2000, ch. 2), with NoUniqueSteadyState at zero decay and
-where that form leaves the float range (on exact resonance with a
-dephasing rate below 6e-268 1/s).  The lab-frame equations keep the
-full cosine drive (counter-rotating term included).  They are linear,
-dv/dt = (G0 + Omega cos(w t) G1) v, with a generator that repeats every
-drive period, and are propagated one period at a time with fourth-order
-Magnus steps (:func:`lsepkit.numerics.integrate`); the step count per
-period doubles until two grids agree in all eight real components.
+propagates the envelope exactly at any sample time.  The lab-frame
+equations keep the full cosine drive (counter-rotating term included).
+They are linear, dv/dt = (G0 + Omega cos(w t) G1) v, with a generator
+that repeats every drive period, and are propagated one period at a time
+with fourth-order Magnus steps (:func:`lsepkit.numerics.integrate`); the
+step count per period doubles until two grids agree in all eight real
+components.
 """
 
 from __future__ import annotations
@@ -32,14 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalFailure, check, non_negative, positive
-from .constants import DEBYE, EV, EV_TO_RADS, HBAR
+from .constants import DEBYE, EV_TO_RADS, HBAR
 from .numerics import NotConverged, checked_times, integrate
-
-
-class NoUniqueSteadyState(NumericalFailure):
-    """Without decay the driven system keeps a conserved component and
-    the stationary state is not unique; a decay too slow for double
-    precision on exact resonance is treated alike."""
 
 
 class DefectiveMatrix(NumericalFailure):
@@ -87,11 +78,6 @@ class TwoLevelParams:
     def total_dephasing_rate(self) -> float:
         """Coherence damping rate (rad/s): decay_rate/2 + pure dephasing."""
         return 0.5 * self.decay_rate + self.pure_dephasing * EV_TO_RADS
-
-    @property
-    def total_dephasing_energy(self) -> float:
-        """Coherence damping expressed as an energy (eV)."""
-        return self.total_dephasing_rate * HBAR / EV
 
 
 @dataclass(frozen=True)
@@ -233,40 +219,6 @@ def liouvillian_rwa(params: TwoLevelParams, drive: DriveField) -> np.ndarray:
     """
     g0, g1 = _generators(params, detuning_rate(params, drive))
     return g0 + 0.5 * rabi_frequencies(params, drive)[0] * g1
-
-
-def steady_state(params: TwoLevelParams, drive: DriveField) -> DensityMatrix:
-    """Unique stationary state of the rotating-wave generator, in closed
-    form (Loudon, The Quantum Theory of Light, 3rd ed., OUP 2000, ch. 2).
-
-    With decay rate gamma, dephasing rate Gamma, detuning delta, Rabi
-    frequency Omega and R = Omega^2 Gamma / (2 (Gamma^2 + delta^2)), the
-    excited population is R / (gamma + 2R), the inversion is w = gamma /
-    (gamma + 2R) (1 - 2 rho11 would cancel), and rho01~ = i (Omega/2) w /
-    (Gamma + i delta) is :func:`linear_coherence_per_field` times E0 w.
-
-    Raises NoUniqueSteadyState when the decay rate vanishes (the
-    generator then conserves more than the trace), and when gamma + 2R
-    is not a finite number: for a decay rate > 0 in the keys' ranges
-    only on exact resonance with Gamma below 6e-268 1/s, a decay too
-    slow to resolve in double precision.  Every other state is finite
-    and passes ``validate``.
-    """
-    gamma = params.decay_rate
-    if gamma <= 0.0:
-        raise NoUniqueSteadyState("zero decay rate leaves a conserved population")
-    # numpy scalars: a zero or overflowing divisor gives inf or nan, checked below
-    with np.errstate(all="ignore"):
-        coherence = drive.amplitude * linear_coherence_per_field(
-            params, np.float64(drive.photon_energy))
-        pump = rabi_frequencies(params, drive)[0] * coherence.imag
-        saturation = gamma + 2.0 * pump
-    if not np.isfinite(saturation):
-        raise NoUniqueSteadyState(
-            f"decay rate {gamma:.3g} 1/s is too slow to resolve the steady state on resonance")
-    excited = pump / saturation
-    coherence = coherence * (gamma / saturation)
-    return DensityMatrix(1.0 - excited, coherence, np.conj(coherence), excited)
 
 
 def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> complex:

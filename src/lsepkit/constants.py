@@ -12,7 +12,6 @@ import math
 HBAR = 1.0545718176461565e-34           # J s (h / 2 pi, h exact)
 EPS0 = 8.8541878188e-12                 # F/m
 C0 = 299792458.0                        # m/s (exact)
-MU0 = 1.25663706127e-06                 # H/m
 EV = 1.602176634e-19                    # J per eV (exact)
 
 # 1 debye = 1e-21 / c  C m (exact by definition of the unit)

@@ -31,7 +31,7 @@ from .bloch import (
     evolve_rwa,
     linear_coherence_per_field,
 )
-from .constants import EPS0, EV_TO_RADS, HBAR
+from .constants import EPS0, EV_TO_RADS
 from .numerics import checked_times, nelder_mead
 
 # Iteration cap of the fit's simplex search; reaching it means the search
@@ -61,12 +61,6 @@ class MaterialParams:
         check(self.number_density, positive, "number_density must be finite and > 0")
         check(self.background_permittivity, at_least_one,
               "background_permittivity must be finite and >= 1")
-
-    @property
-    def coupling_strength(self) -> float:
-        """Resonant prefactor N d^2 / (eps0 hbar) in rad/s."""
-        d = self.two_level.dipole_si
-        return self.number_density * d * d / (EPS0 * HBAR)
 
 
 @dataclass(frozen=True)

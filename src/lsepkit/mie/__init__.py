@@ -18,7 +18,6 @@ from .scatter import (
     EfficiencySet,
     EfficiencySpectrum,
     MieCoefficients,
-    QuasistaticResponse,
     RecurrenceUnstable,
     SizeParameterOutOfRange,
     SphereScene,
@@ -27,7 +26,6 @@ from .scatter import (
     multipole_cutoff,
     qabs_spectrum,
     qabs_transient,
-    quasistatic_polarizability,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "EvaluationTooFarOut",
     "FieldGrid",
     "MieCoefficients",
-    "QuasistaticResponse",
     "RecurrenceUnstable",
     "SizeParameterOutOfRange",
     "SphereScene",
@@ -53,5 +50,4 @@ __all__ = [
     "poynting_streamlines",
     "qabs_spectrum",
     "qabs_transient",
-    "quasistatic_polarizability",
 ]

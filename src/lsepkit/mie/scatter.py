@@ -89,20 +89,6 @@ class EfficiencySet:
     q_abs: float
 
 
-@dataclass(frozen=True)
-class QuasistaticResponse:
-    """Dipole polarizability volume and the Clausius-Mossotti diagnostics.
-
-    polarizability is 4 pi r^3 (es - eh)/(es + 2 eh), in m^3; the induced
-    dipole is p = eps0 eps_host * polarizability * E.  resonance_distance
-    is |es + 2 eh|, the gap to the quasi-static divergence.
-    """
-
-    polarizability: complex
-    resonance_distance: float
-    resonant: bool
-
-
 def _check_geometry(radius, host_epsilon, wavelength) -> None:
     """Scene invariants on scalars or per-sample arrays; names the first bad value."""
     check(radius, positive, "radius must be finite and > 0")
@@ -303,24 +289,4 @@ def qabs_transient(
         q_sca=q[1],
         q_abs=q[0] - q[1],
         kappa_normalized=kappa / peak if peak > 0.0 else kappa,
-    )
-
-
-def quasistatic_polarizability(
-    sphere_epsilon: complex, host_epsilon: float, radius: float
-) -> QuasistaticResponse:
-    """Clausius-Mossotti dipole response of a small sphere."""
-    check(radius, positive, "radius must be finite and > 0")
-    check(host_epsilon, at_least_one, "host_epsilon must be finite and >= 1")
-    check(sphere_epsilon, np.isfinite, "sphere_epsilon must be finite")
-    es = complex(sphere_epsilon)
-    denominator = es + 2.0 * host_epsilon
-    distance = abs(denominator)
-    resonant = distance < 1e-9 * max(abs(es), host_epsilon)
-    if resonant:
-        alpha = complex(np.inf, 0.0)
-    else:
-        alpha = 4.0 * np.pi * radius**3 * (es - host_epsilon) / denominator
-    return QuasistaticResponse(
-        polarizability=alpha, resonance_distance=distance, resonant=resonant
     )

@@ -6,13 +6,10 @@ import pytest
 
 from lsepkit.aggregate import (
     AggregateChain,
-    BadDimension,
     ModeOutOfRange,
-    bright_state,
     eigenstate,
     eigenvalues,
     mode_dipole,
-    orientational_average,
 )
 
 
@@ -41,10 +38,10 @@ class TestSpectrum:
         np.testing.assert_allclose(eigenvalues(chain), [2.16, 2.26], atol=1e-12)
 
     def test_bright_state_example(self):
-        bs = bright_state(CHAIN15)
-        assert bs.mode == 1
-        assert bs.energy == pytest.approx(2.21 - 0.1 * np.cos(np.pi / 16.0), abs=1e-12)
-        assert bs.energy == pytest.approx(2.1119, abs=5e-4)
+        # the bright m = 1 mode sits at the red band edge
+        energy = eigenvalues(CHAIN15)[0]
+        assert energy == pytest.approx(2.21 - 0.1 * np.cos(np.pi / 16.0), abs=1e-12)
+        assert energy == pytest.approx(2.1119, abs=5e-4)
 
     def test_against_dense_diagonalization(self):
         for n in (2, 5, 15, 40):
@@ -93,21 +90,9 @@ class TestDipoles:
             assert total == pytest.approx(n * chain.monomer_dipole**2, rel=1e-12)
 
     def test_bright_dipole_grows_with_n(self):
-        dips = [bright_state(AggregateChain(n, 2.0, 0.03, 1.0)).dipole
+        dips = [mode_dipole(AggregateChain(n, 2.0, 0.03, 1.0), 1)
                 for n in (1, 3, 7, 15, 31)]
         assert np.all(np.diff(dips) > 0.0)
-
-
-class TestOrientationalAverage:
-    def test_planar_and_bulk(self):
-        assert orientational_average(97.0, 2) == pytest.approx(48.5)
-        assert orientational_average(97.0, 3) == pytest.approx(97.0 / 3.0)
-
-    def test_bad_dimension(self):
-        with pytest.raises(BadDimension):
-            orientational_average(97.0, 4)
-        with pytest.raises(BadDimension):
-            orientational_average(97.0, 1)
 
 
 class TestValidation:

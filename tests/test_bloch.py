@@ -17,7 +17,6 @@ from lsepkit.bloch import (
     DefectiveMatrix,
     DensityMatrix,
     DriveField,
-    NoUniqueSteadyState,
     TwoLevelParams,
     cycle_average,
     detuning_energy,
@@ -28,9 +27,8 @@ from lsepkit.bloch import (
     liouvillian_rwa,
     rabi_frequencies,
     rotating_frame,
-    steady_state,
 )
-from lsepkit.constants import EV_TO_RADS, HBAR, power_to_field
+from lsepkit.constants import EV, EV_TO_RADS, HBAR, power_to_field
 from lsepkit.numerics import NotConverged, integrate
 
 PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
@@ -38,10 +36,51 @@ PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
 WEAK = DriveField(amplitude=462.0, photon_energy=2.11)
 
 
+class NoUniqueSteadyState(Exception):
+    """Without decay the driven system keeps a conserved component and
+    the stationary state is not unique; a decay too slow for double
+    precision on exact resonance is treated alike."""
+
+
+def steady_state(params, drive):
+    """Unique stationary state of the rotating-wave generator, in closed
+    form (Loudon, The Quantum Theory of Light, 3rd ed., OUP 2000, ch. 2):
+    the long-time oracle of evolve_rwa.
+
+    With decay rate gamma, dephasing rate Gamma, detuning delta, Rabi
+    frequency Omega and R = Omega^2 Gamma / (2 (Gamma^2 + delta^2)), the
+    excited population is R / (gamma + 2R), the inversion is w = gamma /
+    (gamma + 2R) (1 - 2 rho11 would cancel), and rho01~ = i (Omega/2) w /
+    (Gamma + i delta) is linear_coherence_per_field times E0 w.
+
+    Raises NoUniqueSteadyState when the decay rate vanishes (the
+    generator then conserves more than the trace), and when gamma + 2R
+    is not a finite number: for a decay rate > 0 in the keys' ranges
+    only on exact resonance with Gamma below 6e-268 1/s, a decay too
+    slow to resolve in double precision.  Every other state is finite
+    and passes ``validate``.
+    """
+    gamma = params.decay_rate
+    if gamma <= 0.0:
+        raise NoUniqueSteadyState("zero decay rate leaves a conserved population")
+    # numpy scalars: a zero or overflowing divisor gives inf or nan, checked below
+    with np.errstate(all="ignore"):
+        coherence = drive.amplitude * linear_coherence_per_field(
+            params, np.float64(drive.photon_energy))
+        pump = rabi_frequencies(params, drive)[0] * coherence.imag
+        saturation = gamma + 2.0 * pump
+    if not np.isfinite(saturation):
+        raise NoUniqueSteadyState(
+            f"decay rate {gamma:.3g} 1/s is too slow to resolve the steady state on resonance")
+    excited = pump / saturation
+    coherence = coherence * (gamma / saturation)
+    return DensityMatrix(1.0 - excited, coherence, np.conj(coherence), excited)
+
+
 class TestParams:
     def test_total_dephasing_energy(self):
         # decay contributes ~0.38 meV on top of the 17 meV pure dephasing
-        assert PARAMS.total_dephasing_energy * 1e3 == pytest.approx(17.38, abs=0.01)
+        assert PARAMS.total_dephasing_rate * HBAR / EV * 1e3 == pytest.approx(17.38, abs=0.01)
 
     def test_detuning_sign(self):
         red = DriveField(amplitude=1.0, photon_energy=2.02)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lsepkit import at_least_one, check, non_negative, positive, positive_integer
-from lsepkit.aggregate import AggregateChain, eigenstate, mode_dipole, orientational_average
+from lsepkit.aggregate import AggregateChain, eigenstate, mode_dipole
 from lsepkit.bloch import DensityMatrix, DriveField, TwoLevelParams, cycle_average, evolve_lab
 from lsepkit.film import (
     NkCandidates,
@@ -25,7 +25,7 @@ from lsepkit.mie import (
     near_field_grid,
     poynting_streamlines,
     qabs_spectrum,
-    quasistatic_polarizability,
+    qabs_transient,
 )
 from lsepkit.numerics import axis, integrate, kramers_kronig_real
 
@@ -106,9 +106,10 @@ CASES = [
     ("radius", lambda v: qabs_spectrum(_spectrum(), v), 0.0),
     ("host_epsilon", lambda v: qabs_spectrum(_spectrum(), 50e-9, v), 0.5),
     ("energ", lambda v: qabs_spectrum(_spectrum(energies=[v, 2.1]), 50e-9), 0.0),
-    ("radius", lambda v: quasistatic_polarizability(2.25 + 0.1j, 1.0, v), -50e-9),
-    ("host_epsilon", lambda v: quasistatic_polarizability(2.25 + 0.1j, v, 50e-9), 0.0),
-    ("sphere_epsilon", lambda v: quasistatic_polarizability(complex(v, 0.1), 1.0, 50e-9), -INF),
+    ("radius", lambda v: qabs_transient(_spectrum(), v), -50e-9),
+    ("host_epsilon", lambda v: qabs_transient(_spectrum(), 50e-9, v), 0.0),
+    ("sphere_epsilon", lambda v: SphereScene(**{**SCENE, "sphere_epsilon": complex(v, 0.1)}),
+     -INF),
     ("points", lambda v: near_field_grid(SPHERE, None, [[0.0, 0.0, v]]), -INF),
     ("step", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, -200e-9]], step=v), 0.0),
     ("step", lambda v: axis(0.0, 1.0, v), -1.0),
@@ -119,7 +120,7 @@ CASES = [
     ("monomer_energy", lambda v: AggregateChain(**{**CHAIN, "monomer_energy": v}), -INF),
     ("coupling", lambda v: AggregateChain(**{**CHAIN, "coupling": v}), -INF),
     ("monomer_dipole", lambda v: AggregateChain(**{**CHAIN, "monomer_dipole": v}), -1.0),
-    ("dipole", lambda v: orientational_average(v, 3), -1.0),
+    ("dipole", lambda v: mode_dipole(AggregateChain(**{**CHAIN, "monomer_dipole": v}), 1), -1.0),
     ("lo must", lambda v: axis(v, 1.0, 0.1), -INF),
     ("hi must", lambda v: axis(0.0, v, 0.1), -INF),
     ("origin", lambda v: axis(0.0, 1.0, 0.1, origin=v), -INF),

@@ -1351,10 +1351,8 @@ class TestErrorContract:
         }
         # the named set makes adding or deleting a class a change here too
         assert {f"{cls.__module__}.{cls.__name__}" for cls in defined} == {
-            "lsepkit.aggregate.BadDimension",
             "lsepkit.aggregate.ModeOutOfRange",
             "lsepkit.bloch.DefectiveMatrix",
-            "lsepkit.bloch.NoUniqueSteadyState",
             "lsepkit.cli.ConfigError",
             "lsepkit.film.BranchAmbiguous",
             "lsepkit.film.NoMinimumFound",

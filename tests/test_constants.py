@@ -14,7 +14,6 @@ from lsepkit import constants
         ("HBAR", codata.hbar),
         ("EPS0", codata.epsilon_0),
         ("C0", codata.c),
-        ("MU0", codata.mu_0),
         ("EV", codata.e),
         ("DEBYE", 1e-21 / codata.c),
     ],

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from lsepkit import cli, medium
 from lsepkit.bloch import DriveField, TwoLevelParams, linear_coherence_per_field
-from lsepkit.constants import EV_TO_RADS
+from lsepkit.constants import EPS0, EV, EV_TO_RADS, HBAR
 from lsepkit.medium import (
     FitDiverged,
     FitReport,
@@ -34,11 +34,22 @@ PLANAR = MaterialParams(1.47e25, EPS_HOST,
                         TwoLevelParams(2.11, 1.15e12, 0.017, 48.0))
 
 
+def coupling_ev(material):
+    """The resonant prefactor A = N d^2 / (eps0 hbar), as an energy (eV)."""
+    d = material.two_level.dipole_si
+    return material.number_density * d * d / (EPS0 * HBAR) / EV_TO_RADS
+
+
+def dephasing_ev(params):
+    """The coherence damping hbar Gamma / e, as an energy (eV)."""
+    return params.total_dephasing_rate * HBAR / EV
+
+
 def analytic_epsilon(material, energies):
     """Independent route: closed-form Lorentzian in energy units."""
     p = material.two_level
-    a = material.coupling_strength / EV_TO_RADS
-    gam = p.total_dephasing_energy
+    a = coupling_ev(material)
+    gam = dephasing_ev(p)
     delta = p.transition_energy - np.asarray(energies, dtype=float)
     return material.background_permittivity + a * (delta + 1j * gam) / (
         delta**2 + gam**2
@@ -122,10 +133,10 @@ class TestLorentz:
         # resonance up to counter-rotating corrections of order 1e-3
         p = TwoLevelParams(2.11, 1.15e12, 0.0, 32.0)
         m = MaterialParams(3.29e25, EPS_HOST, p)
-        a = m.coupling_strength / EV_TO_RADS
+        a = coupling_ev(m)
         gamma0 = p.decay_rate / EV_TO_RADS
         lp = LorentzParams(EPS_HOST, 2.0 * a / 2.11, 2.11, gamma0)
-        halfwidth = p.total_dephasing_energy
+        halfwidth = dephasing_ev(p)
         grid = np.linspace(2.11 - 5 * halfwidth, 2.11 + 5 * halfwidth, 81)
         eq = epsilon_steady(m, grid).epsilon
         el = lorentz_epsilon(lp, grid).epsilon

@@ -1,0 +1,106 @@
+"""Every public name of the package is reached by a pipeline, a criterion
+or the benchmark.
+
+A top-level public function, class or constant of ``src/lsepkit`` must
+be used, outside its own definition, by the package itself, by
+``perfbench/``, by ``scripts/`` or by the acceptance criteria
+(``tests/test_acceptance.py``).  A name that only its own unit tests
+call is dead weight: delete it, or move it into the tests that need it
+as an oracle.
+
+A use is a name or attribute load anywhere in those files, or a string
+that is exactly the name (``getattr(module, "name")``, the benchmark's
+patch targets).  Imports, ``__all__`` lists and the ``__init__``
+re-exports are not uses: they pass a name on without calling it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lsepkit"
+USERS = [ROOT / "src", ROOT / "perfbench", ROOT / "scripts", ROOT / "tests" / "test_acceptance.py"]
+
+
+def _files(path):
+    return [path] if path.is_file() else sorted(path.rglob("*.py"))
+
+
+def _definitions(tree):
+    """(name, node) of the module's top-level defs, classes and assigned
+    names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _uses(node, skip=frozenset()):
+    """Counter of the identifiers that ``node`` loads, not descending
+    into imports or into ``skip`` (a set of node ids: ``__all__``)."""
+    uses = Counter()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if id(current) in skip or isinstance(current, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
+            uses[current.id] += 1
+        elif isinstance(current, ast.Attribute) and isinstance(current.ctx, ast.Load):
+            uses[current.attr] += 1
+        elif isinstance(current, ast.Constant) and isinstance(current.value, str):
+            if current.value.isidentifier():
+                uses[current.value] += 1
+        stack.extend(ast.iter_child_nodes(current))
+    return uses
+
+
+def _dunder_all(tree):
+    return {id(node) for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)}
+
+
+def unreached_names():
+    """Sorted ``module:name`` of every public top-level name of the
+    package that no user file reaches: its uses in all of them, less
+    those inside its own definition, add up to zero."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for user in USERS for path in _files(user)}
+    uses = sum((_uses(tree, _dunder_all(tree)) for tree in trees.values()), Counter())
+    unreached = []
+    for path in _files(PACKAGE):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for name, node in _definitions(trees[path]):
+            if not name.startswith("_") and uses[name] == _uses(node)[name]:
+                unreached.append(f"{module}:{name}")
+    return sorted(unreached)
+
+
+def test_every_public_name_is_reached():
+    assert unreached_names() == []
+
+
+def test_the_scan_sees_a_dead_name():
+    # the rule itself: a name only defined, imported, exported in
+    # __all__ and called by itself is unreached; one use outside its
+    # definition, or its name as a string, reaches it
+    source = (
+        "from .other import helper\n"
+        "__all__ = ['dead', 'live', 'named']\n"
+        "def dead():\n    return dead()\n"
+        "def live():\n    return 1\n"
+        "def named():\n    return 2\n"
+        "VALUE = live() + getattr(None, 'named')\n"
+    )
+    tree = ast.parse(source)
+    defined = dict(_definitions(tree))
+    assert set(defined) == {"__all__", "dead", "live", "named", "VALUE"}
+    uses = _uses(tree, _dunder_all(tree))
+    assert uses["dead"] == _uses(defined["dead"])["dead"] == 1
+    assert uses["live"] == 1 and _uses(defined["live"])["live"] == 0
+    assert uses["named"] == 1 and uses["helper"] == 0 and uses["VALUE"] == 0
