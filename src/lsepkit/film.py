@@ -42,7 +42,6 @@ scipy.optimize.minimize(method="Nelder-Mead") on that root alone.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -185,14 +184,17 @@ class NkGrid:
         return axis(self.kappa_min, self.kappa_max, self.kappa_step)
 
 
-def _interfaces(index_film, ambient_index, substrate_index, multiply=operator.mul):
+def _interfaces(index_film, ambient_index, substrate_index):
     """Fresnel amplitudes r1, r2 and t1*t2 of the two film interfaces."""
+    r1, r2, t1, t2 = _fresnel(index_film, ambient_index, substrate_index)
+    return r1, r2, t1 * t2
+
+
+def _fresnel(index_film, ambient_index, substrate_index):
+    """Fresnel amplitudes r1, r2, t1 and t2 of the two film interfaces."""
     n0, ns, nf = ambient_index, substrate_index, index_film
-    r1 = (n0 - nf) / (n0 + nf)
-    r2 = (nf - ns) / (nf + ns)
-    t1 = 2.0 * n0 / (n0 + nf)
-    t2 = 2.0 * nf / (nf + ns)
-    return r1, r2, multiply(t1, t2)
+    to_film, to_substrate = n0 + nf, nf + ns
+    return (n0 - nf) / to_film, (nf - ns) / to_substrate, 2.0 * n0 / to_film, 2.0 * nf / to_substrate
 
 
 def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
@@ -222,17 +224,27 @@ def _airy(interfaces, phase):
 # by up to 6.7e-8.  So _rt rounds as numpy's scalar arithmetic does, the
 # one-root-at-a-time form of the model.  A complex scalar product is
 # (ar*br - ai*bi, ar*bi + ai*br) without fused multiply-adds, which the
-# array loop may use, and a float64 scalar squares through libm pow, which
-# is not x*x in the last bit: np.float_power(x, 2.0) rounds as libm pow
-# does, where np.power with an array exponent and x*x do not.  Complex
-# division, abs, exp, and adding or subtracting a float round alike in both.
+# array loop uses from three elements on, so _rt writes its six products
+# (t1*t2, phase**2, r1*r2 and their products with phase or phase**2) out
+# in real arithmetic on the parts, in _product.  A float64 scalar squares
+# through libm pow, which is not x*x in the last bit: np.float_power(x,
+# 2.0) rounds as libm pow does, where np.power with an array exponent and
+# x*x do not.  Complex division, abs, exp, and adding, subtracting or
+# multiplying by a float round alike in both, so they stay complex.
 
 
-def _cmul(a, b):
-    """Complex product a*b, rounded as numpy's complex scalars round it."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+def _product(a, b):
+    """The (real, imag) parts of a*b from those of a and b, rounded as
+    numpy's complex scalars round the product."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(parts):
+    """The complex array of the given (real, imag) parts."""
+    real, imag = parts
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
     return out
 
 
@@ -241,12 +253,13 @@ def _rt(index_film, thickness, wavelength, ambient_index, substrate_index):
     wavelength: the forward model of rt_theoretical, residual and the
     refinement, each value as if computed alone."""
     nf = np.asarray(index_film, dtype=complex)
-    r1, r2, t12 = _interfaces(nf, ambient_index, substrate_index, multiply=_cmul)
+    r1, r2, t1, t2 = _fresnel(nf, ambient_index, substrate_index)
     phase = np.exp(2j * np.pi * nf * thickness / wavelength)
-    phase_sq = _cmul(phase, phase)
-    denom = 1.0 + _cmul(_cmul(r1, r2), phase_sq)
-    r_amp = (r1 + _cmul(r2, phase_sq)) / denom
-    t_amp = _cmul(t12, phase) / denom
+    r1_, r2_, t1_, t2_, phase_ = ((z.real, z.imag) for z in (r1, r2, t1, t2, phase))
+    phase_sq = _product(phase_, phase_)
+    denom = 1.0 + _complex(_product(_product(r1_, r2_), phase_sq))
+    r_amp = (r1 + _complex(_product(r2_, phase_sq))) / denom
+    t_amp = _complex(_product(_product(t1_, t2_), phase_)) / denom
     flux_ratio = substrate_index / ambient_index
     reflectance = np.float_power(np.abs(r_amp), 2.0)
     return reflectance, flux_ratio * np.float_power(np.abs(t_amp), 2.0)
@@ -930,6 +943,20 @@ def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
     return (owner, *np.divmod(index[owner, slot], tiling.k_vals.size))
 
 
+def _root_misfits(roots, ambient_index, substrate_index):
+    """The objective of extract_nk's refinement, for the roots given as
+    rows (thickness, wavelength, R, T) of their maps: at row i, the misfit
+    of the trial index n + i kappa, points[i] = (n, kappa), on the map of
+    roots[rows[i]]."""
+
+    def misfits(points, rows):
+        # a C-contiguous (n, kappa) pair is the complex n + i kappa, bit for bit
+        index_film = np.ascontiguousarray(points).view(complex)[:, 0]
+        return _misfits(index_film, *roots[rows].T, ambient_index, substrate_index)
+
+    return misfits
+
+
 def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
     """The film thicknesses extract_nk inverts: the one thickness of a
     range whose ends are equal, else n_thickness of them (at least 2),
@@ -984,16 +1011,9 @@ def extract_nk(
         (np.repeat(thicknesses, len(measured)), np.tile(measured, (thicknesses.size, 1)))
     )
     owner, seed_row, seed_col = _grid_seeds(grid, *per_map.T, ambient_index, substrate_index)
-    thickness, wavelength, reflectance, transmittance = per_map[owner].T
-
-    def misfits(points, rows):
-        return _misfits(
-            points[:, 0] + 1j * points[:, 1], thickness[rows], wavelength[rows],
-            reflectance[rows], transmittance[rows], ambient_index, substrate_index,
-        )
-
+    roots = per_map[owner]
     refined = nelder_mead(
-        misfits,
+        _root_misfits(roots, ambient_index, substrate_index),
         np.column_stack((grid.n_values[seed_row], grid.kappa_values[seed_col])),
         lower=np.array([grid.n_min, max(grid.kappa_min, 0.0)]),
         upper=np.array([grid.n_max, grid.kappa_max]),
@@ -1001,7 +1021,7 @@ def extract_nk(
         fatol=1e-14,
         maxiter=600,
     )
-    return NkCandidates(wavelength, *refined.x.T, refined.fun, thickness)
+    return NkCandidates(roots[:, 1], *refined.x.T, refined.fun, roots[:, 0])
 
 
 def thickness_rescale(kappa, thickness_used: float, thickness_reference: float):

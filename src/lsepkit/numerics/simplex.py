@@ -7,6 +7,12 @@ bounds=...) with the same xatol, fatol and maxiter (Lagarias et al.,
 SIAM J. Optim. 9, 112 (1998)): the same initial simplex, branches,
 clipping, convergence test and vertex order, in the same floating-point
 operations, so x, fun, nfev and nit agree bit for bit.
+
+The simplices still running are kept compacted, in the order of their
+starts, and a start's result is written out only when it finishes.  They
+share one iteration count, since every one of them steps in each
+iteration.  On a sorted simplex, the largest |f0 - fk| that scipy tests
+is f_last - f0, which rounds to the same number.
 """
 
 from __future__ import annotations
@@ -15,10 +21,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Weights of (centroid, worst vertex) in the expansion, outside-contraction
-# and inside-contraction points: reflection rho = 1, expansion chi = 2,
-# contraction psi = 0.5, as in scipy's non-adaptive Nelder-Mead.
-_TRIAL_WEIGHTS = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+# Weights of the centroid (first row) and of the worst vertex (second row)
+# in the expansion, outside-contraction and inside-contraction points:
+# reflection rho = 1, expansion chi = 2, contraction psi = 0.5, as in
+# scipy's non-adaptive Nelder-Mead.
+_TRIAL_WEIGHTS = np.array([[3.0, 1.5, 0.5], [-2.0, -0.5, 0.5]])
+_EXPAND, _OUTSIDE, _INSIDE, _ACCEPT = range(4)
+# scipy's step from whether f(x_r) lies below the best, the second worst
+# and the worst value (bits 4, 2 and 1), in scipy's order of tests: expand
+# below the best, else accept below the second worst, else contract outside
+# below the worst, else inside
+_STEP_OF_BELOW = np.array([_INSIDE, _OUTSIDE, _ACCEPT, _ACCEPT] + [_EXPAND] * 4)
+_BELOW_BITS = np.array([4, 2, 1])
 
 
 class SimplexResult(NamedTuple):
@@ -34,12 +48,10 @@ class SimplexResult(NamedTuple):
 
 def _sort_simplices(sim, fsim):
     """Each simplex's vertices in ascending order of value; ties fall as in
-    scipy, whose 1-D argsort is the same sort as a row of this one."""
-    order = np.argsort(fsim, axis=1)
-    return (
-        np.take_along_axis(sim, order[:, :, None], axis=1),
-        np.take_along_axis(fsim, order, axis=1),
-    )
+    scipy, whose 1-D argsort is the same sort as a column of this one."""
+    vertices, count = fsim.shape
+    at = np.argsort(fsim, axis=0) * count + np.arange(count)
+    return sim.reshape(len(sim), -1).take(at, axis=1), fsim.take(at)
 
 
 def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> SimplexResult:
@@ -58,55 +70,69 @@ def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> Simple
         sim[:, k + 1, k] = np.where(coord != 0, (1 + 0.05) * coord, 0.00025)
     # a vertex pushed past the upper bound is reflected into the interior
     sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    everyone = np.arange(count)
-    fsim = objective(sim.reshape(-1, dim), everyone.repeat(dim + 1)).reshape(count, dim + 1)
-    nfev = np.full(count, dim + 1)
-    nit = np.ones(count, dtype=int)
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))  # scipy sorts twice
+    rows = np.arange(count)
+    fsim = objective(sim.reshape(-1, dim), rows.repeat(dim + 1)).reshape(count, dim + 1)
+    # from here on sim[c, v, i] is coordinate c of vertex v of the simplex
+    # in column i, and fsim[v, i] its value
+    sim, fsim = _sort_simplices(*_sort_simplices(sim.T, fsim.T))  # scipy sorts twice
+    lower, upper = lower[:, None], upper[:, None]
 
-    live = everyone[nit < maxiter]
-    while live.size:
-        s, fs = sim[live], fsim[live]
-        converged = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+    x, fun = np.empty((count, dim)), np.empty(count)
+    nfev, nit = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    # evaluations beyond the initial simplex and one reflection per iteration
+    extra = np.zeros(count, dtype=int)
+    ranks = [0, dim - 1, dim]  # the best, second worst and worst vertex
+    iteration = 1
+
+    def finish(done):
+        out = rows[done]
+        x[out], fun[out] = sim[:, 0, done].T, fsim[:, done].min(axis=0)
+        nfev[out], nit[out] = dim + iteration + extra[done], iteration
+
+    while iteration < maxiter:
+        spread = sim[:, 1:] - sim[:, :1]
+        done = (np.abs(spread, out=spread).max(axis=(0, 1)) <= xatol) & (
+            fsim[-1] - fsim[0] <= fatol
         )
-        live, s, fs = live[~converged], s[~converged], fs[~converged]
-        if not live.size:
-            break
-        centroid = np.add.reduce(s[:, :-1], axis=1) / dim
-        worst = s[:, -1]
-        x_r = np.clip(2 * centroid - worst, lower, upper)
-        f_r = objective(x_r, live)
-        nfev[live] += 1
+        if done.any():
+            finish(done)
+            keep = ~done
+            sim, fsim, rows, extra = sim[:, :, keep], fsim[:, keep], rows[keep], extra[keep]
+            if not rows.size:
+                break
+        centroid = np.add.reduce(sim[:, :-1], axis=1) / dim
+        worst = sim[:, -1]
+        x_r = (2 * centroid - worst).clip(lower, upper)
+        f_r = objective(x_r.T, rows)
 
-        # 0 expand, 1 contract outside, 2 contract inside, 3 accept x_r
-        branch = np.select(
-            [f_r < fs[:, 0], f_r < fs[:, -2], f_r < fs[:, -1]], [0, 3, 1], default=2
-        )
-        tried = np.flatnonzero(branch < 3)
-        weights = _TRIAL_WEIGHTS[branch[tried]]
-        x_t = np.clip(
-            weights[:, :1] * centroid[tried] + weights[:, 1:] * worst[tried], lower, upper
-        )
-        f_t = objective(x_t, live[tried])
-        nfev[live[tried]] += 1
-        kind, f_rt, f_worst = branch[tried], f_r[tried], fs[tried, -1]
-        take = np.where(kind == 0, f_t < f_rt, np.where(kind == 1, f_t <= f_rt, f_t < f_worst))
+        step = _STEP_OF_BELOW.take(_BELOW_BITS @ (f_r < fsim[ranks]))
+        trying = step != _ACCEPT
+        tried = np.flatnonzero(trying)
+        kind = step[tried]
+        weights = _TRIAL_WEIGHTS.take(kind, axis=1)
+        x_t = (weights[0] * centroid[:, tried] + weights[1] * worst[:, tried]).clip(lower, upper)
+        f_t = objective(x_t.T, rows[tried])
+        extra += trying
+        # expand if below f(x_r), contract outside if not above it, inside
+        # if below the worst value
+        bar = np.where(kind == _INSIDE, fsim[-1][tried], f_r[tried])
+        take = np.where(kind == _OUTSIDE, f_t <= bar, f_t < bar)
+        won = tried[take]
+        x_r[:, won], f_r[won] = x_t[:, take], f_t[take]
 
-        x_r[tried[take]], f_r[tried[take]] = x_t[take], f_t[take]
-        shrink = np.zeros(live.size, dtype=bool)
-        shrink[tried] = (kind > 0) & ~take
-        s[~shrink, -1], fs[~shrink, -1] = x_r[~shrink], f_r[~shrink]
-        if shrink.any():
-            best = s[shrink, :1]
-            moved = np.clip(best + 0.5 * (s[shrink, 1:] - best), lower, upper)
-            s[shrink, 1:] = moved
-            fs[shrink, 1:] = objective(
-                moved.reshape(-1, dim), live[shrink].repeat(dim)
-            ).reshape(-1, dim)
-            nfev[live[shrink]] += dim
+        shrink = tried[(kind != _EXPAND) & ~take]
+        if shrink.size:
+            best = sim[:, :1, shrink]
+            moved = (best + 0.5 * (sim[:, 1:, shrink] - best)).clip(lower[:, None], upper[:, None])
+        sim[:, -1], fsim[-1] = x_r, f_r
+        if shrink.size:
+            sim[:, 1:, shrink] = moved
+            fsim[1:, shrink] = objective(
+                moved.reshape(dim, -1).T, np.tile(rows[shrink], dim)
+            ).reshape(dim, -1)
+            extra[shrink] += dim
 
-        nit[live] += 1
-        sim[live], fsim[live] = _sort_simplices(s, fs)
-        live = live[nit[live] < maxiter]
-    return SimplexResult(sim[:, 0], fsim.min(axis=1), nfev, nit, nit < maxiter)
+        iteration += 1
+        sim, fsim = _sort_simplices(sim, fsim)
+    finish(slice(None))
+    return SimplexResult(x, fun, nfev, nit, nit < maxiter)
