@@ -6,8 +6,9 @@ from hypothesis import settings
 
 # A longer search for the property tests, selected with
 # --hypothesis-profile=deep (the CI runs the tile search's, the grid
-# axes', the Mie layer's, the near-field mirror's, the table rendering's,
-# the Bloch layer's and the medium layer's properties so).
+# axes', the lockstep refine's and the batched forward model's, the Mie
+# layer's, the near-field mirror's, the table rendering's, the Bloch
+# layer's and the medium layer's properties so).
 settings.register_profile("deep", max_examples=1500, deadline=None)
 
 

@@ -3,13 +3,14 @@ round trips, branch selection, and the dispersion-integral closure."""
 
 import csv
 import dataclasses
+import functools
 import inspect
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, optimize
@@ -650,18 +651,11 @@ def scalar_residual(n, kappa, thickness, row):
 
 
 def _misfit_of(roots):
-    """The objective nelder_mead takes, for (thickness, fixture row) roots."""
-    thickness = np.array([d for d, _ in roots])
+    """extract_nk's objective for (thickness, fixture row) roots."""
     fixture = rows_of(FIXTURE_RT, [row for _, row in roots])
-    wavelength, refl, trans = fixture.wavelength, fixture.reflectance, fixture.transmittance
-
-    def objective(points, rows):
-        return film._misfits(
-            points[:, 0] + 1j * points[:, 1], thickness[rows], wavelength[rows],
-            refl[rows], trans[rows], 1.0, 1.52,
-        )
-
-    return objective
+    table = np.column_stack(([d for d, _ in roots], fixture.wavelength,
+                             fixture.reflectance, fixture.transmittance))
+    return film._root_misfits(table, 1.0, 1.52)
 
 
 def _fixture_at(wavelength_nm):
@@ -845,6 +839,126 @@ class TestLockstepRefine:
             report = medium.fit_material(target, fixed)
             assert report.params.two_level.pure_dephasing == float(expected.x[0])
             assert (report.residual, report.n_evaluations) == (expected.fun, expected.nfev)
+
+
+SEED_GRID = NkGrid()
+# extract_nk's simplex options, and two looser pairs under which rows
+# converge within the drawn maxiter, each at its own iteration
+REFINE_TOLERANCES = ((1e-9, 1e-14), (1e-3, 1e-6), (1e-2, 1e-4))
+# about 20 examples in Tier-1, a tenth of the profile's under --hypothesis-profile=deep
+REFINE_EXAMPLES = max(20, settings.default.max_examples // 10)
+
+
+@functools.cache
+def fixture_seeds():
+    """(thickness, fixture row, n, kappa) of every seed that extract_nk
+    refines on the packaged fixture at the CLI's thicknesses."""
+    count = FIXTURE_RT.wavelength.size
+    thickness = np.repeat(FIXTURE_THICKNESSES, count)
+    measured = (np.tile(column, len(FIXTURE_THICKNESSES)) for column in
+                (FIXTURE_RT.wavelength, FIXTURE_RT.reflectance, FIXTURE_RT.transmittance))
+    owner, row, col = film._grid_seeds(SEED_GRID, thickness, *measured, 1.0, 1.52)
+    return [(thickness[m], m % count, SEED_GRID.n_values[i], SEED_GRID.kappa_values[j])
+            for m, i, j in zip(owner.tolist(), row.tolist(), col.tolist())]
+
+
+def _grid_root(n_index, kappa_index):
+    """(thickness, fixture row, n, kappa) roots seeded at the given grid point."""
+    return st.builds(
+        lambda thickness, row, i, j: (thickness, row, SEED_GRID.n_values[i], SEED_GRID.kappa_values[j]),
+        st.sampled_from(FIXTURE_THICKNESSES), st.integers(0, FIXTURE_RT.wavelength.size - 1),
+        n_index, kappa_index,
+    )
+
+
+def scipy_steps(seed, thickness, fixture_row, maxiter, xatol, fatol):
+    """scipy's Nelder-Mead from one seed on extract_nk's bounds, and the
+    evaluations each of its iterations made (4 for a shrink step)."""
+    calls, marks = [0], []
+
+    def objective(x):
+        calls[0] += 1
+        return scalar_residual(x[0], x[1], thickness, fixture_row)
+
+    result = optimize.minimize(
+        objective, x0=seed, method="Nelder-Mead",
+        bounds=[(SEED_GRID.n_min, SEED_GRID.n_max), (SEED_GRID.kappa_min, SEED_GRID.kappa_max)],
+        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+        callback=lambda xk: marks.append(calls[0]),
+    )
+    return result, np.diff([3] + marks)
+
+
+def refine_against_scipy(batch, maxiter, xatol, fatol):
+    """Assert that nelder_mead on the batch of (thickness, fixture row, n,
+    kappa) roots equals scipy root by root, bit for bit; return which of
+    the lockstep loop's paths the batch took."""
+    seeds = np.array([(n, kappa) for _, _, n, kappa in batch])
+    got = nelder_mead(
+        _misfit_of([(thickness, row) for thickness, row, _, _ in batch]), seeds,
+        lower=np.array([SEED_GRID.n_min, SEED_GRID.kappa_min]),
+        upper=np.array([SEED_GRID.n_max, SEED_GRID.kappa_max]),
+        xatol=xatol, fatol=fatol, maxiter=maxiter,
+    )
+    steps = []
+    for i, (seed, (thickness, row, _, _)) in enumerate(zip(seeds, batch)):
+        expected, evaluations = scipy_steps(seed, thickness, row, maxiter, xatol, fatol)
+        assert got.x[i].tolist() == expected.x.tolist()
+        assert got.fun[i] == expected.fun
+        assert (got.nfev[i], got.nit[i], got.success[i]) == (
+            expected.nfev, expected.nit, expected.success)
+        steps.append(evaluations)
+    converged = got.nit[got.success]
+    paths = set()
+    if np.unique(converged).size > 1:
+        paths.add("rows finish in different iterations")
+    if converged.size and not got.success.all():
+        paths.add("the cap stops rows that others outlived")
+    for k in range(max(map(len, steps), default=0)):
+        shrunk = [evaluations[k] == 4 for evaluations in steps if k < len(evaluations)]
+        if any(shrunk) and not all(shrunk):
+            paths.add("shrink rows beside other steps")
+    return paths
+
+
+# on four fixture maps, from n_max, kappa = 0 and two inner grid points
+COVERING_BATCH = (
+    [(FIXTURE_THICKNESSES[1], 56, SEED_GRID.n_max, SEED_GRID.kappa_values[355]),
+     (FIXTURE_THICKNESSES[2], 28, SEED_GRID.n_values[22], 0.0),
+     (FIXTURE_THICKNESSES[2], 67, SEED_GRID.n_values[496], SEED_GRID.kappa_values[542]),
+     (FIXTURE_THICKNESSES[0], 39, SEED_GRID.n_values[119], SEED_GRID.kappa_values[57])],
+    36, 1e-3, 1e-6,
+)
+
+
+@settings(max_examples=REFINE_EXAMPLES, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 605).map(lambda i: fixture_seeds()[i]),
+            _grid_root(st.just(SEED_GRID.n_values.size - 1), st.integers(0, SEED_GRID.kappa_values.size - 1)),
+            _grid_root(st.integers(0, SEED_GRID.n_values.size - 1), st.just(0)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 40),
+    st.sampled_from(REFINE_TOLERANCES),
+)
+@example(*COVERING_BATCH[:2], COVERING_BATCH[2:])
+def test_drawn_refine_batches_equal_scipy(batch, maxiter, tolerances):
+    # seeds from the fixture maps' grid search and on the n_max and kappa = 0
+    # bounds, refined together under a drawn cap
+    refine_against_scipy(batch, maxiter, *tolerances)
+
+
+def test_covering_refine_batch_takes_every_lockstep_path():
+    assert fixture_seeds() and len(fixture_seeds()) == 606
+    assert refine_against_scipy(*COVERING_BATCH) == {
+        "rows finish in different iterations",
+        "the cap stops rows that others outlived",
+        "shrink rows beside other steps",
+    }
 
 
 class TestExtraction:
