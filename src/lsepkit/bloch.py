@@ -132,9 +132,6 @@ class DensityMatrix:
     def as_vector(self) -> np.ndarray:
         return np.array([self.rho00, self.rho01, self.rho10, self.rho11], dtype=complex)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        _check_states(self.as_vector(), tol)
-
 
 def state_errors(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per state row (rho00, rho01, rho10, rho11): the trace error, the
@@ -147,17 +144,6 @@ def state_errors(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.maximum(np.abs(s[:, 1] - np.conj(s[:, 2])), np.abs(s[:, [0, 3]].imag).max(axis=1)),
         np.linalg.eigvalsh(0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2))))[:, 0],
     )
-
-
-def _check_states(states, tol: float = 1e-9) -> None:
-    """Raises ValueError unless every state row is a density matrix to tol."""
-    trace, hermiticity, smallest = state_errors(states)
-    if trace.max(initial=0.0) > tol:
-        raise ValueError(f"trace error {trace.max():.3e} exceeds {tol:.0e}")
-    if hermiticity.max(initial=0.0) > tol:
-        raise ValueError(f"hermiticity error {hermiticity.max():.3e}")
-    if smallest.min(initial=0.0) < -tol:
-        raise ValueError(f"negative eigenvalue {smallest.min():.3e}")
 
 
 @dataclass
@@ -189,10 +175,6 @@ class BlochTrajectory:
     @property
     def rho11(self) -> np.ndarray:
         return self.states[:, 3]
-
-    def validate(self, tol: float = 1e-9) -> None:
-        _check_states(self.states, tol)
-
 
 def _generators(params: TwoLevelParams, frequency: float) -> tuple[np.ndarray, np.ndarray]:
     """(G0, G1) of the Bloch equations dv/dt = (G0 + Omega(t) G1) v.

@@ -36,6 +36,15 @@ PARAMS = TwoLevelParams(transition_energy=2.11, decay_rate=1.15e12,
 WEAK = DriveField(amplitude=462.0, photon_energy=2.11)
 
 
+def assert_density_matrices(states, tol):
+    """Every state row (rho00, rho01, rho10, rho11) is a density matrix to
+    tol: unit trace, Hermitian, no eigenvalue below -tol."""
+    trace, hermiticity, smallest = bloch.state_errors(states)
+    assert trace.max() <= tol, f"trace error {trace.max():.3e}"
+    assert hermiticity.max() <= tol, f"hermiticity error {hermiticity.max():.3e}"
+    assert smallest.min() >= -tol, f"negative eigenvalue {smallest.min():.3e}"
+
+
 class NoUniqueSteadyState(Exception):
     """Without decay the driven system keeps a conserved component and
     the stationary state is not unique; a decay too slow for double
@@ -58,7 +67,7 @@ def steady_state(params, drive):
     is not a finite number: for a decay rate > 0 in the keys' ranges
     only on exact resonance with Gamma below 6e-268 1/s, a decay too
     slow to resolve in double precision.  Every other state is finite
-    and passes ``validate``.
+    and passes ``assert_density_matrices``.
     """
     gamma = params.decay_rate
     if gamma <= 0.0:
@@ -199,7 +208,7 @@ class TestSteadyState:
     def test_weak_field_population_bound(self):
         ss = steady_state(PARAMS, WEAK)
         assert abs(ss.rho11) <= 1e-7
-        ss.validate(1e-9)
+        assert_density_matrices(ss.as_vector(), 1e-9)
 
     def test_weak_field_matches_linear_ratio(self):
         ss = steady_state(PARAMS, WEAK)
@@ -216,7 +225,7 @@ class TestSteadyState:
     def test_saturation_at_strong_field(self):
         strong = steady_state(PARAMS, DriveField(amplitude=5e7, photon_energy=2.11))
         assert 0.3 < strong.rho11.real < 0.5
-        strong.validate(1e-9)
+        assert_density_matrices(strong.as_vector(), 1e-9)
 
     def test_no_unique_steady_state(self):
         undamped = TwoLevelParams(2.11, 0.0, 0.017, 32.0)
@@ -295,7 +304,7 @@ class TestEvolveRwa:
         gap_early = np.abs(traj.states[0] - ss).max()
         gap_late = np.abs(traj.states[-1] - ss).max()
         assert gap_late < 1e-3 * max(gap_early, 1e-30)
-        traj.validate(1e-9)
+        assert_density_matrices(traj.states, 1e-9)
 
     def test_detuned_envelope_oscillation_period(self):
         # switch-on transient spirals around the stationary point at the
@@ -322,7 +331,7 @@ class TestEvolveRwa:
         drive = DriveField(amplitude=5e7, photon_energy=2.05)
         times = np.linspace(1e-15, 500e-15, 101)
         traj = evolve_rwa(PARAMS, drive, DensityMatrix.ground(), times)
-        traj.validate(1e-9)
+        assert_density_matrices(traj.states, 1e-9)
 
 
 @st.composite
@@ -437,7 +446,7 @@ class TestEvolveLab:
         assert pop.max() > 1.1 * ss
         imax = int(np.argmax(pop))
         assert pop[imax:].min() < 0.95 * pop.max()
-        traj.validate(1e-6)
+        assert_density_matrices(traj.states, 1e-6)
 
     def test_matches_rwa_envelope_at_moderate_field(self):
         # on resonance the counter-rotating residue sits in quadrature to

@@ -1,12 +1,12 @@
 """Every public name of the package is reached by a pipeline, a criterion
 or the benchmark.
 
-A top-level public function, class or constant of ``src/lsepkit`` must
-be used, outside its own definition, by the package itself, by
-``perfbench/``, by ``scripts/`` or by the acceptance criteria
-(``tests/test_acceptance.py``).  A name that only its own unit tests
-call is dead weight: delete it, or move it into the tests that need it
-as an oracle.
+A top-level public function, class or constant of ``src/lsepkit``, and a
+public method or property of one of its classes, must be used, outside
+its own definition, by the package itself, by ``perfbench/``, by
+``scripts/`` or by the acceptance criteria (``tests/test_acceptance.py``).
+A name that only its own unit tests call is dead weight: delete it, or
+move it into the tests that need it as an oracle.
 
 A use is a name or attribute load anywhere in those files, or a string
 that is exactly the name (``getattr(module, "name")``, the benchmark's
@@ -29,10 +29,15 @@ def _files(path):
 
 def _definitions(tree):
     """(name, node) of the module's top-level defs, classes and assigned
-    names."""
+    names, and ("Class.member", node) of the methods and properties of
+    its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -66,9 +71,10 @@ def _dunder_all(tree):
 
 
 def unreached_names():
-    """Sorted ``module:name`` of every public top-level name of the
-    package that no user file reaches: its uses in all of them, less
-    those inside its own definition, add up to zero."""
+    """Sorted ``module:name`` of every public top-level name and class
+    member of the package that no user file reaches: the uses of its name
+    (a member's own name) in all of them, less those inside its own
+    definition, add up to zero."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for user in USERS for path in _files(user)}
     uses = sum((_uses(tree, _dunder_all(tree)) for tree in trees.values()), Counter())
@@ -76,7 +82,8 @@ def unreached_names():
     for path in _files(PACKAGE):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
         for name, node in _definitions(trees[path]):
-            if not name.startswith("_") and uses[name] == _uses(node)[name]:
+            used = name.rpartition(".")[2]
+            if not used.startswith("_") and uses[used] == _uses(node)[used]:
                 unreached.append(f"{module}:{name}")
     return sorted(unreached)
 
@@ -104,3 +111,22 @@ def test_the_scan_sees_a_dead_name():
     assert uses["dead"] == _uses(defined["dead"])["dead"] == 1
     assert uses["live"] == 1 and _uses(defined["live"])["live"] == 0
     assert uses["named"] == 1 and uses["helper"] == 0 and uses["VALUE"] == 0
+
+
+def test_the_scan_sees_a_dead_member():
+    # a class's public methods and properties count by their own name: one
+    # read as an attribute outside its definition reaches it, a private
+    # one is never listed
+    source = (
+        "class Box:\n"
+        "    @property\n    def size(self):\n        return self.size\n"
+        "    def check(self):\n        return 1\n"
+        "    def _helper(self):\n        return 2\n"
+        "VALUE = Box().check()\n"
+    )
+    tree = ast.parse(source)
+    defined = dict(_definitions(tree))
+    assert set(defined) == {"Box", "Box.size", "Box.check", "Box._helper", "VALUE"}
+    uses = _uses(tree)
+    assert uses["size"] == _uses(defined["Box.size"])["size"] == 1
+    assert uses["check"] == 1 and _uses(defined["Box.check"])["check"] == 0
