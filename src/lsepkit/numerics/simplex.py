@@ -32,7 +32,6 @@ _EXPAND, _OUTSIDE, _INSIDE, _ACCEPT = range(4)
 # below the best, else accept below the second worst, else contract outside
 # below the worst, else inside
 _STEP_OF_BELOW = np.array([_INSIDE, _OUTSIDE, _ACCEPT, _ACCEPT] + [_EXPAND] * 4)
-_BELOW_BITS = np.array([4, 2, 1])
 
 
 class SimplexResult(NamedTuple):
@@ -50,7 +49,7 @@ def _sort_simplices(sim, fsim):
     """Each simplex's vertices in ascending order of value; ties fall as in
     scipy, whose 1-D argsort is the same sort as a column of this one."""
     vertices, count = fsim.shape
-    at = np.argsort(fsim, axis=0) * count + np.arange(count)
+    at = fsim.argsort(axis=0) * count + np.arange(count)
     return sim.reshape(len(sim), -1).take(at, axis=1), fsim.take(at)
 
 
@@ -81,44 +80,47 @@ def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> Simple
     nfev, nit = np.empty(count, dtype=int), np.empty(count, dtype=int)
     # evaluations beyond the initial simplex and one reflection per iteration
     extra = np.zeros(count, dtype=int)
-    ranks = [0, dim - 1, dim]  # the best, second worst and worst vertex
+    # the bits of the best, second worst and worst vertex (one vertex when dim is 1)
+    below_bits = np.zeros(dim + 1, dtype=int)
+    np.add.at(below_bits, [0, dim - 1, dim], [4, 2, 1])
     iteration = 1
 
     def finish(done):
         out = rows[done]
-        x[out], fun[out] = sim[:, 0, done].T, fsim[:, done].min(axis=0)
+        x[out], fun[out] = sim[:, 0, done].T, np.minimum.reduce(fsim[:, done])
         nfev[out], nit[out] = dim + iteration + extra[done], iteration
 
     while iteration < maxiter:
-        spread = sim[:, 1:] - sim[:, :1]
-        done = (np.abs(spread, out=spread).max(axis=(0, 1)) <= xatol) & (
-            fsim[-1] - fsim[0] <= fatol
-        )
-        if done.any():
-            finish(done)
-            keep = ~done
-            sim, fsim, rows, extra = sim[:, :, keep], fsim[:, keep], rows[keep], extra[keep]
-            if not rows.size:
-                break
+        done = fsim[-1] - fsim[0] <= fatol
+        if np.count_nonzero(done):
+            spread = sim[:, 1:] - sim[:, :1]
+            done &= np.maximum.reduce(np.abs(spread, out=spread), axis=(0, 1)) <= xatol
+            if np.count_nonzero(done):
+                finish(done)
+                keep = ~done
+                sim, fsim = sim.compress(keep, axis=2), fsim.compress(keep, axis=1)
+                rows, extra = rows[keep], extra[keep]
+                if not rows.size:
+                    break
         centroid = np.add.reduce(sim[:, :-1], axis=1) / dim
         worst = sim[:, -1]
         x_r = (2 * centroid - worst).clip(lower, upper)
         f_r = objective(x_r.T, rows)
 
-        step = _STEP_OF_BELOW.take(_BELOW_BITS @ (f_r < fsim[ranks]))
+        step = _STEP_OF_BELOW.take(below_bits @ (f_r < fsim))
         trying = step != _ACCEPT
-        tried = np.flatnonzero(trying)
-        kind = step[tried]
+        tried = trying.nonzero()[0]
+        kind = step.take(tried)
         weights = _TRIAL_WEIGHTS.take(kind, axis=1)
-        x_t = (weights[0] * centroid[:, tried] + weights[1] * worst[:, tried]).clip(lower, upper)
-        f_t = objective(x_t.T, rows[tried])
+        x_t = weights[0] * centroid.take(tried, axis=1) + weights[1] * worst.take(tried, axis=1)
+        f_t = objective(x_t.clip(lower, upper, out=x_t).T, rows.take(tried))
         extra += trying
         # expand if below f(x_r), contract outside if not above it, inside
         # if below the worst value
-        bar = np.where(kind == _INSIDE, fsim[-1][tried], f_r[tried])
+        bar = np.where(kind == _INSIDE, fsim[-1].take(tried), f_r.take(tried))
         take = np.where(kind == _OUTSIDE, f_t <= bar, f_t < bar)
         won = tried[take]
-        x_r[:, won], f_r[won] = x_t[:, take], f_t[take]
+        x_r[:, won], f_r[won] = x_t.compress(take, axis=1), f_t[take]
 
         shrink = tried[(kind != _EXPAND) & ~take]
         if shrink.size:
