@@ -194,7 +194,8 @@ def _fresnel(index_film, ambient_index, substrate_index):
     """Fresnel amplitudes r1, r2, t1 and t2 of the two film interfaces."""
     n0, ns, nf = ambient_index, substrate_index, index_film
     to_film, to_substrate = n0 + nf, nf + ns
-    return (n0 - nf) / to_film, (nf - ns) / to_substrate, 2.0 * n0 / to_film, 2.0 * nf / to_substrate
+    r1, r2 = (n0 - nf) / to_film, (nf - ns) / to_substrate
+    return r1, r2, 2.0 * n0 / to_film, 2.0 * nf / to_substrate
 
 
 def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
@@ -229,8 +230,9 @@ def _airy(interfaces, phase):
 # in real arithmetic on the parts, in _product.  A float64 scalar squares
 # through libm pow, which is not x*x in the last bit: np.float_power(x,
 # 2.0) rounds as libm pow does, where np.power with an array exponent and
-# x*x do not.  Complex division, abs, exp, and adding, subtracting or
-# multiplying by a float round alike in both, so they stay complex.
+# x*x do not.  Complex division, abs, exp, adding or subtracting a float,
+# and multiplying by a real or an imaginary number round alike in both, so
+# they stay complex.
 
 
 def _product(a, b):

@@ -8,11 +8,17 @@ SIAM J. Optim. 9, 112 (1998)): the same initial simplex, branches,
 clipping, convergence test and vertex order, in the same floating-point
 operations, so x, fun, nfev and nit agree bit for bit.
 
-The simplices still running are kept compacted, in the order of their
-starts, and a start's result is written out only when it finishes.  They
-share one iteration count, since every one of them steps in each
-iteration.  On a sorted simplex, the largest |f0 - fk| that scipy tests
-is f_last - f0, which rounds to the same number.
+The cost of an iteration is its count of numpy calls, not its arithmetic,
+so the loop keeps that count low and independent of the rows.  The
+simplices still running are kept compacted, one column each: the arrays
+are indexed (coordinate, vertex, column), so that every reduction over
+vertices runs along whole rows of columns.  A start's result is written
+out only when it finishes, and the running starts share one iteration
+count, since every one of them steps in each iteration.  On a sorted
+simplex, the largest |f0 - fk| that scipy tests is f_last - f0, which
+rounds to the same number, so the value spread is tested first and the
+coordinate spread only where the value spread passes.  The argsort is
+the one scipy calls: its ties, and its NaN last, fall the same way.
 """
 
 from __future__ import annotations
@@ -46,8 +52,10 @@ class SimplexResult(NamedTuple):
 
 
 def _sort_simplices(sim, fsim):
-    """Each simplex's vertices in ascending order of value; ties fall as in
-    scipy, whose 1-D argsort is the same sort as a column of this one."""
+    """Each column's vertices in ascending order of value: sim[c, v, i] is
+    coordinate c of vertex v of column i, fsim[v, i] its value.  Ties fall
+    as in scipy, whose 1-D argsort is the same sort as a column of this
+    one."""
     vertices, count = fsim.shape
     at = fsim.argsort(axis=0) * count + np.arange(count)
     return sim.reshape(len(sim), -1).take(at, axis=1), fsim.take(at)

@@ -862,13 +862,17 @@ def fixture_seeds():
             for m, i, j in zip(owner.tolist(), row.tolist(), col.tolist())]
 
 
+N_LAST, KAPPA_LAST = SEED_GRID.n_values.size - 1, SEED_GRID.kappa_values.size - 1
+
+
 def _grid_root(n_index, kappa_index):
-    """(thickness, fixture row, n, kappa) roots seeded at the given grid point."""
-    return st.builds(
-        lambda thickness, row, i, j: (thickness, row, SEED_GRID.n_values[i], SEED_GRID.kappa_values[j]),
-        st.sampled_from(FIXTURE_THICKNESSES), st.integers(0, FIXTURE_RT.wavelength.size - 1),
-        n_index, kappa_index,
-    )
+    """(thickness, fixture row, n, kappa) roots seeded at the drawn grid point."""
+
+    def root(thickness, row, i, j):
+        return thickness, row, SEED_GRID.n_values[i], SEED_GRID.kappa_values[j]
+
+    return st.builds(root, st.sampled_from(FIXTURE_THICKNESSES),
+                     st.integers(0, FIXTURE_RT.wavelength.size - 1), n_index, kappa_index)
 
 
 def scipy_steps(seed, thickness, fixture_row, maxiter, xatol, fatol):
@@ -936,8 +940,8 @@ COVERING_BATCH = (
     st.lists(
         st.one_of(
             st.integers(0, 605).map(lambda i: fixture_seeds()[i]),
-            _grid_root(st.just(SEED_GRID.n_values.size - 1), st.integers(0, SEED_GRID.kappa_values.size - 1)),
-            _grid_root(st.integers(0, SEED_GRID.n_values.size - 1), st.just(0)),
+            _grid_root(st.just(N_LAST), st.integers(0, KAPPA_LAST)),
+            _grid_root(st.integers(0, N_LAST), st.just(0)),
         ),
         min_size=1,
         max_size=6,
@@ -953,7 +957,7 @@ def test_drawn_refine_batches_equal_scipy(batch, maxiter, tolerances):
 
 
 def test_covering_refine_batch_takes_every_lockstep_path():
-    assert fixture_seeds() and len(fixture_seeds()) == 606
+    assert len(fixture_seeds()) == 606  # the seeds the drawn batches index
     assert refine_against_scipy(*COVERING_BATCH) == {
         "rows finish in different iterations",
         "the cap stops rows that others outlived",
