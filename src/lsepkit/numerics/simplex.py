@@ -56,7 +56,7 @@ def _sort_simplices(sim, fsim):
     coordinate c of vertex v of column i, fsim[v, i] its value.  Ties fall
     as in scipy, whose 1-D argsort is the same sort as a column of this
     one."""
-    vertices, count = fsim.shape
+    count = fsim.shape[1]
     at = fsim.argsort(axis=0) * count + np.arange(count)
     return sim.reshape(len(sim), -1).take(at, axis=1), fsim.take(at)
 
@@ -79,8 +79,7 @@ def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> Simple
     sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
     rows = np.arange(count)
     fsim = objective(sim.reshape(-1, dim), rows.repeat(dim + 1)).reshape(count, dim + 1)
-    # from here on sim[c, v, i] is coordinate c of vertex v of the simplex
-    # in column i, and fsim[v, i] its value
+    # from here on one column per running start, indexed as in _sort_simplices
     sim, fsim = _sort_simplices(*_sort_simplices(sim.T, fsim.T))  # scipy sorts twice
     lower, upper = lower[:, None], upper[:, None]
 
@@ -88,7 +87,8 @@ def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> Simple
     nfev, nit = np.empty(count, dtype=int), np.empty(count, dtype=int)
     # evaluations beyond the initial simplex and one reflection per iteration
     extra = np.zeros(count, dtype=int)
-    # the bits of the best, second worst and worst vertex (one vertex when dim is 1)
+    # the bits of the best, second worst and worst vertex; at dim = 1 the
+    # best is the second worst and takes both
     below_bits = np.zeros(dim + 1, dtype=int)
     np.add.at(below_bits, [0, dim - 1, dim], [4, 2, 1])
     iteration = 1
@@ -126,11 +126,11 @@ def nelder_mead(objective, x0, lower, upper, *, xatol, fatol, maxiter) -> Simple
         # expand if below f(x_r), contract outside if not above it, inside
         # if below the worst value
         bar = np.where(kind == _INSIDE, fsim[-1].take(tried), f_r.take(tried))
-        take = np.where(kind == _OUTSIDE, f_t <= bar, f_t < bar)
-        won = tried[take]
-        x_r[:, won], f_r[won] = x_t.compress(take, axis=1), f_t[take]
+        accept = np.where(kind == _OUTSIDE, f_t <= bar, f_t < bar)
+        won = tried[accept]
+        x_r[:, won], f_r[won] = x_t.compress(accept, axis=1), f_t[accept]
 
-        shrink = tried[(kind != _EXPAND) & ~take]
+        shrink = tried[(kind != _EXPAND) & ~accept]
         if shrink.size:
             best = sim[:, :1, shrink]
             moved = (best + 0.5 * (sim[:, 1:, shrink] - best)).clip(lower[:, None], upper[:, None])
