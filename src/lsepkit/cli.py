@@ -71,9 +71,7 @@ MAX_THICKNESS_NM = 1e3
 # Largest level, photon or linewidth energy a config may name: 100 eV is
 # extreme ultraviolet, far above the optical range the models describe.
 MAX_ENERGY_EV = 100.0
-# Largest background or Lorentz-strength permittivity a config may name,
-# and the largest refractive index: far above any dielectric host.
-MAX_PERMITTIVITY = 1e4
+# Largest refractive index a config may name: far above any dielectric host.
 MAX_INDEX = 100.0
 # Largest streamline length a config may name, 1 mm: far outside the
 # near-zone domain of any sphere the Mie layer supports.
@@ -105,7 +103,7 @@ MATERIAL_KEYS = {
     "pure_dephasing_ev": Key("0.017", float, 0.0, MAX_ENERGY_EV),
     "dipole_debye": Key("32.0", float, 1e-9, medium.MAX_DIPOLE_DEBYE),
     "number_density_per_m3": Key("3.29e25", float, 0.0),
-    "background_permittivity": Key("2.3104", float, 1.0, MAX_PERMITTIVITY),
+    "background_permittivity": Key("2.3104", float, 1.0, medium.MAX_PERMITTIVITY),
 }
 
 SPHERE_KEYS = {
@@ -120,8 +118,8 @@ ENERGY_GRID_KEYS = {
 }
 
 LORENTZ_KEYS = {
-    "lorentz_background": Key("2.3104", float, 1.0, MAX_PERMITTIVITY),
-    "lorentz_strength": Key("0.2505", float, 0.0, MAX_PERMITTIVITY),
+    "lorentz_background": Key("2.3104", float, 1.0, medium.MAX_PERMITTIVITY),
+    "lorentz_strength": Key("0.2505", float, 0.0, medium.MAX_PERMITTIVITY),
     "lorentz_resonance_ev": Key("2.11", float, 1e-6, MAX_ENERGY_EV),
     "lorentz_damping_ev": Key("7.569e-4", float, 1e-9, MAX_ENERGY_EV),
 }
@@ -150,7 +148,8 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         **MATERIAL_KEYS,
         **SPHERE_KEYS,
         "photon_energy_ev": Key("2.16", float, 1e-6, MAX_ENERGY_EV),
-        "epsilon_override": Key("", list, -MAX_PERMITTIVITY, MAX_PERMITTIVITY),  # or "re, im"
+        # empty, or "re, im"
+        "epsilon_override": Key("", list, -medium.MAX_PERMITTIVITY, medium.MAX_PERMITTIVITY),
         "grid_half_nm": Key("300", float, 1.0),
         "grid_step_nm": Key("5", float, 0.1),
         "seed_z_nm": Key("-200", float, -MAX_LENGTH_NM, MAX_LENGTH_NM),

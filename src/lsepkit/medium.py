@@ -9,9 +9,9 @@ zero field take the linear coherence per unit field switched on.  A
 single-oscillator Lorentz model and a fit of dipole and dephasing
 against measured spectra round out the module: eps - eps_b is d^2 times
 the response of a 1 D dipole, so the fit solves d^2 in closed form and
-searches the dephasing alone.  A spectrum file is an lsepkit.table table
-with the one header SPECTRUM_HEADER, written from the energy and
-permittivity arrays as whole columns.
+finds the dephasing alone by golden section.  A spectrum file is an
+lsepkit.table table with the one header SPECTRUM_HEADER, written from
+the energy and permittivity arrays as whole columns.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ from .bloch import (
     linear_coherence_per_field,
 )
 from .constants import EPS0, EV_TO_RADS
-from .numerics import checked_times, nelder_mead
+from .numerics import checked_times
 
-# Iteration cap of the fit's simplex search; reaching it means the search
-# did not converge.
-FIT_MAXITER = 4000
 # Largest dipole (Debye): the fit clips its projected d^2 to the square.
 MAX_DIPOLE_DEBYE = 1e6
+# Largest |eps| of a spectrum file, of a background or Lorentz strength:
+# far above any dielectric host.
+MAX_PERMITTIVITY = 1e4
 
 
 class FitDiverged(NumericalFailure):
-    """Least-squares search failed to improve on its starting point."""
+    """The fitted target needs a dipole above MAX_DIPOLE_DEBYE."""
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,16 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
     the target grid.  At a fixed dephasing eps - eps_b is d^2 times the
     response of a 1 D dipole, so d^2 is solved in closed form (variable
     projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) and
-    the bounded simplex (numerics.simplex.nelder_mead) searches the pure
-    dephasing alone, from that of `fixed`, with that response from
-    epsilon_steady's helper, bit for bit and with no spectrum per misfit.
-    initial_residual is the misfit of `fixed`, n_evaluations counts them.
+    a golden-section search finds the pure dephasing alone in [0, 10] eV,
+    with that response from epsilon_steady's helper, bit for bit and with
+    no spectrum per misfit.  The fit reports the better of the search's
+    end and `fixed`, whose misfit is initial_residual, so it never ends
+    above its start; n_evaluations counts the misfits of both.
 
-    Raises FitDiverged when the search reaches FIT_MAXITER iterations or
-    cannot improve on its start, or when the target needs a dipole above
-    MAX_DIPOLE_DEBYE.  A target with no resonant feature drives
-    the dipole toward zero; the report flags that case as degenerate
-    rather than failing.
+    Raises FitDiverged when the target needs a dipole above
+    MAX_DIPOLE_DEBYE.  A target with no resonant feature drives the
+    dipole toward zero; the report flags that case as degenerate rather
+    than failing.
     """
     p0, background = fixed.two_level, fixed.background_permittivity
     excess = target.epsilon - background
@@ -229,38 +229,38 @@ def fit_material(target: PermittivitySpectrum, fixed: MaterialParams) -> FitRepo
         return d2, float(np.sum(np.abs(d2 * unit - excess) ** 2))
 
     initial = _spectrum_residual(epsilon_steady(fixed, target.energies), target)
-    scale = max(initial, np.sum(np.abs(target.epsilon) ** 2), 1e-30)
-    # the projected dipole follows the dephasing: an xatol of 1e-9 eV left
+    # the projected dipole follows the dephasing: a bracket of 1e-9 eV left
     # it up to 7e-8 relative off on exact targets, 1e-11 eV within 5e-10
-    result = nelder_mead(
-        lambda points, rows: np.array([project(x[0])[1] for x in points]),
-        np.array([[p0.pure_dephasing]]),
-        lower=np.array([0.0]),
-        upper=np.array([10.0]),
-        xatol=1e-11,
-        fatol=1e-8 * scale,
-        maxiter=FIT_MAXITER,
-    )
-    x, fun, nfev, nit, converged = (field[0] for field in result)
-    if not converged or fun > initial * (1.0 + 1e-12):
-        raise FitDiverged(
-            f"simplex search stalled after {nit} iterations at residual {fun:.6g} "
-            f"(start {initial:.6g})"
-        )
-    dephasing = float(x[0])
-    d2 = project(dephasing)[0]
-    if d2 >= MAX_DIPOLE_DEBYE**2:
-        raise FitDiverged(f"the target needs a dipole above {MAX_DIPOLE_DEBYE:g} D")
-    dipole = math.sqrt(d2)
+    dephasing, residual, count = _golden_section(lambda x: project(x)[1], 0.0, 10.0, 1e-11)
+    if initial < residual:
+        dipole, dephasing, residual = p0.dipole, p0.pure_dephasing, initial
+    else:
+        d2 = project(dephasing)[0]
+        if d2 >= MAX_DIPOLE_DEBYE**2:
+            raise FitDiverged(f"the target needs a dipole above {MAX_DIPOLE_DEBYE:g} D")
+        dipole = math.sqrt(d2)
     # a flat target pushes the dipole to zero; flag, do not fail
-    degenerate = dipole <= 1e-3 * p0.dipole
-    return FitReport(
-        params=build(dipole, dephasing),
-        residual=float(fun),
-        initial_residual=initial,
-        n_evaluations=int(nfev),
-        degenerate=degenerate,
-    )
+    return FitReport(build(dipole, dephasing), residual, initial, count + 1,
+                     degenerate=dipole <= 1e-3 * p0.dipole)
+
+
+def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+    """Golden-section search of f on [lo, hi] (Kiefer, Proc. AMS 4, 502 (1953))
+    to a bracket at most tol wide: its best point, value and evaluation count."""
+    keep = (math.sqrt(5.0) - 1.0) / 2.0  # the share of its bracket a step keeps
+    c, d = hi - keep * (hi - lo), lo + keep * (hi - lo)
+    fc, fd, count = f(c), f(d), 2
+    while hi - lo > tol:
+        if fc <= fd:  # the bracket keeps [lo, d]; c becomes its upper point
+            hi, d, fd = d, c, fc
+            c = hi - keep * (hi - lo)
+            fc = f(c)
+        else:  # the bracket keeps [c, hi]; d becomes its lower point
+            lo, c, fc = c, d, fd
+            d = lo + keep * (hi - lo)
+            fd = f(d)
+        count += 1
+    return (c, fc, count) if fc <= fd else (d, fd, count)
 
 
 SPECTRUM_HEADER = ("energy_eV", "eps_real", "eps_imag")
@@ -280,14 +280,14 @@ def write_spectrum_csv(path, spectrum: PermittivitySpectrum, comments=()) -> Non
 def read_spectrum_csv(path) -> PermittivitySpectrum:
     """The spectrum in a CSV with header SPECTRUM_HEADER (comments allowed).
 
-    Faults name the file, and for a row its line: a file without rows, an
-    energy below the row before it, and the first row whose energy is not
-    > 0 or whose Im(eps) is below -IMAG_ROUNDOFF.
+    Faults name the file, and for a row its line: no rows, an energy below
+    the row before, and the first row whose energy is not > 0, Im(eps)
+    below -IMAG_ROUNDOFF or |eps| above MAX_PERMITTIVITY.
     """
     data, lines = table.read(path, SPECTRUM_HEADER)
     if not lines:
         raise ValueError(f"{path}: empty spectrum")
-    energy, imag = data[:, 0], data[:, 2]
+    energy, imag, magnitude = data[:, 0], data[:, 2], np.hypot(data[:, 1], data[:, 2])
     descending = np.flatnonzero(np.diff(energy) < 0.0)
     if descending.size:
         raise ValueError(f"{path}, line {lines[descending[0] + 1]}: "
@@ -295,6 +295,7 @@ def read_spectrum_csv(path) -> PermittivitySpectrum:
     for bad, values, requirement in (
         (energy <= 0.0, energy, "photon energy must be > 0"),
         (imag < -IMAG_ROUNDOFF, imag, "spectrum has negative Im(eps) beyond roundoff"),
+        (magnitude > MAX_PERMITTIVITY, magnitude, f"|eps| must be <= {MAX_PERMITTIVITY:g}"),
     ):
         if bad.any():
             row = int(np.argmax(bad))

@@ -254,7 +254,11 @@ class TestConfigErrors:
         ("0.0,3.5,0.1\n2.0,3.5,0.1\n", ", line 2: photon energy must be > 0, got 0.0"),
         ("2.0,3.5,0.1\n2.1,3.5,-0.4\n",
          ", line 3: spectrum has negative Im(eps) beyond roundoff, got -0.4"),
-    ], ids=["descending", "no rows", "zero energy", "active medium"])
+        # past MAX_PERMITTIVITY the Mie recurrence (qabs-spectrum) or the
+        # misfit's squares (fit-permittivity) fail without naming the file
+        ("2.0,3.5,0.1\n2.1,1e20,1\n", ", line 3: |eps| must be <= 10000, got 1e+20"),
+        ("2.0,1e160,1\n2.1,3.5,0.1\n", ", line 2: |eps| must be <= 10000, got 1e+160"),
+    ], ids=["descending", "no rows", "zero energy", "active medium", "1e20", "1e160"])
     def test_spectrum_file_fault_names_the_file(self, tmp_path, capsys, command, rows, fault):
         eps_path = tmp_path / "eps.csv"
         eps_path.write_text(f"energy_eV,eps_real,eps_imag\n{rows}")
@@ -585,6 +589,24 @@ class TestFitPermittivity:
         header, rows = read_csv_columns(out / "epsilon_fit.csv")
         assert header[:3] == ["energy_eV", "eps_real", "eps_imag"]
         assert len(rows) == 251
+
+    def test_exact_start_is_reported(self, tmp_path, capsys):
+        # the target is the start's own spectrum: its misfit is 0, which
+        # the projected misfit of the same dephasing rounds above
+        cfg = cli.load_config("fit-permittivity", None)
+        energies = medium.read_spectrum_csv(cli._packaged("epsilon_extracted.csv")).energies
+        eps_path = tmp_path / "exact.csv"
+        medium.write_spectrum_csv(eps_path, medium.epsilon_steady(cli._material(cfg), energies))
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "fit-permittivity", input=str(eps_path))
+        out = tmp_path / "o"
+        assert main(["fit-permittivity", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        payload = json.loads((out / "fitted_params.json").read_text())
+        assert payload["dipole_debye"] == cfg["dipole_debye"]
+        assert payload["pure_dephasing_ev"] == cfg["pure_dephasing_ev"]
+        assert payload["residual"] == payload["initial_residual"] == 0.0
+        assert not payload["degenerate"]
 
     def test_dipole_above_the_cap_is_numerical_failure(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,6 +32,8 @@ BULK = MaterialParams(3.29e25, EPS_HOST,
                       TwoLevelParams(2.11, 1.15e12, 0.017, 32.0))
 PLANAR = MaterialParams(1.47e25, EPS_HOST,
                         TwoLevelParams(2.11, 1.15e12, 0.017, 48.0))
+# the fixed material and start of fit-permittivity on its defaults
+FIT_DEFAULTS = cli._material(cli.load_config("fit-permittivity", None))
 
 
 def coupling_ev(material):
@@ -260,17 +262,6 @@ class TestFit:
             with pytest.raises(ValueError):
                 dataclasses.replace(BULK.two_level, **{field: bad})
 
-    def test_iteration_cap_raises_fit_diverged(self, monkeypatch):
-        grid = np.linspace(1.9, 2.35, 120)
-        target = epsilon_steady(PLANAR, grid)
-        start = MaterialParams(
-            PLANAR.number_density, EPS_HOST,
-            TwoLevelParams(2.11, 1.15e12, 0.025, 40.0),
-        )
-        monkeypatch.setattr(medium, "FIT_MAXITER", 5)
-        with pytest.raises(FitDiverged, match="after 5 iterations"):
-            fit_material(target, start)
-
     def test_dipole_above_the_cap_raises_fit_diverged(self):
         # at 1e-20 emitters per m^3 the target needs a dipole far above
         # MAX_DIPOLE_DEBYE; the projected d^2 sits on its clip
@@ -333,9 +324,16 @@ class TestFit:
                                  - background).tobytes()
 
     @settings(deadline=None)
-    @given(st.floats(1.0, 300.0), st.floats(1e-3, 1.0))
-    def test_recovers_exact_targets_from_cli_defaults(self, dipole, dephasing):
-        fixed = cli._material(cli.load_config("fit-permittivity", None))
+    @given(st.floats(1.0, 300.0), st.floats(1e-3, 1.0), st.none())
+    # the truth is the start, whose projected misfit rounds above its own
+    @example(FIT_DEFAULTS.two_level.dipole, FIT_DEFAULTS.two_level.pure_dephasing, None)
+    # a start above the dephasings the search brackets
+    @example(48.0, 0.017, 20.0)
+    def test_recovers_exact_targets_from_cli_defaults(self, dipole, dephasing, start_dephasing):
+        fixed = FIT_DEFAULTS
+        if start_dephasing is not None:
+            fixed = dataclasses.replace(fixed, two_level=dataclasses.replace(
+                fixed.two_level, pure_dephasing=start_dephasing))
         energies = read_spectrum_csv(cli._packaged("epsilon_extracted.csv")).energies
         truth = dataclasses.replace(fixed, two_level=dataclasses.replace(
             fixed.two_level, dipole=dipole, pure_dephasing=dephasing))
@@ -375,6 +373,8 @@ class TestCsv:
         ("0.0,3.4,0.1", "photon energy must be > 0, got 0.0"),
         ("-2.0,3.4,0.1", "photon energy must be > 0, got -2.0"),
         ("2.1,3.4,-2e-9", "spectrum has negative Im(eps) beyond roundoff, got -2e-09"),
+        ("2.1,1e20,1", "|eps| must be <= 10000, got 1e+20"),
+        ("2.1,0,10000.000000000002", "|eps| must be <= 10000, got 10000.000000000002"),
     ])
     def test_row_fault_names_file_and_line(self, tmp_path, row, fault):
         path = tmp_path / "eps.csv"
@@ -386,6 +386,12 @@ class TestCsv:
         path = tmp_path / "eps.csv"
         path.write_text("energy_eV,eps_real,eps_imag\n2.0,3.5,-1e-9\n")
         assert read_spectrum_csv(path).epsilon[0] == 3.5 - 1e-9j
+
+    def test_permittivity_at_its_maximum_is_read(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        path.write_text("energy_eV,eps_real,eps_imag\n2.0,6000,8000\n2.1,-1e4,0\n")
+        np.testing.assert_array_equal(np.abs(read_spectrum_csv(path).epsilon),
+                                      medium.MAX_PERMITTIVITY)
 
     def test_file_without_rows_is_named(self, tmp_path):
         path = tmp_path / "eps.csv"
