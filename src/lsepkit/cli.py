@@ -262,13 +262,23 @@ def _material(cfg: dict, energies=()) -> medium.MaterialParams:
     )
 
 
-def _lorentz(cfg: dict) -> medium.LorentzParams:
-    return medium.LorentzParams(
+def _lorentz(cfg: dict, energies) -> medium.PermittivitySpectrum:
+    """The Lorentz keys' spectrum on the energies.  Its peak |eps| must
+    stay within medium.MAX_PERMITTIVITY, so that epsilon_lorentz.csv reads
+    back as a spectrum file."""
+    spectrum = medium.lorentz_epsilon(medium.LorentzParams(
         eps_background=cfg["lorentz_background"],
         oscillator_strength=cfg["lorentz_strength"],
         resonance=cfg["lorentz_resonance_ev"],
         damping=cfg["lorentz_damping_ev"],
-    )
+    ), energies)
+    peak = np.abs(spectrum.epsilon).max()
+    if not peak <= medium.MAX_PERMITTIVITY:
+        raise ConfigError(
+            f"lorentz_strength: {cfg['lorentz_strength']:g} puts the peak |eps| at {peak:.6g} "
+            f"on the energy grid, above {medium.MAX_PERMITTIVITY:g}"
+        )
+    return spectrum
 
 
 def _energy_grid(cfg: dict) -> np.ndarray:
@@ -398,7 +408,7 @@ def cmd_qabs_spectrum(cfg: dict) -> dict[str, str]:
     if model == "quantum":
         spectrum = medium.epsilon_steady(_material(cfg, energies), energies)
     elif model == "lorentz":
-        spectrum = medium.lorentz_epsilon(_lorentz(cfg), energies)
+        spectrum = _lorentz(cfg, energies)
     else:
         spectrum = _read_input(cfg, "epsilon_extracted.csv", medium.read_spectrum_csv)
     radius = cfg["radius_nm"] * 1e-9
@@ -569,7 +579,7 @@ def cmd_extract_nk(cfg: dict) -> dict[str, str]:
 
 
 def cmd_lorentz(cfg: dict) -> dict[str, str]:
-    spectrum = medium.lorentz_epsilon(_lorentz(cfg), _energy_grid(cfg))
+    spectrum = _lorentz(cfg, _energy_grid(cfg))
     return {
         "epsilon_lorentz.csv": table.render(
             medium.SPECTRUM_HEADER,

@@ -680,6 +680,32 @@ class TestLorentzCommand:
         data, lorentz = (tmp_path / name / "qabs.csv" for name in ("d", "l"))
         assert data.read_bytes() == lorentz.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [("lorentz", {}), ("qabs-spectrum", {"model": "lorentz"})],
+    )
+    def test_peak_above_the_spectrum_bound_is_named(self, tmp_path, capsys, command, keys):
+        # lorentz_strength = 100 on the other defaults peaks at |eps| =
+        # 278,769: lorentz wrote a file that model = data rejects, and
+        # model = lorentz ran on it
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, command, lorentz_strength="100", **keys)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        (err,) = capsys.readouterr().err.splitlines()
+        assert "lorentz_strength: 100 puts the peak |eps| at 278769" in err
+        assert not out.exists()
+
+    def test_peak_within_the_spectrum_bound_reads_back(self, tmp_path, capsys):
+        # lorentz_strength = 3.5 peaks at |eps| = 9,757, a file that the
+        # data model reads
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "lorentz", lorentz_strength="3.5")
+        assert main(["lorentz", "--config", str(ini), "--out", str(tmp_path / "lor")]) == EXIT_OK
+        spectrum = medium.read_spectrum_csv(tmp_path / "lor" / "epsilon_lorentz.csv")
+        assert 9e3 < np.abs(spectrum.epsilon).max() <= medium.MAX_PERMITTIVITY
+        capsys.readouterr()
+
     def test_absorption_peaks_at_resonance(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         write_ini(ini, "lorentz", energy_step_ev="0.002")

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import functools
 import inspect
+import os
 from importlib.resources import files
 from pathlib import Path
 
@@ -1054,6 +1055,164 @@ def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, cap
     # the sweep member is 70 nm to the last bit, so extract-nk's rescale
     # is exact and the curves agree bit for bit
     assert np.array_equal(printed[:, 2], [k for _, k in nk])
+
+
+def _outcome(find):
+    """The candidates ``find`` returns, as bytes, or the class and message
+    of what it raises."""
+    try:
+        return np.array(find()).tobytes()
+    except Exception as failure:
+        return type(failure), str(failure)
+
+
+@st.composite
+def _films(draw):
+    """A film with one absorption band through the forward model: its
+    spectrum at 4-16 wavelengths in 450-700 nm, its thickness of 30-300
+    nm and its substrate index of 1.3-1.8."""
+    wavelengths = np.linspace(450e-9, 700e-9, draw(st.integers(4, 16)))
+    band = draw(st.floats(450e-9, 700e-9))
+    index = draw(st.floats(1.3, 2.5)) + 1j * draw(st.floats(0.0, 1.5)) * np.exp(
+        -(((wavelengths - band) / 30e-9) ** 2)
+    )
+    thickness, substrate = draw(st.floats(30e-9, 300e-9)), draw(st.floats(1.3, 1.8))
+    spectrum = RTSpectrum(wavelengths, *rt_theoretical(index, thickness, wavelengths, substrate))
+    return spectrum, thickness, substrate
+
+
+class TestSlices:
+    """extract_nk solves contiguous slices of its maps in forked children,
+    one per usable core: the split's candidates, failures and messages
+    are those of one process, and no child outlives the call."""
+
+    GRID = NkGrid(n_min=1.0, n_max=3.0, n_step=0.02, kappa_min=0.0, kappa_max=2.0, kappa_step=0.02)
+    FIXTURE = files("lsepkit") / "data" / "film_rt.csv"
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def cores(monkeypatch, count):
+        """extract_nk cuts ``count`` slices from as few as ``count`` maps."""
+        monkeypatch.setattr(film, "_MIN_MAPS_PER_SLICE", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    def test_slice_count(self, monkeypatch):
+        minimum = film._MIN_MAPS_PER_SLICE
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [film._slice_count(maps) for maps in (1, 2 * minimum - 1, 2 * minimum, 303)] == [
+            1, 1, 2, min(3, 303 // minimum)
+        ]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert film._slice_count(10**6) == 1
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_fixture_splits_bit_for_bit(self, monkeypatch, count):
+        measured = read_rt_csv(self.FIXTURE)
+        self.cores(monkeypatch, 1)
+        one = _outcome(lambda: extract_nk(measured))
+        self.cores(monkeypatch, count)
+        assert _outcome(lambda: extract_nk(measured)) == one
+
+    @settings(max_examples=10, deadline=None)
+    @given(_films(), st.integers(2, 4))
+    def test_drawn_films_split_bit_for_bit(self, film_case, count):
+        spectrum, thickness, substrate = film_case
+
+        def find():
+            return extract_nk(spectrum, thickness_range=(0.9 * thickness, 1.1 * thickness),
+                              grid=self.GRID, substrate_index=substrate)
+
+        with pytest.MonkeyPatch.context() as patch:
+            self.cores(patch, 1)
+            one = _outcome(find)
+            self.cores(patch, count)
+            assert _outcome(find) == one
+
+    def test_failing_child_slice_fails_as_one_process(self, monkeypatch):
+        # a 1 pm wavelength underflows the film's phase factor; under
+        # under="raise" only that row's map fails, in the last slice
+        measured = rows_of(read_rt_csv(self.FIXTURE), slice(40))
+        wavelength = measured.wavelength.copy()
+        wavelength[30] = 1e-12
+        spectrum = RTSpectrum(wavelength, measured.reflectance, measured.transmittance)
+        outcomes = []
+        for count in (1, 2, 3):
+            self.cores(monkeypatch, count)
+            with np.errstate(under="raise"):
+                outcomes.append(_outcome(lambda: extract_nk(
+                    spectrum, thickness_range=(70e-9, 70e-9), grid=self.GRID
+                )))
+        assert outcomes[0][0] is FloatingPointError
+        assert outcomes[1:] == outcomes[:1] * 2
+
+    def test_first_failing_map_is_named(self, monkeypatch):
+        # maps that fail in slices 1 and 2 of 3: the split raises for the
+        # first of them, as one process does
+        measured = rows_of(read_rt_csv(self.FIXTURE), slice(30))
+        failing = measured.wavelength[[25, 15]]
+        seeds = film._grid_seeds
+
+        def failing_seeds(grid, thickness, wavelength, *rest):
+            hit = np.isin(wavelength, failing)
+            if hit.any():
+                raise NoMinimumFound(f"no local minimum at {wavelength[hit][0]}")
+            return seeds(grid, thickness, wavelength, *rest)
+
+        monkeypatch.setattr(film, "_grid_seeds", failing_seeds)
+        outcomes = []
+        for count in (1, 3):
+            self.cores(monkeypatch, count)
+            outcomes.append(_outcome(lambda: extract_nk(
+                measured, thickness_range=(70e-9, 70e-9), grid=self.GRID
+            )))
+        assert outcomes[0] == (NoMinimumFound, f"no local minimum at {failing[1]}")
+        assert outcomes[1] == outcomes[0]
+
+    def test_failing_own_slice_kills_the_children(self, monkeypatch):
+        # an ambient index of 1e308 fails every map, the first in this
+        # process's own slice: the children are killed and reaped
+        measured = rows_of(read_rt_csv(self.FIXTURE), slice(20))
+        outcomes = []
+        for count in (1, 4):
+            self.cores(monkeypatch, count)
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes.append(_outcome(lambda: extract_nk(
+                    measured, grid=self.GRID, ambient_index=1e308
+                )))
+        assert outcomes[0] == (NoMinimumFound, "no local minimum on the search grid")
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("fault", ["exit", "short", "late"])
+    def test_failed_child_slice_is_solved_again(self, monkeypatch, fault):
+        # a child killed by os._exit(9), one that sends four columns
+        # instead of five, or one that sends a whole table of zeros and
+        # then exits 9: this process solves its slice (3 thicknesses of
+        # 24 rows make 3 slices of 24 maps)
+        measured = rows_of(read_rt_csv(self.FIXTURE), slice(24))
+        self.cores(monkeypatch, 1)
+        one = _outcome(lambda: extract_nk(measured, grid=self.GRID))
+        parent, solve, solved_here, leave = os.getpid(), film._solve, [], os._exit
+
+        def faulty_solve(grid, per_map, *media):
+            if os.getpid() == parent:
+                solved_here.append(len(per_map))
+                return solve(grid, per_map, *media)
+            if fault == "exit":
+                os._exit(9)
+            columns = solve(grid, per_map, *media)
+            return columns[:, :4] if fault == "short" else 0.0 * columns
+
+        monkeypatch.setattr(film, "_solve", faulty_solve)
+        if fault == "late":
+            monkeypatch.setattr(os, "_exit", lambda status: leave(9))
+        self.cores(monkeypatch, 3)
+        assert _outcome(lambda: extract_nk(measured, grid=self.GRID)) == one
+        assert solved_here == [24, 24, 24]
 
 
 class TestThicknessRescale:
