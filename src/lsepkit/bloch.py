@@ -96,21 +96,15 @@ class DriveField:
         return self.photon_energy * EV_TO_RADS
 
 
-def detuning_energy(params: TwoLevelParams, drive: DriveField) -> float:
-    """delta = transition energy - photon energy (eV)."""
-    return params.transition_energy - drive.photon_energy
+def detuning_rate(params: TwoLevelParams, photon_energy):
+    """delta = transition energy - photon energy (eV, elementwise on an
+    array), as an angular frequency (rad/s)."""
+    return (params.transition_energy - photon_energy) * EV_TO_RADS
 
 
-def detuning_rate(params: TwoLevelParams, drive: DriveField) -> float:
-    """Detuning as an angular frequency (rad/s)."""
-    return detuning_energy(params, drive) * EV_TO_RADS
-
-
-def rabi_frequencies(params: TwoLevelParams, drive: DriveField) -> tuple[float, float]:
-    """(resonant Rabi frequency, generalized Rabi frequency), rad/s."""
-    rabi = params.dipole_si * drive.amplitude / HBAR
-    delta = detuning_rate(params, drive)
-    return rabi, float(np.hypot(rabi, delta))
+def rabi_frequency(params: TwoLevelParams, drive: DriveField) -> float:
+    """Resonant Rabi frequency d E0 / hbar (rad/s)."""
+    return params.dipole_si * drive.amplitude / HBAR
 
 
 @dataclass(frozen=True)
@@ -161,20 +155,9 @@ class BlochTrajectory:
     drive: DriveField
 
     @property
-    def rho00(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
     def rho01(self) -> np.ndarray:
         return self.states[:, 1]
 
-    @property
-    def rho10(self) -> np.ndarray:
-        return self.states[:, 2]
-
-    @property
-    def rho11(self) -> np.ndarray:
-        return self.states[:, 3]
 
 def _generators(params: TwoLevelParams, frequency: float) -> tuple[np.ndarray, np.ndarray]:
     """(G0, G1) of the Bloch equations dv/dt = (G0 + Omega(t) G1) v.
@@ -199,24 +182,14 @@ def liouvillian_rwa(params: TwoLevelParams, drive: DriveField) -> np.ndarray:
     populations and coherences at half the Rabi frequency:
     G0(delta) + (Omega/2) G1.
     """
-    g0, g1 = _generators(params, detuning_rate(params, drive))
-    return g0 + 0.5 * rabi_frequencies(params, drive)[0] * g1
-
-
-def linear_coherence_per_field(params: TwoLevelParams, photon_energy: float) -> complex:
-    """Weak-field limit of rho01~ / E0 (per V/m).
-
-    With the population pinned to the ground state the stationary
-    envelope is i (d/2 hbar) / (dephasing + i detuning); the ratio to the
-    field amplitude is what the linear permittivity needs.  Works
-    elementwise on an array of photon energies.
-    """
-    delta = (params.transition_energy - photon_energy) * EV_TO_RADS
-    return _coherence_per_field(params.dipole_si, params.total_dephasing_rate, delta)
+    g0, g1 = _generators(params, detuning_rate(params, drive.photon_energy))
+    return g0 + 0.5 * rabi_frequency(params, drive) * g1
 
 
 def _coherence_per_field(dipole_si, dephasing_rate, delta):
-    """i (d / 2 hbar) / (Gamma + i delta): the dipole in C m, the rates in rad/s."""
+    """Weak-field limit of rho01~ / E0 (per V/m), elementwise: with the
+    population pinned to the ground state the stationary envelope is
+    i (d / 2 hbar) / (Gamma + i delta), the dipole in C m, the rates in rad/s."""
     return 0.5j * dipole_si / HBAR / (dephasing_rate + 1j * delta)
 
 
@@ -296,8 +269,8 @@ def evolve_lab(
     partial trajectory is returned.
     """
     g0, g1 = _generators(params, params.transition_rate)
-    rabi, w = rabi_frequencies(params, drive)[0], drive.angular_frequency
-    traj = integrate(g0, g1, rabi, w, rho0.as_vector(), sample_times, rtol=rtol, atol=atol)
+    traj = integrate(g0, g1, rabi_frequency(params, drive), drive.angular_frequency,
+                     rho0.as_vector(), sample_times, rtol=rtol, atol=atol)
     return BlochTrajectory(times=traj.times, states=traj.states, frame="lab", drive=drive)
 
 

@@ -541,7 +541,13 @@ def cmd_extract_nk(cfg: dict) -> dict[str, str]:
     t_hi = cfg["thickness_max_nm"] * 1e-9
     t_ref = cfg["reference_thickness_nm"] * 1e-9
     grid = film.NkGrid(**{f.name: cfg[f.name] for f in dataclasses.fields(film.NkGrid)})
-    sweep = film.thickness_sweep((t_lo, t_hi), cfg["thickness_samples"])
+    if t_hi < t_lo:
+        raise ConfigError(f"thickness_max_nm: must be at least thickness_min_nm, got "
+                          f"{cfg['thickness_max_nm']} < {cfg['thickness_min_nm']}")
+    try:  # the keys' ranges put both ends inside film.MAX_THICKNESS
+        sweep = film.thickness_sweep((t_lo, t_hi), cfg["thickness_samples"])
+    except ValueError as exc:
+        raise ConfigError(f"thickness_samples: {exc}") from exc
     maps = sweep.size * spectrum.wavelength.size
     work = maps * max(grid.n_values.size * grid.kappa_values.size, 10**5)
     if not work <= MAX_MAP_POINTS:

@@ -177,8 +177,10 @@ class NkGrid:
         check(self.kappa_max, np.isfinite, "kappa_max must be finite")
         check(self.n_step, positive, "n_step must be finite and > 0")
         check(self.kappa_step, positive, "kappa_step must be finite and > 0")
-        if self.n_min >= self.n_max or self.kappa_min >= self.kappa_max:
-            raise ValueError("grid bounds must be ordered")
+        for low, high in (("n_min", "n_max"), ("kappa_min", "kappa_max")):
+            lo, hi = getattr(self, low), getattr(self, high)
+            if lo >= hi:
+                raise ValueError(f"{high} must exceed {low}, got {hi} <= {lo}")
         points = ((self.n_max - self.n_min) / self.n_step + 1.0) * (
             (self.kappa_max - self.kappa_min) / self.kappa_step + 1.0
         )
@@ -211,18 +213,10 @@ def _fresnel(index_film, ambient_index, substrate_index):
     return r1, r2, 2.0 * n0 / to_film, 2.0 * nf / to_substrate
 
 
-def _amplitudes(index_film, thickness, wavelength, ambient_index, substrate_index):
-    """Airy reflection and transmission amplitudes, elementwise over arrays
-    of film index, thickness and wavelength, rounded as numpy's array loops
-    round (see _rt)."""
-    nf = np.asarray(index_film, dtype=complex)
-    phase = np.exp(2j * np.pi * nf * thickness / wavelength)
-    return _airy(_interfaces(nf, ambient_index, substrate_index), phase)
-
-
 def _airy(interfaces, phase):
-    """The amplitudes of _amplitudes from the film's _interfaces and its
-    phase exp(i k0 d nf), which are the same at any array size."""
+    """Airy reflection and transmission amplitudes from the film's
+    _interfaces and its phase exp(i k0 d nf), elementwise and rounded as
+    numpy's array loops round (see _rt), the same at any array size."""
     r1, r2, t12 = interfaces
     denom = 1.0 + r1 * r2 * phase**2
     # phase**2 * r2, not r2 * phase**2: an array loop's complex product
@@ -337,7 +331,8 @@ def _residual_map(grid: NkGrid, thickness, wavelength, reflectance, transmittanc
     n_vals = grid.n_values
     k_vals = grid.kappa_values
     nf = n_vals[:, None] + 1j * k_vals[None, :]
-    amplitudes = _amplitudes(nf, thickness, wavelength, ambient_index, substrate_index)
+    phase = np.exp(2j * np.pi * nf * thickness / wavelength)
+    amplitudes = _airy(_interfaces(nf, ambient_index, substrate_index), phase)
     surface = _surface(amplitudes, reflectance, transmittance, substrate_index / ambient_index)
     return surface, n_vals, k_vals
 
@@ -1003,11 +998,12 @@ def _forked(grid: NkGrid, per_map, ambient_index, substrate_index):
     """A forked child that solves the maps (_solve): its pid and the read
     end of the pipe it writes to, or None if no child could be forked.
 
-    The child writes the row count, then the float64 columns raw, and
-    always leaves by os._exit: it never returns into the caller, flushes
-    no inherited buffer and runs no atexit hook.  A warning fails it like
-    an exception, so it prints nothing, and the parent's second solve of
-    its slice warns or raises as one process does."""
+    The child writes the float64 columns raw and exits 0 only after it
+    has written them all.  It always leaves by os._exit: it never returns
+    into the caller, flushes no inherited buffer and runs no atexit hook.
+    A warning fails it like an exception, so it prints nothing, and the
+    parent's second solve of its slice warns or raises as one process
+    does."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -1026,7 +1022,7 @@ def _forked(grid: NkGrid, per_map, ambient_index, substrate_index):
         os.close(read)
         columns = _solve(grid, per_map, ambient_index, substrate_index)
         with os.fdopen(write, "wb") as pipe:
-            pipe.write(np.int64(len(columns)).tobytes() + columns.tobytes())
+            pipe.write(columns.tobytes())
         status = 0
     finally:
         os._exit(status)
@@ -1034,7 +1030,7 @@ def _forked(grid: NkGrid, per_map, ambient_index, substrate_index):
 
 def _sent(child):
     """The columns a forked child sent, after reaping it; None if there
-    is no child, or it exited other than with 0, or its data are short."""
+    is no child, or it exited other than with 0."""
     if child is None:
         return None
     pid, read = child
@@ -1043,10 +1039,7 @@ def _sent(child):
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    rows = np.frombuffer(data[:8], dtype=np.int64)
-    if status or rows.size != 1 or len(data) != 8 + 40 * rows[0]:
-        return None
-    return np.frombuffer(data, offset=8).reshape(-1, 5)
+    return None if status else np.frombuffer(data).reshape(-1, 5)
 
 
 def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
@@ -1055,7 +1048,7 @@ def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
     evenly spaced from end to end."""
     t_low, t_high = thickness_range
     if not 0.0 < t_low <= t_high <= MAX_THICKNESS:
-        raise ValueError(f"thickness_range must lie inside (0, 1 um], got {thickness_range}")
+        raise ValueError(f"thickness_range must be 0 < low <= high <= 1 um, got {thickness_range}")
     if t_low == t_high:
         return np.array([t_low])
     if n_thickness < 2:

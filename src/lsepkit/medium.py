@@ -29,9 +29,8 @@ from .bloch import (
     _coherence_per_field,
     detuning_rate,
     evolve_rwa,
-    linear_coherence_per_field,
 )
-from .constants import EPS0, EV_TO_RADS
+from .constants import EPS0
 from .numerics import checked_times
 
 # Largest dipole (Debye): the fit clips its projected d^2 to the square.
@@ -140,7 +139,7 @@ def _steady_response(material: MaterialParams, energies: np.ndarray):
     """epsilon_steady's values on ``energies`` as a function of the coherence
     damping rate (rad/s); the fit calls it once per dephasing it tries."""
     p = material.two_level
-    delta = (p.transition_energy - energies) * EV_TO_RADS
+    delta = detuning_rate(p, energies)
     prefactor = _prefactor(material)
     return lambda rate: (material.background_permittivity
                          + prefactor * _coherence_per_field(p.dipole_si, rate, delta))
@@ -163,8 +162,10 @@ def epsilon_transient(
     # rho01~ grows linearly with E0, so a zero field takes it per unit field
     prefactor = _prefactor(material, drive.amplitude or 1.0)
     if drive.amplitude == 0.0:
-        rate = p.total_dephasing_rate + 1j * detuning_rate(p, drive)
-        coherence = linear_coherence_per_field(p, drive.photon_energy) * -np.expm1(-rate * times)
+        delta = detuning_rate(p, drive.photon_energy)
+        rate = p.total_dephasing_rate + 1j * delta
+        coherence = (_coherence_per_field(p.dipole_si, p.total_dephasing_rate, delta)
+                     * -np.expm1(-rate * times))
     else:
         coherence = evolve_rwa(p, drive, DensityMatrix.ground(), times).rho01
     eps = material.background_permittivity + prefactor * coherence

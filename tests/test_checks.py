@@ -137,6 +137,12 @@ CASES = [
                                rtol=1e-10, atol=1e-12), -INF),
     # a seed, checked once like the points of near_field_grid
     ("points", lambda v: poynting_streamlines(SPHERE, None, [[0.0, 0.0, v]]), -INF),
+    # a third energy for two permittivities, and a spectrum of no rows:
+    # each refused whatever the value
+    ("energies and epsilon must be matching", lambda v: _spectrum(energies=[2.0, 2.1, v]), 2.2),
+    ("empty spectrum", lambda v: PermittivitySpectrum([], []), 2.0),
+    # a descending energy, out of range though finite
+    ("energies must be", lambda v: _spectrum(energies=[2.1, v]), 2.0),
 ]
 
 

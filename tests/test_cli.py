@@ -333,6 +333,14 @@ class TestConfigErrors:
             ("transient", "pure_dephasing_ev", "1e308"),
             ("qabs-spectrum", "pure_dephasing_ev", "1e308"),
             ("nearfield", "epsilon_override", "1e308, 1e308"),
+            # bounds out of order: each exited 2 naming no key, the
+            # thickness pair as a range outside (0, 1 um]
+            ("extract-nk", "n_min", "3.5"),
+            ("extract-nk", "n_max", "0.05"),
+            ("extract-nk", "kappa_min", "3.2"),
+            ("extract-nk", "kappa_max", "0"),
+            ("extract-nk", "thickness_min_nm", "78"),
+            ("extract-nk", "thickness_max_nm", "62"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, command, key, value):
@@ -413,6 +421,9 @@ class TestConfigErrors:
             # 1.01e8 maps, past the key's maximum: unchecked, the run
             # exited 1 with an _ArrayMemoryError traceback
             ("thickness_samples", "1000000"),
+            # within the key's range, but 1.01e5 maps of 436,521 points
+            # ask for 4.4e10 map points, past MAX_MAP_POINTS
+            ("thickness_samples", "1000"),
             # unchecked, kappa rescaled by 7e-308 left two flat curves, and
             # the run exited 3 with a BranchAmbiguous that named no key
             ("reference_thickness_nm", "1e308"),
@@ -429,7 +440,8 @@ class TestConfigErrors:
         rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "error: a thickness range needs at least 2 thickness samples, got 1\n"
+        assert err == ("error: thickness_samples: a thickness range needs at least 2 "
+                       "thickness samples, got 1\n")
         assert not out.exists()
 
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsepkit import cli, medium
-from lsepkit.bloch import DriveField, TwoLevelParams, linear_coherence_per_field
+from lsepkit.bloch import DriveField, TwoLevelParams, _coherence_per_field, detuning_rate
 from lsepkit.constants import EPS0, EV, EV_TO_RADS, HBAR
 from lsepkit.medium import (
     FitDiverged,
@@ -318,7 +318,8 @@ class TestFit:
             dataclasses.replace(fixed, two_level=dataclasses.replace(fixed.two_level, dipole=1.0)),
             energies)
         got = response(two_level.total_dephasing_rate) - background
-        coherence = linear_coherence_per_field(two_level, energies)
+        coherence = _coherence_per_field(two_level.dipole_si, two_level.total_dephasing_rate,
+                                         detuning_rate(two_level, energies))
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == (background + medium._prefactor(unit) * coherence
                                  - background).tobytes()

@@ -10,8 +10,11 @@ move it into the tests that need it as an oracle.
 
 A use is a name or attribute load anywhere in those files, or a string
 that is exactly the name (``getattr(module, "name")``, the benchmark's
-patch targets).  Imports, ``__all__`` lists and the ``__init__``
-re-exports are not uses: they pass a name on without calling it.
+patch targets).  A ``self.<name>`` load inside a class uses only that
+class's own member: a dataclass field that a method reads through
+``self`` does not reach a same-named property of another class.
+Imports, ``__all__`` lists and the ``__init__`` re-exports are not uses:
+they pass a name on without calling it.
 """
 
 import ast
@@ -45,24 +48,38 @@ def _definitions(tree):
                     yield target.id, node
 
 
-def _uses(node, skip=frozenset()):
+def _uses(node, skip=frozenset(), cls=None):
     """Counter of the identifiers that ``node`` loads, not descending
-    into imports or into ``skip`` (a set of node ids: ``__all__``)."""
+    into imports or into ``skip`` (a set of node ids: ``__all__``).  A
+    ``self.<name>`` load inside class C, or inside ``node`` when it is a
+    member of ``cls`` = C, counts as "C.<name>"."""
     uses = Counter()
-    stack = [node]
+    stack = [(node, cls)]
     while stack:
-        current = stack.pop()
+        current, owner = stack.pop()
         if id(current) in skip or isinstance(current, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
             uses[current.id] += 1
         elif isinstance(current, ast.Attribute) and isinstance(current.ctx, ast.Load):
-            uses[current.attr] += 1
+            on_self = owner and isinstance(current.value, ast.Name) and current.value.id == "self"
+            uses[f"{owner}.{current.attr}" if on_self else current.attr] += 1
         elif isinstance(current, ast.Constant) and isinstance(current.value, str):
             if current.value.isidentifier():
                 uses[current.value] += 1
-        stack.extend(ast.iter_child_nodes(current))
+        if isinstance(current, ast.ClassDef):
+            owner = current.name
+        stack.extend((child, owner) for child in ast.iter_child_nodes(current))
     return uses
+
+
+def _reached(uses, name, node):
+    """Whether ``uses`` hold a use of the definition ``name`` outside its
+    own ``node``: a load of its name, or for a member "C.m" a load of m or
+    a ``self.m`` load inside C."""
+    cls, _, member = name.rpartition(".")
+    own = _uses(node, cls=cls or None)
+    return any(uses[key] > own[key] for key in {member, name})
 
 
 def _dunder_all(tree):
@@ -72,9 +89,7 @@ def _dunder_all(tree):
 
 def unreached_names():
     """Sorted ``module:name`` of every public top-level name and class
-    member of the package that no user file reaches: the uses of its name
-    (a member's own name) in all of them, less those inside its own
-    definition, add up to zero."""
+    member of the package that no user file reaches (_reached)."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for user in USERS for path in _files(user)}
     uses = sum((_uses(tree, _dunder_all(tree)) for tree in trees.values()), Counter())
@@ -82,8 +97,7 @@ def unreached_names():
     for path in _files(PACKAGE):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
         for name, node in _definitions(trees[path]):
-            used = name.rpartition(".")[2]
-            if not used.startswith("_") and uses[used] == _uses(node)[used]:
+            if not name.rpartition(".")[2].startswith("_") and not _reached(uses, name, node):
                 unreached.append(f"{module}:{name}")
     return sorted(unreached)
 
@@ -128,5 +142,30 @@ def test_the_scan_sees_a_dead_member():
     defined = dict(_definitions(tree))
     assert set(defined) == {"Box", "Box.size", "Box.check", "Box._helper", "VALUE"}
     uses = _uses(tree)
-    assert uses["size"] == _uses(defined["Box.size"])["size"] == 1
-    assert uses["check"] == 1 and _uses(defined["Box.check"])["check"] == 0
+    assert uses["Box.size"] == _uses(defined["Box.size"], cls="Box")["Box.size"] == 1
+    assert not _reached(uses, "Box.size", defined["Box.size"])
+    assert uses["check"] == 1 and _reached(uses, "Box.check", defined["Box.check"])
+
+
+def test_a_self_load_reaches_only_its_own_class():
+    # Crate reads its own field through self; that does not reach Box's
+    # same-named property, which is dead, while Box.volume, read through
+    # self inside Box and called from outside, is live
+    source = (
+        "class Box:\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def volume(self):\n        return self.depth * 2\n"
+        "class Crate:\n"
+        "    size: int\n"
+        "    depth: int\n"
+        "    def total(self):\n        return self.size + self.depth\n"
+        "VALUE = Crate(1, 2).total() + Box().volume()\n"
+    )
+    tree = ast.parse(source)
+    defined = dict(_definitions(tree))
+    uses = _uses(tree)
+    assert uses["size"] == 0 and uses["Crate.size"] == 1
+    assert uses["Box.depth"] == uses["Crate.depth"] == 1
+    assert not _reached(uses, "Box.size", defined["Box.size"])
+    assert _reached(uses, "Box.volume", defined["Box.volume"])
+    assert _reached(uses, "Crate.total", defined["Crate.total"])
