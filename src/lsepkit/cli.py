@@ -52,7 +52,7 @@ from .mie import (
     qabs_transient,
 )
 from .mie import SphereScene
-from .numerics import axis
+from .numerics import axis, kk
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -535,8 +535,10 @@ def cmd_transient(cfg: dict) -> dict[str, str]:
 
 def cmd_extract_nk(cfg: dict) -> dict[str, str]:
     spectrum = _read_input(cfg, "film_rt.csv", film.read_rt_csv)
-    if not spectrum.wavelength.size:
-        raise ConfigError("input: measurement file has no rows")
+    distinct = np.unique(spectrum.wavelength).size
+    if distinct < kk.MIN_POINTS:
+        raise ConfigError(f"input: the dispersion closure needs at least {kk.MIN_POINTS} "
+                          f"distinct wavelengths, got {distinct}")
     t_lo = cfg["thickness_min_nm"] * 1e-9
     t_hi = cfg["thickness_max_nm"] * 1e-9
     t_ref = cfg["reference_thickness_nm"] * 1e-9
@@ -563,19 +565,8 @@ def cmd_extract_nk(cfg: dict) -> dict[str, str]:
         substrate_index=cfg["substrate_index"],
         ambient_index=cfg["ambient_index"],
     )
-
-    # branch selection runs on candidates sharing one thickness: the swept
-    # thickness nearest the reference (the thinner one on an exact tie, as
-    # the sweep ascends), with kappa rescaled onto the reference thickness
-    swept = candidates.thickness
-    nearest = swept[np.argmin(np.abs(swept - t_ref))]
-    pool = candidates.take(swept == nearest)
-    pool = pool._replace(kappa=film.thickness_rescale(pool.kappa, nearest, t_ref))
-    nk = _nk_columns(pool.take(film.select_physical_branch(pool)), "Physical")
-    # the physical curve ascends in wavelength, so the dispersion closure
-    # takes its energies (column 1) and kappa (column 3) reversed
-    nk[2] = film.close_with_kk(nk[1][::-1], nk[3][::-1], cfg["kk_asymptote"])[::-1]
-    order = np.lexsort((candidates.kappa, candidates.wavelength, swept))
+    nk = _nk_columns(film.physical_curve(candidates, t_ref, cfg["kk_asymptote"]), "Physical")
+    order = np.lexsort((candidates.kappa, candidates.wavelength, candidates.thickness))
     return {
         "nk.csv": table.render(NK_HEADER[:-1], nk[:-1]),
         "branches.csv": table.render(

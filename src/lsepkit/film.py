@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import NumericalFailure, at_least_one, check, non_negative, positive, table
-from .constants import EV_TO_RADS
+from .constants import EV_TO_RADS, vacuum_wavelength_m_to_ev
 from .numerics import axis, kramers_kronig_real, nelder_mead
 
 NOISE_ALLOWANCE = 0.02
@@ -1200,6 +1200,22 @@ def close_with_kk(energies_ev, kappa, n_asymptote: float) -> np.ndarray:
     energies = np.asarray(energies_ev, dtype=float)
     kap = np.asarray(kappa, dtype=float)
     return kramers_kronig_real(energies * EV_TO_RADS, kap, asymptote=n_asymptote)
+
+
+def physical_curve(candidates: NkCandidates, reference_thickness, n_asymptote) -> NkCandidates:
+    """nk.csv's rows, one per wavelength, ascending: the candidates of the
+    swept thickness nearest reference_thickness (the thinner one on an
+    exact tie) with kappa rescaled onto reference_thickness, the smoother
+    branch (select_physical_branch), and n closed from its kappa over the
+    ascending energies (close_with_kk); the thickness stays the swept one."""
+    swept = candidates.thickness
+    gap = np.abs(swept - reference_thickness)
+    nearest = swept[gap == gap.min()].min()
+    pool = candidates.take(swept == nearest)
+    pool = pool._replace(kappa=thickness_rescale(pool.kappa, nearest, reference_thickness))
+    curve = pool.take(select_physical_branch(pool))
+    energies = vacuum_wavelength_m_to_ev(curve.wavelength)[::-1]  # ascending
+    return curve._replace(n=close_with_kk(energies, curve.kappa[::-1], n_asymptote)[::-1])
 
 
 # ------------------------------------------------------------------ I/O

@@ -46,8 +46,11 @@ def assert_density_matrices(states, tol):
 
 def coherence_per_field(params, photon_energy):
     """Weak-field rho01~ / E0 (per V/m) at the given photon energies, from
-    the helper that the permittivity takes."""
-    return bloch._coherence_per_field(params.dipole_si, params.total_dephasing_rate,
+    the helper that the permittivity takes.  The dephasing rate goes in as
+    a numpy scalar, so that the division is numpy's: a zero divisor (exact
+    resonance with a rate that rounds to 0) gives inf or nan, as on an
+    array, instead of Python's ZeroDivisionError."""
+    return bloch._coherence_per_field(params.dipole_si, np.float64(params.total_dephasing_rate),
                                       detuning_rate(params, photon_energy))
 
 
@@ -80,7 +83,7 @@ def steady_state(params, drive):
         raise NoUniqueSteadyState("zero decay rate leaves a conserved population")
     # numpy scalars: a zero or overflowing divisor gives inf or nan, checked below
     with np.errstate(all="ignore"):
-        coherence = drive.amplitude * coherence_per_field(params, np.float64(drive.photon_energy))
+        coherence = drive.amplitude * coherence_per_field(params, drive.photon_energy)
         pump = rabi_frequency(params, drive) * coherence.imag
         saturation = gamma + 2.0 * pump
     if not np.isfinite(saturation):
@@ -259,6 +262,8 @@ def _pinned_trace_solve(params, drive):
 
 class TestClosedFormSteadyState:
     @given(_decaying, _drives)
+    # the smallest decay rate halves to a dephasing rate of exactly 0
+    @example(TwoLevelParams(1.0, 5e-324, 0.0, 0.0), DriveField(amplitude=0.0, photon_energy=1.0))
     def test_stationary_with_exact_trace(self, params, drive):
         # the closed form leaves the float range only on exact resonance
         # with a dephasing rate below 6e-268 1/s; everywhere else it is

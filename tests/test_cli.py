@@ -56,6 +56,12 @@ def main_without_warnings(argv):
         return main(argv)
 
 
+def no_solve(*args, **kwargs):
+    """A stand-in for film.extract_nk in tests whose input must be refused
+    before the (n, kappa) maps are solved."""
+    raise AssertionError("film.extract_nk ran")
+
+
 def read_csv_columns(path):
     with open(path, newline="") as handle:
         rows = [r for r in csv.reader(handle) if r and not r[0].startswith("#")]
@@ -1035,14 +1041,17 @@ class TestExtractNk:
         assert "kk_asymptote" in err
         assert not out.exists()
 
-    def test_measurement_file_without_rows(self, tmp_path, capsys):
+    def test_measurement_file_without_rows(self, tmp_path, capsys, monkeypatch):
         rt_path = tmp_path / "rt.csv"
         film.write_rt_csv(rt_path, film.RTSpectrum([], [], []))
+        monkeypatch.setattr(cli.film, "extract_nk", no_solve)
         out = tmp_path / "nk"
         rc = main(["extract-nk", "--config", str(self.config(tmp_path, rt_path)),
                    "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: input: measurement file has no rows\n"
+        assert capsys.readouterr().err == (
+            "error: input: the dispersion closure needs at least 16 distinct wavelengths, got 0\n"
+        )
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -1371,16 +1380,19 @@ class TestErrorContract:
                 assert len(err) == 1
                 assert not out.exists()
 
-    def test_too_few_wavelengths_for_the_dispersion_closure(self, tmp_path, capsys):
+    def test_too_few_wavelengths_for_the_dispersion_closure(self, tmp_path, capsys, monkeypatch):
         lines, rows = data_rows("film_rt.csv")
         rt_path = tmp_path / "rt.csv"
         rt_path.write_text("\n".join(lines[: rows[12]]) + "\n")
         ini = tmp_path / "cfg.ini"
         write_ini(ini, "extract-nk", input=str(rt_path), **EXTRACT_NK_GRID)
+        monkeypatch.setattr(cli.film, "extract_nk", no_solve)
         out = tmp_path / "o"
         rc = main(["extract-nk", "--config", str(ini), "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: need at least 16 points, got 12\n"
+        assert capsys.readouterr().err == (
+            "error: input: the dispersion closure needs at least 16 distinct wavelengths, got 12\n"
+        )
         assert not out.exists()
 
     def test_eigensolver_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage, optimize
 
 from lsepkit import cli, film, medium
-from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m
+from lsepkit.constants import EV_TO_RADS, ev_to_vacuum_wavelength_m, vacuum_wavelength_m_to_ev
 from lsepkit.film import (
     NOISE_ALLOWANCE,
     BranchAmbiguous,
@@ -1041,7 +1041,7 @@ class TestExtraction:
 
 def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, capsys):
     # the README's film snippet, exactly as shown, reading the packaged
-    # fixture as rt.csv; it picks the 70 nm sweep member as extract-nk does
+    # fixture as rt.csv, prints the rows of extract-nk's nk.csv bit for bit
     root = Path(__file__).resolve().parents[1]
     blocks = (root / "README.md").read_text(encoding="utf-8").split("```python\n")[1:]
     (snippet,) = [b.split("```")[0] for b in blocks if "film.extract_nk(" in b]
@@ -1049,13 +1049,13 @@ def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, "README.md", "exec"), {})
     printed = np.array([line.split() for line in capsys.readouterr().out.splitlines()], float)
-    with (root / "perfbench" / "reference" / "nk-fixture" / "nk.csv").open(newline="") as handle:
-        nk = [(float(r["wavelength_nm"]), float(r["kappa"])) for r in csv.DictReader(handle)]
+    assert cli.main(["extract-nk", "--out", "nk"]) == cli.EXIT_OK
+    with open("nk/nk.csv", newline="") as handle:
+        nk = [[float(r[k]) for k in ("wavelength_nm", "n", "kappa", "residual")]
+              for r in csv.DictReader(handle)]
     assert printed.shape == (len(nk), 4)
-    assert np.array_equal(printed[:, 0] * 1e9, [wl for wl, _ in nk])
-    # the sweep member is 70 nm to the last bit, so extract-nk's rescale
-    # is exact and the curves agree bit for bit
-    assert np.array_equal(printed[:, 2], [k for _, k in nk])
+    assert np.array_equal(printed[:, 0] * 1e9, [row[0] for row in nk])
+    assert np.array_equal(printed[:, 1:], [row[1:] for row in nk])
 
 
 def _outcome(find):
@@ -1393,6 +1393,52 @@ class TestKkClosure:
         band = (energies > 2.01) & (energies < 2.21)
         rel = np.abs(n_kk[band] - index.real[band]) / index.real[band]
         assert rel.max() < 0.02
+
+
+class TestPhysicalCurve:
+    """physical_curve on a hand-built sweep of three films, one root per
+    wavelength each.  The reference, 2**-24 m (59.6 nm), and the films at
+    0.75, 1.25 and 2 times it are binary fractions, so the thinner two tie
+    exactly in distance and the kappa scale 0.75 is exact."""
+
+    REFERENCE = 2.0**-24
+    THIN, THICK, FAR = 0.75 * REFERENCE, 1.25 * REFERENCE, 2.0 * REFERENCE
+    WAVELENGTHS = np.linspace(500e-9, 650e-9, 16)
+    ASYMPTOTE = 1.5
+
+    @classmethod
+    def film_rows(cls, thickness, n, residual):
+        x = (cls.WAVELENGTHS - 575e-9) / 30e-9
+        return [(wl, n, k, residual, thickness)
+                for wl, k in zip(cls.WAVELENGTHS, 0.2 + 0.3 * np.exp(-x**2))]
+
+    @pytest.fixture
+    def curve(self):
+        # the thicker film first and every film descending in wavelength:
+        # the rule must not lean on the row order extract_nk gives
+        rows = (self.film_rows(self.FAR, 1.8, 2e-13) + self.film_rows(self.THIN, 1.6, 1e-13)
+                + self.film_rows(self.THICK, 2.0, 3e-13))
+        table = candidate_table(rows[::-1])
+        return film.physical_curve(table, self.REFERENCE, self.ASYMPTOTE)
+
+    def test_a_tie_takes_the_thinner_film(self, curve):
+        assert abs(self.THIN - self.REFERENCE) == abs(self.THICK - self.REFERENCE)
+        assert (curve.thickness == self.THIN).all()
+        assert (curve.residual == 1e-13).all()
+
+    def test_kappa_scales_by_nearest_over_reference(self, curve):
+        kappa = np.array([row[2] for row in self.film_rows(self.THIN, 1.6, 1e-13)])
+        assert np.array_equal(curve.kappa, kappa * (self.THIN / self.REFERENCE))
+        assert not np.array_equal(curve.kappa, kappa)
+
+    def test_one_row_per_wavelength_ascending(self, curve):
+        assert np.array_equal(curve.wavelength, self.WAVELENGTHS)
+
+    def test_n_is_the_closure_over_ascending_energies(self, curve):
+        energies = vacuum_wavelength_m_to_ev(curve.wavelength)
+        n = close_with_kk(energies[::-1], curve.kappa[::-1], self.ASYMPTOTE)[::-1]
+        assert n.tobytes() == curve.n.tobytes()
+        assert (n != 1.6).all()
 
 
 class TestCsvIo:
