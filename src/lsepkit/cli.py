@@ -65,9 +65,6 @@ MAX_SAMPLES = 10**7
 # search keeps bookkeeping per map that grows with the grid.  76 times the
 # default sweep of 303 maps of 436,521 points.
 MAX_MAP_POINTS = 10**10
-# Thickest film extract-nk inverts, 1 um: the key's maximum converts to
-# film.MAX_THICKNESS, so a thickness the keys accept extract_nk accepts.
-MAX_THICKNESS_NM = 1e3
 # Largest level, photon or linewidth energy a config may name: 100 eV is
 # extreme ultraviolet, far above the optical range the models describe.
 MAX_ENERGY_EV = 100.0
@@ -173,11 +170,11 @@ DEFAULTS: dict[str, dict[str, Key]] = {
         "input": Key("", str),  # empty -> packaged film fixture
         "substrate_index": Key("1.52", float, 1.0, MAX_INDEX),
         "ambient_index": Key("1.0", float, 1.0, MAX_INDEX),
-        "thickness_min_nm": Key("63", float, 1.0, MAX_THICKNESS_NM),
-        "thickness_max_nm": Key("77", float, 1.0, MAX_THICKNESS_NM),
+        "thickness_min_nm": Key("63", float, 1.0, film.MAX_THICKNESS_NM),
+        "thickness_max_nm": Key("77", float, 1.0, film.MAX_THICKNESS_NM),
         # more always exceed MAX_MAP_POINTS, which checks the built sweep
         "thickness_samples": Key("3", int, 1, MAX_MAP_POINTS // 10**5),
-        "reference_thickness_nm": Key("70", float, 1.0, MAX_THICKNESS_NM),
+        "reference_thickness_nm": Key("70", float, 1.0, film.MAX_THICKNESS_NM),
         **{f.name: Key(repr(f.default)) for f in dataclasses.fields(film.NkGrid)},
         "kk_asymptote": Key("1.52", float, 0.0, MAX_INDEX),
     },
@@ -220,7 +217,7 @@ def load_config(command: str, config_path) -> dict[str, object]:
         # no interpolation: a % in a value, such as an input path, is literal
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with path.open(encoding="utf-8") as handle:
+            with path.open(encoding="utf-8-sig") as handle:
                 parser.read_file(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
@@ -322,7 +319,10 @@ def _read_input(cfg: dict, fallback: str, read):
     with nullcontext(Path(raw)) if raw else as_file(_packaged(fallback)) as path:
         if not path.is_file():
             raise ConfigError(f"input: file not found: {path}")
-        return read(path)
+        try:
+            return read(path)
+        except OSError as exc:
+            raise ConfigError(f"input: cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def write_outputs(out_dir: Path, bodies: dict[str, str]) -> list[Path]:
@@ -557,14 +557,8 @@ def cmd_extract_nk(cfg: dict) -> dict[str, str]:
             f"thickness_samples: asks for {maps} maps (thickness samples x R/T rows), "
             f"{work:.3g} map points, more than {MAX_MAP_POINTS:.0e}"
         )
-    candidates = film.extract_nk(
-        spectrum,
-        thickness_range=(t_lo, t_hi),
-        grid=grid,
-        n_thickness=cfg["thickness_samples"],
-        substrate_index=cfg["substrate_index"],
-        ambient_index=cfg["ambient_index"],
-    )
+    candidates = film.extract_nk(spectrum, sweep, grid, cfg["substrate_index"],
+                                 cfg["ambient_index"])
     nk = _nk_columns(film.physical_curve(candidates, t_ref, cfg["kk_asymptote"]), "Physical")
     order = np.lexsort((candidates.kappa, candidates.wavelength, candidates.thickness))
     return {

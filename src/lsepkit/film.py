@@ -63,9 +63,10 @@ FLAT_LANDSCAPE_SPAN = 1e-15
 # Largest (n, kappa) grid an NkGrid may ask for, about 230 times the
 # default 681 x 641: a tiny step would ask for more than fits in memory.
 MAX_GRID_POINTS = 10**8
-# Thickest film extract_nk inverts: 1 um, written as 1e3 nm converts to
-# metres (one ulp above 1e-6), so the CLI's thickness keys meet it exactly.
-MAX_THICKNESS = 1e3 * 1e-9
+# Thickest film extract_nk inverts, 1 um: the maximum of the CLI's
+# thickness keys, in metres as they convert (one ulp above 1e-6).
+MAX_THICKNESS_NM = 1e3
+MAX_THICKNESS = MAX_THICKNESS_NM * 1e-9
 # The grid search works on tiles of the (n, kappa) grid.  It bounds the
 # residual from below on coarse tiles of every map, splits the coarse
 # tiles it cannot rule out into fine tiles, and evaluates fine tiles only.
@@ -325,8 +326,10 @@ def _residual_map(grid: NkGrid, thickness, wavelength, reflectance, transmittanc
                   ambient_index, substrate_index):
     """Residual of one map over the full (n, kappa) grid in one sweep.
 
-    The reference map: its two lowest minima (_two_lowest_minima) are the
-    seeds that extract_nk finds while evaluating only part of the grid.
+    The reference map.  Its seeds are its two lowest 8-neighbour local
+    minima (points equal to their _window_min) by (value, row-major
+    index), none if its spread is below FLAT_LANDSCAPE_SPAN; extract_nk
+    finds them while evaluating only part of the grid.
     """
     n_vals = grid.n_values
     k_vals = grid.kappa_values
@@ -349,21 +352,6 @@ def _window_min(surface: np.ndarray) -> np.ndarray:
     across = np.minimum(np.minimum(edged[..., :-2], edged[..., 1:-1]), edged[..., 2:])
     edged = np.concatenate((across[..., :1, :], across, across[..., -1:, :]), axis=-2)
     return np.minimum(np.minimum(edged[..., :-2, :], edged[..., 1:-1, :]), edged[..., 2:, :])
-
-
-def _two_lowest_minima(surface: np.ndarray):
-    """Indices of the two lowest local minima (8-neighbor) of a surface.
-
-    The full-grid rule that the tile search reproduces (_grid_seeds).
-    """
-    if np.ptp(surface) < FLAT_LANDSCAPE_SPAN:
-        raise NoMinimumFound("residual landscape is flat")
-    local = surface <= _window_min(surface)
-    rows, cols = np.nonzero(local)
-    if rows.size == 0:
-        raise NoMinimumFound("no local minimum on the search grid")
-    order = np.argsort(surface[rows, cols], kind="stable")[:2]
-    return [(int(rows[i]), int(cols[i])) for i in order]
 
 
 class _Maps(NamedTuple):
@@ -853,8 +841,8 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
     lowest local minima nor tie with one; and a map with a point skipped
     by its bound has one more than FLAT_LANDSCAPE_SPAN above its lowest
     point, so it is not flat.  So the search decides on these minima, and
-    on the spread of a map evaluated in full, as _two_lowest_minima
-    decides on the full map: it returns the (maps, 2) indices, or raises
+    on the spread of a map evaluated in full, as the reference map
+    (_residual_map) decides: it returns the (maps, 2) indices, or raises
     NoMinimumFound for the first map that is flat or has no local minimum.
     """
     count = maps.thickness.size
@@ -942,7 +930,7 @@ def _tile_search(tiling: _Tiling, maps: _Maps):
 
 def _grid_seeds(grid: NkGrid, thickness, wavelength, reflectance, transmittance,
                 ambient_index, substrate_index):
-    """_two_lowest_minima(_residual_map(...)) of every map, given by the
+    """The seeds of every map's reference map (_residual_map), given by the
     arrays of its thickness, wavelength, R and T, from the tiles that can
     hold a seed (_tile_search): the map, grid row and grid column of each
     seed, as columns by map, then lower minimum first.  The first map that
@@ -1044,8 +1032,8 @@ def _sent(child):
 
 def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
     """The film thicknesses extract_nk inverts: the one thickness of a
-    range whose ends are equal, else n_thickness of them (at least 2),
-    evenly spaced from end to end."""
+    range whose ends are equal, else n_thickness of them (at least 2, and
+    no two equal), evenly spaced from end to end."""
     t_low, t_high = thickness_range
     if not 0.0 < t_low <= t_high <= MAX_THICKNESS:
         raise ValueError(f"thickness_range must be 0 < low <= high <= 1 um, got {thickness_range}")
@@ -1053,26 +1041,24 @@ def thickness_sweep(thickness_range, n_thickness: int) -> np.ndarray:
         return np.array([t_low])
     if n_thickness < 2:
         raise ValueError(f"a thickness range needs at least 2 thickness samples, got {n_thickness}")
-    return np.linspace(t_low, t_high, n_thickness)
+    sweep = np.linspace(t_low, t_high, n_thickness)
+    if not (np.diff(sweep) > 0.0).all():
+        raise ValueError(f"{n_thickness} thickness samples repeat a thickness between "
+                         f"{t_low!r} and {t_high!r} m")
+    return sweep
 
 
-def extract_nk(
-    spectrum: RTSpectrum,
-    thickness_range=(63 * 1e-9, 77 * 1e-9),
-    grid: NkGrid | None = None,
-    n_thickness: int = 3,
-    substrate_index: float = 1.52,
-    ambient_index: float = 1.0,
-) -> NkCandidates:
-    """Two candidate (n, kappa) roots per wavelength and thickness sample.
+def extract_nk(spectrum: RTSpectrum, thicknesses, grid: NkGrid, substrate_index: float,
+               ambient_index: float) -> NkCandidates:
+    """Two candidate (n, kappa) roots per wavelength and swept thickness.
 
-    Scans the residual over the grid, keeps the two lowest local minima,
-    and refines each by simplex descent; select_physical_branch settles
-    which root is physical.  The rows come by thickness (ascending), then
-    by measurement, then by seed (lower grid minimum first); a map with a
-    single local minimum gives one row.  The thicknesses (thickness_sweep)
-    are the range's one thickness if its ends are equal, else n_thickness
-    >= 2 of them from end to end.
+    ``thicknesses`` are the swept films (m), a strictly increasing 1-d
+    array in (0, MAX_THICKNESS], as thickness_sweep builds them.  Scans
+    the residual over the grid, keeps the two lowest local minima, and
+    refines each by simplex descent; select_physical_branch settles which
+    root is physical.  The rows come by thickness (ascending), then by
+    measurement, then by seed (lower grid minimum first); a map with a
+    single local minimum gives one row.
 
     The grid is searched tile by tile (_grid_seeds): a certified lower
     bound on the residual rules out the tiles of each map that cannot hold
@@ -1097,14 +1083,16 @@ def extract_nk(
     """
     if not spectrum.wavelength.size:
         raise ValueError("at least one measurement is required")
-    thicknesses = thickness_sweep(thickness_range, n_thickness)
-    _check_stack(thicknesses[0], substrate_index, ambient_index)
-    if grid is None:
-        grid = NkGrid()
+    swept = np.asarray(thicknesses, dtype=float)
+    if not (swept.ndim == 1 and swept.size and (np.diff(swept) > 0.0).all()
+            and 0.0 < swept[0] and swept[-1] <= MAX_THICKNESS):
+        raise ValueError("thicknesses must be a non-empty, strictly increasing 1-d array "
+                         f"in (0, 1 um], got {swept!r}")
+    _check_stack(swept, substrate_index, ambient_index)
     measured = np.column_stack((spectrum.wavelength, spectrum.reflectance, spectrum.transmittance))
     # one map per (thickness, measurement): thickness, wavelength, R, T
     per_map = np.column_stack(
-        (np.repeat(thicknesses, len(measured)), np.tile(measured, (thicknesses.size, 1)))
+        (np.repeat(swept, len(measured)), np.tile(measured, (swept.size, 1)))
     )
     parts = np.array_split(per_map, _slice_count(len(per_map)))
     children = []

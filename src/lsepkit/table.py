@@ -37,11 +37,15 @@ def read(path, header) -> tuple[np.ndarray, list[int]]:
     """The finite numbers of a table whose header row is the names ``header``.
 
     Returns a (rows, columns) array and the 1-based line number of each
-    row.  Raises ValueError for another header, a ragged row, a cell that
+    row; a leading UTF-8 byte-order mark is dropped.  Raises ValueError
+    for text that is not UTF-8, another header, a ragged row, a cell that
     is not a number, and a cell that is not finite.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = [(number, line.strip()) for number, line in enumerate(handle, start=1)]
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = [(number, line.strip()) for number, line in enumerate(handle, start=1)]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     rows = [(number, line) for number, line in lines if line and not line.startswith("#")]
     found = [cell.strip() for cell in rows[0][1].split(",")] if rows else []
     if found != list(header):

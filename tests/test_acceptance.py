@@ -443,7 +443,7 @@ def test_criterion_9_film_inversion_round_trip():
     grid = film.NkGrid(
         n_min=1.2, n_max=2.6, n_step=0.02, kappa_min=0.0, kappa_max=1.0, kappa_step=0.02
     )
-    candidates = film.extract_nk(spectrum, thickness_range=(70e-9, 70e-9), grid=grid)
+    candidates = film.extract_nk(spectrum, [70e-9], grid, 1.52, 1.0)
     # the physical rows ascend in wavelength
     physical = candidates.take(film.select_physical_branch(candidates))
     n_err = max(abs(n_fit - n) for n_fit, n in zip(physical.n, n_true))

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsepkit
-from lsepkit import NumericalFailure, cli, film, medium
+from lsepkit import NumericalFailure, cli, film, medium, table
 from lsepkit.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from lsepkit.constants import vacuum_wavelength_m_to_ev
 from lsepkit.mie import (
@@ -448,6 +448,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == ("error: thickness_samples: a thickness range needs at least 2 "
                        "thickness samples, got 1\n")
+        assert not out.exists()
+
+    def test_samples_that_repeat_a_thickness_are_config_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 100 samples within a few float spacings used to solve 8 distinct
+        # thicknesses, each of them many times
+        ini = tmp_path / "cfg.ini"
+        write_ini(ini, "extract-nk", thickness_min_nm="63", thickness_max_nm="63.0000000000001",
+                  thickness_samples="100")
+        monkeypatch.setattr(cli.film, "extract_nk", no_solve)
+        out = tmp_path / "o"
+        assert main(["extract-nk", "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: thickness_samples: 100 thickness samples repeat a ")
         assert not out.exists()
 
     def test_unwritable_output_directory_is_named(self, tmp_path, capsys):
@@ -1054,6 +1069,26 @@ class TestExtractNk:
         )
         assert not out.exists()
 
+    def test_the_sweep_is_built_once_and_solved(self, tmp_path, capsys, monkeypatch):
+        # the keys' sweep is built by thickness_sweep alone, and extract_nk
+        # solves that very array
+        built, solved, sweep = [], [], film.thickness_sweep
+
+        def build(*args):
+            built.append(sweep(*args))
+            return built[-1]
+
+        def solve(spectrum, thicknesses, *rest):
+            solved.append(thicknesses)
+            raise film.NoMinimumFound("stopped after the sweep")
+
+        monkeypatch.setattr(cli.film, "thickness_sweep", build)
+        monkeypatch.setattr(cli.film, "extract_nk", solve)
+        assert main(["extract-nk", "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        capsys.readouterr()
+        assert len(built) == len(solved) == 1 and solved[0] is built[0]
+        assert built[0].tobytes() == sweep((63 * 1e-9, 77 * 1e-9), 3).tobytes()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         rt_path, *_ = self.synthetic(tmp_path)
         ini = self.config(tmp_path, rt_path)
@@ -1394,6 +1429,62 @@ class TestErrorContract:
             "error: input: the dispersion closure needs at least 16 distinct wavelengths, got 12\n"
         )
         assert not out.exists()
+
+    @staticmethod
+    def input_copy(tmp_path, command, prefix=b""):
+        """A copy of the command's packaged input behind ``prefix``, and an
+        INI file that selects it."""
+        name, selector = CSV_INPUTS[command]
+        path = tmp_path / name
+        path.write_bytes(prefix + (files("lsepkit") / "data" / name).read_bytes())
+        ini = tmp_path / "cfg.ini"
+        grid = EXTRACT_NK_GRID if command == "extract-nk" else {}
+        write_ini(ini, command, **selector, **grid, input=str(path))
+        return path, ini
+
+    @pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+    def test_unreadable_input_is_named(self, tmp_path, capsys, monkeypatch, command):
+        # a file that open refuses used to escape as a traceback with exit
+        # code 1; open itself raises, as a root user ignores chmod 000
+        path, ini = self.input_copy(tmp_path, command)
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(table, "open", denied, raising=False)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: input: cannot read {path}: Permission denied\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys, command):
+        # the decoding fault used to name no file
+        path, ini = self.input_copy(tmp_path, command, prefix=b"\xff")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(CSV_INPUTS))
+    def test_byte_order_marks_are_dropped(self, tmp_path, capsys, command):
+        # an input table and an INI file that start with a UTF-8 BOM give
+        # the plain files' outputs byte for byte, and no output has a BOM
+        bom = "\ufeff".encode()
+        outputs = []
+        for prefix in (b"", bom):
+            run = tmp_path / ("bom" if prefix else "plain")
+            run.mkdir()
+            _, ini = self.input_copy(run, command, prefix)
+            ini.write_bytes(prefix + ini.read_bytes())
+            assert main([command, "--config", str(ini), "--out", str(run / "o")]) == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in (run / "o").iterdir()})
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert not any(body.startswith(bom) for body in outputs[1].values())
 
     def test_eigensolver_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # pure_dephasing_ev = 1e308 made LAPACK fail; it is a config error

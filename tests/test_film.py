@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import errno
 import functools
-import inspect
 import os
 from importlib.resources import files
 from pathlib import Path
@@ -27,7 +26,6 @@ from lsepkit.film import (
     NoMinimumFound,
     RTSpectrum,
     _residual_map,
-    _two_lowest_minima,
     _window_min,
     close_with_kk,
     extract_nk,
@@ -65,6 +63,24 @@ def synthetic_measurements(thickness=70e-9):
     k_true = 0.9 * np.exp(-(((wavelengths - 586e-9) / 25e-9) ** 2))
     reflectance, transmittance = rt_theoretical(n_true + 1j * k_true, thickness, wavelengths)
     return RTSpectrum(wavelengths, reflectance, transmittance), n_true, k_true
+
+
+# extract-nk's default sweep, as the CLI builds it from its nm keys
+SWEEP = film.thickness_sweep((63 * 1e-9, 77 * 1e-9), 3)
+
+
+def _two_lowest_minima(surface: np.ndarray):
+    """Indices of the two lowest local minima (8-neighbor) of a surface:
+    the full-grid rule that the tile search reproduces (film._grid_seeds),
+    the oracle of its tests."""
+    if np.ptp(surface) < film.FLAT_LANDSCAPE_SPAN:
+        raise NoMinimumFound("residual landscape is flat")
+    local = surface <= _window_min(surface)
+    rows, cols = np.nonzero(local)
+    if rows.size == 0:
+        raise NoMinimumFound("no local minimum on the search grid")
+    order = np.argsort(surface[rows, cols], kind="stable")[:2]
+    return [(int(rows[i]), int(cols[i])) for i in order]
 
 
 class TestForwardModel:
@@ -140,7 +156,7 @@ class TestValidation:
 
     def test_empty_measurement_is_rejected(self):
         with pytest.raises(ValueError, match="^at least one measurement is required$"):
-            extract_nk(RTSpectrum([], [], []))
+            extract_nk(RTSpectrum([], [], []), SWEEP, NkGrid(), 1.52, 1.0)
 
     def test_measurement_bounds(self):
         with pytest.raises(ValueError):
@@ -304,9 +320,7 @@ class TestCloseCalls:
 
     def test_close_calls_reproduce_reference_branches(self):
         wanted = self.CLOSE_CALLS_NM + self.ORDINARY_NM
-        cands = extract_nk(
-            self.fixture(wanted), thickness_range=(self.THICKNESS, self.THICKNESS)
-        )
+        cands = extract_nk(self.fixture(wanted), [self.THICKNESS], NkGrid(), 1.52, 1.0)
 
         with self.REFERENCE.open(newline="") as handle:
             pinned = [
@@ -540,7 +554,7 @@ class TestTileSearch:
             with pytest.raises(NoMinimumFound):
                 _two_lowest_minima(_residual_map(grid, 70e-9, *first, 1e308, 1.52)[0])
             with pytest.raises(NoMinimumFound):
-                extract_nk(measurements, grid=grid, ambient_index=1e308)
+                extract_nk(measurements, SWEEP, grid, 1.52, 1e308)
 
     def test_shared_fresnel_factors_equal_the_values_alone(self):
         # the search computes r1, r2 and t1 t2 once per distinct tile and
@@ -967,7 +981,7 @@ class TestExtraction:
 
     def test_round_trip_recovers_truth(self):
         meas, n_true, k_true = synthetic_measurements()
-        cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
+        cands = extract_nk(meas, [70e-9], self.GRID, 1.52, 1.0)
         assert isinstance(cands, NkCandidates)
         assert all(column.shape == (2 * meas.wavelength.size,) for column in cands)
         chosen = select_physical_branch(cands)
@@ -987,7 +1001,7 @@ class TestExtraction:
     def test_zero_absorption_recovered(self):
         wavelengths = np.linspace(520e-9, 640e-9, 8)
         meas = RTSpectrum(wavelengths, *rt_theoretical(1.8 + 0j, 70e-9, wavelengths))
-        cands = extract_nk(meas, thickness_range=(70e-9, 70e-9), grid=self.GRID)
+        cands = extract_nk(meas, [70e-9], self.GRID, 1.52, 1.0)
         for wl in set(cands.wavelength.tolist()):
             at = np.flatnonzero(cands.wavelength == wl)
             best = at[np.argmin(cands.residual[at])]
@@ -996,47 +1010,49 @@ class TestExtraction:
 
     def test_thickness_sweep_produces_per_thickness_candidates(self):
         meas, _, _ = synthetic_measurements()
-        cands = extract_nk(
-            rows_of(meas, slice(2)), thickness_range=(63e-9, 77e-9), grid=self.GRID, n_thickness=3
-        )
+        sweep = film.thickness_sweep((63e-9, 77e-9), 3)
+        cands = extract_nk(rows_of(meas, slice(2)), sweep, self.GRID, 1.52, 1.0)
         thicknesses = {round(d * 1e9, 3) for d in cands.thickness.tolist()}
         assert thicknesses == {63.0, 70.0, 77.0}
 
     def test_input_guards(self):
-        with pytest.raises(ValueError):
-            extract_nk(RTSpectrum([], [], []), thickness_range=(70e-9, 70e-9))
-        meas, _, _ = synthetic_measurements()
-        with pytest.raises(ValueError):
-            extract_nk(meas, thickness_range=(77e-9, 63e-9))
-        with pytest.raises(ValueError):
-            extract_nk(meas, thickness_range=(0.5e-6, 2e-6))
+        with pytest.raises(ValueError, match="^at least one measurement is required$"):
+            extract_nk(RTSpectrum([], [], []), [70e-9], self.GRID, 1.52, 1.0)
+        with pytest.raises(ValueError, match="^thickness_range must be 0 < low <= high"):
+            film.thickness_sweep((77e-9, 63e-9), 3)
+        with pytest.raises(ValueError, match="^thickness_range must be 0 < low <= high"):
+            film.thickness_sweep((0.5e-6, 2e-6), 3)
         # one sample cannot sweep a range; it used to sweep both ends
         with pytest.raises(ValueError, match="at least 2 thickness samples, got 1"):
-            extract_nk(meas, thickness_range=(63e-9, 77e-9), n_thickness=1)
+            film.thickness_sweep((63e-9, 77e-9), 1)
+        # samples closer than the float spacing used to repeat thicknesses
+        with pytest.raises(ValueError, match="^100 thickness samples repeat a thickness"):
+            film.thickness_sweep((63e-9, 63e-9 * (1.0 + 1e-15)), 100)
 
-    def test_default_sweep_is_the_config_keys(self):
-        # extract_nk's defaults sweep extract-nk's default thicknesses, bit
-        # for bit, as the CLI builds them from its nm keys
-        defaults = inspect.signature(extract_nk).parameters
-        cfg = cli.load_config("extract-nk", None)
-        want = film.thickness_sweep(
-            (cfg["thickness_min_nm"] * 1e-9, cfg["thickness_max_nm"] * 1e-9),
-            cfg["thickness_samples"],
-        )
-        got = film.thickness_sweep(
-            defaults["thickness_range"].default, defaults["n_thickness"].default
-        )
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize(
+        "thicknesses",
+        [[], 70e-9, [[63e-9, 70e-9]], [70e-9, 63e-9], [70e-9, 70e-9], [np.nan],
+         [63e-9, np.nan], [np.inf], [-np.inf, 70e-9], [0.0, 70e-9], [-70e-9],
+         [70e-9, np.nextafter(film.MAX_THICKNESS, 1.0)]],
+        ids=["empty", "scalar", "2-d", "decreasing", "repeated", "nan", "nan-after", "inf",
+             "-inf", "zero", "negative", "past-1-um"],
+    )
+    def test_bad_thicknesses_are_named(self, thicknesses):
+        meas = rows_of(synthetic_measurements()[0], slice(1))
+        with pytest.raises(ValueError, match="^thicknesses must be a non-empty, strictly"):
+            extract_nk(meas, thicknesses, self.GRID, 1.52, 1.0)
 
     def test_thickest_film_matches_the_config_keys(self):
-        # the CLI's largest thickness_max_nm, in metres, is the largest
-        # thickness extract_nk takes
-        edge = cli.MAX_THICKNESS_NM * 1e-9
+        # the thickness keys' maximum, in metres as the CLI converts it, is
+        # the thickest film extract_nk takes; the next float up is refused
+        edge = cli.DEFAULTS["extract-nk"]["thickness_max_nm"].maximum * 1e-9
         assert edge == film.MAX_THICKNESS
         meas = rows_of(synthetic_measurements()[0], slice(1))
-        assert extract_nk(meas, thickness_range=(edge, edge), grid=self.GRID).thickness[0] == edge
+        assert extract_nk(meas, [edge], self.GRID, 1.52, 1.0).thickness[0] == edge
+        with pytest.raises(ValueError, match="^thicknesses must be"):
+            extract_nk(meas, [np.nextafter(edge, 1.0)], self.GRID, 1.52, 1.0)
         with pytest.raises(ValueError, match="1 um"):
-            extract_nk(meas, thickness_range=(edge, np.nextafter(edge, 1.0)), grid=self.GRID)
+            film.thickness_sweep((edge, np.nextafter(edge, 1.0)), 2)
 
 
 def test_readme_film_example_runs_on_packaged_fixture(tmp_path, monkeypatch, capsys):
@@ -1115,9 +1131,9 @@ class TestSlices:
     def test_fixture_splits_bit_for_bit(self, monkeypatch, count):
         measured = read_rt_csv(self.FIXTURE)
         self.cores(monkeypatch, 1)
-        one = _outcome(lambda: extract_nk(measured))
+        one = _outcome(lambda: extract_nk(measured, SWEEP, NkGrid(), 1.52, 1.0))
         self.cores(monkeypatch, count)
-        assert _outcome(lambda: extract_nk(measured)) == one
+        assert _outcome(lambda: extract_nk(measured, SWEEP, NkGrid(), 1.52, 1.0)) == one
 
     @settings(max_examples=10, deadline=None)
     @given(_films(), st.integers(2, 4))
@@ -1125,8 +1141,8 @@ class TestSlices:
         spectrum, thickness, substrate = film_case
 
         def find():
-            return extract_nk(spectrum, thickness_range=(0.9 * thickness, 1.1 * thickness),
-                              grid=self.GRID, substrate_index=substrate)
+            sweep = film.thickness_sweep((0.9 * thickness, 1.1 * thickness), 3)
+            return extract_nk(spectrum, sweep, self.GRID, substrate, 1.0)
 
         with pytest.MonkeyPatch.context() as patch:
             self.cores(patch, 1)
@@ -1145,9 +1161,9 @@ class TestSlices:
         for count in (1, 2, 3):
             self.cores(monkeypatch, count)
             with np.errstate(under="raise"):
-                outcomes.append(_outcome(lambda: extract_nk(
-                    spectrum, thickness_range=(70e-9, 70e-9), grid=self.GRID
-                )))
+                outcomes.append(_outcome(
+                    lambda: extract_nk(spectrum, [70e-9], self.GRID, 1.52, 1.0)
+                ))
         assert outcomes[0][0] is FloatingPointError
         assert outcomes[1:] == outcomes[:1] * 2
 
@@ -1168,9 +1184,7 @@ class TestSlices:
         outcomes = []
         for count in (1, 3):
             self.cores(monkeypatch, count)
-            outcomes.append(_outcome(lambda: extract_nk(
-                measured, thickness_range=(70e-9, 70e-9), grid=self.GRID
-            )))
+            outcomes.append(_outcome(lambda: extract_nk(measured, [70e-9], self.GRID, 1.52, 1.0)))
         assert outcomes[0] == (NoMinimumFound, f"no local minimum at {failing[1]}")
         assert outcomes[1] == outcomes[0]
 
@@ -1182,9 +1196,9 @@ class TestSlices:
         for count in (1, 4):
             self.cores(monkeypatch, count)
             with np.errstate(over="ignore", invalid="ignore"):
-                outcomes.append(_outcome(lambda: extract_nk(
-                    measured, grid=self.GRID, ambient_index=1e308
-                )))
+                outcomes.append(_outcome(
+                    lambda: extract_nk(measured, SWEEP, self.GRID, 1.52, 1e308)
+                ))
         assert outcomes[0] == (NoMinimumFound, "no local minimum on the search grid")
         assert outcomes[1] == outcomes[0]
 
@@ -1195,7 +1209,7 @@ class TestSlices:
         # thicknesses of 24 rows make 3 slices of 24 maps)
         measured = rows_of(read_rt_csv(self.FIXTURE), slice(24))
         self.cores(monkeypatch, 1)
-        one = _outcome(lambda: extract_nk(measured, grid=self.GRID))
+        one = _outcome(lambda: extract_nk(measured, SWEEP, self.GRID, 1.52, 1.0))
         parent, solve, solved_here, leave = os.getpid(), film._solve, [], os._exit
 
         def faulty_solve(grid, per_map, *media):
@@ -1210,7 +1224,7 @@ class TestSlices:
         if fault == "late":
             monkeypatch.setattr(os, "_exit", lambda status: leave(9))
         self.cores(monkeypatch, 3)
-        assert _outcome(lambda: extract_nk(measured, grid=self.GRID)) == one
+        assert _outcome(lambda: extract_nk(measured, SWEEP, self.GRID, 1.52, 1.0)) == one
         assert solved_here == [24, 24, 24]
 
     def test_failed_fork_solves_every_slice_here(self, monkeypatch):
@@ -1219,7 +1233,7 @@ class TestSlices:
         # candidates of one process, and leaves no child behind
         measured = rows_of(read_rt_csv(self.FIXTURE), slice(24))
         self.cores(monkeypatch, 1)
-        one = _outcome(lambda: extract_nk(measured, grid=self.GRID))
+        one = _outcome(lambda: extract_nk(measured, SWEEP, self.GRID, 1.52, 1.0))
         solve, solved_here = film._solve, []
 
         def counted_solve(grid, per_map, *media):
@@ -1233,7 +1247,7 @@ class TestSlices:
         monkeypatch.setattr(os, "fork", no_fork)
         self.cores(monkeypatch, 3)
         assert film._forked(self.GRID, np.empty((0, 4)), 1.0, 1.52) is None
-        assert _outcome(lambda: extract_nk(measured, grid=self.GRID)) == one
+        assert _outcome(lambda: extract_nk(measured, SWEEP, self.GRID, 1.52, 1.0)) == one
         assert solved_here == [24, 24, 24]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -1,12 +1,13 @@
-"""Every public name of the package is reached by a pipeline, a criterion
-or the benchmark.
+"""Every name of the package is reached by a pipeline, a criterion or the
+benchmark.
 
-A top-level public function, class or constant of ``src/lsepkit``, and a
-public method or property of one of its classes, must be used, outside
-its own definition, by the package itself, by ``perfbench/``, by
-``scripts/`` or by the acceptance criteria (``tests/test_acceptance.py``).
-A name that only its own unit tests call is dead weight: delete it, or
-move it into the tests that need it as an oracle.
+A top-level function, class or constant of ``src/lsepkit``, and a method
+or property of one of its classes, public or private (dunder names
+aside), must be used, outside its own definition, by the package itself,
+by ``perfbench/``, by ``scripts/`` or by the acceptance criteria
+(``tests/test_acceptance.py``).  A name that only its own unit tests
+call is dead weight: delete it, or move it into the tests that need it
+as an oracle.
 
 A use is a name or attribute load anywhere in those files, or a string
 that is exactly the name (``getattr(module, "name")``, the benchmark's
@@ -87,18 +88,26 @@ def _dunder_all(tree):
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)}
 
 
+def _unreached(tree, uses):
+    """The top-level names and class members that ``tree`` defines and
+    ``uses`` do not reach (_reached), dunder names aside."""
+    for name, node in _definitions(tree):
+        member = name.rpartition(".")[2]
+        dunder = member.startswith("__") and member.endswith("__")
+        if not dunder and not _reached(uses, name, node):
+            yield name
+
+
 def unreached_names():
-    """Sorted ``module:name`` of every public top-level name and class
-    member of the package that no user file reaches (_reached)."""
+    """Sorted ``module:name`` of every top-level name and class member of
+    the package, public or private, that no user file reaches."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for user in USERS for path in _files(user)}
     uses = sum((_uses(tree, _dunder_all(tree)) for tree in trees.values()), Counter())
     unreached = []
     for path in _files(PACKAGE):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        for name, node in _definitions(trees[path]):
-            if not name.rpartition(".")[2].startswith("_") and not _reached(uses, name, node):
-                unreached.append(f"{module}:{name}")
+        unreached += [f"{module}:{name}" for name in _unreached(trees[path], uses)]
     return sorted(unreached)
 
 
@@ -127,24 +136,41 @@ def test_the_scan_sees_a_dead_name():
     assert uses["named"] == 1 and uses["helper"] == 0 and uses["VALUE"] == 0
 
 
+def test_the_scan_lists_a_dead_private_name():
+    # a private function that only calls itself is listed like a public
+    # one; a private one that another name calls is reached, and a dunder
+    # name is never listed
+    source = (
+        "__all__ = ['live']\n"
+        "def _dead():\n    return _dead()\n"
+        "def _used():\n    return 1\n"
+        "def live():\n    return _used()\n"
+        "VALUE = live()\n"
+    )
+    tree = ast.parse(source)
+    assert list(_unreached(tree, _uses(tree, _dunder_all(tree)))) == ["_dead", "VALUE"]
+
+
 def test_the_scan_sees_a_dead_member():
-    # a class's public methods and properties count by their own name: one
-    # read as an attribute outside its definition reaches it, a private
-    # one is never listed
+    # a class's methods and properties count by their own name: one read
+    # as an attribute outside its definition reaches it, a private one
+    # that nothing reads is listed, and a dunder one never is
     source = (
         "class Box:\n"
         "    @property\n    def size(self):\n        return self.size\n"
         "    def check(self):\n        return 1\n"
         "    def _helper(self):\n        return 2\n"
+        "    def __repr__(self):\n        return 'Box'\n"
         "VALUE = Box().check()\n"
     )
     tree = ast.parse(source)
     defined = dict(_definitions(tree))
-    assert set(defined) == {"Box", "Box.size", "Box.check", "Box._helper", "VALUE"}
+    assert set(defined) == {"Box", "Box.size", "Box.check", "Box._helper", "Box.__repr__", "VALUE"}
     uses = _uses(tree)
     assert uses["Box.size"] == _uses(defined["Box.size"], cls="Box")["Box.size"] == 1
     assert not _reached(uses, "Box.size", defined["Box.size"])
     assert uses["check"] == 1 and _reached(uses, "Box.check", defined["Box.check"])
+    assert list(_unreached(tree, uses)) == ["Box.size", "Box._helper", "VALUE"]
 
 
 def test_a_self_load_reaches_only_its_own_class():

@@ -36,6 +36,17 @@ def test_ragged_and_non_finite_rows_name_file_line_and_column(tmp_path):
         table.read(path, RT_HEADER)
 
 
+def test_a_byte_order_mark_is_dropped_and_other_bytes_are_named(tmp_path):
+    path = tmp_path / "rt.csv"
+    text = "# note\nwavelength_nm,R,T\n550,0.1,0.8\n"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data, lines = table.read(path, RT_HEADER)
+    assert data.tolist() == [[550.0, 0.1, 0.8]] and lines == [3]
+    path.write_bytes(b"\xff" + text.encode())
+    with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+        table.read(path, RT_HEADER)
+
 
 def test_columns_render_one_row_per_index():
     text = table.render(["x", "label"], [[0.1, -0.0], ["a", "b"]], ["note"])
